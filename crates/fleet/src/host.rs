@@ -16,11 +16,13 @@ use luke_common::rng::DetRng;
 use luke_obs::span::{tick_us, trace_id, SpanKind, SpanRing, SpanScope};
 use luke_predict::PredictorBank;
 use luke_obs::{Event, EventKind, EventRing, Histogram, Registry, StartClass, TimeWindows};
-use luke_snapshot::{ColdStartModel, SnapshotStore};
+use luke_snapshot::{ColdStartModel, PageWorkingSet, SnapshotStore};
 use server::{
     fault_kind_index, AdmissionControl, AdmissionDecision, AttemptCosts, FaultKind, FaultPlan,
     FaultStats, InstancePool, InvocationResult, RetryPolicy,
 };
+
+use std::sync::{Arc, OnceLock};
 
 use crate::chaos::{HostSchedule, HostState};
 use crate::config::FleetConfig;
@@ -208,17 +210,54 @@ fn span_capacity(config: &FleetConfig) -> usize {
     sampled * 2 * per_lane
 }
 
+/// The paper suite's page working sets, built once per process and
+/// shared read-only by every host's snapshot store: the suite is fixed,
+/// so a fleet of any size holds one table.
+fn suite_working_sets() -> Arc<[PageWorkingSet]> {
+    static TABLE: OnceLock<Arc<[PageWorkingSet]>> = OnceLock::new();
+    Arc::clone(TABLE.get_or_init(|| {
+        workloads::paper_suite()
+            .iter()
+            .map(PageWorkingSet::from_profile)
+            .collect()
+    }))
+}
+
+/// The admission-priority table every host of `config` enforces — a pure
+/// function of the config (the router derives the same classes), so a
+/// run builds it once for all its hosts. Empty with admission off.
+pub fn admission_priorities(config: &FleetConfig) -> Vec<u8> {
+    if config.admission.enabled {
+        Population::synthesize(config).priorities()
+    } else {
+        Vec::new()
+    }
+}
+
 impl FleetHost {
-    /// Builds host `host_id`. The fault stream is split from the fleet
-    /// seed per host; all-zero rates get the bit-transparent
-    /// [`FaultPlan::none`] so a fault-free fleet never touches fault
-    /// RNG state.
+    /// Builds host `host_id`, deriving its admission priorities from
+    /// `config` — see [`FleetHost::with_priorities`], which a caller
+    /// building many hosts should use with one shared table.
     ///
     /// # Panics
     ///
     /// Panics if `config` is invalid — call `config.validate()` first
     /// (run-level entry points do).
     pub fn new(config: &FleetConfig, host_id: usize) -> Self {
+        Self::with_priorities(config, host_id, &admission_priorities(config))
+    }
+
+    /// Builds host `host_id` with `priorities` as its admission table
+    /// (from [`admission_priorities`]; ignored with admission off). The
+    /// fault stream is split from the fleet seed per host; all-zero
+    /// rates get the bit-transparent [`FaultPlan::none`] so a
+    /// fault-free fleet never touches fault RNG state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid — call `config.validate()` first
+    /// (run-level entry points do).
+    pub fn with_priorities(config: &FleetConfig, host_id: usize, priorities: &[u8]) -> Self {
         let mut pool = InstancePool::try_new(config.keep_alive_ms)
             .expect("config validated upstream: keep_alive_ms");
         // Snapshot models price each routed cold start as a restore of
@@ -226,10 +265,10 @@ impl FleetHost {
         // pool untouched so the pre-snapshot numbers reproduce bit for
         // bit.
         if config.cold_start_model != ColdStartModel::Instant {
-            let store = SnapshotStore::for_profiles(
+            let store = SnapshotStore::try_new(
                 config.cold_start_model,
                 config.snapshot_timings,
-                &workloads::paper_suite(),
+                suite_working_sets(),
             )
             .expect("config validated upstream: snapshot_timings");
             pool = pool.with_snapshots(store);
@@ -244,16 +283,10 @@ impl FleetHost {
             FaultPlan::new(seed, config.fault_rates)
                 .expect("config validated upstream: fault_rates")
         };
-        let admission = if config.admission.enabled {
-            // Priorities are a pure function of the config, so every
-            // host derives the same classes the router would.
-            Some(AdmissionControl::new(
-                config.admission,
-                Population::synthesize(config).priorities(),
-            ))
-        } else {
-            None
-        };
+        let admission = config
+            .admission
+            .enabled
+            .then(|| AdmissionControl::new(config.admission, priorities.to_vec()));
         let retry_tokens = if config.retry_budget.is_limited() {
             vec![config.retry_budget.initial_tokens(); config.population]
         } else {
@@ -1393,5 +1426,40 @@ mod tests {
                 + snapshot.counter("fleet.lukewarm_hits"),
             50
         );
+    }
+
+    #[test]
+    fn shared_priority_table_builds_the_host_new_builds() {
+        let (mut config, model) = setup();
+        config.cold_start_model = ColdStartModel::ReapPrefetch;
+        config.admission = server::AdmissionConfig {
+            enabled: true,
+            reserved_concurrency: 1,
+            burst_concurrency: 1,
+            host_concurrency: 2,
+            memory_pressure_instances: 3,
+        };
+        let priorities = admission_priorities(&config);
+        assert_eq!(priorities.len(), config.population);
+        let mut built = FleetHost::new(&config, 3);
+        let mut shared = FleetHost::with_priorities(&config, 3, &priorities);
+        for i in 0..400 {
+            let routed = RoutedInvocation::new(i as f64 * 0.5, i % 10);
+            built.process(&config, &model, false, routed);
+            shared.process(&config, &model, false, routed);
+        }
+        let export = |host: &FleetHost| {
+            let mut registry = Registry::new();
+            host.fill_registry(&mut registry);
+            registry.snapshot().to_json()
+        };
+        assert_eq!(export(&built), export(&shared));
+        assert!(
+            export(&built).contains("admission."),
+            "admission must engage"
+        );
+        // Admission off: the table is empty and never consulted.
+        config.admission = server::AdmissionConfig::disabled();
+        assert!(admission_priorities(&config).is_empty());
     }
 }

@@ -6,10 +6,11 @@
 //! keep-alive, an optional fault plan, and a per-host
 //! interleaving-degree estimate that prices warm hits through the
 //! cache-decay model — sit behind a load balancer with pluggable
-//! routing ([`RoutingPolicy`]): round-robin, least-loaded, or
-//! keep-alive-aware consistent hashing. Traffic is a Zipf-skewed
-//! population of deployed functions mapped onto the 20-function paper
-//! suite, driven as Poisson arrival lanes. Cold starts are priced by a
+//! routing ([`RoutingPolicy`]): round-robin, least-loaded,
+//! keep-alive-aware consistent hashing, or tenancy placement-aware
+//! scoring. Traffic is a Zipf-skewed population of deployed functions
+//! mapped onto the 20-function paper suite, driven as Poisson arrival
+//! lanes. Cold starts are priced by a
 //! pluggable [`ColdStartModel`]: a flat boot cost (`Instant`), a
 //! lazily-paged snapshot restore, or a REAP-style prefetch of the
 //! recorded page working set (see the `luke-snapshot` crate).
@@ -56,7 +57,7 @@ pub use chaos::{ChaosConfig, ChaosPlan, HostSchedule, HostState};
 pub use config::FleetConfig;
 pub use event::{CalendarQueue, FleetEvent, FleetEventKind};
 pub use health::{HealthConfig, HealthStatus, HealthView};
-pub use host::{FleetHost, HedgeOutcome, RoutedInvocation};
+pub use host::{admission_priorities, FleetHost, HedgeOutcome, RoutedInvocation};
 pub use luke_predict::PrewarmConfig;
 pub use luke_snapshot::{ColdStartModel, SnapshotTimings};
 pub use luke_tenancy::{ContentionConfig, TenancyConfig};

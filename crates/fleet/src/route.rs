@@ -38,6 +38,66 @@ const VNODES_PER_HOST: usize = 16;
 /// pressure).
 const AFFINITY_CREDIT: f64 = 0.5;
 
+/// Host index marking a padding leaf of a [`MinTree`]: it loses every
+/// match, so padding never wins the root.
+const PAD: usize = usize::MAX;
+
+/// A min-tournament tree over per-host scores. The root names the host
+/// with the smallest score under `total_cmp`, ties resolved toward the
+/// lowest host index — exactly the host `Iterator::min_by` returns from
+/// a scan in host order, because every match puts a lower-indexed left
+/// subtree against a higher-indexed right one. Re-scoring one host
+/// replays only the matches on its leaf-to-root path.
+#[derive(Clone, Debug)]
+struct MinTree {
+    /// Leaf count: the host count rounded up to a power of two.
+    leaves: usize,
+    /// Match winners as `(score, host)` in 1-based heap order (node `i`
+    /// plays `2i` against `2i + 1`); host `h`'s leaf is `leaves + h`.
+    nodes: Vec<(f64, usize)>,
+}
+
+impl MinTree {
+    /// A tree over `hosts` hosts that all score `0.0` — the value every
+    /// score expression takes on empty ledgers.
+    fn new(hosts: usize) -> Self {
+        let leaves = hosts.next_power_of_two();
+        let mut nodes = vec![(0.0, PAD); 2 * leaves];
+        for host in 0..hosts {
+            nodes[leaves + host] = (0.0, host);
+        }
+        for i in (1..leaves).rev() {
+            nodes[i] = Self::play(nodes[2 * i], nodes[2 * i + 1]);
+        }
+        MinTree { leaves, nodes }
+    }
+
+    /// One match: the right (higher-indexed) side wins only on a
+    /// strictly smaller score.
+    fn play(left: (f64, usize), right: (f64, usize)) -> (f64, usize) {
+        if right.1 != PAD && right.0.total_cmp(&left.0).is_lt() {
+            right
+        } else {
+            left
+        }
+    }
+
+    /// The host with the smallest score.
+    fn min_host(&self) -> usize {
+        self.nodes[1].1
+    }
+
+    /// Sets `host`'s score and replays its path to the root.
+    fn set(&mut self, host: usize, score: f64) {
+        let mut i = self.leaves + host;
+        self.nodes[i] = (score, host);
+        while i > 1 {
+            i /= 2;
+            self.nodes[i] = Self::play(self.nodes[2 * i], self.nodes[2 * i + 1]);
+        }
+    }
+}
+
 /// Front-end routing policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RoutingPolicy {
@@ -184,6 +244,10 @@ pub struct Router {
     /// Expected milliseconds assigned per `host × language`, flattened
     /// `host * lang_count + lang` — the shared-page affinity ledger.
     lang_assigned: Vec<f64>,
+    /// Score index of the load-scoring policies: one tree scoring
+    /// `assigned_ms` under least-loaded, one per language slot scoring
+    /// the placement-aware expression, none under the other policies.
+    index: Vec<MinTree>,
     /// Dispatches routed so far (hedge copies not included).
     dispatches: u64,
     /// Dispatches that skipped an unhealthy preferred host.
@@ -226,6 +290,11 @@ impl Router {
         }
         ring.sort_unstable();
         let lang_count = lang_of.iter().map(|&l| l as usize + 1).max().unwrap_or(1);
+        let trees = match policy {
+            RoutingPolicy::LeastLoaded => 1,
+            RoutingPolicy::PlacementAware => lang_count,
+            RoutingPolicy::RoundRobin | RoutingPolicy::KeepAliveAware => 0,
+        };
         Router {
             policy,
             hosts,
@@ -236,6 +305,7 @@ impl Router {
             lang_of,
             lang_count,
             lang_assigned: vec![0.0; hosts * lang_count],
+            index: (0..trees).map(|_| MinTree::new(hosts)).collect(),
             dispatches: 0,
             failovers: 0,
             hedges: 0,
@@ -261,16 +331,8 @@ impl Router {
                 self.rr_next = (self.rr_next + 1) % self.hosts;
                 host
             }
-            RoutingPolicy::LeastLoaded => {
-                // min_by with total_cmp is stable here: equal loads
-                // resolve to the lowest host index.
-                self.assigned_ms
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            }
+            // Equal loads resolve to the lowest host index.
+            RoutingPolicy::LeastLoaded => self.index[0].min_host(),
             RoutingPolicy::KeepAliveAware => {
                 if function >= self.kaa_cache.len() {
                     self.kaa_cache.resize(function + 1, None);
@@ -288,38 +350,48 @@ impl Router {
                     }
                 }
             }
-            RoutingPolicy::PlacementAware => {
-                // Shared-page affinity minus contention pressure: a
-                // host's total assigned work is its pressure, and
-                // same-language work earns affinity credit because its
-                // runtime and library pages are already resident there.
-                // min_by with total_cmp resolves ties to the lowest
-                // host index, like least-loaded.
-                let lang = self.language_of(function);
-                let lang_count = self.lang_count;
-                let lang_assigned = &self.lang_assigned;
-                self.assigned_ms
-                    .iter()
-                    .enumerate()
-                    .map(|(host, &assigned)| {
-                        (host, assigned - AFFINITY_CREDIT * lang_assigned[host * lang_count + lang])
-                    })
-                    .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                    .map(|(host, _)| host)
-                    .unwrap_or(0)
-            }
+            // Shared-page affinity minus contention pressure (see
+            // `placement_score`), ties to the lowest host index.
+            RoutingPolicy::PlacementAware => self.index[self.language_of(function)].min_host(),
         }
+    }
+
+    /// The placement-aware score of `host` for language slot `lang`: a
+    /// host's total assigned work is its pressure, and same-language
+    /// work earns affinity credit because its runtime and library pages
+    /// are already resident there.
+    fn placement_score(&self, host: usize, lang: usize) -> f64 {
+        self.assigned_ms[host] - AFFINITY_CREDIT * self.lang_assigned[host * self.lang_count + lang]
     }
 
     /// Charges `expected_ms` of work on `host` to the load ledgers —
     /// the total ledger always, the per-language affinity ledger only
     /// under the placement-aware policy (so every other policy leaves
-    /// it untouched and bit-cold).
+    /// it untouched and bit-cold) — and re-scores `host` in the index.
     fn charge(&mut self, host: usize, function: usize, expected_ms: f64) {
         self.assigned_ms[host] += expected_ms;
+        match self.policy {
+            RoutingPolicy::LeastLoaded => self.index[0].set(host, self.assigned_ms[host]),
+            RoutingPolicy::PlacementAware => {
+                let lang = self.language_of(function);
+                self.lang_assigned[host * self.lang_count + lang] += expected_ms;
+                // The total ledger moved, so the host's score changes
+                // under every language slot.
+                for slot in 0..self.lang_count {
+                    let score = self.placement_score(host, slot);
+                    self.index[slot].set(host, score);
+                }
+            }
+            RoutingPolicy::RoundRobin | RoutingPolicy::KeepAliveAware => {}
+        }
+    }
+
+    /// Charges a dispatch to `host` and counts it.
+    fn commit(&mut self, host: usize, function: usize, expected_ms: f64) {
+        self.charge(host, function, expected_ms);
+        self.dispatches += 1;
         if self.policy == RoutingPolicy::PlacementAware {
-            let lang = self.language_of(function);
-            self.lang_assigned[host * self.lang_count + lang] += expected_ms;
+            self.placement_routed += 1;
         }
     }
 
@@ -329,11 +401,7 @@ impl Router {
     /// observability is policy-independent).
     pub fn route(&mut self, function: usize, expected_ms: f64) -> usize {
         let host = self.preferred(function);
-        self.charge(host, function, expected_ms);
-        self.dispatches += 1;
-        if self.policy == RoutingPolicy::PlacementAware {
-            self.placement_routed += 1;
-        }
+        self.commit(host, function, expected_ms);
         host
     }
 
@@ -356,6 +424,19 @@ impl Router {
         hedge: &HedgeConfig,
     ) -> RouteDecision {
         let preferred = self.preferred(function);
+        self.route_around(preferred, function, expected_ms, health, hedge)
+    }
+
+    /// [`Router::route_resilient`] from an already-chosen `preferred`
+    /// host: failover walk, charge, and the hedge decision.
+    fn route_around(
+        &mut self,
+        preferred: usize,
+        function: usize,
+        expected_ms: f64,
+        health: &HealthView,
+        hedge: &HedgeConfig,
+    ) -> RouteDecision {
         let mut host = preferred;
         let mut failed_over = false;
         if health.status(preferred) == HealthStatus::Unhealthy {
@@ -368,11 +449,7 @@ impl Router {
                 }
             }
         }
-        self.charge(host, function, expected_ms);
-        self.dispatches += 1;
-        if self.policy == RoutingPolicy::PlacementAware {
-            self.placement_routed += 1;
-        }
+        self.commit(host, function, expected_ms);
         if failed_over {
             self.failovers += 1;
         }
@@ -426,6 +503,69 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The linear-scan reference the score index must reproduce: the
+    /// same ledgers, scanned in host order with `min_by(total_cmp)`.
+    impl Router {
+        fn scan_preferred(&mut self, function: usize) -> usize {
+            let scan = |score: &dyn Fn(usize) -> f64| {
+                (0..self.hosts)
+                    .map(|host| (host, score(host)))
+                    .min_by(|(_, a), (_, b)| a.total_cmp(b))
+                    .map(|(host, _)| host)
+                    .unwrap_or(0)
+            };
+            match self.policy {
+                RoutingPolicy::LeastLoaded => scan(&|host| self.assigned_ms[host]),
+                RoutingPolicy::PlacementAware => {
+                    let lang = self.language_of(function);
+                    scan(&|host| self.placement_score(host, lang))
+                }
+                RoutingPolicy::RoundRobin | RoutingPolicy::KeepAliveAware => {
+                    self.preferred(function)
+                }
+            }
+        }
+
+        fn route_scanned(&mut self, function: usize, expected_ms: f64) -> usize {
+            let host = self.scan_preferred(function);
+            self.commit(host, function, expected_ms);
+            host
+        }
+
+        fn route_resilient_scanned(
+            &mut self,
+            function: usize,
+            expected_ms: f64,
+            health: &HealthView,
+            hedge: &HedgeConfig,
+        ) -> RouteDecision {
+            let preferred = self.scan_preferred(function);
+            self.route_around(preferred, function, expected_ms, health, hedge)
+        }
+    }
+
+    #[test]
+    fn min_tree_picks_the_lowest_index_among_tied_minima() {
+        for hosts in [1, 2, 3, 5, 8, 13] {
+            let mut tree = MinTree::new(hosts);
+            assert_eq!(tree.min_host(), 0);
+            for host in 0..hosts {
+                tree.set(host, 2.0);
+            }
+            assert_eq!(tree.min_host(), 0);
+            tree.set(hosts - 1, 1.0);
+            assert_eq!(tree.min_host(), hosts - 1);
+            if hosts > 2 {
+                tree.set(1, 1.0);
+                assert_eq!(tree.min_host(), 1, "tie resolves to the lower index");
+            }
+            // total_cmp orders -0.0 below 0.0.
+            tree.set(hosts - 1, 0.0);
+            tree.set(0, -0.0);
+            assert_eq!(tree.min_host(), 0);
+        }
+    }
 
     #[test]
     fn labels_round_trip_through_parse() {
@@ -561,6 +701,134 @@ mod tests {
         let mut b = Router::new(RoutingPolicy::KeepAliveAware, 16);
         for f in 0..500 {
             assert_eq!(a.route(f % 37, 1.0), b.route(f % 37, 1.0));
+        }
+    }
+
+    /// The indexed router against the linear-scan reference, dispatch
+    /// by dispatch, on the plain and the failover/hedge paths.
+    mod oracle {
+        use super::*;
+        use crate::chaos::{ChaosPlan, HostSchedule};
+        use crate::health::HealthConfig;
+        use proptest::prelude::*;
+
+        /// Fleet sizes, powers of two or not.
+        const HOSTS: [usize; 5] = [1, 3, 5, 64, 2_048];
+        /// Dispatch costs: exact ties, both zeros, and a huge value.
+        const COSTS: [f64; 7] = [1.0, 1.0, 0.0, -0.0, 0.5, 1e300, 3.25];
+
+        /// One generated routing scenario.
+        #[derive(Clone, Debug)]
+        struct Scenario {
+            hosts: usize,
+            policy: RoutingPolicy,
+            lang_of: Vec<u8>,
+            /// `(function, cost index, ms since the previous arrival)`.
+            dispatches: Vec<(usize, usize, u64)>,
+            /// `(host, start ms, length ms)` down windows; empty routes
+            /// on the plain path.
+            outages: Vec<(usize, u64, u64)>,
+        }
+
+        /// Routes `scenario` through an indexed router and a scanning
+        /// reference, asserting every decision matches, and returns
+        /// the (failovers, hedges) the run exercised.
+        fn check(scenario: &Scenario) -> Result<(u64, u64), TestCaseError> {
+            let hosts = scenario.hosts;
+            let mut indexed =
+                Router::with_languages(scenario.policy, hosts, scenario.lang_of.clone());
+            let mut reference = indexed.clone();
+            let mut schedules = vec![Vec::new(); hosts];
+            for &(host, start, len) in &scenario.outages {
+                schedules[host % hosts].push((start as f64, (start + len) as f64));
+            }
+            let plan = ChaosPlan::from_schedules(
+                schedules
+                    .iter()
+                    .map(|down| HostSchedule::explicit(down, &[]))
+                    .collect(),
+            );
+            let mut health = HealthView::new(hosts, HealthConfig::default());
+            let hedge = HedgeConfig {
+                enabled: true,
+                max_fraction: 0.5,
+            };
+            let mut now_ms = 0.0;
+            for &(function, cost, gap_ms) in &scenario.dispatches {
+                let expected_ms = COSTS[cost];
+                if scenario.outages.is_empty() {
+                    let want = reference.route_scanned(function, expected_ms);
+                    prop_assert_eq!(indexed.route(function, expected_ms), want);
+                } else {
+                    now_ms += gap_ms as f64;
+                    health.advance_to(now_ms, &plan);
+                    let want =
+                        reference.route_resilient_scanned(function, expected_ms, &health, &hedge);
+                    let got = indexed.route_resilient(function, expected_ms, &health, &hedge);
+                    prop_assert_eq!(got, want);
+                }
+            }
+            let bits = |router: &Router| -> Vec<u64> {
+                router.assigned_ms().iter().map(|ms| ms.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&indexed), bits(&reference));
+            prop_assert_eq!(indexed.failovers(), reference.failovers());
+            prop_assert_eq!(indexed.hedges(), reference.hedges());
+            prop_assert_eq!(indexed.placement_routed(), reference.placement_routed());
+            Ok((indexed.failovers(), indexed.hedges()))
+        }
+
+        fn scenario() -> impl Strategy<Value = Scenario> {
+            (
+                0..HOSTS.len(),
+                any::<bool>(),
+                prop::collection::vec(0u8..3, 0..8),
+                prop::collection::vec((0usize..40, 0..COSTS.len(), 0u64..300), 1..300),
+                any::<bool>(),
+                prop::collection::vec((0usize..2_048, 0u64..30_000, 1_000u64..8_000), 1..12),
+            )
+                .prop_map(|(size, placement, lang_of, dispatches, chaos, outages)| {
+                    Scenario {
+                        hosts: HOSTS[size],
+                        policy: if placement {
+                            RoutingPolicy::PlacementAware
+                        } else {
+                            RoutingPolicy::LeastLoaded
+                        },
+                        lang_of,
+                        dispatches,
+                        outages: if chaos { outages } else { Vec::new() },
+                    }
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn indexed_router_picks_the_linear_scan_host(scenario in scenario()) {
+                check(&scenario)?;
+            }
+        }
+
+        #[test]
+        fn every_size_and_policy_fails_over_and_hedges_like_the_scan() {
+            // Every third host goes down early and comes back, so the
+            // failover walk and half-open hedges both fire.
+            for hosts in HOSTS.into_iter().filter(|&h| h > 1) {
+                for policy in [RoutingPolicy::LeastLoaded, RoutingPolicy::PlacementAware] {
+                    let scenario = Scenario {
+                        hosts,
+                        policy,
+                        lang_of: vec![0, 1, 2, 0, 1],
+                        dispatches: (0..2_000).map(|i| (i % 23, i % COSTS.len(), 7)).collect(),
+                        outages: (0..hosts).step_by(3).map(|h| (h, 0, 4_000)).collect(),
+                    };
+                    let (failovers, hedges) = check(&scenario).expect("indexed ≡ scan");
+                    assert!(failovers > 0, "{hosts} hosts {policy}: no failover");
+                    assert!(hedges > 0, "{hosts} hosts {policy}: no hedge");
+                }
+            }
         }
     }
 

@@ -44,7 +44,7 @@ use luke_obs::{
 use crate::chaos::ChaosPlan;
 use crate::config::FleetConfig;
 use crate::health::HealthView;
-use crate::host::{FleetHost, HedgeOutcome, RoutedInvocation};
+use crate::host::{admission_priorities, FleetHost, HedgeOutcome, RoutedInvocation};
 use crate::route::{Router, RoutingPolicy};
 use crate::timing::ServiceModel;
 use crate::traffic::{ArrivalStream, Population};
@@ -494,8 +494,9 @@ pub fn run_fleet(
     config.validate()?;
 
     let threads = config.threads.min(config.hosts);
+    let priorities = admission_priorities(config);
     let mut hosts: Vec<FleetHost> = (0..config.hosts)
-        .map(|id| FleetHost::new(config, id))
+        .map(|id| FleetHost::with_priorities(config, id, &priorities))
         .collect();
     // The placement-aware policy scores hosts by same-language affinity,
     // so it routes with the suite's language table; every other policy

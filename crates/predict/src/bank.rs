@@ -174,4 +174,21 @@ mod tests {
         assert!(bank.early_decays() > 0);
         assert!(bank.holds()[0] < 600_000.0);
     }
+
+    #[test]
+    fn fresh_bank_allocates_no_buckets_until_observe() {
+        let mut bank = PredictorBank::new(PrewarmConfig::default_enabled(), 200, 600_000.0);
+        let allocated = |bank: &PredictorBank| {
+            (0..200)
+                .filter(|&f| bank.predictor(f).histogram().has_buckets())
+                .collect::<Vec<_>>()
+        };
+        assert!(allocated(&bank).is_empty());
+        // The first arrival only anchors the clock; the second records
+        // a gap, and only for that function.
+        bank.observe(7, 1_000.0, 10.0);
+        assert!(allocated(&bank).is_empty());
+        bank.observe(7, 2_000.0, 10.0);
+        assert_eq!(allocated(&bank), vec![7]);
+    }
 }

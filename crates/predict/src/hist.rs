@@ -14,8 +14,15 @@ use luke_obs::hist::{bucket_bounds, bucket_index, BUCKETS};
 /// fires earlier than the model can justify) and a decay deadline errs
 /// long (an instance is never released before the quantile the policy
 /// asked for has truly passed).
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// The bucket vector is allocated on the first recorded gap (or the
+/// first merge of a non-empty histogram): a fleet host carries one
+/// histogram per deployed function, most of which never see a gap, so
+/// an unsampled model costs no bucket storage. Equality ignores the
+/// representation — an unallocated vector equals an all-zero one.
+#[derive(Clone, Debug)]
 pub struct IatHistogram {
+    /// Per-bucket gap counts; empty until the first gap lands.
     counts: Vec<u32>,
     count: u64,
     sum_ms: u64,
@@ -32,7 +39,7 @@ impl IatHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         IatHistogram {
-            counts: vec![0; BUCKETS],
+            counts: Vec::new(),
             count: 0,
             sum_ms: 0,
             max_ms: 0,
@@ -47,10 +54,18 @@ impl IatHistogram {
             return;
         }
         let value = iat_ms.round() as u64;
-        self.counts[bucket_index(value)] += 1;
+        self.buckets_mut()[bucket_index(value)] += 1;
         self.count += 1;
         self.sum_ms = self.sum_ms.saturating_add(value);
         self.max_ms = self.max_ms.max(value);
+    }
+
+    /// The bucket vector, allocated on first use.
+    fn buckets_mut(&mut self) -> &mut [u32] {
+        if self.counts.is_empty() {
+            self.counts = vec![0; BUCKETS];
+        }
+        &mut self.counts
     }
 
     /// Number of recorded gaps.
@@ -102,12 +117,40 @@ impl IatHistogram {
     /// gap into one histogram, in any order — the property the fleet's
     /// deterministic parallel merge relies on.
     pub fn merge(&mut self, other: &IatHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += *b;
+        if !other.counts.is_empty() {
+            for (a, b) in self.buckets_mut().iter_mut().zip(&other.counts) {
+                *a += *b;
+            }
         }
         self.count += other.count;
         self.sum_ms = self.sum_ms.saturating_add(other.sum_ms);
         self.max_ms = self.max_ms.max(other.max_ms);
+    }
+}
+
+impl PartialEq for IatHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        let zero = |counts: &[u32]| counts.iter().all(|&c| c == 0);
+        let buckets_eq = match (self.counts.is_empty(), other.counts.is_empty()) {
+            (false, false) => self.counts == other.counts,
+            (true, true) => true,
+            (true, false) => zero(&other.counts),
+            (false, true) => zero(&self.counts),
+        };
+        buckets_eq
+            && self.count == other.count
+            && self.sum_ms == other.sum_ms
+            && self.max_ms == other.max_ms
+    }
+}
+
+impl Eq for IatHistogram {}
+
+#[cfg(test)]
+impl IatHistogram {
+    /// Whether bucket storage has been allocated.
+    pub(crate) fn has_buckets(&self) -> bool {
+        !self.counts.is_empty()
     }
 }
 
@@ -173,5 +216,64 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, both);
+    }
+
+    /// `count` gaps spread over the bucket range.
+    fn recorded(count: u64) -> IatHistogram {
+        let mut h = IatHistogram::new();
+        for i in 0..count {
+            h.record((i * 37 % 9_000) as f64);
+        }
+        h
+    }
+
+    #[test]
+    fn new_histogram_holds_no_bucket_storage() {
+        let h = IatHistogram::new();
+        assert!(!h.has_buckets());
+        assert_eq!(h.quantile(0.0), None);
+        assert_eq!(h.quantile(1.0), None);
+        // Ignored samples never allocate either.
+        let mut ignored = IatHistogram::new();
+        ignored.record(f64::NAN);
+        ignored.record(-5.0);
+        assert!(!ignored.has_buckets());
+        assert_eq!(ignored.quantile(0.5), None);
+        // The first real gap does.
+        ignored.record(3.0);
+        assert!(ignored.has_buckets());
+    }
+
+    #[test]
+    fn empty_and_full_merge_in_either_direction_equal_sequential_recording() {
+        let full = recorded(150);
+        let mut empty_into_full = full.clone();
+        empty_into_full.merge(&IatHistogram::new());
+        assert_eq!(empty_into_full, full);
+        let mut full_into_empty = IatHistogram::new();
+        full_into_empty.merge(&full);
+        assert!(full_into_empty.has_buckets());
+        assert_eq!(full_into_empty, full);
+        assert_eq!(full_into_empty.quantile(0.9), full.quantile(0.9));
+    }
+
+    #[test]
+    fn never_recorded_equals_merged_with_only_empty_histograms() {
+        let never = IatHistogram::new();
+        let mut merged = IatHistogram::new();
+        for _ in 0..3 {
+            merged.merge(&IatHistogram::new());
+        }
+        assert_eq!(merged, never);
+        assert_eq!(merged.quantile(0.5), None);
+        // An allocated all-zero vector is the same empty histogram.
+        let zeroed = IatHistogram {
+            counts: vec![0; BUCKETS],
+            ..IatHistogram::new()
+        };
+        assert_eq!(zeroed, never);
+        assert_eq!(never, zeroed);
+        assert_ne!(recorded(1), never);
+        assert_ne!(zeroed, recorded(1));
     }
 }

@@ -23,6 +23,7 @@ use luke_common::SimError;
 use luke_obs::{Histogram, Registry};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use workloads::FunctionProfile;
 
 /// How the serving layer prices a cold start's memory bring-up.
@@ -166,17 +167,22 @@ impl SnapshotStats {
 /// metadata is recorded per *logical* function — two deployments of the
 /// same profile each record their own snapshot, exactly as two
 /// containers would.
+///
+/// The working-set table is read-only, so it is held behind an [`Arc`]:
+/// stores built from one table (every host of a fleet) share it instead
+/// of each owning a copy.
 #[derive(Clone, Debug)]
 pub struct SnapshotStore {
     model: ColdStartModel,
     timings: SnapshotTimings,
-    working_sets: Vec<PageWorkingSet>,
+    working_sets: Arc<[PageWorkingSet]>,
     metadata: BTreeMap<usize, SnapshotMetadata>,
     stats: SnapshotStats,
 }
 
 impl SnapshotStore {
-    /// Builds a store over explicit working sets.
+    /// Builds a store over explicit working sets — an owned `Vec`, or a
+    /// shared `Arc<[PageWorkingSet]>` table other stores also read.
     ///
     /// # Errors
     ///
@@ -184,8 +190,9 @@ impl SnapshotStore {
     pub fn try_new(
         model: ColdStartModel,
         timings: SnapshotTimings,
-        working_sets: Vec<PageWorkingSet>,
+        working_sets: impl Into<Arc<[PageWorkingSet]>>,
     ) -> Result<Self, SimError> {
+        let working_sets = working_sets.into();
         timings.validate()?;
         if working_sets.is_empty() {
             return Err(SimError::invalid_config(
@@ -212,7 +219,10 @@ impl SnapshotStore {
         Self::try_new(
             model,
             timings,
-            profiles.iter().map(PageWorkingSet::from_profile).collect(),
+            profiles
+                .iter()
+                .map(PageWorkingSet::from_profile)
+                .collect::<Vec<_>>(),
         )
     }
 
@@ -522,6 +532,33 @@ mod tests {
         let first_21 = s.restore_ms(21);
         let lazy = SnapshotTimings::default().lazy_restore_us(s.working_set(21).len()) / 1000.0;
         assert!((first_21 - lazy).abs() < 1e-12, "21 records its own pass");
+    }
+
+    #[test]
+    fn stores_built_from_one_table_share_it() {
+        let table: Arc<[PageWorkingSet]> = paper_suite()
+            .iter()
+            .map(PageWorkingSet::from_profile)
+            .collect();
+        let mut stores: Vec<SnapshotStore> = (0..4)
+            .map(|_| {
+                SnapshotStore::try_new(
+                    ColdStartModel::ReapPrefetch,
+                    SnapshotTimings::default(),
+                    Arc::clone(&table),
+                )
+                .unwrap()
+            })
+            .collect();
+        assert_eq!(Arc::strong_count(&table), 5, "no store copies the table");
+        // Sharing the table shares nothing mutable: metadata and stats
+        // stay per store, priced exactly as an owned table would.
+        let mut owned = store(ColdStartModel::ReapPrefetch);
+        for _ in 0..2 {
+            assert_eq!(stores[0].restore_ms(3), owned.restore_ms(3));
+        }
+        assert!(stores[1].metadata(3).is_none());
+        assert_eq!(stores[1].stats().restores, 0);
     }
 
     #[test]
