@@ -12,14 +12,30 @@
 //! across thread counts.
 
 use luke_tenancy::{ContentionModel, FunctionLayout, SharedPageStore, TenancyConfig};
+use std::sync::{Arc, OnceLock};
 
 use crate::config::FleetConfig;
+
+/// The paper suite's page layouts, built once per process and shared
+/// read-only by every host: the suite is fixed, so a fleet of any size
+/// holds one table, and every host's store sizes its refcount columns
+/// from it.
+fn suite_layouts() -> Arc<[FunctionLayout]> {
+    static TABLE: OnceLock<Arc<[FunctionLayout]>> = OnceLock::new();
+    Arc::clone(TABLE.get_or_init(|| {
+        workloads::paper_suite()
+            .iter()
+            .map(FunctionLayout::for_profile)
+            .collect()
+    }))
+}
 
 /// One host's tenancy state (see module docs).
 #[derive(Clone, Debug)]
 pub struct HostTenancy {
-    /// Page layout per suite profile (`function % layouts.len()`).
-    layouts: Vec<FunctionLayout>,
+    /// Page layout per suite profile (`function % layouts.len()`),
+    /// shared by every host.
+    layouts: Arc<[FunctionLayout]>,
     /// Per logical function: whether its live instance's pages are
     /// currently registered in the store. Mirrors the host's `live`
     /// table so release exactly undoes register.
@@ -51,13 +67,11 @@ impl HostTenancy {
             cow_dirty_fraction,
             contention,
         } = config.tenancy;
+        let layouts = suite_layouts();
         Some(HostTenancy {
-            layouts: workloads::paper_suite()
-                .iter()
-                .map(FunctionLayout::for_profile)
-                .collect(),
             registered: vec![false; config.population],
-            store: SharedPageStore::new(),
+            store: SharedPageStore::for_layouts(&layouts),
+            layouts,
             contention: contention.enabled().then(|| ContentionModel::new(&contention)),
             dedup,
             cow_dirty_fraction,
@@ -182,6 +196,14 @@ mod tests {
     fn disabled_config_builds_no_state() {
         assert!(HostTenancy::new(&FleetConfig::default()).is_none());
         assert!(HostTenancy::new(&enabled_config()).is_some());
+    }
+
+    #[test]
+    fn hosts_share_one_suite_layout_table() {
+        let a = HostTenancy::new(&enabled_config()).unwrap();
+        let b = HostTenancy::new(&enabled_config()).unwrap();
+        assert!(Arc::ptr_eq(&a.layouts, &b.layouts));
+        assert_eq!(a.layouts.len(), workloads::paper_suite().len());
     }
 
     #[test]

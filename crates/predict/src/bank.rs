@@ -4,6 +4,9 @@
 use crate::config::PrewarmConfig;
 use crate::predictor::Predictor;
 
+/// The model of every function the bank has not seen arrive yet.
+static UNSEEN: Predictor = Predictor::new();
+
 /// A bank of per-function predictors plus the policy state derived from
 /// them: the current adaptive keep-alive per function and at most one
 /// pending pre-restore per function.
@@ -11,10 +14,21 @@ use crate::predictor::Predictor;
 /// One bank lives inside each simulated host, fed only by that host's
 /// arrival stream — shard-local state, so the fleet's parallel phase
 /// needs no cross-thread coordination and merges stay deterministic.
+///
+/// A predictor is built on its function's first arrival: a host sees a
+/// small share of a large population, so the bank keeps a dense slot
+/// table per function and pushes a [`Predictor`] only when one is
+/// needed. Until then [`PredictorBank::predictor`] answers a shared
+/// empty model, which is what a freshly built predictor would be.
 #[derive(Clone, Debug)]
 pub struct PredictorBank {
     config: PrewarmConfig,
     cap_ms: f64,
+    /// Per function id: 1 + its index in `predictors`, or 0 while the
+    /// function has not arrived (zero-filled, so an untouched table
+    /// costs no resident pages).
+    slots: Vec<u32>,
+    /// Predictors in first-arrival order.
     predictors: Vec<Predictor>,
     holds: Vec<f64>,
     pending: Vec<Option<f64>>,
@@ -29,7 +43,8 @@ impl PredictorBank {
         PredictorBank {
             config,
             cap_ms,
-            predictors: vec![Predictor::new(); functions],
+            slots: vec![0; functions],
+            predictors: Vec::new(),
             holds: vec![cap_ms; functions],
             pending: vec![None; functions],
             prewarms_scheduled: 0,
@@ -57,7 +72,16 @@ impl PredictorBank {
     /// function's pending pre-restore (at most one outstanding), so a
     /// `Some` return also invalidates any timer from a prior observe.
     pub fn observe(&mut self, function: usize, now_ms: f64, restore_est_ms: f64) -> Option<f64> {
-        let predictor = &mut self.predictors[function];
+        let slot = match self.slots[function] {
+            0 => {
+                self.predictors.push(Predictor::new());
+                self.slots[function] =
+                    u32::try_from(self.predictors.len()).expect("one predictor per function id");
+                self.predictors.len() - 1
+            }
+            seen => seen as usize - 1,
+        };
+        let predictor = &mut self.predictors[slot];
         predictor.observe(now_ms);
         let hold = predictor.hold_ms(&self.config, self.cap_ms);
         if hold < self.cap_ms {
@@ -104,9 +128,13 @@ impl PredictorBank {
         due
     }
 
-    /// Read-only view of one function's predictor.
+    /// Read-only view of one function's predictor (an empty model
+    /// before its first arrival).
     pub fn predictor(&self, function: usize) -> &Predictor {
-        &self.predictors[function]
+        match self.slots[function] {
+            0 => &UNSEEN,
+            seen => &self.predictors[seen as usize - 1],
+        }
     }
 
     /// Pre-restores scheduled so far.
@@ -118,6 +146,84 @@ impl PredictorBank {
     /// force for their function.
     pub fn early_decays(&self) -> u64 {
         self.early_decays
+    }
+}
+
+/// The dense bank the lazy slot table replaced — one predictor per
+/// function id, built up front — kept as the oracle the lazy bank is
+/// checked against.
+#[cfg(test)]
+mod oracle {
+    use crate::config::PrewarmConfig;
+    use crate::predictor::Predictor;
+
+    pub struct DenseBank {
+        config: PrewarmConfig,
+        cap_ms: f64,
+        predictors: Vec<Predictor>,
+        pub holds: Vec<f64>,
+        pending: Vec<Option<f64>>,
+        pub prewarms_scheduled: u64,
+        pub early_decays: u64,
+    }
+
+    impl DenseBank {
+        pub fn new(config: PrewarmConfig, functions: usize, cap_ms: f64) -> Self {
+            DenseBank {
+                config,
+                cap_ms,
+                predictors: vec![Predictor::new(); functions],
+                holds: vec![cap_ms; functions],
+                pending: vec![None; functions],
+                prewarms_scheduled: 0,
+                early_decays: 0,
+            }
+        }
+
+        pub fn observe(
+            &mut self,
+            function: usize,
+            now_ms: f64,
+            restore_est_ms: f64,
+        ) -> Option<f64> {
+            let predictor = &mut self.predictors[function];
+            predictor.observe(now_ms);
+            let hold = predictor.hold_ms(&self.config, self.cap_ms);
+            if hold < self.cap_ms {
+                self.early_decays += 1;
+            }
+            self.holds[function] = hold;
+            self.pending[function] = match predictor.predicted_iat_ms(&self.config) {
+                Some(iat) => {
+                    let t_pre = now_ms + iat - restore_est_ms.max(0.0);
+                    if t_pre > now_ms + hold {
+                        self.prewarms_scheduled += 1;
+                        Some(t_pre)
+                    } else {
+                        None
+                    }
+                }
+                None => None,
+            };
+            self.pending[function]
+        }
+
+        pub fn due_prewarms(&mut self, now_ms: f64) -> Vec<(usize, f64)> {
+            let mut due = Vec::new();
+            for (function, slot) in self.pending.iter_mut().enumerate() {
+                if let Some(t_pre) = *slot {
+                    if t_pre <= now_ms {
+                        due.push((function, t_pre));
+                        *slot = None;
+                    }
+                }
+            }
+            due
+        }
+
+        pub fn predictor(&self, function: usize) -> &Predictor {
+            &self.predictors[function]
+        }
     }
 }
 
@@ -190,5 +296,100 @@ mod tests {
         assert!(allocated(&bank).is_empty());
         bank.observe(7, 2_000.0, 10.0);
         assert_eq!(allocated(&bank), vec![7]);
+    }
+
+    #[test]
+    fn predictors_are_built_on_first_arrival() {
+        let mut bank = PredictorBank::new(PrewarmConfig::default_enabled(), 200, 600_000.0);
+        assert!(bank.predictors.is_empty());
+        assert_eq!(bank.predictor(150).samples(), 0, "unseen: the empty model");
+        bank.observe(150, 1_000.0, 10.0);
+        bank.observe(3, 1_500.0, 10.0);
+        bank.observe(150, 2_000.0, 10.0);
+        assert_eq!(bank.predictors.len(), 2, "one per function that arrived");
+        assert_eq!(bank.predictor(150).samples(), 1);
+        assert_eq!(bank.predictor(3).last_arrival_ms(), Some(1_500.0));
+        assert_eq!(bank.predictor(4).last_arrival_ms(), None);
+    }
+
+    mod against_the_dense_oracle {
+        use super::super::oracle::DenseBank;
+        use super::*;
+        use proptest::prelude::*;
+
+        /// An arrival of `function` after `gap_ms`, or a due-prewarm
+        /// drain after `gap_ms`.
+        #[derive(Clone, Debug)]
+        enum Op {
+            Observe(usize, f64, f64),
+            Drain(f64),
+        }
+
+        /// Gaps that mix a steady 5 s period (so the periodicity head
+        /// fires and pre-warms get scheduled) with bursts and long idles.
+        fn gap() -> impl Strategy<Value = f64> {
+            (0u8..6, 0.0f64..200_000.0).prop_map(|(pick, random)| match pick {
+                0..=2 => 5_000.0,
+                3 => 40.0,
+                4 => 120_000.0,
+                _ => random,
+            })
+        }
+
+        fn op(functions: usize) -> impl Strategy<Value = Op> {
+            (0u8..8, 0usize..functions, gap(), 0.0f64..400.0).prop_map(
+                move |(kind, function, gap, restore)| match kind {
+                    0 => Op::Drain(gap),
+                    _ => Op::Observe(function, gap, restore),
+                },
+            )
+        }
+
+        fn config(min_samples: u64) -> PrewarmConfig {
+            PrewarmConfig {
+                min_samples,
+                ..PrewarmConfig::default_enabled()
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn lazy_bank_matches_the_dense_bank(
+                functions in 1usize..24,
+                min_samples in 1u64..20,
+                ops in prop::collection::vec(op(24), 1..300),
+            ) {
+                let (config, cap_ms) = (config(min_samples), 600_000.0);
+                let mut lazy = PredictorBank::new(config, functions, cap_ms);
+                let mut dense = DenseBank::new(config, functions, cap_ms);
+                let mut now = 0.0;
+                for op in ops {
+                    match op {
+                        Op::Observe(function, gap, restore) => {
+                            now += gap;
+                            let function = function % functions;
+                            prop_assert_eq!(
+                                lazy.observe(function, now, restore),
+                                dense.observe(function, now, restore)
+                            );
+                        }
+                        Op::Drain(gap) => {
+                            now += gap;
+                            prop_assert_eq!(lazy.due_prewarms(now), dense.due_prewarms(now));
+                        }
+                    }
+                    prop_assert_eq!(lazy.holds(), &dense.holds[..]);
+                }
+                prop_assert_eq!(lazy.prewarms_scheduled(), dense.prewarms_scheduled);
+                prop_assert_eq!(lazy.early_decays(), dense.early_decays);
+                // Seen and unseen functions alike answer the same model.
+                for function in 0..functions {
+                    prop_assert_eq!(lazy.predictor(function), dense.predictor(function));
+                }
+                prop_assert_eq!(lazy.due_prewarms(f64::INFINITY), dense.due_prewarms(f64::INFINITY));
+            }
+        }
     }
 }

@@ -37,7 +37,7 @@ impl Default for IatHistogram {
 
 impl IatHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         IatHistogram {
             counts: Vec::new(),
             count: 0,

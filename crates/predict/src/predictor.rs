@@ -20,7 +20,7 @@ const MIN_PERIODIC_SAMPLES: usize = 4;
 /// beats any quantile — and otherwise it falls back to the histogram
 /// quantile, which is all one can honestly say about a bursty stream.
 /// Entirely clock-free: arrivals carry their own simulated timestamps.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Predictor {
     hist: IatHistogram,
     recent: [f64; RECENT_WINDOW],
@@ -37,7 +37,7 @@ impl Default for Predictor {
 
 impl Predictor {
     /// A model that has seen nothing.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Predictor {
             hist: IatHistogram::new(),
             recent: [0.0; RECENT_WINDOW],

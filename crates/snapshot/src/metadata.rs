@@ -10,8 +10,16 @@
 //! ([`crate::restore`]) treats an inconsistent buffer the way Jukebox's
 //! replay validator does: degrade (to lazy paging) and re-record, never
 //! panic.
+//!
+//! A record of a whole working set ([`SnapshotMetadata::record`]) shares
+//! the set's immutable page list and the tag folded when the set was
+//! built, so recording costs no copy and no fold. Every other way in —
+//! [`SnapshotMetadata::from_raw_parts`], [`SnapshotMetadata::push`] —
+//! owns its pages, so nothing done to one record reaches the shared
+//! list or any other record.
 
 use crate::working_set::{PageWorkingSet, SnapshotPage};
+use std::sync::Arc;
 
 /// Initial value of the integrity fold.
 const TAG_SEED: u64 = 0x7265_6170_2173_6e70; // "reap!snp"
@@ -19,7 +27,8 @@ const TAG_SEED: u64 = 0x7265_6170_2173_6e70; // "reap!snp"
 /// The recorded page working set of one function's snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotMetadata {
-    pages: Vec<SnapshotPage>,
+    /// Shared with the recorded working set until a push copies it.
+    pages: Arc<Vec<SnapshotPage>>,
     tag: u64,
     generation: u64,
 }
@@ -34,27 +43,29 @@ impl SnapshotMetadata {
     /// An empty record.
     pub fn new() -> Self {
         SnapshotMetadata {
-            pages: Vec::new(),
+            pages: Arc::default(),
             tag: TAG_SEED,
             generation: 0,
         }
     }
 
     /// Records a working set in first-touch order, stamped with the
-    /// restore generation that produced it.
+    /// restore generation that produced it. The record shares the
+    /// set's page list and its precomputed tag — the same pages and tag
+    /// pushing every page would produce.
     pub fn record(working_set: &PageWorkingSet, generation: u64) -> Self {
-        let mut metadata = SnapshotMetadata::new();
-        for &page in working_set.pages() {
-            metadata.push(page);
+        SnapshotMetadata {
+            pages: Arc::clone(working_set.shared_pages()),
+            tag: working_set.record_tag(),
+            generation,
         }
-        metadata.generation = generation;
-        metadata
     }
 
-    /// Appends one page, folding it into the integrity tag.
+    /// Appends one page, folding it into the integrity tag. A record
+    /// still sharing its working set's list copies it first.
     pub fn push(&mut self, page: SnapshotPage) {
         self.tag = fold_tag(self.tag, self.pages.len(), page);
-        self.pages.push(page);
+        Arc::make_mut(&mut self.pages).push(page);
     }
 
     /// Reassembles metadata from untrusted parts — a deserialized
@@ -62,7 +73,7 @@ impl SnapshotMetadata {
     /// here; [`SnapshotMetadata::is_consistent`] is the trust boundary.
     pub fn from_raw_parts(pages: Vec<SnapshotPage>, tag: u64, generation: u64) -> Self {
         SnapshotMetadata {
-            pages,
+            pages: Arc::new(pages),
             tag,
             generation,
         }
@@ -100,11 +111,7 @@ impl SnapshotMetadata {
     /// mutated, reordered, appended or truncated without going through
     /// [`SnapshotMetadata::push`].
     pub fn is_consistent(&self) -> bool {
-        let mut tag = TAG_SEED;
-        for (i, &page) in self.pages.iter().enumerate() {
-            tag = fold_tag(tag, i, page);
-        }
-        tag == self.tag
+        fold_pages(&self.pages) == self.tag
     }
 
     /// Whether every recorded page lies inside `working_set` — the
@@ -114,6 +121,15 @@ impl SnapshotMetadata {
     pub fn covered_by(&self, working_set: &PageWorkingSet) -> bool {
         self.pages.iter().all(|p| working_set.contains(p.page))
     }
+}
+
+/// The integrity fold over `pages` in order: the tag pushing each of
+/// them onto an empty record produces.
+pub(crate) fn fold_pages(pages: &[SnapshotPage]) -> u64 {
+    pages
+        .iter()
+        .enumerate()
+        .fold(TAG_SEED, |tag, (i, &page)| fold_tag(tag, i, page))
 }
 
 /// One step of the order-sensitive integrity fold: mixes the running tag
@@ -152,6 +168,40 @@ mod tests {
         assert_eq!(md.pages(), ws.pages());
         assert_eq!(md.generation(), 3);
         assert!(SnapshotMetadata::new().is_consistent(), "empty record");
+    }
+
+    #[test]
+    fn shared_record_equals_a_push_built_one() {
+        for profile in workloads::paper_suite() {
+            let ws = PageWorkingSet::from_profile(&profile);
+            let mut pushed = SnapshotMetadata::new();
+            for &page in ws.pages() {
+                pushed.push(page);
+            }
+            let shared = SnapshotMetadata::record(&ws, 9);
+            assert_eq!(shared.pages(), pushed.pages(), "{}", profile.name);
+            assert_eq!(shared.tag(), pushed.tag(), "{}", profile.name);
+            assert_eq!(shared.generation(), 9);
+            assert!(shared.is_consistent() && shared.covered_by(&ws));
+            assert!(
+                std::ptr::eq(shared.pages(), ws.pages()),
+                "a record shares its working set's pages"
+            );
+        }
+    }
+
+    #[test]
+    fn pushing_onto_a_shared_record_leaves_the_working_set_alone() {
+        let ws = working_set();
+        let mut md = SnapshotMetadata::record(&ws, 0);
+        md.push(SnapshotPage {
+            page: 1,
+            kind: PageKind::Data,
+        });
+        assert!(md.is_consistent());
+        assert_eq!(md.len(), ws.len() + 1);
+        assert_eq!(SnapshotMetadata::record(&ws, 0).len(), ws.len());
+        assert!(SnapshotMetadata::record(&ws, 0).is_consistent());
     }
 
     #[test]

@@ -159,6 +159,26 @@ impl SnapshotStats {
     }
 }
 
+/// One function's stored REAP record plus the number of distinct pages
+/// it names, counted once when the record enters the store so a replay
+/// need not rebuild the page set to price its residual faults.
+#[derive(Clone, Debug)]
+struct Record {
+    metadata: SnapshotMetadata,
+    distinct_pages: usize,
+}
+
+impl Record {
+    /// Wraps untrusted metadata, counting its distinct pages.
+    fn untrusted(metadata: SnapshotMetadata) -> Self {
+        let distinct: BTreeSet<u64> = metadata.pages().iter().map(|p| p.page).collect();
+        Record {
+            distinct_pages: distinct.len(),
+            metadata,
+        }
+    }
+}
+
 /// Per-function snapshot state for one host: working sets, recorded
 /// metadata, and the restore clock.
 ///
@@ -176,7 +196,7 @@ pub struct SnapshotStore {
     model: ColdStartModel,
     timings: SnapshotTimings,
     working_sets: Arc<[PageWorkingSet]>,
-    metadata: BTreeMap<usize, SnapshotMetadata>,
+    records: BTreeMap<usize, Record>,
     stats: SnapshotStats,
 }
 
@@ -204,7 +224,7 @@ impl SnapshotStore {
             model,
             timings,
             working_sets,
-            metadata: BTreeMap::new(),
+            records: BTreeMap::new(),
             stats: SnapshotStats::default(),
         })
     }
@@ -248,27 +268,30 @@ impl SnapshotStore {
 
     /// The metadata recorded for `function`, if any.
     pub fn metadata(&self, function: usize) -> Option<&SnapshotMetadata> {
-        self.metadata.get(&function)
+        self.records.get(&function).map(|record| &record.metadata)
     }
 
     /// Installs untrusted metadata for `function` — a snapshot file read
     /// back from disk, a foreign host's record. Validation happens on
     /// the next restore, not here.
     pub fn install(&mut self, function: usize, metadata: SnapshotMetadata) {
-        self.metadata.insert(function, metadata);
+        self.records.insert(function, Record::untrusted(metadata));
     }
 
     /// Corrupts `function`'s recorded metadata in place (flips one page
     /// index without refreshing the tag), as a crash mid-write or a
     /// bit-flip on the snapshot medium would. Returns whether there was
-    /// a record to corrupt. Test/fault-injection hook.
+    /// a record to corrupt. The corrupted record owns its pages: a
+    /// record sharing its working set's page list leaves that list, and
+    /// every other store reading it, untouched. Test/fault-injection
+    /// hook.
     pub fn tamper(&mut self, function: usize) -> bool {
-        match self.metadata.get(&function) {
+        match self.metadata(function) {
             Some(md) if !md.is_empty() => {
                 let mut pages = md.pages().to_vec();
                 pages[0].page ^= 1;
                 let tampered = SnapshotMetadata::from_raw_parts(pages, md.tag(), md.generation());
-                self.metadata.insert(function, tampered);
+                self.install(function, tampered);
                 true
             }
             _ => false,
@@ -306,15 +329,16 @@ impl SnapshotStore {
                 self.stats.pages_faulted += faulted as u64;
                 self.timings.lazy_restore_us(faulted)
             }
-            ColdStartModel::ReapPrefetch => match self.metadata.get(&function) {
-                Some(md) if md.is_consistent() && md.covered_by(ws) => {
+            ColdStartModel::ReapPrefetch => match self.records.get(&function) {
+                Some(Record {
+                    metadata: md,
+                    distinct_pages,
+                }) if md.is_consistent() && md.covered_by(ws) => {
                     // Pages the record misses still fault on demand
                     // (partial records stay valid, just less effective);
                     // already-resident shared pages leave the prefetch
                     // batch entirely.
-                    let recorded: BTreeSet<u64> =
-                        md.pages().iter().map(|p| p.page).collect();
-                    let faulted = ws.len() - recorded.len();
+                    let faulted = ws.len() - distinct_pages;
                     let prefetched = md.len().saturating_sub(resident_pages);
                     self.stats.pages_prefetched += prefetched as u64;
                     self.stats.pages_faulted += faulted as u64;
@@ -328,12 +352,16 @@ impl SnapshotStore {
                     if existing.is_some() {
                         self.stats.replay_aborts += 1;
                     }
-                    let md = SnapshotMetadata::record(ws, self.stats.restores);
-                    self.stats.pages_recorded += md.len() as u64;
+                    // A working set's pages are distinct by construction.
+                    let record = Record {
+                        metadata: SnapshotMetadata::record(ws, self.stats.restores),
+                        distinct_pages: ws.len(),
+                    };
+                    self.stats.pages_recorded += ws.len() as u64;
                     let faulted = ws.len().saturating_sub(resident_pages);
                     self.stats.pages_faulted += faulted as u64;
                     let us = self.timings.lazy_restore_us(faulted);
-                    self.metadata.insert(function, md);
+                    self.records.insert(function, record);
                     us
                 }
             },
@@ -559,6 +587,57 @@ mod tests {
         }
         assert!(stores[1].metadata(3).is_none());
         assert_eq!(stores[1].stats().restores, 0);
+    }
+
+    #[test]
+    fn tampering_one_store_never_reaches_a_store_sharing_its_table() {
+        let table: Arc<[PageWorkingSet]> = paper_suite()
+            .iter()
+            .map(PageWorkingSet::from_profile)
+            .collect();
+        let build = || {
+            SnapshotStore::try_new(
+                ColdStartModel::ReapPrefetch,
+                SnapshotTimings::default(),
+                Arc::clone(&table),
+            )
+            .unwrap()
+        };
+        let (mut victim, mut bystander) = (build(), build());
+        for f in 0..20 {
+            victim.restore_ms(f);
+            bystander.restore_ms(f);
+        }
+        for f in 0..20 {
+            assert!(victim.tamper(f));
+        }
+        let pristine = PageWorkingSet::from_profile(&paper_suite()[0]);
+        assert_eq!(table[0], pristine, "the shared table is untouched");
+        for f in 0..20 {
+            bystander.restore_ms(f);
+            victim.restore_ms(f);
+            assert!(bystander.metadata(f).unwrap().is_consistent());
+        }
+        assert_eq!(bystander.stats().replay_aborts, 0);
+        assert_eq!(victim.stats().replay_aborts, 20);
+    }
+
+    #[test]
+    fn replay_counts_each_recorded_page_once() {
+        // An installed record naming a page twice prefetches both
+        // entries but faults only the pages it never names.
+        let mut s = store(ColdStartModel::ReapPrefetch);
+        let ws = s.working_set(2).clone();
+        let mut doubled = SnapshotMetadata::new();
+        for &page in ws.pages()[..10].iter().chain(&ws.pages()[..5]) {
+            doubled.push(page);
+        }
+        s.install(2, doubled);
+        let ms = s.restore_ms(2);
+        let expected = SnapshotTimings::default().prefetch_restore_us(15, ws.len() - 10) / 1000.0;
+        assert!((ms - expected).abs() < 1e-12);
+        assert_eq!(s.stats().pages_faulted, (ws.len() - 10) as u64);
+        assert_eq!(s.stats().replay_aborts, 0);
     }
 
     #[test]

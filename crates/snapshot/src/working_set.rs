@@ -10,9 +10,11 @@
 //! pages derived from a function profile's calibrated footprints, in a
 //! deterministic seed-dependent first-touch interleaving.
 
+use crate::metadata::fold_pages;
 use luke_common::rng::DetRng;
 use luke_common::SimError;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use workloads::FunctionProfile;
 
 /// Guest page size, bytes (4KiB — what the host's fault path works in).
@@ -59,13 +61,31 @@ pub struct SnapshotPage {
 }
 
 /// A function's page working set in first-touch order (see module docs).
+///
+/// The page list is immutable once built and held behind an [`Arc`],
+/// together with its REAP integrity tag folded once at construction: a
+/// record of this set ([`crate::SnapshotMetadata::record`]) shares the
+/// list and tag instead of copying and re-folding every page. It is an
+/// `Arc<Vec<_>>` rather than an `Arc<[_]>` so a record that later grows
+/// through [`crate::SnapshotMetadata::push`] copies it once
+/// ([`Arc::make_mut`]) and then appends in amortized O(1).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PageWorkingSet {
-    pages: Vec<SnapshotPage>,
+    pages: Arc<Vec<SnapshotPage>>,
     index: BTreeSet<u64>,
+    tag: u64,
 }
 
 impl PageWorkingSet {
+    /// Seals a duplicate-free first-touch list: folds its record tag.
+    fn seal(pages: Vec<SnapshotPage>, index: BTreeSet<u64>) -> Self {
+        PageWorkingSet {
+            tag: fold_pages(&pages),
+            pages: Arc::new(pages),
+            index,
+        }
+    }
+
     /// Builds a working set from explicit code and data page indices,
     /// preserving the given first-touch order and dropping duplicates.
     pub fn from_pages(
@@ -90,7 +110,7 @@ impl PageWorkingSet {
                 });
             }
         }
-        PageWorkingSet { pages, index }
+        Self::seal(pages, index)
     }
 
     /// Strict constructor: builds a working set from explicit pages in
@@ -114,10 +134,7 @@ impl PageWorkingSet {
             }
             ordered.push(page);
         }
-        Ok(PageWorkingSet {
-            pages: ordered,
-            index,
-        })
+        Ok(Self::seal(ordered, index))
     }
 
     /// Bridges from the §2.5 footprint methodology: the unique
@@ -161,12 +178,23 @@ impl PageWorkingSet {
             }
         }
         let index = pages.iter().map(|p| p.page).collect();
-        PageWorkingSet { pages, index }
+        Self::seal(pages, index)
     }
 
     /// The pages in first-touch order.
     pub fn pages(&self) -> &[SnapshotPage] {
         &self.pages
+    }
+
+    /// The shared first-touch list a record of this set reuses.
+    pub(crate) fn shared_pages(&self) -> &Arc<Vec<SnapshotPage>> {
+        &self.pages
+    }
+
+    /// The integrity tag a record of this set carries: the metadata
+    /// fold over [`PageWorkingSet::pages`], computed once at build.
+    pub(crate) fn record_tag(&self) -> u64 {
+        self.tag
     }
 
     /// Number of pages.

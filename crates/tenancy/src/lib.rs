@@ -7,13 +7,15 @@
 //! workload generator's per-language code layout into a data-plane
 //! sharing model with two coupled subsystems:
 //!
-//! * **Content-addressed page sharing** — [`SharedPageStore`] keys every
-//!   shared page by a deterministic SplitMix64 content hash over
-//!   `(language, region, page index)` (the same integrity-fold
-//!   machinery `luke-snapshot` uses for REAP metadata), classifies
-//!   pages as shared-runtime / shared-library / private-data
-//!   ([`PageClass`]), and does per-host copy-on-write resident-set
-//!   accounting. Co-resident instances of same-language functions
+//! * **Content-addressed page sharing** — a shared page's identity is
+//!   `(language, region, page index)`, named by the deterministic
+//!   SplitMix64 [`content_key`] over that triple (the same
+//!   integrity-fold machinery `luke-snapshot` uses for REAP metadata).
+//!   Because the identity is the coordinates, [`SharedPageStore`] stores
+//!   refcounts by coordinate — one `u32` column per (language slot,
+//!   region), indexed by page — rather than by hash. Pages classify as
+//!   shared-runtime / shared-library / private-data ([`PageClass`]), and
+//!   the store does per-host copy-on-write resident-set accounting. Co-resident instances of same-language functions
 //!   dedupe their shared pages, so snapshot restore pricing skips
 //!   already-resident pages and pool memory accounting charges the
 //!   deduped footprint.

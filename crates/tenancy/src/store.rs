@@ -1,12 +1,23 @@
-//! The per-host content-addressed shared-page store.
+//! The per-host shared-page store.
 //!
-//! One [`SharedPageStore`] tracks a host's resident pages by content
-//! key with refcounts: registering an instance whose language runtime
-//! is already resident increments refcounts instead of duplicating
-//! pages (a *dedup hit*), and releasing an instance decrements them,
-//! dropping a page only when its last sharer leaves. Private data pages
-//! — and shared-library pages the instance privatizes through
-//! copy-on-write breaks — are charged to a plain byte ledger.
+//! One [`SharedPageStore`] tracks a host's resident shared pages with
+//! refcounts: registering an instance whose language runtime is already
+//! resident increments refcounts instead of duplicating pages (a *dedup
+//! hit*), and releasing an instance decrements them, dropping a page
+//! only when its last sharer leaves. Private data pages — and
+//! shared-library pages the instance privatizes through copy-on-write
+//! breaks — are charged to a plain byte ledger.
+//!
+//! A shared page's content identity is its coordinates: language slot,
+//! sharing region and index within the region (what
+//! [`crate::content_key`] hashes). The store addresses refcounts by
+//! those coordinates directly — one `u32` column per (language slot,
+//! region), indexed by page — so every operation walks the two
+//! contiguous index ranges a layout covers (runtime `0..runtime_pages`,
+//! library `cow..library_pages`) without hashing. A store built with
+//! [`SharedPageStore::for_layouts`] allocates each column once at the
+//! full extent of its layouts; [`SharedPageStore::new`] grows a column
+//! the first time a registration reaches past its end.
 //!
 //! Registration returns the instance's *charged weight*: the fraction
 //! of its footprint the host actually had to materialize. The fleet
@@ -16,14 +27,12 @@
 //! host-local state, so the store never threatens thread-count
 //! determinism.
 
-use crate::hash::content_key;
+use crate::hash::PageClass;
 use crate::layout::FunctionLayout;
 use luke_snapshot::PAGE_BYTES;
-use std::collections::BTreeMap;
 
-/// Sharing regions, as content-key discriminants.
-const RUNTIME_REGION: u64 = 0;
-const LIBRARY_REGION: u64 = 1;
+/// Shared regions per language slot: the runtime core, then libraries.
+const REGIONS: usize = 2;
 
 /// What registering one instance did to the host's resident set.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -42,10 +51,11 @@ pub struct Registration {
 /// The per-host shared-page store (see module docs).
 #[derive(Clone, Debug, Default)]
 pub struct SharedPageStore {
-    /// Refcount per resident shared page, keyed by content hash.
-    refs: BTreeMap<u64, u32>,
-    /// Bytes of distinct shared pages currently resident.
-    shared_bytes: u64,
+    /// Refcount per shared page: column `slot * REGIONS + region`,
+    /// indexed by page index within the region.
+    columns: Vec<Vec<u32>>,
+    /// Distinct shared pages currently resident (non-zero refcounts).
+    resident_shared: u64,
     /// Bytes of private (data + COW-broken) pages currently resident.
     private_bytes: u64,
     /// Cumulative distinct shared-page insertions.
@@ -56,22 +66,70 @@ pub struct SharedPageStore {
     cow_breaks: u64,
 }
 
+/// Column position of a shared `(language, class)` pair; `None` for
+/// private data, which is never shared.
+fn column_of(language: u8, class: PageClass) -> Option<usize> {
+    match class {
+        PageClass::SharedRuntime | PageClass::SharedLibrary => {
+            Some(usize::from(language) * REGIONS + class.region() as usize)
+        }
+        PageClass::PrivateData => None,
+    }
+}
+
 impl SharedPageStore {
-    /// An empty store.
+    /// An empty store whose columns grow on first registration.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Calls `f` with every shared content key of `layout` that
-    /// survives its copy-on-write breaks: the full runtime core plus
-    /// the library pages past the first `cow` privatized ones.
-    fn for_shared_keys(layout: &FunctionLayout, cow: u64, mut f: impl FnMut(u64)) {
-        for index in 0..layout.runtime_pages {
-            f(content_key(layout.language, RUNTIME_REGION, index));
+    /// An empty store with every column allocated once at the largest
+    /// extent any of `layouts` reaches, so registering those layouts
+    /// never reallocates.
+    pub fn for_layouts(layouts: &[FunctionLayout]) -> Self {
+        let mut store = Self::new();
+        for layout in layouts {
+            store.reserve(layout);
         }
-        for index in cow..layout.library_pages {
-            f(content_key(layout.language, LIBRARY_REGION, index));
+        store
+    }
+
+    /// Grows `layout`'s two columns to cover its full index ranges.
+    fn reserve(&mut self, layout: &FunctionLayout) {
+        let [(runtime, _, runtime_end), (library, _, library_end)] = ranges(layout, 0);
+        if self.columns.len() <= library {
+            self.columns.resize(library + 1, Vec::new());
         }
+        for (column, extent) in [(runtime, runtime_end), (library, library_end)] {
+            if self.columns[column].len() < extent {
+                self.columns[column].resize(extent, 0);
+            }
+        }
+    }
+
+    /// The refcounts of `layout`'s shared pages that survive `cow`
+    /// copy-on-write breaks, clipped to what the columns hold (a page
+    /// past a column's end was never registered).
+    fn shared_ranges(&self, layout: &FunctionLayout, cow: u64) -> [&[u32]; 2] {
+        ranges(layout, cow).map(|(column, lo, hi)| {
+            let column = self.columns.get(column).map_or(&[][..], Vec::as_slice);
+            let hi = hi.min(column.len());
+            &column[lo.min(hi)..hi]
+        })
+    }
+
+    /// Mutable [`SharedPageStore::shared_ranges`], growing the columns
+    /// first so every page of the layout has a slot.
+    fn shared_ranges_mut(&mut self, layout: &FunctionLayout, cow: u64) -> [&mut [u32]; 2] {
+        self.reserve(layout);
+        let [(runtime, rt_lo, rt_hi), (_, lib_lo, lib_hi)] = ranges(layout, cow);
+        let [runtime_column, library_column] = &mut self.columns[runtime..runtime + REGIONS] else {
+            unreachable!("reserve grew both columns")
+        };
+        [
+            &mut runtime_column[rt_lo..rt_hi],
+            &mut library_column[lib_lo..lib_hi],
+        ]
     }
 
     /// Registers one instance of `layout` on this host. With `dedup`
@@ -96,18 +154,16 @@ impl SharedPageStore {
             };
         }
         let cow = layout.cow_pages(cow_dirty_fraction);
-        let mut new_shared = 0u64;
-        let mut hits = 0u64;
-        Self::for_shared_keys(layout, cow, |key| {
-            let count = self.refs.entry(key).or_insert(0);
-            if *count == 0 {
-                new_shared += 1;
-            } else {
-                hits += 1;
+        let (mut touched, mut new_shared) = (0u64, 0u64);
+        for range in self.shared_ranges_mut(layout, cow) {
+            touched += range.len() as u64;
+            for count in range {
+                new_shared += u64::from(*count == 0);
+                *count += 1;
             }
-            *count += 1;
-        });
-        self.shared_bytes += new_shared * PAGE_BYTES;
+        }
+        let hits = touched - new_shared;
+        self.resident_shared += new_shared;
         self.shared_pages += new_shared;
         self.dedup_hits += hits;
         self.cow_breaks += cow;
@@ -127,7 +183,7 @@ impl SharedPageStore {
     }
 
     /// Releases one instance of `layout`, mirroring
-    /// [`SharedPageStore::register`] exactly: same key set, same
+    /// [`SharedPageStore::register`] exactly: same page ranges, same
     /// copy-on-write split, refcounts decremented and pages dropped
     /// when their last sharer leaves.
     pub fn release(&mut self, layout: &FunctionLayout, dedup: bool, cow_dirty_fraction: f64) {
@@ -138,16 +194,13 @@ impl SharedPageStore {
         }
         let cow = layout.cow_pages(cow_dirty_fraction);
         let mut dropped = 0u64;
-        Self::for_shared_keys(layout, cow, |key| {
-            if let Some(count) = self.refs.get_mut(&key) {
+        for range in self.shared_ranges_mut(layout, cow) {
+            for count in range.iter_mut().filter(|count| **count > 0) {
                 *count -= 1;
-                if *count == 0 {
-                    self.refs.remove(&key);
-                    dropped += 1;
-                }
+                dropped += u64::from(*count == 0);
             }
-        });
-        self.shared_bytes = self.shared_bytes.saturating_sub(dropped * PAGE_BYTES);
+        }
+        self.resident_shared -= dropped;
         let private = (layout.data_pages + cow) * PAGE_BYTES;
         self.private_bytes = self.private_bytes.saturating_sub(private);
     }
@@ -157,51 +210,60 @@ impl SharedPageStore {
     /// them in. Counts the full shared region (a resident page spares
     /// the read even when the instance will then privatize it).
     pub fn resident_shared(&self, layout: &FunctionLayout) -> u64 {
-        let mut resident = 0u64;
-        Self::for_shared_keys(layout, 0, |key| {
-            if self.refs.contains_key(&key) {
-                resident += 1;
-            }
-        });
-        resident
+        self.shared_ranges(layout, 0)
+            .iter()
+            .map(|range| range.iter().filter(|&&count| count > 0).count() as u64)
+            .sum()
     }
 
-    /// Breaks copy-on-write on one shared page: the writer unmaps its
-    /// shared reference (dropping the entry only when it was the last
-    /// sharer) and owns a private copy instead. The shared entry other
-    /// instances map is never mutated. Returns `false` if the page was
-    /// not resident.
-    pub fn write_shared(&mut self, key: u64) -> bool {
-        match self.refs.get_mut(&key) {
-            Some(count) => {
-                *count -= 1;
-                if *count == 0 {
-                    self.refs.remove(&key);
-                    self.shared_bytes = self.shared_bytes.saturating_sub(PAGE_BYTES);
-                }
-                self.private_bytes += PAGE_BYTES;
-                self.cow_breaks += 1;
-                true
-            }
-            None => false,
+    /// Breaks copy-on-write on the shared page at `(language, class,
+    /// index)`: the writer unmaps its shared reference (dropping the
+    /// page only when it was the last sharer) and owns a private copy
+    /// instead. The refcount other instances hold is never disturbed
+    /// beyond the writer's own reference. Returns `false` if the page
+    /// was not resident (private data is never resident as shared).
+    pub fn write_shared(&mut self, language: u8, class: PageClass, index: u64) -> bool {
+        let Some(count) = self
+            .slot_mut(language, class, index)
+            .filter(|count| **count > 0)
+        else {
+            return false;
+        };
+        *count -= 1;
+        if *count == 0 {
+            self.resident_shared -= 1;
         }
+        self.private_bytes += PAGE_BYTES;
+        self.cow_breaks += 1;
+        true
     }
 
-    /// Refcount of a resident shared page, 0 if absent.
-    pub fn ref_count(&self, key: u64) -> u32 {
-        self.refs.get(&key).copied().unwrap_or(0)
+    /// Refcount of the shared page at `(language, class, index)`, 0 if
+    /// it is not resident.
+    pub fn ref_count(&self, language: u8, class: PageClass, index: u64) -> u32 {
+        column_of(language, class)
+            .and_then(|column| self.columns.get(column))
+            .and_then(|column| column.get(usize::try_from(index).ok()?))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// The refcount slot of one shared page, if its column reaches it.
+    fn slot_mut(&mut self, language: u8, class: PageClass, index: u64) -> Option<&mut u32> {
+        let column = self.columns.get_mut(column_of(language, class)?)?;
+        column.get_mut(usize::try_from(index).ok()?)
     }
 
     /// Distinct shared pages currently resident.
     pub fn resident_shared_pages(&self) -> u64 {
-        self.refs.len() as u64
+        self.resident_shared
     }
 
     /// Bytes currently resident: distinct shared pages plus every
     /// private page — the working-set pressure the contention model
     /// prices.
     pub fn resident_bytes(&self) -> u64 {
-        self.shared_bytes + self.private_bytes
+        self.resident_shared * PAGE_BYTES + self.private_bytes
     }
 
     /// Cumulative distinct shared-page insertions (`tenancy.shared_pages`).
@@ -237,18 +299,182 @@ impl SharedPageStore {
     }
 
     /// Wipes the resident set (a host crash tears down every
-    /// instance). Cumulative counters survive; residency does not.
+    /// instance). Cumulative counters survive; residency does not, and
+    /// the columns keep their allocation.
     pub fn clear_resident(&mut self) {
-        self.refs.clear();
-        self.shared_bytes = 0;
+        for column in &mut self.columns {
+            column.fill(0);
+        }
+        self.resident_shared = 0;
         self.private_bytes = 0;
+    }
+}
+
+/// `(column, lo, hi)` of `layout`'s shared pages surviving `cow`
+/// copy-on-write breaks: the runtime core `0..runtime_pages` and the
+/// library pages `cow..library_pages`.
+fn ranges(layout: &FunctionLayout, cow: u64) -> [(usize, usize, usize); 2] {
+    let runtime = column_of(layout.language, PageClass::SharedRuntime).expect("shared class");
+    let pages = |n: u64| usize::try_from(n).expect("page counts fit in memory");
+    [
+        (runtime, 0, pages(layout.runtime_pages)),
+        (runtime + 1, pages(cow), pages(layout.library_pages)),
+    ]
+}
+
+/// The hash-keyed store the coordinate columns replaced, kept as the
+/// oracle they are checked against: refcounts in a `BTreeMap` keyed by
+/// [`content_key`](crate::content_key), one hash and one tree operation
+/// per page.
+#[cfg(test)]
+mod oracle {
+    use super::Registration;
+    use crate::hash::content_key;
+    use crate::layout::FunctionLayout;
+    use luke_snapshot::PAGE_BYTES;
+    use std::collections::BTreeMap;
+
+    const RUNTIME_REGION: u64 = 0;
+    const LIBRARY_REGION: u64 = 1;
+
+    #[derive(Default)]
+    pub struct KeyedStore {
+        refs: BTreeMap<u64, u32>,
+        shared_bytes: u64,
+        private_bytes: u64,
+        pub shared_pages: u64,
+        pub dedup_hits: u64,
+        pub cow_breaks: u64,
+    }
+
+    impl KeyedStore {
+        fn for_shared_keys(layout: &FunctionLayout, cow: u64, mut f: impl FnMut(u64)) {
+            for index in 0..layout.runtime_pages {
+                f(content_key(layout.language, RUNTIME_REGION, index));
+            }
+            for index in cow..layout.library_pages {
+                f(content_key(layout.language, LIBRARY_REGION, index));
+            }
+        }
+
+        pub fn register(
+            &mut self,
+            layout: &FunctionLayout,
+            dedup: bool,
+            cow_dirty_fraction: f64,
+        ) -> Registration {
+            let total = layout.total_pages();
+            if !dedup {
+                self.private_bytes += total * PAGE_BYTES;
+                return Registration {
+                    new_shared_pages: 0,
+                    dedup_hits: 0,
+                    private_pages: total,
+                    weight: 1.0,
+                };
+            }
+            let cow = layout.cow_pages(cow_dirty_fraction);
+            let mut new_shared = 0u64;
+            let mut hits = 0u64;
+            Self::for_shared_keys(layout, cow, |key| {
+                let count = self.refs.entry(key).or_insert(0);
+                if *count == 0 {
+                    new_shared += 1;
+                } else {
+                    hits += 1;
+                }
+                *count += 1;
+            });
+            self.shared_bytes += new_shared * PAGE_BYTES;
+            self.shared_pages += new_shared;
+            self.dedup_hits += hits;
+            self.cow_breaks += cow;
+            let private = layout.data_pages + cow;
+            self.private_bytes += private * PAGE_BYTES;
+            let weight = if total == 0 {
+                1.0
+            } else {
+                (new_shared + private) as f64 / total as f64
+            };
+            Registration {
+                new_shared_pages: new_shared,
+                dedup_hits: hits,
+                private_pages: private,
+                weight,
+            }
+        }
+
+        pub fn release(&mut self, layout: &FunctionLayout, dedup: bool, cow_dirty_fraction: f64) {
+            let total = layout.total_pages();
+            if !dedup {
+                self.private_bytes = self.private_bytes.saturating_sub(total * PAGE_BYTES);
+                return;
+            }
+            let cow = layout.cow_pages(cow_dirty_fraction);
+            let mut dropped = 0u64;
+            Self::for_shared_keys(layout, cow, |key| {
+                if let Some(count) = self.refs.get_mut(&key) {
+                    *count -= 1;
+                    if *count == 0 {
+                        self.refs.remove(&key);
+                        dropped += 1;
+                    }
+                }
+            });
+            self.shared_bytes = self.shared_bytes.saturating_sub(dropped * PAGE_BYTES);
+            let private = (layout.data_pages + cow) * PAGE_BYTES;
+            self.private_bytes = self.private_bytes.saturating_sub(private);
+        }
+
+        pub fn resident_shared(&self, layout: &FunctionLayout) -> u64 {
+            let mut resident = 0u64;
+            Self::for_shared_keys(layout, 0, |key| {
+                if self.refs.contains_key(&key) {
+                    resident += 1;
+                }
+            });
+            resident
+        }
+
+        pub fn write_shared(&mut self, key: u64) -> bool {
+            match self.refs.get_mut(&key) {
+                Some(count) => {
+                    *count -= 1;
+                    if *count == 0 {
+                        self.refs.remove(&key);
+                        self.shared_bytes = self.shared_bytes.saturating_sub(PAGE_BYTES);
+                    }
+                    self.private_bytes += PAGE_BYTES;
+                    self.cow_breaks += 1;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        pub fn ref_count(&self, key: u64) -> u32 {
+            self.refs.get(&key).copied().unwrap_or(0)
+        }
+
+        pub fn resident_shared_pages(&self) -> u64 {
+            self.refs.len() as u64
+        }
+
+        pub fn resident_bytes(&self) -> u64 {
+            self.shared_bytes + self.private_bytes
+        }
+
+        pub fn clear_resident(&mut self) {
+            self.refs.clear();
+            self.shared_bytes = 0;
+            self.private_bytes = 0;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::content_key;
     use workloads::paper_suite;
 
     fn layout() -> FunctionLayout {
@@ -314,8 +540,8 @@ mod tests {
         assert_eq!(reg.private_pages, 20 + 4);
         assert_eq!(store.cow_breaks(), 4);
         // The privatized pages were never inserted as shared entries.
-        assert_eq!(store.ref_count(content_key(0, 1, 0)), 0);
-        assert_eq!(store.ref_count(content_key(0, 1, 4)), 1);
+        assert_eq!(store.ref_count(0, PageClass::SharedLibrary, 0), 0);
+        assert_eq!(store.ref_count(0, PageClass::SharedLibrary, 4), 1);
     }
 
     #[test]
@@ -324,15 +550,25 @@ mod tests {
         let l = layout();
         store.register(&l, true, 0.0);
         store.register(&l, true, 0.0);
-        let key = content_key(0, 0, 3);
-        assert_eq!(store.ref_count(key), 2);
+        assert_eq!(store.ref_count(0, PageClass::SharedRuntime, 3), 2);
         let before_resident = store.resident_bytes();
-        assert!(store.write_shared(key));
+        assert!(store.write_shared(0, PageClass::SharedRuntime, 3));
         // The shared entry survives for the other sharer; the writer
         // owns a private copy.
-        assert_eq!(store.ref_count(key), 1);
+        assert_eq!(store.ref_count(0, PageClass::SharedRuntime, 3), 1);
         assert_eq!(store.resident_bytes(), before_resident + PAGE_BYTES);
-        assert!(!store.write_shared(0xDEAD_BEEF), "absent page");
+        assert!(
+            !store.write_shared(2, PageClass::SharedRuntime, 3),
+            "absent page"
+        );
+        assert!(
+            !store.write_shared(0, PageClass::SharedRuntime, 10),
+            "past the layout"
+        );
+        assert!(
+            !store.write_shared(0, PageClass::PrivateData, 3),
+            "never shared"
+        );
     }
 
     #[test]
@@ -368,6 +604,29 @@ mod tests {
     }
 
     #[test]
+    fn columns_sized_from_the_suite_never_reallocate() {
+        let layouts: Vec<FunctionLayout> = paper_suite()
+            .iter()
+            .map(FunctionLayout::for_profile)
+            .collect();
+        let mut store = SharedPageStore::for_layouts(&layouts);
+        let columns = |store: &SharedPageStore| {
+            store
+                .columns
+                .iter()
+                .map(|column| (column.as_ptr(), column.len()))
+                .collect::<Vec<_>>()
+        };
+        let sized = columns(&store);
+        for layout in &layouts {
+            store.register(layout, true, 0.0);
+        }
+        store.clear_resident();
+        assert_eq!(columns(&store), sized);
+        assert_eq!(store.resident_shared_pages(), 0);
+    }
+
+    #[test]
     fn clear_resident_keeps_cumulative_counters() {
         let mut store = SharedPageStore::new();
         let l = layout();
@@ -394,5 +653,150 @@ mod tests {
         store.register(&l, true, 0.0);
         let shared = store.hit_rate();
         assert!(lone < shared && shared < 1.0, "{lone} vs {shared}");
+    }
+
+    mod against_the_keyed_oracle {
+        use super::super::oracle::KeyedStore;
+        use super::*;
+        use crate::hash::content_key;
+        use proptest::prelude::*;
+
+        /// Layouts each case's operations draw from.
+        const LAYOUTS: usize = 6;
+        /// Page indices the ref-count sweep and COW writes cover: past
+        /// every generated layout's end.
+        const INDICES: u64 = 200;
+        const CLASSES: [PageClass; 3] = [
+            PageClass::SharedRuntime,
+            PageClass::SharedLibrary,
+            PageClass::PrivateData,
+        ];
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            Register(usize, bool, f64),
+            Release(usize, bool, f64),
+            Resident(usize),
+            Write(u8, PageClass, u64),
+            Clear,
+        }
+
+        /// Every language slot; a third of the layouts have no library.
+        fn layout() -> impl Strategy<Value = FunctionLayout> {
+            (0u8..3, 0u64..48, 0u64..3, 1u64..160, 1u64..64).prop_map(
+                |(language, runtime_pages, with_library, library, data_pages)| FunctionLayout {
+                    language,
+                    runtime_pages,
+                    library_pages: if with_library == 0 { 0 } else { library },
+                    data_pages,
+                },
+            )
+        }
+
+        /// COW fractions over `[0, 1]`, with both ends drawn often.
+        fn cow() -> impl Strategy<Value = f64> {
+            (0u8..4, 0.0f64..1.0).prop_map(|(pick, fraction)| match pick {
+                0 => 0.0,
+                1 => 1.0,
+                _ => fraction,
+            })
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            let target = (0u8..3, 0usize..3, 0u64..INDICES);
+            ((0u8..16, 0usize..LAYOUTS, any::<bool>()), cow(), target).prop_map(
+                |((kind, layout, dedup), cow, (language, class, index))| match kind {
+                    0..=4 => Op::Register(layout, dedup, cow),
+                    5..=9 => Op::Release(layout, dedup, cow),
+                    10..=11 => Op::Resident(layout),
+                    12..=14 => Op::Write(language, CLASSES[class], index),
+                    _ => Op::Clear,
+                },
+            )
+        }
+
+        /// Every ref count and resident total agrees with the oracle.
+        fn same_state(store: &SharedPageStore, oracle: &KeyedStore) -> Result<(), TestCaseError> {
+            prop_assert_eq!(store.resident_bytes(), oracle.resident_bytes());
+            prop_assert_eq!(
+                store.resident_shared_pages(),
+                oracle.resident_shared_pages()
+            );
+            prop_assert_eq!(store.shared_pages(), oracle.shared_pages);
+            prop_assert_eq!(store.dedup_hits(), oracle.dedup_hits);
+            prop_assert_eq!(store.cow_breaks(), oracle.cow_breaks);
+            for language in 0..3u8 {
+                for class in CLASSES {
+                    for index in 0..INDICES {
+                        prop_assert_eq!(
+                            store.ref_count(language, class, index),
+                            oracle.ref_count(content_key(language, class.region(), index)),
+                            "ref_count({}, {:?}, {})",
+                            language,
+                            class,
+                            index
+                        );
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        /// Runs `ops` on `store` and the oracle side by side.
+        fn check(
+            mut store: SharedPageStore,
+            layouts: &[FunctionLayout],
+            ops: &[Op],
+        ) -> Result<(), TestCaseError> {
+            let mut oracle = KeyedStore::default();
+            for (step, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Register(l, dedup, cow) => prop_assert_eq!(
+                        store.register(&layouts[l], dedup, cow),
+                        oracle.register(&layouts[l], dedup, cow)
+                    ),
+                    Op::Release(l, dedup, cow) => {
+                        store.release(&layouts[l], dedup, cow);
+                        oracle.release(&layouts[l], dedup, cow);
+                    }
+                    Op::Resident(l) => prop_assert_eq!(
+                        store.resident_shared(&layouts[l]),
+                        oracle.resident_shared(&layouts[l])
+                    ),
+                    Op::Write(language, class, index) => prop_assert_eq!(
+                        store.write_shared(language, class, index),
+                        oracle.write_shared(content_key(language, class.region(), index))
+                    ),
+                    Op::Clear => {
+                        store.clear_resident();
+                        oracle.clear_resident();
+                    }
+                }
+                prop_assert_eq!(store.resident_bytes(), oracle.resident_bytes());
+                prop_assert_eq!(
+                    store.resident_shared_pages(),
+                    oracle.resident_shared_pages()
+                );
+                if step % 16 == 15 {
+                    same_state(&store, &oracle)?;
+                }
+            }
+            same_state(&store, &oracle)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn coordinate_columns_match_the_keyed_store(
+                layouts in prop::collection::vec(layout(), LAYOUTS..LAYOUTS + 1),
+                ops in prop::collection::vec(op(), 1..160),
+            ) {
+                // Columns sized up front (the fleet path) and columns
+                // grown by registration (`new`) both match the oracle.
+                check(SharedPageStore::for_layouts(&layouts), &layouts, &ops)?;
+                check(SharedPageStore::new(), &layouts, &ops)?;
+            }
+        }
     }
 }

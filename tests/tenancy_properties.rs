@@ -5,7 +5,7 @@
 //! carrying an explicitly-disabled tenancy config must reproduce the
 //! plain fleet bit-for-bit at any thread count.
 
-use luke_tenancy::{content_key, FunctionLayout, SharedPageStore, TenancyConfig};
+use luke_tenancy::{content_key, FunctionLayout, PageClass, SharedPageStore, TenancyConfig};
 use lukewarm::fleet::{run_fleet, FleetConfig, ServiceModel};
 use lukewarm::workloads::paper_suite;
 use proptest::prelude::*;
@@ -116,24 +116,24 @@ proptest! {
         sharers in 2u32..6,
     ) {
         let index = page % layout.runtime_pages;
-        let key = content_key(layout.language, 0, index);
+        let runtime = PageClass::SharedRuntime;
         let mut store = SharedPageStore::new();
         for _ in 0..sharers {
             store.register(&layout, true, 0.0);
         }
-        prop_assert_eq!(store.ref_count(key), sharers);
+        prop_assert_eq!(store.ref_count(layout.language, runtime, index), sharers);
         let resident = store.resident_bytes();
 
         // One writer privatizes the page: its reference moves to the
         // private ledger, everyone else's mapping survives untouched.
-        prop_assert!(store.write_shared(key));
-        prop_assert_eq!(store.ref_count(key), sharers - 1);
+        prop_assert!(store.write_shared(layout.language, runtime, index));
+        prop_assert_eq!(store.ref_count(layout.language, runtime, index), sharers - 1);
         prop_assert_eq!(store.resident_bytes(), resident + PAGE_BYTES);
 
         // Writing an unmapped page is a refused no-op.
-        let foreign = content_key((layout.language + 1) % 3, 0, index);
+        let foreign = (layout.language + 1) % 3;
         let before = store.resident_bytes();
-        prop_assert!(!store.write_shared(foreign));
+        prop_assert!(!store.write_shared(foreign, runtime, index));
         prop_assert_eq!(store.resident_bytes(), before);
     }
 }
