@@ -1,12 +1,13 @@
 //! Observability overhead on the Figure-10 quick path: the plain runner
-//! against [`run_observed`] with metrics only and with event tracing.
+//! against [`run_observed`] with metrics only and with lifecycle span
+//! tracing.
 //!
 //! The acceptance target is that the *disabled* instrumentation path costs
 //! at most ~2% over the plain runner:
 //!
 //! ```text
 //! cargo bench --bench obs_overhead                          # default build
-//! cargo bench --bench obs_overhead --features obs_disabled  # compiled-out events
+//! cargo bench --bench obs_overhead --features obs_disabled  # compiled-out spans
 //! ```
 //!
 //! The final `overhead` lines print the paired comparisons directly (best

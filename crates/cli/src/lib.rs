@@ -1012,7 +1012,7 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             let run = luke_fleet::run_fleet(&config, &model, true)?;
             if out.is_some() {
                 let name = format!("fleet ({} hosts, chaos {chaos})", config.hosts);
-                return Ok(luke_obs::trace::chrome_trace_spans(&name, &run.spans));
+                return Ok(luke_obs::trace::chrome_trace_spans(&name, "us", &run.spans));
             }
             Ok(fleet_waterfall(&run, chaos))
         }
@@ -1062,9 +1062,10 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             let kind = parse_prefetcher(prefetcher, options.platform)?;
             let spec = parse_state(state)?;
             let obs = run_observed(&config, &profile, kind, spec, &params, TRACE_CAPACITY);
-            Ok(luke_obs::trace::chrome_trace(
+            Ok(luke_obs::trace::chrome_trace_spans(
                 &format!("{} on {} ({})", profile.name, config.name, kind.label()),
-                &obs.events,
+                "cycles",
+                &obs.spans,
             ))
         }
     }
@@ -1245,7 +1246,7 @@ fn chaos_preset(name: &str) -> Result<Option<ResiliencePreset>, CliError> {
     Ok(Some(ResiliencePreset { chaos }))
 }
 
-/// Event-ring capacity for `lukewarm trace`: large enough to hold every
+/// Span-ring capacity for `lukewarm trace`: large enough to hold every
 /// fetch stall of the last measured invocation at default scales.
 const TRACE_CAPACITY: usize = 65_536;
 

@@ -7,7 +7,7 @@ use crate::config::CoreConfig;
 use crate::instr::{Instr, InstrKind};
 use crate::topdown::TopDown;
 use luke_common::addr::LineAddr;
-use luke_obs::{Event, EventKind, EventRing, Registry};
+use luke_obs::{Registry, Span, SpanKind, SpanRing};
 use sim_mem::hierarchy::MemoryHierarchy;
 use sim_mem::page_table::PageTable;
 use sim_mem::prefetch::{
@@ -86,7 +86,12 @@ pub struct Core {
     lifetime_topdown: TopDown,
     lifetime_instructions: u64,
     invocations: u64,
-    events: EventRing,
+    spans: SpanRing,
+    /// Dispatch cycle of the current invocation (its spans' time origin).
+    dispatched_at: u64,
+    /// Next span id on the current invocation's lane (the dispatch root
+    /// is id 0).
+    next_span: u32,
 }
 
 impl Core {
@@ -108,25 +113,51 @@ impl Core {
             lifetime_topdown: TopDown::new(),
             lifetime_instructions: 0,
             invocations: 0,
-            events: EventRing::disabled(),
+            spans: SpanRing::disabled(),
+            dispatched_at: 0,
+            next_span: 0,
         }
     }
 
-    /// Enables lifecycle event tracing, keeping the most recent
-    /// `capacity` events (0 disables tracing, the default).
-    pub fn set_event_capacity(&mut self, capacity: usize) {
-        self.events = EventRing::with_capacity(capacity);
+    /// Enables lifecycle span tracing, keeping the most recent
+    /// `capacity` spans (0 disables tracing, the default).
+    pub fn set_span_capacity(&mut self, capacity: usize) {
+        self.spans = SpanRing::with_capacity(capacity);
     }
 
-    /// The lifecycle event ring (empty unless tracing was enabled via
-    /// [`Core::set_event_capacity`]).
-    pub fn events(&self) -> &EventRing {
-        &self.events
+    /// The lifecycle span ring (empty unless tracing was enabled via
+    /// [`Core::set_span_capacity`]).
+    pub fn spans(&self) -> &SpanRing {
+        &self.spans
     }
 
-    /// Drains the traced lifecycle events, oldest first.
-    pub fn take_events(&mut self) -> Vec<Event> {
-        self.events.take_events()
+    /// Drains the traced lifecycle spans, oldest first.
+    pub fn take_spans(&mut self) -> Vec<Span> {
+        self.spans.take_spans()
+    }
+
+    /// Records one lifecycle span on the current invocation's lane,
+    /// starting at core cycle `at` and lasting `dur` cycles. Forced
+    /// inline: left to the compiler it stayed an out-of-line call on
+    /// every fetch stall, which measurably slowed the untraced cycle
+    /// model; inlined, a disabled ring costs one branch.
+    #[inline(always)]
+    fn mark(&mut self, kind: SpanKind, at: u64, dur: u64, a: u64, b: u64) {
+        if !self.spans.is_enabled() {
+            return;
+        }
+        let id = self.next_span;
+        self.next_span += 1;
+        self.spans.record(Span {
+            trace: self.invocations - 1,
+            id,
+            parent: 0,
+            kind,
+            start_us: at - self.dispatched_at,
+            dur_us: dur,
+            a,
+            b,
+        });
     }
 
     /// The core configuration.
@@ -190,21 +221,17 @@ impl Core {
             issuer.into_state()
         };
         self.invocations += 1;
-        self.events.record(Event {
-            ts: start,
-            dur: 0,
-            kind: EventKind::Dispatch,
-            a: self.invocations - 1,
-            b: 0,
-        });
+        self.dispatched_at = start;
+        self.next_span = 0;
+        self.mark(SpanKind::Dispatch, start, 0, self.invocations - 1, 0);
         if pf_state.counters.issued > 0 {
-            self.events.record(Event {
-                ts: start,
-                dur: 0,
-                kind: EventKind::PrefetchBatch,
-                a: pf_state.counters.issued,
-                b: pf_state.counters.redundant,
-            });
+            self.mark(
+                SpanKind::PrefetchBatch,
+                start,
+                0,
+                pf_state.counters.issued,
+                pf_state.counters.redundant,
+            );
         }
 
         for instr in trace {
@@ -307,13 +334,13 @@ impl Core {
 
         self.lifetime_topdown += td;
         self.lifetime_instructions += stats.instructions;
-        self.events.record(Event {
-            ts: self.now,
-            dur: 0,
-            kind: EventKind::Retire,
-            a: stats.instructions,
-            b: self.now - start,
-        });
+        self.mark(
+            SpanKind::Retire,
+            self.now,
+            0,
+            stats.instructions,
+            self.now - start,
+        );
         InvocationResult {
             cycles: self.now - start,
             instructions: stats.instructions,
@@ -375,18 +402,13 @@ impl Core {
         };
         let stall = exposed_cache + tlb_part;
         if stall > 0 {
-            self.events.record(Event {
-                ts: self.now,
-                dur: stall,
-                kind: EventKind::FetchStall,
-                a: pline,
-                b: match out.hit_level {
-                    sim_mem::hierarchy::Level::L1 => 0,
-                    sim_mem::hierarchy::Level::L2 => 1,
-                    sim_mem::hierarchy::Level::Llc => 2,
-                    sim_mem::hierarchy::Level::Memory => 3,
-                },
-            });
+            let level = match out.hit_level {
+                sim_mem::hierarchy::Level::L1 => 0,
+                sim_mem::hierarchy::Level::L2 => 1,
+                sim_mem::hierarchy::Level::Llc => 2,
+                sim_mem::hierarchy::Level::Memory => 3,
+            };
+            self.mark(SpanKind::FetchStall, self.now, stall, pline, level);
         }
         self.advance(stall, &mut td.fetch_latency);
 
@@ -656,29 +678,45 @@ mod tests {
     }
 
     #[test]
-    fn event_tracing_captures_lifecycle() {
+    fn span_tracing_captures_lifecycle() {
         let (mut core, mut mem, mut pt) = setup();
-        core.set_event_capacity(1024);
+        core.set_span_capacity(1024);
+        // A warm-up invocation first, so the traced one starts at a
+        // nonzero cycle and its times must be relative to dispatch.
+        core.run_invocation(
+            straightline(0x9000, 16),
+            &mut mem,
+            &mut pt,
+            &mut NoPrefetcher,
+        );
+        core.take_spans();
         let r = core.run_invocation(
             straightline(0x1000, 256),
             &mut mem,
             &mut pt,
             &mut NoPrefetcher,
         );
-        let events = core.take_events();
+        let spans = core.take_spans();
         if cfg!(feature = "obs_disabled") {
-            assert!(events.is_empty());
+            assert!(spans.is_empty());
             return;
         }
-        assert_eq!(events.first().unwrap().kind, EventKind::Dispatch);
-        let retire = events.last().unwrap();
-        assert_eq!(retire.kind, EventKind::Retire);
+        assert!(r.start_cycle > 0);
+        let dispatch = spans.first().unwrap();
+        assert_eq!(dispatch.kind, SpanKind::Dispatch);
+        assert_eq!((dispatch.id, dispatch.start_us, dispatch.a), (0, 0, 1));
+        let retire = spans.last().unwrap();
+        assert_eq!(retire.kind, SpanKind::Retire);
         assert_eq!(retire.a, r.instructions);
         assert_eq!(retire.b, r.cycles);
+        assert_eq!(retire.start_us, r.cycles);
+        // One lane (the invocation index), every child under the root.
+        assert!(spans.iter().all(|s| s.trace == 1 && s.parent == 0));
         // A cold 256-instruction run must expose at least one fetch stall.
-        assert!(events.iter().any(|e| e.kind == EventKind::FetchStall));
-        // Timestamps are monotone.
-        assert!(events.windows(2).all(|w| w[0].ts <= w[1].ts));
+        assert!(spans.iter().any(|s| s.kind == SpanKind::FetchStall));
+        // Times are monotone, and ids count up from the root.
+        assert!(spans.windows(2).all(|w| w[0].start_us <= w[1].start_us));
+        assert!(spans.iter().enumerate().all(|(i, s)| s.id as usize == i));
     }
 
     #[test]
@@ -690,8 +728,8 @@ mod tests {
             &mut pt,
             &mut NoPrefetcher,
         );
-        assert!(core.events().is_empty());
-        assert_eq!(core.events().total_recorded(), 0);
+        assert!(core.spans().is_empty());
+        assert_eq!(core.spans().total_recorded(), 0);
     }
 
     #[test]

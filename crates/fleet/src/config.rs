@@ -58,8 +58,6 @@ pub struct FleetConfig {
     pub timeout_ms: f64,
     /// Retry policy applied by every host.
     pub retry: RetryPolicy,
-    /// Per-host event-ring capacity (0 disables lifecycle tracing).
-    pub events_capacity: usize,
     /// Host fault domains: seeded crash/degrade schedules.
     /// [`ChaosConfig::none`] (the default) is bit-transparent.
     pub chaos: ChaosConfig,
@@ -98,15 +96,10 @@ pub struct FleetConfig {
     pub series_slo_ms: f64,
 }
 
-/// Hard cap on the merged fleet-wide event-ring capacity
-/// (`events_capacity × hosts`). Beyond this the allocation itself is the
-/// bug: 16 Mi events is already ~0.5 GiB of ring.
-pub const MAX_MERGED_EVENTS: usize = 1 << 24;
-
 impl Default for FleetConfig {
     /// A 16-host fleet under keep-alive-aware routing: 20k invocations,
     /// 10-minute keep-alive, 200 deployed functions, 20 invocations per
-    /// host-second, no faults, no event tracing.
+    /// host-second, no faults, no span tracing.
     fn default() -> Self {
         FleetConfig {
             hosts: 16,
@@ -123,7 +116,6 @@ impl Default for FleetConfig {
             snapshot_timings: SnapshotTimings::default(),
             timeout_ms: 250.0,
             retry: RetryPolicy::default(),
-            events_capacity: 0,
             chaos: ChaosConfig::none(),
             health: HealthConfig::default(),
             hedge: HedgeConfig::disabled(),
@@ -188,19 +180,6 @@ impl FleetConfig {
                 ));
             }
         }
-        match self.events_capacity.checked_mul(self.hosts) {
-            Some(merged) if merged <= MAX_MERGED_EVENTS => {}
-            _ => {
-                return Err(SimError::invalid_config(
-                    "fleet.events_capacity",
-                    format!(
-                        "events_capacity × hosts must not exceed {MAX_MERGED_EVENTS} \
-                         ({} × {} overflows the merged ring)",
-                        self.events_capacity, self.hosts
-                    ),
-                ));
-            }
-        }
         // Reuse the pool's, fault layer's and snapshot layer's own
         // validation.
         InstancePool::try_new(self.keep_alive_ms)?;
@@ -244,13 +223,6 @@ impl FleetConfig {
     /// Fleet-wide arrival rate in invocations per second.
     pub fn total_rate_per_sec(&self) -> f64 {
         self.hosts as f64 * self.per_host_rate_per_sec
-    }
-
-    /// Capacity of the merged fleet-wide event ring. Guaranteed not to
-    /// overflow (and to sit under [`MAX_MERGED_EVENTS`]) by
-    /// [`FleetConfig::validate`].
-    pub fn merged_events_capacity(&self) -> usize {
-        self.events_capacity.saturating_mul(self.hosts)
     }
 
     /// Whether span tracing is on (some dispatches are sampled).
@@ -349,21 +321,6 @@ mod tests {
                     ..FleetConfig::default()
                 },
                 "fleet.series_slo_ms",
-            ),
-            (
-                FleetConfig {
-                    events_capacity: usize::MAX / 2,
-                    ..FleetConfig::default()
-                },
-                "fleet.events_capacity",
-            ),
-            (
-                FleetConfig {
-                    events_capacity: MAX_MERGED_EVENTS,
-                    hosts: 2,
-                    ..FleetConfig::default()
-                },
-                "fleet.events_capacity",
             ),
             (
                 FleetConfig {
@@ -574,24 +531,6 @@ mod tests {
         };
         assert!(both.tenancy_enabled());
         assert!(both.validate().is_ok());
-    }
-
-    #[test]
-    fn merged_events_capacity_is_validated_and_exact() {
-        let config = FleetConfig {
-            events_capacity: 256,
-            hosts: 64,
-            ..FleetConfig::default()
-        };
-        assert!(config.validate().is_ok());
-        assert_eq!(config.merged_events_capacity(), 256 * 64);
-        let at_cap = FleetConfig {
-            events_capacity: MAX_MERGED_EVENTS / 16,
-            hosts: 16,
-            ..FleetConfig::default()
-        };
-        assert!(at_cap.validate().is_ok());
-        assert_eq!(at_cap.merged_events_capacity(), MAX_MERGED_EVENTS);
     }
 
     #[test]

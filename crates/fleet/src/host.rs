@@ -2,7 +2,7 @@
 //! interleaving-degree estimate that prices every warm hit.
 //!
 //! A host is deliberately self-contained — it owns its pool, fault
-//! stream, counters, histogram, event ring, and a private
+//! stream, counters, histogram, span ring, and a private
 //! [`CalendarQueue`] of timers (keep-alive expiries, adaptive-decay
 //! re-checks, pre-warm restores), and consumes its pre-routed arrival
 //! queue with no shared state. Timers drain at each arrival boundary in
@@ -15,11 +15,11 @@
 use luke_common::rng::DetRng;
 use luke_obs::span::{tick_us, trace_id, SpanKind, SpanRing, SpanScope};
 use luke_predict::PredictorBank;
-use luke_obs::{Event, EventKind, EventRing, Histogram, Registry, StartClass, TimeWindows};
+use luke_obs::{Histogram, Registry, StartClass, TimeWindows};
 use luke_snapshot::{ColdStartModel, PageWorkingSet, SnapshotStore};
 use server::{
-    fault_kind_index, AdmissionControl, AdmissionDecision, AttemptCosts, FaultKind, FaultPlan,
-    FaultStats, InstancePool, InvocationResult, RetryPolicy,
+    AdmissionControl, AdmissionDecision, AttemptCosts, FaultPlan, FaultStats, InstancePool,
+    InvocationResult, RetryPolicy,
 };
 
 use std::sync::{Arc, OnceLock};
@@ -35,9 +35,6 @@ use crate::traffic::Population;
 const FAULT_STREAM: u64 = 0x66_6C_74; // "flt"
 /// Seed-space tag for down-host reconnect backoff jitter.
 const DOWN_STREAM: u64 = 0x646F_776E; // "down"
-/// `FaultDraw` event tag for a whole-host chaos crash — one past the
-/// per-invocation fault kinds (which occupy 0..4).
-const HOST_CRASH_EVENT: u64 = 4;
 /// First span id the host side hands out: the root is id 0 and the
 /// route-phase spans own ids 1–3.
 const HOST_SPAN_FIRST_ID: u32 = 4;
@@ -123,8 +120,6 @@ pub struct FleetHost {
     pub latency_us: Histogram,
     /// Fault-layer tallies.
     pub fault_stats: FaultStats,
-    /// Lifecycle trace (empty ring when tracing is off).
-    pub events: EventRing,
     /// This host's chaos timeline (empty without chaos).
     schedule: HostSchedule,
     /// Next crash boundary to apply (index into the schedule).
@@ -319,7 +314,6 @@ impl FleetHost {
             latency_sum_ms: 0.0,
             latency_us: Histogram::new(),
             fault_stats: FaultStats::default(),
-            events: EventRing::with_capacity(config.events_capacity),
             schedule: HostSchedule::synthesize(config, host_id),
             next_crash: 0,
             host_crashes: 0,
@@ -360,32 +354,24 @@ impl FleetHost {
         while self.next_crash < self.schedule.crash_count()
             && self.schedule.crash_start(self.next_crash) <= at
         {
-            let died = self.pool.evict_all();
+            self.pool.evict_all();
             self.live.fill(0);
             self.prewarm_ready.fill(None);
             if let Some(tenancy) = self.tenancy.as_mut() {
                 tenancy.clear_resident();
             }
             self.host_crashes += 1;
-            self.events.record(Event {
-                ts: (self.schedule.crash_start(self.next_crash) * 1000.0) as u64,
-                dur: 0,
-                kind: EventKind::FaultDraw,
-                a: HOST_CRASH_EVENT,
-                b: died as u64,
-            });
             self.next_crash += 1;
         }
     }
 
-    /// Records one invocation's terminal accounting: totals, histogram
-    /// or hedge-outcome side list, and the retire event.
+    /// Records one invocation's terminal accounting: totals, and the
+    /// histogram or hedge-outcome side list.
     fn retire(
         &mut self,
         routed: RoutedInvocation,
         function: usize,
         latency_ms: f64,
-        attempts: u64,
         completed: bool,
         class: StartClass,
     ) -> f64 {
@@ -408,13 +394,6 @@ impl FleetHost {
             self.series
                 .record_outcome(routed.at_ms, latency_us, class, self.over_slo(latency_ms));
         }
-        self.events.record(Event {
-            ts: ((routed.at_ms + latency_ms) * 1000.0) as u64,
-            dur: (latency_ms * 1000.0) as u64,
-            kind: EventKind::Retire,
-            a: function as u64,
-            b: attempts,
-        });
         latency_ms
     }
 
@@ -736,14 +715,7 @@ impl FleetHost {
                     self.retry_tokens[function] = t;
                 }
                 scope.root(down_wait_ms, self.host_id as u64, tick_us(at));
-                return self.retire(
-                    routed,
-                    function,
-                    down_wait_ms,
-                    down_retries,
-                    false,
-                    StartClass::Cold,
-                );
+                return self.retire(routed, function, down_wait_ms, false, StartClass::Cold);
             }
             self.down_retries += down_retries;
         }
@@ -813,13 +785,6 @@ impl FleetHost {
                 self.take_prewarm_ready(function);
                 self.tenancy_release(function);
                 self.fault_stats.evictions += 1;
-                self.events.record(Event {
-                    ts: 0,
-                    dur: 0,
-                    kind: EventKind::FaultDraw,
-                    a: fault_kind_index(FaultKind::MemoryPressureEviction),
-                    b: 0,
-                });
                 starts_cold = true;
             }
         }
@@ -922,14 +887,6 @@ impl FleetHost {
             }
         }
 
-        self.events.record(Event {
-            ts: (at * 1000.0) as u64,
-            dur: 0,
-            kind: EventKind::Dispatch,
-            a: function as u64,
-            b: self.host_id as u64,
-        });
-
         let costs = AttemptCosts {
             service_ms,
             cold_start_ms,
@@ -959,12 +916,11 @@ impl FleetHost {
                 completed: true,
             }
         } else {
-            self.faults.run_invocation_spanned(
+            self.faults.run_invocation(
                 &policy,
                 invocation,
                 &costs,
                 &mut self.fault_stats,
-                &mut self.events,
                 scope,
                 down_wait_ms,
             )
@@ -1008,14 +964,7 @@ impl FleetHost {
         // exactly (same float, same rounding), and the children tiled
         // every contributing window — exact critical-path attribution.
         scope.root(latency_ms, self.host_id as u64, tick_us(at));
-        self.retire(
-            routed,
-            function,
-            latency_ms,
-            down_retries + result.attempts,
-            result.completed,
-            class,
-        )
+        self.retire(routed, function, latency_ms, result.completed, class)
     }
 
     /// Warm hits of either temperature.
@@ -1124,7 +1073,6 @@ mod tests {
     fn setup() -> (FleetConfig, ServiceModel) {
         let config = FleetConfig {
             population: 10,
-            events_capacity: 64,
             ..FleetConfig::default()
         };
         let model = ServiceModel::analytic(&paper_suite()).unwrap();

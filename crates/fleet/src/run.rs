@@ -19,10 +19,10 @@
 //!    arrivals in canonical route order while idle workers steal
 //!    whichever shard has work instead of waiting on the hottest static
 //!    chunk. Hosts share nothing — each owns its pool, fault stream,
-//!    calendar queue of timers, counters, and event ring — so the
+//!    calendar queue of timers, counters, and span ring — so the
 //!    stealing schedule cannot influence any host's state.
 //! 3. **Merge** (sequential): per-host state is folded into fleet
-//!    totals, one registry, one histogram, and one event ring *in host-id
+//!    totals, one registry, one histogram, and one span list *in host-id
 //!    order*, which is independent of which thread ran which shard.
 //!
 //! With `threads == 1` the pipeline degenerates to a fully sequential
@@ -37,9 +37,7 @@ use std::sync::{Condvar, Mutex};
 
 use luke_common::SimError;
 use luke_obs::span::{sort_canonical, trace_id, Span, SpanKind, SpanRing};
-use luke_obs::{
-    Dataset, EventRing, Export, Histogram, Registry, Snapshot, TimeWindows, Value, WindowRow,
-};
+use luke_obs::{Dataset, Export, Histogram, Registry, Snapshot, TimeWindows, Value, WindowRow};
 
 use crate::chaos::ChaosPlan;
 use crate::config::FleetConfig;
@@ -100,9 +98,6 @@ pub struct FleetRun {
     pub per_host: Vec<HostSummary>,
     /// Merged telemetry snapshot (pool, fault, and fleet series).
     pub snapshot: Snapshot,
-    /// Merged lifecycle trace, hosts concatenated in id order (empty
-    /// when `events_capacity` is 0).
-    pub events: EventRing,
     /// Whole-host chaos crashes applied across the fleet.
     pub host_crashes: u64,
     /// Dispatches routed around an unhealthy preferred host.
@@ -606,7 +601,6 @@ pub fn run_fleet(
     // Merge (sequential, host-id order).
     let mut registry = Registry::new();
     let mut latency_us = Histogram::new();
-    let mut events = EventRing::with_capacity(config.merged_events_capacity());
     let mut run = FleetRun {
         policy: config.policy,
         hosts: config.hosts,
@@ -621,7 +615,6 @@ pub fn run_fleet(
         latency_us: Histogram::new(),
         per_host: Vec::with_capacity(config.hosts),
         snapshot: Registry::new().snapshot(),
-        events: EventRing::disabled(),
         host_crashes: 0,
         failovers: router.failovers(),
         hedges: router.hedges(),
@@ -653,7 +646,6 @@ pub fn run_fleet(
     for host in &hosts {
         host.fill_registry(&mut registry);
         latency_us.merge(&host.latency_us);
-        events.extend_from(&host.events);
         spans.extend(host.spans.spans());
         series.merge(&host.series);
         run.invocations += host.invocations;
@@ -744,7 +736,6 @@ pub fn run_fleet(
     }
     run.snapshot = registry.snapshot();
     run.latency_us = latency_us;
-    run.events = events;
     if config.admission.enabled && run.invocations == 0 && run.shed > 0 {
         return Err(SimError::admission_rejected(run.shed));
     }
@@ -1453,30 +1444,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(run.invocations, 4_000);
-    }
-
-    #[test]
-    fn events_merge_in_host_order() {
-        let config = FleetConfig {
-            events_capacity: 100_000,
-            ..quick_config()
-        };
-        let run = run_fleet(&config, &model(), false).unwrap();
-        if cfg!(feature = "obs_disabled") {
-            assert!(run.events.is_empty(), "recording is compiled out");
-            return;
-        }
-        assert!(!run.events.is_empty(), "tracing was enabled");
-        // Dispatch events carry the host id in `b`; host order must be
-        // non-decreasing across the merged ring.
-        let hosts: Vec<u64> = run
-            .events
-            .events()
-            .iter()
-            .filter(|e| e.kind == luke_obs::EventKind::Dispatch)
-            .map(|e| e.b)
-            .collect();
-        assert!(hosts.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

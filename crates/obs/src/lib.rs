@@ -9,24 +9,23 @@
 //!   gauges and log-bucketed histograms under hierarchical dotted names
 //!   (`mem.l2.instr.misses`, `replay.dropped_prefetches`), snapshotable
 //!   and diffable between invocations;
-//! * [`events`] — a bounded, zero-allocation [`events::EventRing`]
-//!   recording the invocation lifecycle (dispatch → fetch stalls →
-//!   prefetch batches → fault draws → retire), with an `obs_disabled`
-//!   feature that compiles recording out entirely;
 //! * [`export`] — the [`export::Dataset`] table IR every experiment
 //!   renders into, plus JSON and CSV writers;
 //! * [`json`] — a dependency-free JSON writer *and* minimal parser (the
 //!   build container has no `serde`), which doubles as the jq-free
 //!   well-formedness checker used by CI and the golden tests;
-//! * [`span`] — causal, hierarchical [`span::Span`] trees for sampled
-//!   fleet invocations (route → admission → restore → execute →
-//!   backoff), with exact tick-boundary critical paths;
+//! * [`span`] — the single recording mechanism: a bounded,
+//!   zero-allocation [`span::SpanRing`] of causal [`span::Span`] trees,
+//!   for sampled fleet invocations (route → admission → restore →
+//!   execute → backoff, with exact tick-boundary critical paths) and for
+//!   the cycle model's invocation lifecycle (dispatch → prefetch batch →
+//!   fetch stalls → retire), with an `obs_disabled` feature that
+//!   compiles recording out entirely;
 //! * [`series`] — fixed-window simulated-time series
 //!   ([`series::TimeWindows`]): per-window latency percentiles, shed
 //!   rate, SLO burn and cold/luke/warm mix with an associative merge;
-//! * [`trace`] — Chrome `trace_event` / Perfetto timeline output for a
-//!   single traced invocation, plus span-tree flows
-//!   ([`trace::chrome_trace_spans`]).
+//! * [`trace`] — Chrome `trace_event` / Perfetto timeline output for
+//!   span forests ([`trace::chrome_trace_spans`]), in µs or cycles.
 //!
 //! The crate depends only on `luke-common`, so every simulator crate can
 //! thread a registry through without dependency cycles.
@@ -34,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod events;
 pub mod export;
 pub mod hist;
 pub mod json;
@@ -43,7 +41,6 @@ pub mod series;
 pub mod span;
 pub mod trace;
 
-pub use events::{Event, EventKind, EventRing};
 pub use export::{Dataset, Export, Value};
 pub use hist::Histogram;
 pub use registry::{Registry, Snapshot};

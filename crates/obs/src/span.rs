@@ -1,14 +1,17 @@
-//! Causal, hierarchical spans for the fleet invocation path.
+//! Causal, hierarchical spans: the one recording mechanism of the stack.
 //!
-//! Where [`crate::events`] records flat lifecycle points, a [`Span`]
-//! carries a *trace identity* and a *parent*, so one sampled invocation
-//! reconstructs as a tree: root invocation span, with children for the
-//! routing decision, down-host reconnect backoffs, the admission
-//! verdict, each retry attempt's snapshot restore / execution, and the
-//! inter-attempt backoffs. Spans are small `Copy` records in a bounded
-//! [`SpanRing`] (same overwrite-oldest / capacity-0-disabled contract as
-//! [`crate::events::EventRing`]), and recording compiles out entirely
-//! under the `obs_disabled` feature.
+//! A [`Span`] carries a *trace identity* and a *parent*, so one sampled
+//! fleet invocation reconstructs as a tree: root invocation span, with
+//! children for the routing decision, down-host reconnect backoffs, the
+//! admission verdict, each retry attempt's snapshot restore / execution,
+//! and the inter-attempt backoffs. The cycle model records its
+//! invocation lifecycle with the same record: one lane per invocation,
+//! rooted at a [`SpanKind::Dispatch`] mark, with prefetch batches and
+//! front-end fetch stalls as children and a closing
+//! [`SpanKind::Retire`] mark; those spans count core cycles since
+//! dispatch instead of microseconds. Spans are small `Copy` records in a
+//! bounded overwrite-oldest [`SpanRing`] (capacity 0 disables it), and
+//! recording compiles out entirely under the `obs_disabled` feature.
 //!
 //! ## Determinism and exact critical paths
 //!
@@ -26,8 +29,12 @@
 //! is two trees linked by a Chrome flow event (see
 //! [`crate::trace::chrome_trace_spans`]).
 
-/// The fleet hop a [`Span`] covers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// The fleet hop or core lifecycle stage a [`Span`] covers.
+///
+/// Kinds 0–7 are fleet hops timed in µs since the invocation's arrival;
+/// kinds 8–11 are cycle-model stages timed in core cycles since
+/// dispatch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum SpanKind {
     /// Root span: one invocation end-to-end on one host (one lane of a
@@ -56,10 +63,23 @@ pub enum SpanKind {
     Execute = 6,
     /// Inter-attempt retry backoff. `a` = attempt index, `b` = 0.
     Backoff = 7,
+    /// Cycle model: root mark of one invocation on a core. `a` =
+    /// invocation index, `b` = 0.
+    Dispatch = 8,
+    /// Cycle model: a prefetcher issued a batch of lines at dispatch.
+    /// `a` = lines issued, `b` = redundant (already-cached) issues.
+    PrefetchBatch = 9,
+    /// Cycle model: the front-end stalled waiting on an instruction line
+    /// for `dur_us` cycles. `a` = physical line number, `b` = hit level
+    /// (0 = L1, 1 = L2, 2 = LLC, 3 = memory).
+    FetchStall = 10,
+    /// Cycle model: the invocation retired. `a` = instructions retired,
+    /// `b` = cycles.
+    Retire = 11,
 }
 
 /// Every span kind, in discriminant order.
-pub const SPAN_KINDS: [SpanKind; 8] = [
+pub const SPAN_KINDS: [SpanKind; 12] = [
     SpanKind::Invocation,
     SpanKind::Route,
     SpanKind::Hedge,
@@ -68,6 +88,10 @@ pub const SPAN_KINDS: [SpanKind; 8] = [
     SpanKind::Restore,
     SpanKind::Execute,
     SpanKind::Backoff,
+    SpanKind::Dispatch,
+    SpanKind::PrefetchBatch,
+    SpanKind::FetchStall,
+    SpanKind::Retire,
 ];
 
 impl SpanKind {
@@ -83,6 +107,10 @@ impl SpanKind {
             SpanKind::Restore => "restore",
             SpanKind::Execute => "execute",
             SpanKind::Backoff => "backoff",
+            SpanKind::Dispatch => "dispatch",
+            SpanKind::PrefetchBatch => "prefetch_batch",
+            SpanKind::FetchStall => "fetch_stall",
+            SpanKind::Retire => "retire",
         }
     }
 
@@ -119,7 +147,7 @@ pub fn tick_us(at_ms: f64) -> u64 {
     (at_ms * 1000.0).round() as u64
 }
 
-/// One hop of a sampled invocation. `Copy` and fixed-size so recording
+/// One hop or stage of a traced invocation. `Copy` and fixed-size so recording
 /// in the fleet's hot loop never allocates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span {
@@ -133,9 +161,10 @@ pub struct Span {
     pub parent: u32,
     /// What this hop is.
     pub kind: SpanKind,
-    /// Start tick in µs *relative to the invocation's start*.
+    /// Start tick *relative to the invocation's start*: µs for fleet
+    /// kinds, core cycles for cycle-model kinds.
     pub start_us: u64,
-    /// Duration in µs (0 for instantaneous verdicts).
+    /// Duration in the same unit (0 for instantaneous marks).
     pub dur_us: u64,
     /// First payload word (meaning depends on `kind`).
     pub a: u64,
@@ -219,15 +248,6 @@ impl SpanRing {
     #[cfg(feature = "obs_disabled")]
     #[inline(always)]
     pub fn record(&mut self, _span: Span) {}
-
-    /// Replays every span held by `other` (oldest first) into this ring,
-    /// subject to this ring's own capacity and overwrite policy. Used to
-    /// merge per-host rings in host-id order after a parallel fleet run.
-    pub fn extend_from(&mut self, other: &SpanRing) {
-        for span in other.spans() {
-            self.record(span);
-        }
-    }
 
     /// Discards all held spans (capacity is retained).
     pub fn clear(&mut self) {
@@ -435,20 +455,14 @@ mod tests {
 
     #[cfg(not(feature = "obs_disabled"))]
     #[test]
-    fn extend_from_and_canonical_sort_are_schedule_independent() {
+    fn canonical_sort_is_merge_order_independent() {
         let mut a = SpanRing::with_capacity(8);
         a.record(span(2, 0));
         a.record(span(2, 4));
         let mut b = SpanRing::with_capacity(8);
         b.record(span(0, 0));
-        let mut merged_ab = SpanRing::with_capacity(8);
-        merged_ab.extend_from(&a);
-        merged_ab.extend_from(&b);
-        let mut merged_ba = SpanRing::with_capacity(8);
-        merged_ba.extend_from(&b);
-        merged_ba.extend_from(&a);
-        let mut left = merged_ab.spans();
-        let mut right = merged_ba.spans();
+        let mut left = [a.spans(), b.spans()].concat();
+        let mut right = [b.spans(), a.spans()].concat();
         sort_canonical(&mut left);
         sort_canonical(&mut right);
         assert_eq!(left, right);

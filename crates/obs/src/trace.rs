@@ -1,90 +1,38 @@
 //! Chrome `trace_event` / Perfetto JSON timeline output.
 //!
-//! Renders an [`EventRing`]'s contents as the JSON Object Format of the
-//! Trace Event spec: open `chrome://tracing` or <https://ui.perfetto.dev>
-//! and load the file. Durations ([`EventKind::FetchStall`]) become
-//! complete (`"ph":"X"`) events; everything else is an instant
-//! (`"ph":"i"`). Timestamps are core cycles, declared via
-//! `otherData.clock` so the unit is self-describing.
+//! Renders a span forest as the JSON Object Format of the Trace Event
+//! spec: open `chrome://tracing` or <https://ui.perfetto.dev> and load
+//! the file. Durational spans become complete (`"ph":"X"`) events,
+//! zero-length marks become instants (`"ph":"i"`). The time unit is
+//! declared via `otherData.clock` so the file is self-describing.
 
-use crate::events::{Event, EventKind};
 use crate::json::write_str;
 use crate::span::{dispatch_of, is_hedge_lane, Span, SpanKind};
 use std::collections::BTreeMap;
 
-/// Serializes events (oldest first) as a Chrome trace JSON document.
+/// Serializes a span forest as a Chrome trace JSON document whose
+/// timestamps are in `clock` units (`"us"` for fleet spans, `"cycles"`
+/// for the cycle model's lifecycle spans).
 ///
-/// `process_name` labels the single process row (typically the function
-/// under trace); all events land on thread 1.
-pub fn chrome_trace(process_name: &str, events: &[Event]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"cycles\"},\"traceEvents\":[");
-    // Metadata record naming the process row.
-    out.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":");
-    write_str(&mut out, process_name);
-    out.push_str("}}");
-    for event in events {
-        out.push(',');
-        write_event(&mut out, event);
-    }
-    out.push_str("]}");
-    out
-}
-
-fn write_event(out: &mut String, event: &Event) {
-    out.push_str("{\"name\":");
-    write_str(out, event.kind.label());
-    out.push_str(",\"cat\":\"invocation\",\"pid\":1,\"tid\":1,\"ts\":");
-    out.push_str(&event.ts.to_string());
-    match event.kind {
-        EventKind::FetchStall => {
-            out.push_str(",\"ph\":\"X\",\"dur\":");
-            out.push_str(&event.dur.to_string());
-        }
-        _ => out.push_str(",\"ph\":\"i\",\"s\":\"t\""),
-    }
-    out.push_str(",\"args\":{");
-    let (ka, kb) = arg_names(event.kind);
-    write_str(out, ka);
-    out.push(':');
-    out.push_str(&event.a.to_string());
-    out.push(',');
-    write_str(out, kb);
-    out.push(':');
-    out.push_str(&event.b.to_string());
-    out.push_str("}}");
-}
-
-fn arg_names(kind: EventKind) -> (&'static str, &'static str) {
-    match kind {
-        EventKind::Dispatch => ("invocation", "reserved"),
-        EventKind::FetchStall => ("line", "hit_level"),
-        EventKind::PrefetchBatch => ("issued", "redundant"),
-        EventKind::FaultDraw => ("fault_kind", "attempt"),
-        EventKind::Retire => ("instructions", "cycles"),
-    }
-}
-
-/// Serializes a span forest as a Chrome trace JSON document.
-///
-/// Each trace lane (one dispatched copy of an invocation) becomes its
-/// own thread row; span times, which are invocation-relative, are
-/// shifted by the root span's recorded arrival so the timeline lays out
-/// in absolute simulated microseconds. Durational spans render as
-/// complete (`"ph":"X"`) events, verdicts as instants — and hedged
-/// pairs (both lanes of one dispatch present) are linked with flow
+/// Each trace lane (one dispatched copy of a fleet invocation, or one
+/// invocation on a core) becomes its own thread row. Fleet span times,
+/// which are invocation-relative, are shifted by the root span's
+/// recorded arrival so the timeline lays out in absolute simulated
+/// microseconds; cycle-model lanes stay relative to dispatch. Hedged
+/// fleet pairs (both lanes of one dispatch present) are linked with flow
 /// (`"ph":"s"` → `"ph":"f"`) events whose id is the dispatch index, so
 /// Perfetto draws the arrow from the primary to its duplicate.
-pub fn chrome_trace_spans(process_name: &str, spans: &[Span]) -> String {
-    // Absolute offset and presence per lane, from the root spans.
+pub fn chrome_trace_spans(process_name: &str, clock: &str, spans: &[Span]) -> String {
+    // Absolute offset and presence per fleet lane, from the root spans.
     let mut arrivals: BTreeMap<u64, u64> = BTreeMap::new();
     for s in spans {
-        if s.id == 0 {
+        if s.id == 0 && s.kind == SpanKind::Invocation {
             arrivals.insert(s.trace, s.b);
         }
     }
-    let mut out = String::from(
-        "{\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"us\"},\"traceEvents\":[",
-    );
+    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":");
+    write_str(&mut out, clock);
+    out.push_str("},\"traceEvents\":[");
     out.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":");
     write_str(&mut out, process_name);
     out.push_str("}}");
@@ -120,8 +68,9 @@ pub fn chrome_trace_spans(process_name: &str, spans: &[Span]) -> String {
 fn write_span(out: &mut String, span: &Span, offset_us: u64) {
     out.push_str("{\"name\":");
     write_str(out, span.kind.label());
+    let cat = if span.kind >= SpanKind::Dispatch { "core" } else { "fleet" };
     out.push_str(&format!(
-        ",\"cat\":\"fleet\",\"pid\":1,\"tid\":{},\"ts\":{}",
+        ",\"cat\":\"{cat}\",\"pid\":1,\"tid\":{},\"ts\":{}",
         span.trace + 1,
         offset_us + span.start_us
     ));
@@ -155,6 +104,10 @@ fn span_arg_names(kind: SpanKind) -> (&'static str, &'static str) {
         SpanKind::Restore => ("attempt", "degraded"),
         SpanKind::Execute => ("attempt", "outcome"),
         SpanKind::Backoff => ("attempt", "reserved"),
+        SpanKind::Dispatch => ("invocation", "reserved"),
+        SpanKind::PrefetchBatch => ("issued", "redundant"),
+        SpanKind::FetchStall => ("line", "hit_level"),
+        SpanKind::Retire => ("instructions", "cycles"),
     }
 }
 
@@ -163,18 +116,16 @@ mod tests {
     use super::*;
     use crate::json::parse;
 
-    fn ev(ts: u64, dur: u64, kind: EventKind, a: u64, b: u64) -> Event {
-        Event { ts, dur, kind, a, b }
-    }
-
     #[test]
-    fn trace_document_is_valid_json_with_expected_phases() {
-        let events = [
-            ev(0, 0, EventKind::Dispatch, 1, 0),
-            ev(5, 120, EventKind::FetchStall, 42, 2),
-            ev(900, 0, EventKind::Retire, 5000, 900),
+    fn cycle_trace_is_valid_json_with_expected_phases() {
+        let spans = [
+            sp(3, 0, SpanKind::Dispatch, 0, 0, 3, 0),
+            sp(3, 1, SpanKind::FetchStall, 5, 120, 42, 2),
+            sp(3, 2, SpanKind::Retire, 900, 0, 5000, 900),
+            // An even/odd lane pair of invocations is not a hedged pair.
+            sp(2, 0, SpanKind::Dispatch, 0, 0, 2, 0),
         ];
-        let doc = chrome_trace("Auth-G", &events);
+        let doc = chrome_trace_spans("Auth-G", "cycles", &spans);
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("displayTimeUnit").unwrap().as_str(), Some("ns"));
         assert_eq!(
@@ -182,13 +133,15 @@ mod tests {
             Some("cycles")
         );
         let te = v.get("traceEvents").unwrap().as_arr().unwrap();
-        // Metadata record + 3 events.
-        assert_eq!(te.len(), 4);
+        // Metadata record + 4 spans, and no flow events.
+        assert_eq!(te.len(), 5);
         assert_eq!(te[0].get("ph").unwrap().as_str(), Some("M"));
         assert_eq!(te[1].get("name").unwrap().as_str(), Some("dispatch"));
         assert_eq!(te[1].get("ph").unwrap().as_str(), Some("i"));
+        assert_eq!(te[1].get("cat").unwrap().as_str(), Some("core"));
         let stall = &te[2];
         assert_eq!(stall.get("ph").unwrap().as_str(), Some("X"));
+        assert_eq!(stall.get("ts").unwrap().as_f64(), Some(5.0));
         assert_eq!(stall.get("dur").unwrap().as_f64(), Some(120.0));
         assert_eq!(stall.get("args").unwrap().get("line").unwrap().as_f64(), Some(42.0));
         assert_eq!(
@@ -199,7 +152,7 @@ mod tests {
 
     #[test]
     fn empty_trace_still_has_process_metadata() {
-        let doc = chrome_trace("fn", &[]);
+        let doc = chrome_trace_spans("fn", "cycles", &[]);
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("traceEvents").unwrap().as_arr().unwrap().len(), 1);
     }
@@ -228,7 +181,7 @@ mod tests {
             sp(7, 0, SpanKind::Invocation, 0, 1200, 5, 500),
             sp(7, 4, SpanKind::Execute, 0, 1200, 0, 0),
         ];
-        let doc = chrome_trace_spans("fleet", &spans);
+        let doc = chrome_trace_spans("fleet", "us", &spans);
         let v = parse(&doc).unwrap();
         let te = v.get("traceEvents").unwrap().as_arr().unwrap();
         // Metadata + 4 spans + flow start/finish.
@@ -259,7 +212,7 @@ mod tests {
             sp(4, 0, SpanKind::Invocation, 0, 100, 0, 0),
             sp(4, 5, SpanKind::Admission, 0, 0, 0, 0),
         ];
-        let doc = chrome_trace_spans("fleet", &spans);
+        let doc = chrome_trace_spans("fleet", "us", &spans);
         let v = parse(&doc).unwrap();
         let te = v.get("traceEvents").unwrap().as_arr().unwrap();
         assert_eq!(te.len(), 3);

@@ -12,8 +12,8 @@
 
 use luke_common::rng::DetRng;
 use luke_common::SimError;
-use luke_obs::span::{SpanKind, SpanRing, SpanScope};
-use luke_obs::{Event, EventKind, EventRing, Registry};
+use luke_obs::span::{SpanKind, SpanScope};
+use luke_obs::Registry;
 
 /// The kinds of fault the plan can inject.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -190,59 +190,27 @@ impl FaultPlan {
     /// `costs` gives the latency model for a single attempt; `stats`
     /// accumulates what struck. The result's latency covers every attempt
     /// plus backoff between them.
+    ///
+    /// Each attempt's snapshot restore, execution and retry backoff is
+    /// recorded into `spans` as a child covering *exactly* the latency
+    /// window it contributed, offset by `base_ms` (the down-host wait the
+    /// caller already charged before the fault layer ran). A failed
+    /// spawn is a `Restore` span with `b = 1`; a crash or a timeout is an
+    /// `Execute` span with `b = 1` or `b = 2`. Callers that do not trace
+    /// pass a scope over a disabled ring.
+    ///
+    /// Every boundary is computed as `base_ms + latency_ms` on the same
+    /// running float the result reports, so the children's tick durations
+    /// telescope to exactly the tick of the final end-to-end latency —
+    /// the invariant the span critical-path tests assert. Span recording
+    /// never draws randomness, so a disabled scope produces the same
+    /// result and stats as an enabled one.
     pub fn run_invocation(
         &self,
         policy: &RetryPolicy,
         invocation: u64,
         costs: &AttemptCosts,
         stats: &mut FaultStats,
-    ) -> InvocationResult {
-        self.run_invocation_traced(policy, invocation, costs, stats, &mut EventRing::disabled())
-    }
-
-    /// [`FaultPlan::run_invocation`] with lifecycle tracing: every fault
-    /// that strikes is recorded into `events` as a
-    /// [`EventKind::FaultDraw`] (timestamp = accumulated latency in µs,
-    /// `a` = fault-kind index into [`FaultKind::ALL`], `b` = attempt).
-    pub fn run_invocation_traced(
-        &self,
-        policy: &RetryPolicy,
-        invocation: u64,
-        costs: &AttemptCosts,
-        stats: &mut FaultStats,
-        events: &mut EventRing,
-    ) -> InvocationResult {
-        self.run_invocation_spanned(
-            policy,
-            invocation,
-            costs,
-            stats,
-            events,
-            &mut SpanScope::new(&mut SpanRing::disabled(), 0, 4),
-            0.0,
-        )
-    }
-
-    /// [`FaultPlan::run_invocation_traced`] with causal span emission:
-    /// each attempt's snapshot restore, execution and retry backoff is
-    /// recorded into `spans` as a child covering *exactly* the latency
-    /// window it contributed, offset by `base_ms` (the down-host wait the
-    /// caller already charged before the fault layer ran).
-    ///
-    /// Every boundary is computed as `base_ms + latency_ms` on the same
-    /// running float the result reports, so the children's tick durations
-    /// telescope to exactly the tick of the final end-to-end latency —
-    /// the invariant the span critical-path tests assert. Span recording
-    /// never draws randomness, so a disabled scope reproduces
-    /// [`FaultPlan::run_invocation`] bit-for-bit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_invocation_spanned(
-        &self,
-        policy: &RetryPolicy,
-        invocation: u64,
-        costs: &AttemptCosts,
-        stats: &mut FaultStats,
-        events: &mut EventRing,
         spans: &mut SpanScope<'_>,
         base_ms: f64,
     ) -> InvocationResult {
@@ -252,13 +220,6 @@ impl FaultPlan {
         let mut needs_spawn = costs.starts_cold || self.evicted_before(invocation);
         if !costs.starts_cold && needs_spawn {
             stats.evictions += 1;
-            events.record(Event {
-                ts: 0,
-                dur: 0,
-                kind: EventKind::FaultDraw,
-                a: fault_kind_index(FaultKind::MemoryPressureEviction),
-                b: 0,
-            });
         }
 
         let mut attempt: u64 = 0;
@@ -308,13 +269,6 @@ impl FaultPlan {
                         }
                         FaultKind::MemoryPressureEviction => {}
                     }
-                    events.record(Event {
-                        ts: (latency_ms * 1000.0) as u64,
-                        dur: 0,
-                        kind: EventKind::FaultDraw,
-                        a: fault_kind_index(kind),
-                        b: attempt,
-                    });
                     // A crash tears the instance down; the retry must
                     // spawn a fresh one.
                     if kind == FaultKind::InstanceCrash {
@@ -371,12 +325,6 @@ impl FaultPlan {
         }
         None
     }
-}
-
-/// Index of `kind` within [`FaultKind::ALL`] — the stable encoding used
-/// by [`EventKind::FaultDraw`] payloads.
-pub fn fault_kind_index(kind: FaultKind) -> u64 {
-    FaultKind::ALL.iter().position(|&k| k == kind).unwrap_or(0) as u64
 }
 
 /// Latency model for one invocation attempt, in milliseconds.
@@ -687,6 +635,26 @@ impl RetryBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use luke_obs::span::SpanRing;
+
+    /// [`FaultPlan::run_invocation`] with tracing off.
+    fn run_untraced(
+        plan: &FaultPlan,
+        policy: &RetryPolicy,
+        invocation: u64,
+        costs: &AttemptCosts,
+        stats: &mut FaultStats,
+    ) -> InvocationResult {
+        let mut off = SpanRing::disabled();
+        plan.run_invocation(
+            policy,
+            invocation,
+            costs,
+            stats,
+            &mut SpanScope::new(&mut off, 0, 0),
+            0.0,
+        )
+    }
 
     fn warm_costs() -> AttemptCosts {
         AttemptCosts {
@@ -712,7 +680,13 @@ mod tests {
     fn none_plan_invocation_is_fault_free_service_time() {
         let plan = FaultPlan::none();
         let mut stats = FaultStats::default();
-        let r = plan.run_invocation(&RetryPolicy::default(), 42, &warm_costs(), &mut stats);
+        let r = run_untraced(
+            &plan,
+            &RetryPolicy::default(),
+            42,
+            &warm_costs(),
+            &mut stats,
+        );
         assert!(r.completed);
         assert_eq!(r.attempts, 1);
         assert_eq!(r.latency_ms, 2.0);
@@ -777,7 +751,7 @@ mod tests {
         let costs = warm_costs();
         let mut saw_crash_then_complete = false;
         for n in 0..200 {
-            let r = plan.run_invocation(&policy, n, &costs, &mut stats);
+            let r = run_untraced(&plan, &policy, n, &costs, &mut stats);
             if r.completed && r.attempts > 1 {
                 // Retry after a crash must include the cold-start cost.
                 assert!(
@@ -808,7 +782,7 @@ mod tests {
         let policy = RetryPolicy::no_retry();
         let mut stats = FaultStats::default();
         let costs = warm_costs();
-        let r = plan.run_invocation(&policy, 0, &costs, &mut stats);
+        let r = run_untraced(&plan, &policy, 0, &costs, &mut stats);
         assert!(!r.completed);
         assert_eq!(r.latency_ms, costs.timeout_ms);
         assert_eq!(stats.timeouts, 1);
@@ -824,7 +798,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         let mut stats = FaultStats::default();
-        let r = plan.run_invocation(&policy, 0, &warm_costs(), &mut stats);
+        let r = run_untraced(&plan, &policy, 0, &warm_costs(), &mut stats);
         assert!(!r.completed);
         assert_eq!(r.attempts, 4);
 
@@ -835,7 +809,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         let mut stats = FaultStats::default();
-        let r = plan.run_invocation(&tight, 0, &warm_costs(), &mut stats);
+        let r = run_untraced(&plan, &tight, 0, &warm_costs(), &mut stats);
         assert!(!r.completed);
         assert!(r.attempts < 100);
     }
@@ -900,7 +874,7 @@ mod tests {
         .unwrap();
         let mut stats = FaultStats::default();
         let costs = warm_costs();
-        let r = plan.run_invocation(&RetryPolicy::no_retry(), 0, &costs, &mut stats);
+        let r = run_untraced(&plan, &RetryPolicy::no_retry(), 0, &costs, &mut stats);
         assert!(r.completed);
         assert_eq!(r.latency_ms, costs.cold_start_ms + costs.service_ms);
         assert_eq!(stats.evictions, 1);
@@ -914,7 +888,7 @@ mod tests {
         let run = || {
             let mut stats = FaultStats::default();
             let results: Vec<InvocationResult> = (0..500)
-                .map(|n| plan.run_invocation(&policy, n, &costs, &mut stats))
+                .map(|n| run_untraced(&plan, &policy, n, &costs, &mut stats))
                 .collect();
             (results, stats)
         };
@@ -925,53 +899,63 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_records_fault_draws() {
-        let plan = FaultPlan::new(
-            5,
-            FaultRates {
-                crash: 0.0,
-                timeout: 1.0,
-                cold_start_failure: 0.0,
-                memory_pressure: 0.0,
-            },
-        )
-        .unwrap();
-        let mut stats = FaultStats::default();
-        let mut events = EventRing::with_capacity(64);
-        let r = plan.run_invocation_traced(
-            &RetryPolicy::no_retry(),
-            0,
-            &warm_costs(),
-            &mut stats,
-            &mut events,
-        );
-        assert!(!r.completed);
-        if cfg!(feature = "obs_disabled") {
-            return;
+    fn fault_outcomes_are_span_payloads() {
+        // One plan per strike kind, each certain to strike the first
+        // attempt; a cold first attempt so the cold-start draw happens.
+        let only = |rates: FaultRates| FaultPlan::new(5, rates).unwrap();
+        let none = FaultRates::zero();
+        let cases = [
+            (
+                only(FaultRates {
+                    cold_start_failure: 1.0,
+                    ..none
+                }),
+                SpanKind::Restore,
+                1,
+            ),
+            (
+                only(FaultRates { crash: 1.0, ..none }),
+                SpanKind::Execute,
+                1,
+            ),
+            (
+                only(FaultRates {
+                    timeout: 1.0,
+                    ..none
+                }),
+                SpanKind::Execute,
+                2,
+            ),
+        ];
+        let costs = AttemptCosts {
+            starts_cold: true,
+            ..warm_costs()
+        };
+        for (plan, kind, outcome) in cases {
+            let mut ring = SpanRing::with_capacity(64);
+            let mut traced_stats = FaultStats::default();
+            let traced = plan.run_invocation(
+                &RetryPolicy::no_retry(),
+                0,
+                &costs,
+                &mut traced_stats,
+                &mut SpanScope::new(&mut ring, 0, 4),
+                0.0,
+            );
+            let mut plain_stats = FaultStats::default();
+            let plain = run_untraced(&plan, &RetryPolicy::no_retry(), 0, &costs, &mut plain_stats);
+            assert_eq!(traced, plain, "{kind:?}/{outcome}: scope changed the result");
+            assert_eq!(traced_stats, plain_stats, "{kind:?}/{outcome}: scope changed the stats");
+            assert!(!traced.completed);
+            if cfg!(feature = "obs_disabled") {
+                assert!(ring.is_empty());
+                continue;
+            }
+            // The struck attempt is the last span; its outcome payload
+            // names the fault.
+            let last = *ring.spans().last().expect("struck attempt recorded");
+            assert_eq!((last.kind, last.a, last.b), (kind, 0, outcome));
         }
-        let drawn = events.take_events();
-        assert_eq!(drawn.len(), 1);
-        assert_eq!(drawn[0].kind, EventKind::FaultDraw);
-        assert_eq!(
-            drawn[0].a,
-            fault_kind_index(FaultKind::InvocationTimeout)
-        );
-    }
-
-    #[test]
-    fn traced_and_plain_runs_agree() {
-        let plan = FaultPlan::new(23, FaultRates::uniform(0.3)).unwrap();
-        let policy = RetryPolicy::default();
-        let costs = warm_costs();
-        let mut s1 = FaultStats::default();
-        let mut s2 = FaultStats::default();
-        let mut events = EventRing::with_capacity(4096);
-        for n in 0..200 {
-            let a = plan.run_invocation(&policy, n, &costs, &mut s1);
-            let b = plan.run_invocation_traced(&policy, n, &costs, &mut s2, &mut events);
-            assert_eq!(a, b);
-        }
-        assert_eq!(s1, s2);
     }
 
     #[cfg(not(feature = "obs_disabled"))]
@@ -991,15 +975,7 @@ mod tests {
             let mut stats = FaultStats::default();
             let mut ring = SpanRing::with_capacity(256);
             let mut scope = SpanScope::new(&mut ring, n * 2, 4);
-            let r = plan.run_invocation_spanned(
-                &policy,
-                n,
-                &costs,
-                &mut stats,
-                &mut EventRing::disabled(),
-                &mut scope,
-                base,
-            );
+            let r = plan.run_invocation(&policy, n, &costs, &mut stats, &mut scope, base);
             // The children tile [base, base + latency) contiguously, so
             // their tick durations telescope to exactly the tick window.
             let sum: u64 = ring.spans().iter().map(|s| s.dur_us).sum();
@@ -1010,8 +986,9 @@ mod tests {
             );
             // And span emission never perturbs the simulated outcome.
             let mut plain_stats = FaultStats::default();
-            let plain = plan.run_invocation(&policy, n, &costs, &mut plain_stats);
+            let plain = run_untraced(&plan, &policy, n, &costs, &mut plain_stats);
             assert_eq!(plain, r);
+            assert_eq!(plain_stats, stats);
         }
     }
 

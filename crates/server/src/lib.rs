@@ -33,7 +33,7 @@ pub mod traffic;
 
 pub use admission::{AdmissionConfig, AdmissionControl, AdmissionDecision};
 pub use fault::{
-    fault_kind_index, AttemptCosts, FaultKind, FaultPlan, FaultRates, FaultStats,
+    AttemptCosts, FaultKind, FaultPlan, FaultRates, FaultStats,
     InvocationResult, RetryBudget, RetryPolicy,
 };
 pub use iat::IatDistribution;

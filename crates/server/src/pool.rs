@@ -397,9 +397,8 @@ impl InstancePool {
     }
 
     /// Evicts every warm instance at once — a host crash wipes the whole
-    /// pool. Each loss counts as a forced eviction. Returns how many
-    /// instances died.
-    pub fn evict_all(&mut self) -> usize {
+    /// pool. Each loss counts as a forced eviction.
+    pub fn evict_all(&mut self) {
         let died = self.ids.len();
         for slot in 0..died {
             self.retired_memory_ms +=
@@ -407,7 +406,6 @@ impl InstancePool {
         }
         self.truncate(0);
         self.evictions += died as u64;
-        died
     }
 
     /// Cold starts since pool creation.

@@ -28,6 +28,7 @@ use crate::experiments::workflow_slo::{self, WorkflowResult};
 use crate::runner::ExperimentParams;
 use luke_common::stats::percentile;
 use luke_common::table::TextTable;
+use luke_obs::span::{SpanRing, SpanScope};
 use server::{AttemptCosts, FaultPlan, FaultRates, FaultStats, RetryPolicy};
 use std::fmt;
 use workloads::workflow::Workflow;
@@ -234,7 +235,14 @@ fn simulate_mode(
             // Each (request, stage) is its own fault-plan invocation, so
             // stages draw independent fault streams.
             let invocation = req * stages + si as u64;
-            let r = plan.run_invocation(policy, invocation, &costs, &mut stats);
+            let r = plan.run_invocation(
+                policy,
+                invocation,
+                &costs,
+                &mut stats,
+                &mut SpanScope::new(&mut SpanRing::disabled(), 0, 0),
+                0.0,
+            );
             total_ms += r.latency_ms;
             if !r.completed {
                 completed = false;

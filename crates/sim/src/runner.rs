@@ -412,23 +412,23 @@ pub fn run(
 
 /// Result of an observed run: the usual summary plus the full metrics
 /// snapshot and (when a trace capacity was given) the last measured
-/// invocation's lifecycle events.
+/// invocation's lifecycle spans.
 #[derive(Clone, Debug)]
 pub struct ObsRun {
     /// The aggregate the plain [`run`] would have produced.
     pub summary: RunSummary,
     /// Deterministic metrics snapshot covering the measured invocations.
     pub registry: luke_obs::Snapshot,
-    /// Lifecycle events of the last measured invocation (empty when
-    /// `trace_capacity` was 0).
-    pub events: Vec<luke_obs::Event>,
+    /// Lifecycle spans of the last measured invocation, in cycles since
+    /// its dispatch (empty when `trace_capacity` was 0).
+    pub spans: Vec<luke_obs::Span>,
 }
 
 /// The measurement protocol of [`run`] with observability enabled: the
 /// per-invocation counters flow into a metrics registry, run-level gauges
 /// (CPI, MPKIs) and the prefetcher's internal telemetry are added at the
 /// end, and `trace_capacity > 0` additionally captures the last measured
-/// invocation's lifecycle event trace.
+/// invocation's lifecycle span trace.
 pub fn run_observed(
     config: &SystemConfig,
     profile: &FunctionProfile,
@@ -443,7 +443,7 @@ pub fn run_observed(
     }
     let mut pf = prefetcher.build_bounded(Some(sim.function().layout().address_span()));
     sim.enable_obs();
-    sim.set_event_capacity(trace_capacity);
+    sim.set_span_capacity(trace_capacity);
 
     let apply_state = |sim: &mut SystemSim| match spec.state {
         CacheState::Reference => {}
@@ -459,24 +459,24 @@ pub fn run_observed(
         } => sim.run_stressor(code_lines, data_lines),
     };
 
-    // Warm-up runs are not measured: drop their counters and events.
+    // Warm-up runs are not measured: drop their counters and spans.
     for _ in 0..params.warmup {
         apply_state(&mut sim);
         sim.run_invocation(pf.as_mut());
     }
     sim.registry_mut().clear();
-    sim.take_events();
+    sim.take_spans();
 
     let mut summary = RunSummary::default();
     for _ in 0..params.invocations {
         apply_state(&mut sim);
         // Keep only the last measured invocation's trace: a single
         // invocation is what the timeline exporter visualizes.
-        sim.take_events();
+        sim.take_spans();
         let m = sim.run_invocation(pf.as_mut());
         summary.add(&m);
     }
-    let events = sim.take_events();
+    let spans = sim.take_spans();
 
     pf.fill_registry(sim.registry_mut());
     let reg = sim.registry_mut();
@@ -494,7 +494,7 @@ pub fn run_observed(
     ObsRun {
         summary,
         registry: sim.registry().snapshot(),
-        events,
+        spans,
     }
 }
 
@@ -650,14 +650,15 @@ mod tests {
         // Jukebox contributes its replay telemetry.
         assert!(reg.counter("replay.entries") > 0);
         if cfg!(feature = "obs_disabled") {
-            assert!(observed.events.is_empty());
+            assert!(observed.spans.is_empty());
         } else {
-            use luke_obs::EventKind;
-            assert!(observed
-                .events
-                .iter()
-                .any(|e| e.kind == EventKind::Dispatch));
-            assert!(observed.events.iter().any(|e| e.kind == EventKind::Retire));
+            use luke_obs::SpanKind;
+            let spans = &observed.spans;
+            assert_eq!(spans.first().map(|s| s.kind), Some(SpanKind::Dispatch));
+            assert_eq!(spans.last().map(|s| s.kind), Some(SpanKind::Retire));
+            assert!(spans.iter().any(|s| s.kind == SpanKind::FetchStall));
+            // Only the last measured invocation's lane is kept.
+            assert!(spans.iter().all(|s| s.trace == spans[0].trace));
         }
     }
 
@@ -679,7 +680,7 @@ mod tests {
         let a = go();
         let b = go();
         assert_eq!(a.registry.to_json(), b.registry.to_json());
-        assert!(a.events.is_empty(), "capacity 0 traces nothing");
+        assert!(a.spans.is_empty(), "capacity 0 traces nothing");
     }
 
     #[test]

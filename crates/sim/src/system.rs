@@ -1,7 +1,7 @@
 //! One simulated system: core + memory + page table + function instance.
 
 use crate::config::SystemConfig;
-use luke_obs::{Event, Registry};
+use luke_obs::{Registry, Span};
 use sim_cpu::{Core, InvocationResult};
 use sim_mem::hierarchy::HierarchySnapshot;
 use sim_mem::prefetch::{InstructionPrefetcher, NoPrefetcher};
@@ -71,15 +71,15 @@ impl SystemSim {
         &mut self.registry
     }
 
-    /// Enables core lifecycle event tracing with the given ring capacity
-    /// (0 disables; see [`Core::set_event_capacity`]).
-    pub fn set_event_capacity(&mut self, capacity: usize) {
-        self.core.set_event_capacity(capacity);
+    /// Enables core lifecycle span tracing with the given ring capacity
+    /// (0 disables; see [`Core::set_span_capacity`]).
+    pub fn set_span_capacity(&mut self, capacity: usize) {
+        self.core.set_span_capacity(capacity);
     }
 
-    /// Drains the core's traced lifecycle events, oldest first.
-    pub fn take_events(&mut self) -> Vec<Event> {
-        self.core.take_events()
+    /// Drains the core's traced lifecycle spans, oldest first.
+    pub fn take_spans(&mut self) -> Vec<Span> {
+        self.core.take_spans()
     }
 
     /// The platform configuration.

@@ -1,9 +1,9 @@
 //! Proof of the fleet simulator's headline property: the worker-thread
 //! count is results-neutral. A 1-thread run and a 4-thread run of the
 //! same config produce bit-identical telemetry snapshots, latency
-//! histograms, per-host summaries, lifecycle traces, and exported
-//! JSON/CSV — with and without fault injection, and for every routing
-//! policy.
+//! histograms, per-host summaries, and exported JSON/CSV (span traces
+//! included, through the `fleet.spans` rows) — with and without fault
+//! injection, and for every routing policy.
 
 use lukewarm::fleet::{
     run_fleet, run_fleet_pair, AdmissionConfig, CalendarQueue, ChaosConfig, ColdStartModel,
@@ -17,13 +17,14 @@ use luke_obs::Export;
 use proptest::prelude::*;
 
 /// A 64-host sweep config — the same scale the `fleet_scale` bench uses
-/// to demonstrate the parallel speedup.
+/// to demonstrate the parallel speedup — tracing every 16th dispatch, so
+/// every export comparison covers a recorded span trace.
 fn sweep_config() -> FleetConfig {
     FleetConfig {
         hosts: 64,
         invocations: 64 * 500,
         population: 200,
-        events_capacity: 256,
+        trace_sample: 16,
         ..FleetConfig::default()
     }
 }
@@ -37,7 +38,6 @@ fn assert_bit_identical(a: &lukewarm::fleet::FleetRun, b: &lukewarm::fleet::Flee
     assert_eq!(a.snapshot.to_json(), b.snapshot.to_json(), "snapshot");
     assert_eq!(a.latency_us, b.latency_us, "latency histogram");
     assert_eq!(a.per_host, b.per_host, "per-host summaries");
-    assert_eq!(a.events.events(), b.events.events(), "lifecycle trace");
     assert_eq!(to_json(&a.datasets()), to_json(&b.datasets()), "JSON export");
     assert_eq!(to_csv(&a.datasets()), to_csv(&b.datasets()), "CSV export");
 }
@@ -56,6 +56,7 @@ fn four_threads_are_bit_identical_to_one_on_a_64_host_sweep() {
     )
     .expect("4-thread run");
     assert!(one.invocations > 0);
+    assert!(!one.spans.is_empty(), "the sweep records a span trace");
     assert_bit_identical(&one, &four);
 }
 
@@ -288,7 +289,7 @@ fn disabled_resilience_reproduces_the_plain_fleet_bit_for_bit() {
 
 /// A quick 2,048-host fleet with every event source live: seeded chaos
 /// crashes and degradation, hedged failover, predictive pre-warming with
-/// adaptive keep-alive, and lifecycle tracing — the worst case for the
+/// adaptive keep-alive, and span tracing — the worst case for the
 /// streaming producer + work-stealing pipeline, since keep-alive expiry,
 /// pre-restore, and chaos timers all flow through each host's calendar
 /// queue while workers steal shards out of order.
@@ -297,7 +298,7 @@ fn quick_scale_config() -> FleetConfig {
         hosts: 2_048,
         invocations: 2_048 * 8,
         population: 4_096,
-        events_capacity: 8,
+        trace_sample: 8,
         keep_alive_ms: 30_000.0,
         chaos: ChaosConfig {
             host_mtbf_ms: 20_000.0,

@@ -544,7 +544,7 @@ fn chrome_span_trace_pairs_every_hedge_flow() {
         .count();
     assert!(hedge_lanes > 0, "chaos with hedging must sample a hedged pair");
 
-    let doc = luke_obs::trace::chrome_trace_spans("fleet", &run.spans);
+    let doc = luke_obs::trace::chrome_trace_spans("fleet", "us", &run.spans);
     let v = parse(&doc).expect("span trace parses");
     let events = v.get("traceEvents").and_then(JsonValue::as_arr).unwrap();
     let phase_ids = |phase: &str| -> Vec<u64> {

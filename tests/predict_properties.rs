@@ -170,7 +170,7 @@ fn disabled_prewarm_reproduces_the_plain_fleet_bit_for_bit() {
         invocations: 8_000,
         population: 120,
         keep_alive_ms: 30_000.0,
-        events_capacity: 128,
+        trace_sample: 16,
         ..FleetConfig::default()
     };
     let model = ServiceModel::analytic(&paper_suite()).expect("paper suite is valid");

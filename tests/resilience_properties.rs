@@ -11,6 +11,7 @@ use lukewarm::mem::{HierarchyConfig, MemoryHierarchy, PageTable};
 use lukewarm::prelude::*;
 use lukewarm::server::{AttemptCosts, FaultPlan, FaultRates, FaultStats, RetryPolicy};
 use luke_common::addr::VirtAddr;
+use luke_obs::span::{SpanRing, SpanScope};
 use proptest::prelude::*;
 
 proptest! {
@@ -35,7 +36,11 @@ proptest! {
         let run = || {
             let mut stats = FaultStats::default();
             let results: Vec<_> = (0..200)
-                .map(|n| plan.run_invocation(&policy, n, &costs, &mut stats))
+                .map(|n| {
+                    let mut off = SpanRing::disabled();
+                    let mut scope = SpanScope::new(&mut off, 0, 0);
+                    plan.run_invocation(&policy, n, &costs, &mut stats, &mut scope, 0.0)
+                })
                 .collect();
             (results, stats)
         };
@@ -57,7 +62,14 @@ proptest! {
             timeout_ms: 250.0,
             starts_cold: false,
         };
-        let r = plan.run_invocation(&RetryPolicy::default(), invocation, &costs, &mut stats);
+        let r = plan.run_invocation(
+            &RetryPolicy::default(),
+            invocation,
+            &costs,
+            &mut stats,
+            &mut SpanScope::new(&mut SpanRing::disabled(), 0, 0),
+            0.0,
+        );
         prop_assert!(r.completed);
         prop_assert_eq!(r.attempts, 1);
         prop_assert_eq!(r.latency_ms, service_ms);

@@ -153,7 +153,7 @@ fn span_exports_are_byte_identical_across_thread_counts() {
     let m = model();
     let base = heavy_chaos_run();
     let json = luke_obs::export::to_json(&base.datasets());
-    let chrome = luke_obs::trace::chrome_trace_spans("fleet", &base.spans);
+    let chrome = luke_obs::trace::chrome_trace_spans("fleet", "us", &base.spans);
     for threads in [4, 16] {
         let config = FleetConfig {
             threads,
@@ -168,7 +168,7 @@ fn span_exports_are_byte_identical_across_thread_counts() {
         );
         assert_eq!(
             chrome,
-            luke_obs::trace::chrome_trace_spans("fleet", &run.spans),
+            luke_obs::trace::chrome_trace_spans("fleet", "us", &run.spans),
             "{threads} threads change the Chrome trace"
         );
     }
