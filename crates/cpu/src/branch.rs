@@ -29,6 +29,10 @@ impl Prediction {
     }
 }
 
+/// BTB tag of an empty entry. Never a branch pc: virtual addresses have
+/// [`VA_BITS`](luke_common::addr::VA_BITS) = 48 meaningful bits.
+const NO_BRANCH: u64 = u64::MAX;
+
 /// Saturating 2-bit counter helpers.
 fn counter_update(counter: &mut u8, taken: bool) {
     if taken {
@@ -42,13 +46,23 @@ fn counter_taken(counter: u8) -> bool {
     counter >= 2
 }
 
+/// The slot of `key` in a table of `1 << bits` entries: the low bits, the
+/// same as `key % table.len()` for a power-of-two length.
+fn table_index<T>(key: u64, table: &[T]) -> usize {
+    debug_assert!(table.len().is_power_of_two());
+    (key & (table.len() as u64 - 1)) as usize
+}
+
 /// The branch-prediction unit.
 #[derive(Clone, Debug)]
 pub struct BranchUnit {
     gshare: Vec<u8>,
     bimodal: Vec<u8>,
     chooser: Vec<u8>,
-    btb: Vec<Option<(u64, u64)>>, // (tag = pc, target)
+    /// BTB tags (the branch pc, [`NO_BRANCH`] if empty) and targets, as
+    /// two columns so a flush only clears the tags.
+    btb_pcs: Vec<u64>,
+    btb_targets: Vec<u64>,
     ras: Vec<VirtAddr>,
     ras_depth: usize,
     history: u64,
@@ -63,7 +77,8 @@ impl BranchUnit {
             gshare: vec![1; 1 << cfg.gshare_bits],
             bimodal: vec![1; 1 << cfg.bimodal_bits],
             chooser: vec![2; 1 << cfg.chooser_bits],
-            btb: vec![None; 1 << cfg.btb_bits],
+            btb_pcs: vec![NO_BRANCH; 1 << cfg.btb_bits],
+            btb_targets: vec![0; 1 << cfg.btb_bits],
             ras: Vec::with_capacity(cfg.ras_depth),
             ras_depth: cfg.ras_depth,
             history: 0,
@@ -124,9 +139,9 @@ impl BranchUnit {
 
     fn predict_conditional(&mut self, pc: VirtAddr, taken: bool, target: VirtAddr) -> Prediction {
         let pc_bits = pc.as_u64() >> 1;
-        let g_idx = ((pc_bits ^ self.history) % self.gshare.len() as u64) as usize;
-        let b_idx = (pc_bits % self.bimodal.len() as u64) as usize;
-        let c_idx = (pc_bits % self.chooser.len() as u64) as usize;
+        let g_idx = table_index(pc_bits ^ self.history, &self.gshare);
+        let b_idx = table_index(pc_bits, &self.bimodal);
+        let c_idx = table_index(pc_bits, &self.chooser);
 
         let g_pred = counter_taken(self.gshare[g_idx]);
         let b_pred = counter_taken(self.bimodal[b_idx]);
@@ -156,36 +171,27 @@ impl BranchUnit {
     }
 
     fn btb_index(&self, pc: VirtAddr) -> usize {
-        ((pc.as_u64() >> 1) % self.btb.len() as u64) as usize
+        table_index(pc.as_u64() >> 1, &self.btb_pcs)
     }
 
     fn btb_lookup(&self, pc: VirtAddr) -> Option<VirtAddr> {
         let idx = self.btb_index(pc);
-        match self.btb[idx] {
-            Some((tag, target)) if tag == pc.as_u64() => Some(VirtAddr::new(target)),
-            _ => None,
-        }
+        (self.btb_pcs[idx] == pc.as_u64()).then(|| VirtAddr::new(self.btb_targets[idx]))
     }
 
     fn btb_install(&mut self, pc: VirtAddr, target: VirtAddr) {
+        debug_assert_ne!(pc.as_u64(), NO_BRANCH, "pc collides with the empty BTB tag");
         let idx = self.btb_index(pc);
-        self.btb[idx] = Some((pc.as_u64(), target.as_u64()));
+        self.btb_pcs[idx] = pc.as_u64();
+        self.btb_targets[idx] = target.as_u64();
     }
 
     /// Clears all predictor state (the interleaving flush).
     pub fn flush(&mut self) {
-        for c in &mut self.gshare {
-            *c = 1;
-        }
-        for c in &mut self.bimodal {
-            *c = 1;
-        }
-        for c in &mut self.chooser {
-            *c = 2;
-        }
-        for e in &mut self.btb {
-            *e = None;
-        }
+        self.gshare.fill(1);
+        self.bimodal.fill(1);
+        self.chooser.fill(2);
+        self.btb_pcs.fill(NO_BRANCH);
         self.ras.clear();
         self.history = 0;
     }

@@ -195,15 +195,16 @@ impl Core {
     /// The prefetcher's `on_invocation_start` fires at dispatch (the OS
     /// replay trigger, §3.3); `on_fetch` fires for every demand
     /// instruction-line fetch; `on_invocation_end` fires at completion.
-    pub fn run_invocation<T>(
+    pub fn run_invocation<T, P>(
         &mut self,
         trace: T,
         mem: &mut MemoryHierarchy,
         page_table: &mut PageTable,
-        prefetcher: &mut dyn InstructionPrefetcher,
+        prefetcher: &mut P,
     ) -> InvocationResult
     where
         T: IntoIterator<Item = Instr>,
+        P: InstructionPrefetcher + ?Sized,
     {
         let start = self.now;
         let mut td = TopDown::new();
@@ -211,6 +212,7 @@ impl Core {
         let l1i_latency = mem.config().l1i.latency;
         let l1d_latency = mem.config().l1d.latency;
         let itlb_walk = mem.config().itlb.walk_latency;
+        let retire_cycles = 1.0 / self.cfg.issue_width as f64;
 
         // Replay trigger: the OS programs the replay registers as part of
         // dispatching the invocation; the engine streams in the background,
@@ -270,7 +272,7 @@ impl Core {
 
             // --- Execute / retire ---
             stats.instructions += 1;
-            self.advance_frac(1.0 / self.cfg.issue_width as f64, &mut td.retiring);
+            self.advance_frac(retire_cycles, &mut td.retiring);
             self.advance_frac(self.cfg.core_bound_per_instr, &mut td.backend);
 
             match instr.kind {
@@ -354,12 +356,12 @@ impl Core {
     /// Fetches one instruction line, charging exposed latency to
     /// fetch-latency and notifying the prefetcher.
     #[allow(clippy::too_many_arguments)]
-    fn fetch_line(
+    fn fetch_line<P: InstructionPrefetcher + ?Sized>(
         &mut self,
         line: LineAddr,
         mem: &mut MemoryHierarchy,
         page_table: &mut PageTable,
-        prefetcher: &mut dyn InstructionPrefetcher,
+        prefetcher: &mut P,
         pf_state: IssuerState,
         td: &mut TopDown,
         stats: &mut CoreStats,
@@ -446,9 +448,40 @@ impl Core {
     fn advance_frac(&mut self, cycles: f64, bucket: &mut f64) {
         *bucket += cycles;
         self.frac += cycles;
-        let whole = self.frac.floor();
-        self.now += whole as u64;
+        // Below one whole cycle the clock does not move (the floor is 0),
+        // which is the common case for per-instruction fractions.
+        if (0.0..1.0).contains(&self.frac) {
+            return;
+        }
+        let (whole, whole_cycles) = split_whole(self.frac);
+        self.now += whole_cycles;
         self.frac -= whole;
+    }
+}
+
+/// `(x.floor(), x.floor() as u64)`, without the libm call for the values
+/// the clock sees.
+///
+/// Per-instruction fractions are below one cycle, so a running fraction
+/// that reaches a whole cycle is almost always below two, where the floor
+/// is 1. For `2 <= x < 2^63` the truncating cast to `i64` is exact and
+/// rounds toward zero, which is the floor of a positive value; the whole
+/// part of an `f64` is itself an `f64`, so casting it back loses nothing,
+/// and a positive `i64` casts to the same `u64` as the float would.
+/// Anything else takes `floor` itself: values below one (which
+/// `Core::advance_frac` never passes) and negative, NaN, infinite or huge
+/// values (which only a bad configuration produces), so every input
+/// behaves exactly as before.
+fn split_whole(x: f64) -> (f64, u64) {
+    const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+    if (1.0..2.0).contains(&x) {
+        (1.0, 1)
+    } else if (2.0..TWO_POW_63).contains(&x) {
+        let whole = x as i64;
+        (whole as f64, whole as u64)
+    } else {
+        let whole = x.floor();
+        (whole, whole as u64)
     }
 }
 
@@ -730,6 +763,78 @@ mod tests {
         );
         assert!(core.spans().is_empty());
         assert_eq!(core.spans().total_recorded(), 0);
+    }
+
+    /// `advance_frac` as it was: a libm `floor` on every call.
+    fn floor_advance(now: &mut u64, frac: &mut f64, cycles: f64) {
+        *frac += cycles;
+        let whole = frac.floor();
+        *now += whole as u64;
+        *frac -= whole;
+    }
+
+    fn assert_split_is_floor(x: f64) {
+        let (whole, cycles) = split_whole(x);
+        assert_eq!(whole.to_bits(), x.floor().to_bits(), "whole part of {x}");
+        assert_eq!(cycles, x.floor() as u64, "whole cycles of {x}");
+    }
+
+    #[test]
+    fn split_whole_matches_floor_at_the_edges() {
+        let p = |e: i32| 2f64.powi(e);
+        for x in [
+            0.0,
+            -0.0,
+            0.5,
+            1.0 - f64::EPSILON,
+            1.0,
+            2.0 - f64::EPSILON,
+            2.0,
+            7.999,
+            p(52) + 0.5,
+            p(53),
+            p(63) - 1024.0,
+            p(63),
+            p(64),
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            -0.5,
+            -3.0,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_split_is_floor(x);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn split_whole_matches_floor(unit in 0.0f64..1.0, exponent in 0i32..70) {
+            assert_split_is_floor(unit * 2f64.powi(exponent));
+        }
+
+        #[test]
+        fn advance_frac_matches_the_floor_form(
+            steps in proptest::collection::vec((0.0f64..1.0, 0usize..5), 1..500),
+        ) {
+            let mut core = Core::new(CoreConfig::skylake_like());
+            let (mut now, mut frac, mut bucket) = (0u64, 0.0f64, 0.0f64);
+            for &(unit, kind) in &steps {
+                // The configured per-instruction and per-branch fractions,
+                // or a random amount at one of a few magnitudes.
+                let cycles = match kind {
+                    0 => [0.25, 0.35, 0.4, 6.0][(unit * 4.0) as usize],
+                    k => unit * [1.0, 2.0, 8.0, 1e6][k - 1],
+                };
+                core.advance_frac(cycles, &mut bucket);
+                floor_advance(&mut now, &mut frac, cycles);
+                proptest::prop_assert_eq!(core.now, now);
+                proptest::prop_assert_eq!(core.frac.to_bits(), frac.to_bits());
+            }
+        }
     }
 
     #[test]

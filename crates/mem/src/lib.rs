@@ -36,6 +36,7 @@
 pub mod cache;
 pub mod config;
 pub mod dram;
+mod fast_hash;
 pub mod hierarchy;
 pub mod mshr;
 pub mod page_table;

@@ -8,15 +8,26 @@
 //! single instance's mapping is stable across invocations (warm instances
 //! stay memory-resident; providers disable swap, §2.2).
 
+use crate::fast_hash::FastMap;
 use luke_common::addr::{LineAddr, PhysAddr, VirtAddr, LINES_PER_PAGE, PAGE_BYTES};
-use std::collections::HashMap;
 
 /// Number of physical pages reserved per process arena. Large enough for
 /// any synthetic function (code + data + metadata) while keeping arenas
 /// disjoint.
 const ARENA_PAGES: u64 = 1 << 20; // 4GB of address space per process
 
+/// Entries of the direct-mapped memo of recent translations.
+const MEMO_ENTRIES: usize = 64;
+
+/// Memo key of an empty entry; never a page number (pages of a 64-bit
+/// address space stay below 2^52).
+const NO_PAGE: u64 = u64::MAX;
+
 /// A demand-allocating page table for one process.
+///
+/// A small direct-mapped memo of `(vpage, frame)` pairs sits in front of
+/// the map. A mapping never changes once made, so a memo hit is always
+/// the map's answer.
 ///
 /// # Examples
 ///
@@ -32,7 +43,8 @@ const ARENA_PAGES: u64 = 1 << 20; // 4GB of address space per process
 #[derive(Clone, Debug)]
 pub struct PageTable {
     process_id: u64,
-    map: HashMap<u64, u64>,
+    map: FastMap<u64, u64>,
+    memo: [(u64, u64); MEMO_ENTRIES],
     next_frame: u64,
 }
 
@@ -42,7 +54,8 @@ impl PageTable {
     pub fn new(process_id: u64) -> Self {
         PageTable {
             process_id,
-            map: HashMap::new(),
+            map: FastMap::default(),
+            memo: [(NO_PAGE, 0); MEMO_ENTRIES],
             next_frame: process_id * ARENA_PAGES,
         }
     }
@@ -66,9 +79,20 @@ impl PageTable {
     }
 
     fn frame_of(&mut self, vpage: u64) -> u64 {
-        if let Some(&frame) = self.map.get(&vpage) {
-            return frame;
+        let slot = vpage as usize % MEMO_ENTRIES;
+        let (memo_page, memo_frame) = self.memo[slot];
+        if memo_page == vpage {
+            return memo_frame;
         }
+        let frame = match self.map.get(&vpage) {
+            Some(&frame) => frame,
+            None => self.allocate(vpage),
+        };
+        self.memo[slot] = (vpage, frame);
+        frame
+    }
+
+    fn allocate(&mut self, vpage: u64) -> u64 {
         let frame = self.next_frame;
         assert!(
             frame < (self.process_id + 1) * ARENA_PAGES,

@@ -5,6 +5,11 @@ use luke_common::SimError;
 use sim_cpu::CoreConfig;
 use sim_mem::HierarchyConfig;
 
+/// Largest log2 size of a branch-predictor or BTB table: 16M entries,
+/// far above Table 1's 8K-entry BTB, and small enough that `1 << bits`
+/// cannot overflow or exhaust memory.
+const MAX_TABLE_BITS: u32 = 24;
+
 /// A complete platform configuration: core, memory system and the Jukebox
 /// parameters appropriate for it.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -69,6 +74,41 @@ impl SystemConfig {
                 "core.fetch_bytes_per_cycle",
                 "must be at least 1",
             ));
+        }
+        // The core's clock takes whole cycles out of these fractions with
+        // a fast path that assumes finite, non-negative amounts.
+        for (field, cycles) in [
+            ("core.core_bound_per_instr", self.core.core_bound_per_instr),
+            ("core.redirect_bubble", self.core.redirect_bubble),
+            ("core.taken_branch_bubble", self.core.taken_branch_bubble),
+        ] {
+            if !(cycles >= 0.0 && cycles.is_finite()) {
+                return Err(SimError::invalid_config(
+                    field,
+                    format!("must be non-negative and finite, got {cycles}"),
+                ));
+            }
+        }
+        if self.core.ras_depth == 0 {
+            return Err(SimError::invalid_config(
+                "core.ras_depth",
+                "must be at least 1",
+            ));
+        }
+        for (field, bits) in [
+            ("core.gshare_bits", self.core.gshare_bits),
+            ("core.bimodal_bits", self.core.bimodal_bits),
+            ("core.chooser_bits", self.core.chooser_bits),
+            ("core.btb_bits", self.core.btb_bits),
+        ] {
+            if bits > MAX_TABLE_BITS {
+                return Err(SimError::invalid_config(
+                    field,
+                    format!(
+                        "a table of 2^{bits} entries is too large (at most 2^{MAX_TABLE_BITS})"
+                    ),
+                ));
+            }
         }
         self.mem.validate()?;
         self.jukebox.try_validate()?;
@@ -145,6 +185,39 @@ mod tests {
         let mut c = SystemConfig::skylake();
         c.jukebox.crrb_entries = 0;
         assert!(format!("{}", c.validate().unwrap_err()).contains("jukebox.crrb_entries"));
+
+        type CoreEdit = fn(&mut sim_cpu::CoreConfig);
+        let core_rows: [(&str, CoreEdit); 10] = [
+            ("core.core_bound_per_instr", |c| {
+                c.core_bound_per_instr = -0.1
+            }),
+            ("core.core_bound_per_instr", |c| {
+                c.core_bound_per_instr = f64::NAN
+            }),
+            ("core.redirect_bubble", |c| {
+                c.redirect_bubble = f64::INFINITY
+            }),
+            ("core.taken_branch_bubble", |c| c.taken_branch_bubble = -1.0),
+            ("core.ras_depth", |c| c.ras_depth = 0),
+            ("core.gshare_bits", |c| c.gshare_bits = 64),
+            ("core.bimodal_bits", |c| c.bimodal_bits = MAX_TABLE_BITS + 1),
+            ("core.chooser_bits", |c| c.chooser_bits = 40),
+            ("core.btb_bits", |c| c.btb_bits = 31),
+            ("core.btb_bits", |c| c.btb_bits = u32::MAX),
+        ];
+        for (field, edit) in core_rows {
+            let mut c = SystemConfig::skylake();
+            edit(&mut c.core);
+            let err = c.validate().unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidConfig { field: ref f, .. } if f == field),
+                "{field}: {err}"
+            );
+        }
+        let mut c = SystemConfig::skylake();
+        c.core.btb_bits = MAX_TABLE_BITS;
+        c.core.redirect_bubble = 0.0;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

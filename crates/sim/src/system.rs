@@ -136,9 +136,9 @@ impl SystemSim {
 
     /// Runs the next invocation (indices advance monotonically, so each
     /// invocation gets its own stochastic variation).
-    pub fn run_invocation(
+    pub fn run_invocation<P: InstructionPrefetcher + ?Sized>(
         &mut self,
-        prefetcher: &mut dyn InstructionPrefetcher,
+        prefetcher: &mut P,
     ) -> InvocationMetrics {
         let trace = self.function.invocation_trace(self.next_invocation);
         self.next_invocation += 1;
