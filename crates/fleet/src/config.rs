@@ -184,6 +184,7 @@ impl FleetConfig {
         // validation.
         InstancePool::try_new(self.keep_alive_ms)?;
         server::FaultPlan::new(self.seed, self.fault_rates)?;
+        self.retry.validate()?;
         self.snapshot_timings.validate()?;
         self.chaos.validate()?;
         self.health.validate()?;

@@ -22,6 +22,7 @@ use server::{
     InvocationResult, RetryPolicy,
 };
 
+use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
 use crate::chaos::{HostSchedule, HostState};
@@ -87,6 +88,79 @@ pub struct HedgeOutcome {
     pub class: StartClass,
 }
 
+/// One host's pre-warm state, present only when prediction is enabled
+/// (`None` takes the exact fixed-keep-alive code path).
+#[derive(Clone, Debug)]
+struct HostPrewarm {
+    /// Predictive pre-warm / adaptive keep-alive policy bank.
+    bank: PredictorBank,
+    /// Per function: the simulated time a pending pre-restored instance
+    /// becomes ready, while one is waiting untouched for its predicted
+    /// arrival.
+    ready: Vec<Option<f64>>,
+    /// Most recent observed restore (or boot) cost per function, ms —
+    /// the lead time pre-warms are back-dated by.
+    last_restore_ms: Vec<f64>,
+    /// Per function: the scheduled time of the valid pre-warm timer, if
+    /// any. Each model observation *replaces* the function's pending
+    /// pre-restore, so updating this key is what cancels a stale timer
+    /// still sitting in the queue.
+    pending: Vec<Option<f64>>,
+    /// Pre-restores actually spawned ahead of a predicted arrival.
+    spawns: u64,
+    /// Arrivals that landed on a pre-warmed instance.
+    hits: u64,
+}
+
+impl HostPrewarm {
+    /// The host's pre-warm state, or `None` with prediction off.
+    fn new(config: &FleetConfig) -> Option<Self> {
+        config.prewarm.enabled.then(|| HostPrewarm {
+            bank: PredictorBank::new(config.prewarm, config.population, config.keep_alive_ms),
+            ready: vec![None; config.population],
+            // Until a restore is observed, pre-warms are back-dated by
+            // the flat boot cost — the only estimate available cold.
+            last_restore_ms: vec![config.cold_start_ms; config.population],
+            pending: vec![None; config.population],
+            spawns: 0,
+            hits: 0,
+        })
+    }
+}
+
+/// One invocation's state as it moves through the host's stages (see
+/// [`FleetHost::process_scoped`]). Each stage reads what the earlier
+/// ones decided and fills in its own part.
+struct Invocation<'s, 'r> {
+    routed: RoutedInvocation,
+    /// Where this invocation's spans record (disabled when unsampled).
+    scope: &'s mut SpanScope<'r>,
+    /// Suite profile that prices the function.
+    profile: usize,
+    /// Host-local sequence number: keys the fault and jitter streams.
+    seq: u64,
+    /// The function's retry-budget tokens at arrival (0 when unlimited).
+    tokens: f64,
+    /// Attempts allowed in total, reconnects and fault retries alike.
+    allowed_attempts: u64,
+    /// Time spent reconnecting to a down host, ms.
+    down_wait_ms: f64,
+    /// Reconnects spent against a down host.
+    down_retries: u64,
+    /// Admission's memory-pressure rung: restore by lazy paging.
+    degrade_restore: bool,
+    /// Whether no live instance was found (or it was just evicted).
+    starts_cold: bool,
+    /// How the instance was found.
+    class: StartClass,
+    /// Execution time, ms.
+    service_ms: f64,
+    /// Boot or restore time a spawn pays, ms.
+    cold_start_ms: f64,
+    /// Whether an instance crash struck during execution.
+    crashed: bool,
+}
+
 /// One host's complete simulation state.
 #[derive(Clone, Debug)]
 pub struct FleetHost {
@@ -144,29 +218,17 @@ pub struct FleetHost {
     series_slo_ms: f64,
     /// Admission controller (present only when enabled).
     admission: Option<AdmissionControl>,
-    /// Per-function retry-budget token buckets (empty when unlimited).
-    retry_tokens: Vec<f64>,
+    /// Per-function retry-budget token buckets (present only when the
+    /// budget is limited).
+    retry_tokens: Option<Vec<f64>>,
     /// Seed for down-host reconnect backoff jitter.
     chaos_seed: u64,
     /// Whether any resilience knob is on — gates the resilience series
     /// so disabled runs export byte-identical telemetry.
     resilient: bool,
-    /// Predictive pre-warm / adaptive keep-alive policy bank (present
-    /// only when prediction is enabled; `None` takes the exact
-    /// fixed-keep-alive code path).
-    prewarm: Option<PredictorBank>,
-    /// Per function: the simulated time a pending pre-restored instance
-    /// becomes ready, while one is waiting untouched for its predicted
-    /// arrival. Empty when prediction is disabled.
-    prewarm_ready: Vec<Option<f64>>,
-    /// Most recent observed restore (or boot) cost per function, ms —
-    /// the lead time pre-warms are back-dated by. Empty when prediction
-    /// is disabled.
-    last_restore_ms: Vec<f64>,
-    /// Pre-restores actually spawned ahead of a predicted arrival.
-    pub prewarm_spawns: u64,
-    /// Arrivals that landed on a pre-warmed instance.
-    pub prewarm_hits: u64,
+    /// Pre-warm and adaptive keep-alive state (present only when
+    /// prediction is enabled).
+    prewarm: Option<HostPrewarm>,
     /// The host's private calendar queue: keep-alive expiries,
     /// adaptive-decay re-checks, and pre-warm timers, drained at each
     /// arrival boundary (see [`crate::event`]).
@@ -179,11 +241,6 @@ pub struct FleetHost {
     /// so at most one expiry entry per function does work. Zero-encoded
     /// for the same lazily-faulted construction as `live`.
     expiry_queued: Vec<f64>,
-    /// Per function: the scheduled time of the valid pre-warm timer, if
-    /// any. Each model observation *replaces* the function's pending
-    /// pre-restore, so updating this key is what cancels a stale timer
-    /// still sitting in the queue. Empty when prediction is disabled.
-    prewarm_pending: Vec<Option<f64>>,
     /// Cross-function page sharing and contention state (present only
     /// when some tenancy knob is on; `None` takes the exact pre-tenancy
     /// code path).
@@ -193,16 +250,18 @@ pub struct FleetHost {
 /// Per-host span-ring capacity: generous enough that no sampled trace is
 /// ever overwritten, even if routing skews every sampled dispatch (and
 /// its hedge copy) onto one host. The ring allocates lazily, so the
-/// bound is free until spans actually record.
+/// bound is free until spans actually record. Saturating: a huge
+/// attempt cap must not wrap the bound small.
 fn span_capacity(config: &FleetConfig) -> usize {
     if config.trace_sample == 0 {
         return 0;
     }
     // Worst case per lane: a restore + execute + backoff per attempt,
     // plus reconnects, the admission verdict and the root.
-    let per_lane = (3 * config.retry.max_attempts + 8) as usize;
+    let per_lane = config.retry.max_attempts.saturating_mul(3).saturating_add(8);
+    let per_lane = usize::try_from(per_lane).unwrap_or(usize::MAX);
     let sampled = config.invocations / config.trace_sample as usize + 1;
-    sampled * 2 * per_lane
+    sampled.saturating_mul(2).saturating_mul(per_lane)
 }
 
 /// The paper suite's page working sets, built once per process and
@@ -282,24 +341,10 @@ impl FleetHost {
             .admission
             .enabled
             .then(|| AdmissionControl::new(config.admission, priorities.to_vec()));
-        let retry_tokens = if config.retry_budget.is_limited() {
-            vec![config.retry_budget.initial_tokens(); config.population]
-        } else {
-            Vec::new()
-        };
-        let prewarm = config.prewarm.enabled.then(|| {
-            PredictorBank::new(config.prewarm, config.population, config.keep_alive_ms)
-        });
-        let (prewarm_ready, last_restore_ms) = if config.prewarm.enabled {
-            // Until a restore is observed, pre-warms are back-dated by
-            // the flat boot cost — the only estimate available cold.
-            (
-                vec![None; config.population],
-                vec![config.cold_start_ms; config.population],
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let budget = &config.retry_budget;
+        let retry_tokens = budget
+            .is_limited()
+            .then(|| vec![budget.initial_tokens(); config.population]);
         FleetHost {
             host_id,
             pool,
@@ -331,18 +376,9 @@ impl FleetHost {
                 .split(host_id as u64)
                 .seed(),
             resilient: config.resilience_enabled(),
-            prewarm,
-            prewarm_ready,
-            last_restore_ms,
-            prewarm_spawns: 0,
-            prewarm_hits: 0,
+            prewarm: HostPrewarm::new(config),
             timers: CalendarQueue::new(),
             expiry_queued: vec![0.0; config.population],
-            prewarm_pending: if config.prewarm.enabled {
-                vec![None; config.population]
-            } else {
-                Vec::new()
-            },
             tenancy: HostTenancy::new(config),
         }
     }
@@ -356,7 +392,9 @@ impl FleetHost {
         {
             self.pool.evict_all();
             self.live.fill(0);
-            self.prewarm_ready.fill(None);
+            if let Some(prewarm) = self.prewarm.as_mut() {
+                prewarm.ready.fill(None);
+            }
             if let Some(tenancy) = self.tenancy.as_mut() {
                 tenancy.clear_resident();
             }
@@ -367,16 +405,10 @@ impl FleetHost {
 
     /// Records one invocation's terminal accounting: totals, and the
     /// histogram or hedge-outcome side list.
-    fn retire(
-        &mut self,
-        routed: RoutedInvocation,
-        function: usize,
-        latency_ms: f64,
-        completed: bool,
-        class: StartClass,
-    ) -> f64 {
+    fn retire(&mut self, inv: &Invocation, latency_ms: f64, completed: bool) -> f64 {
+        let (routed, class) = (inv.routed, inv.class);
         self.invocations += 1;
-        self.fn_invocations[function] += 1;
+        self.fn_invocations[routed.function] += 1;
         if routed.hedge {
             // Hedge copies report through the side list; the merge joins
             // the pair and records the winner (histogram and series).
@@ -403,9 +435,9 @@ impl FleetHost {
     }
 
     /// Takes (and clears) the pending-prewarm ready time for `function`.
-    /// Always `None` when prediction is disabled (the vector is empty).
+    /// Always `None` when prediction is disabled.
     fn take_prewarm_ready(&mut self, function: usize) -> Option<f64> {
-        self.prewarm_ready.get_mut(function).and_then(Option::take)
+        self.prewarm.as_mut().and_then(|prewarm| prewarm.ready[function].take())
     }
 
     /// Shareable pages of `function` already resident on this host —
@@ -427,9 +459,18 @@ impl FleetHost {
         }
     }
 
-    /// Releases a torn-down instance's page registration. No-op with
-    /// tenancy off (and guarded against double-release inside).
-    fn tenancy_release(&mut self, function: usize) {
+    /// Tears down `function`'s live instance `id`: expired at
+    /// `expired_at` (residency credited through that deadline) or, with
+    /// `None`, forcibly evicted. The function is left with no live
+    /// instance, no pending pre-warm ready time and no page registration
+    /// (release is guarded against double-release inside).
+    fn drop_instance(&mut self, function: usize, id: u64, expired_at: Option<f64>) {
+        match expired_at {
+            Some(deadline_ms) => self.pool.expire_with_deadline(id, deadline_ms),
+            None => self.pool.evict(id),
+        };
+        self.set_live(function, None);
+        self.take_prewarm_ready(function);
         if let Some(tenancy) = self.tenancy.as_mut() {
             tenancy.release(function);
         }
@@ -452,26 +493,23 @@ impl FleetHost {
     /// under prediction, the pool's global window otherwise.
     fn hold_for(&self, function: usize) -> f64 {
         match &self.prewarm {
-            Some(bank) => bank.holds()[function],
+            Some(prewarm) => prewarm.bank.holds()[function],
             None => self.pool.keep_alive_ms(),
         }
     }
 
-    /// Registers `deadline_ms` as `function`'s expiry deadline. If an
-    /// entry that fires no later is already queued, only the deadline
-    /// moves — the queued entry re-checks the idle predicate when it
-    /// fires and re-arms itself at the true deadline, so a hot function
-    /// keeps a single long-lived entry instead of one per invocation.
-    fn schedule_expiry(&mut self, function: usize, deadline_ms: f64) {
+    /// Registers `deadline_ms` as `function`'s expiry deadline, queued as
+    /// a `kind` entry. If an entry that fires no later is already
+    /// queued, only the deadline moves — the queued entry re-checks the
+    /// idle predicate when it fires and re-arms itself at the true
+    /// deadline, so a hot function keeps a single long-lived entry
+    /// instead of one per invocation.
+    fn schedule_expiry(&mut self, function: usize, deadline_ms: f64, kind: FleetEventKind) {
         let queued = self.expiry_queued[function];
         if queued == 0.0 || queued > deadline_ms {
             self.expiry_queued[function] = deadline_ms;
-            self.timers.push(
-                deadline_ms,
-                self.host_id as u32,
-                FleetEventKind::KeepAliveExpiry,
-                function as u32,
-            );
+            self.timers
+                .push(deadline_ms, self.host_id as u32, kind, function as u32);
         }
     }
 
@@ -484,16 +522,7 @@ impl FleetHost {
         let Some(id) = self.live_id(function) else { return };
         let Some(last) = self.pool.last_invoked_ms(id) else { return };
         let deadline = last + self.hold_for(function);
-        let queued = self.expiry_queued[function];
-        if queued == 0.0 || queued > deadline {
-            self.expiry_queued[function] = deadline;
-            self.timers.push(
-                deadline,
-                self.host_id as u32,
-                FleetEventKind::AdaptiveDecay,
-                function as u32,
-            );
-        }
+        self.schedule_expiry(function, deadline, FleetEventKind::AdaptiveDecay);
     }
 
     /// Pops and fires every timer due at the arrival boundary `at`: all
@@ -540,20 +569,27 @@ impl FleetHost {
             return;
         }
         self.expiry_queued[function] = 0.0;
-        let Some(id) = self.live_id(function) else { return };
+        if let Some(deadline_ms) = self.expire_if_lapsed(function, at) {
+            self.schedule_expiry(function, deadline_ms, FleetEventKind::KeepAliveExpiry);
+        }
+    }
+
+    /// Expires `function`'s live instance if it will have lapsed by `at`
+    /// under the hold in force, crediting residency through its
+    /// deadline. Returns the deadline of an instance that survives, or
+    /// `None` when the function is left with no live instance.
+    fn expire_if_lapsed(&mut self, function: usize, at: f64) -> Option<f64> {
+        let id = self.live_id(function)?;
         let Some(last) = self.pool.last_invoked_ms(id) else {
             self.set_live(function, None);
-            return;
+            return None;
         };
         let hold = self.hold_for(function);
         if at - last > hold {
-            self.pool.expire_with_deadline(id, last + hold);
-            self.set_live(function, None);
-            self.take_prewarm_ready(function);
-            self.tenancy_release(function);
-        } else {
-            self.schedule_expiry(function, last + hold);
+            self.drop_instance(function, id, Some(last + hold));
+            return None;
         }
+        Some(last + hold)
     }
 
     /// A pre-warm timer popped at its scheduled time `t_pre` while
@@ -565,44 +601,31 @@ impl FleetHost {
     /// `t_pre`, leaving its ready time behind so an arrival that beats
     /// the restore pays the residual wait.
     fn fire_prewarm(&mut self, function: usize, t_pre: f64, at: f64) {
-        if self.prewarm_pending.get(function).copied().flatten() != Some(t_pre) {
+        let Some(prewarm) = self.prewarm.as_mut() else { return };
+        if prewarm.pending[function] != Some(t_pre) {
             return;
         }
-        self.prewarm_pending[function] = None;
-        if let Some(id) = self.live_id(function) {
-            match self.pool.last_invoked_ms(id) {
-                Some(last) => {
-                    let hold = self.hold_for(function);
-                    if at - last > hold {
-                        self.pool.expire_with_deadline(id, last + hold);
-                        self.set_live(function, None);
-                        self.take_prewarm_ready(function);
-                        self.tenancy_release(function);
-                    } else {
-                        // The instance survived after all (e.g. the hold
-                        // was raised by a later observation): nothing to
-                        // pre-warm.
-                        return;
-                    }
-                }
-                None => self.set_live(function, None),
-            }
+        prewarm.pending[function] = None;
+        if self.expire_if_lapsed(function, at).is_some() {
+            // The instance survived after all (e.g. the hold was raised
+            // by a later observation): nothing to pre-warm.
+            return;
         }
         let resident = self.tenancy_resident(function);
         let (id, restore_ms) = self.pool.spawn_restored_shared(function, t_pre, resident);
         self.tenancy_register(function, id);
-        // Without a snapshot store the pre-boot still takes the flat
-        // cold-start time before the instance is ready.
-        let cost_ms = if self.pool.snapshots().is_some() {
-            restore_ms
-        } else {
-            self.last_restore_ms[function]
-        };
         self.set_live(function, Some(id));
-        self.prewarm_ready[function] = Some(t_pre + cost_ms);
-        self.last_restore_ms[function] = cost_ms;
-        self.prewarm_spawns += 1;
-        self.schedule_expiry(function, t_pre + self.hold_for(function));
+        let snapshots = self.pool.snapshots().is_some();
+        if let Some(prewarm) = self.prewarm.as_mut() {
+            // Without a snapshot store the pre-boot still takes the flat
+            // cold-start time before the instance is ready.
+            let cost_ms = if snapshots { restore_ms } else { prewarm.last_restore_ms[function] };
+            prewarm.ready[function] = Some(t_pre + cost_ms);
+            prewarm.last_restore_ms[function] = cost_ms;
+            prewarm.spawns += 1;
+        }
+        let deadline_ms = t_pre + self.hold_for(function);
+        self.schedule_expiry(function, deadline_ms, FleetEventKind::KeepAliveExpiry);
     }
 
     /// Processes one routed invocation and returns its end-to-end
@@ -617,25 +640,19 @@ impl FleetHost {
         // The span ring leaves `self` for the duration so the recording
         // scope can borrow it while the host mutates its own state.
         let mut spans = std::mem::take(&mut self.spans);
-        let out = {
-            let mut off = SpanRing::disabled();
-            let ring = if config.samples(routed.dispatch) {
-                &mut spans
-            } else {
-                &mut off
-            };
-            let mut scope = SpanScope::new(
-                ring,
-                trace_id(routed.dispatch, routed.duplicate),
-                HOST_SPAN_FIRST_ID,
-            );
-            self.process_scoped(config, model, jukebox, routed, &mut scope)
-        };
+        let mut off = SpanRing::disabled();
+        let ring = if config.samples(routed.dispatch) { &mut spans } else { &mut off };
+        let trace = trace_id(routed.dispatch, routed.duplicate);
+        let mut scope = SpanScope::new(ring, trace, HOST_SPAN_FIRST_ID);
+        let latency_ms = self.process_scoped(config, model, jukebox, routed, &mut scope);
         self.spans = spans;
-        out
+        latency_ms
     }
 
-    /// [`FleetHost::process`] with an explicit span-recording scope.
+    /// [`FleetHost::process`] with an explicit span-recording scope: a
+    /// fixed sequence of stages over one invocation's context. A stage
+    /// that ends the invocation early (abandonment on a down host, a
+    /// shed) breaks with the latency to report.
     fn process_scoped(
         &mut self,
         config: &FleetConfig,
@@ -644,262 +661,302 @@ impl FleetHost {
         routed: RoutedInvocation,
         scope: &mut SpanScope<'_>,
     ) -> f64 {
-        let at = routed.at_ms;
-        let function = routed.function;
-        let profile = function % model.functions();
-        let invocation = self.invocations;
+        let mut inv = self.arrive(config, model, routed, scope);
+        if let ControlFlow::Break(latency_ms) = self.connect(config, &mut inv) {
+            return latency_ms;
+        }
+        self.observe(&inv);
+        if let ControlFlow::Break(latency_ms) = self.admit(&mut inv) {
+            return latency_ms;
+        }
+        self.start(model, jukebox, &mut inv);
+        self.stretch(config, &mut inv);
+        let result = self.execute(config, &mut inv);
+        self.settle(config, &mut inv, result)
+    }
 
-        self.apply_crash_boundaries(at);
-
-        // Hedge copies are duplicate load, not arrivals: the merge
-        // records the joined pair once, so only plain copies count here.
+    /// Opens the invocation's context: counts the arrival in the series
+    /// (hedge copies are duplicate load, not arrivals — the merge
+    /// records the joined pair once) and reads the retry allowance.
+    fn arrive<'s, 'r>(
+        &mut self,
+        config: &FleetConfig,
+        model: &ServiceModel,
+        routed: RoutedInvocation,
+        scope: &'s mut SpanScope<'r>,
+    ) -> Invocation<'s, 'r> {
         if !routed.hedge {
-            self.series.record_arrival(at);
+            self.series.record_arrival(routed.at_ms);
         }
-
-        // The retry budget caps how many attempts this invocation may
-        // spend in total — reconnects against a down host and fault-layer
-        // retries draw from the same allowance.
         let budget = &config.retry_budget;
-        let tokens = if budget.is_limited() {
-            self.retry_tokens[function]
-        } else {
-            0.0
-        };
-        let allowed_attempts = budget.allowed_attempts(tokens, config.retry.max_attempts);
-
-        // Down-window: the connection fails outright. Retry with bounded
-        // exponential backoff until the host is back or the allowance is
-        // spent. Jitter comes from a per-invocation split stream, so the
-        // wait is a pure function of (seed, host, invocation).
-        let mut down_wait_ms = 0.0;
-        let mut down_retries = 0u64;
-        if !self.schedule.is_none() && self.schedule.state_at(at) == HostState::Down {
-            let mut rng = DetRng::new(self.chaos_seed).split(invocation);
-            // Right edge of each reconnect wait, kept only while a span
-            // scope is live so the tiling can be emitted afterwards.
-            let mut edges: Vec<f64> = Vec::new();
-            while down_retries + 1 < allowed_attempts
-                && self.schedule.state_at(at + down_wait_ms) == HostState::Down
-            {
-                down_retries += 1;
-                down_wait_ms += config.retry.bounded_backoff_ms(down_retries, &mut rng);
-                if scope.is_enabled() {
-                    edges.push(down_wait_ms);
-                }
-            }
-            let still_down = self.schedule.state_at(at + down_wait_ms) == HostState::Down;
-            // Reconnect spans tile [0, down_wait) exactly; the last one
-            // is flagged when the wait ended in abandonment.
-            let mut prev = 0.0;
-            for (i, &edge) in edges.iter().enumerate() {
-                let last = i + 1 == edges.len();
-                scope.child(
-                    SpanKind::Reconnect,
-                    prev,
-                    edge,
-                    (i + 1) as u64,
-                    u64::from(still_down && last),
-                );
-                prev = edge;
-            }
-            if still_down {
-                // Still down with nothing left to spend: abandoned
-                // without ever executing.
-                self.down_retries += down_retries;
-                self.down_failures += 1;
-                self.fault_stats.abandoned += 1;
-                if budget.is_limited() {
-                    let mut t = tokens;
-                    budget.settle(&mut t, down_retries, false);
-                    self.retry_tokens[function] = t;
-                }
-                scope.root(down_wait_ms, self.host_id as u64, tick_us(at));
-                return self.retire(routed, function, down_wait_ms, false, StartClass::Cold);
-            }
-            self.down_retries += down_retries;
+        let tokens = self.retry_tokens.as_ref().map_or(0.0, |t| t[routed.function]);
+        Invocation {
+            routed,
+            scope,
+            profile: routed.function % model.functions(),
+            seq: self.invocations,
+            tokens,
+            allowed_attempts: budget.allowed_attempts(tokens, config.retry.max_attempts),
+            down_wait_ms: 0.0,
+            down_retries: 0,
+            degrade_restore: false,
+            starts_cold: false,
+            // An invocation abandoned before `start` reports as cold.
+            class: StartClass::Cold,
+            service_ms: 0.0,
+            // Until `start` prices it, a spawn costs the flat boot time.
+            cold_start_ms: config.cold_start_ms,
+            crashed: false,
         }
+    }
 
-        // Fire every timer due at this arrival boundary — keep-alive
-        // expiries retire idle instances with the same deadline credit
-        // the lazy sweep used to charge, and pre-restores spawn
-        // back-dated instances — all in calendar order. Every live
-        // instance keeps a queued expiry entry at or before its true
-        // deadline, so the drain alone reproduces the old per-arrival
-        // sweep's strict `at − last > hold` predicate exactly.
+    /// Stage 1, connect: applies chaos crash boundaries; on a host in a
+    /// down window, retries the connection with bounded exponential
+    /// backoff until the host is back or the allowance is spent, and
+    /// breaks with the wait as latency if it never came back. Jitter
+    /// comes from a per-invocation split stream, so the wait is a pure
+    /// function of (seed, host, invocation). A no-op without chaos.
+    fn connect(&mut self, config: &FleetConfig, inv: &mut Invocation) -> ControlFlow<f64> {
+        let at = inv.routed.at_ms;
+        self.apply_crash_boundaries(at);
+        if self.schedule.is_none() || self.schedule.state_at(at) != HostState::Down {
+            return ControlFlow::Continue(());
+        }
+        let mut rng = DetRng::new(self.chaos_seed).split(inv.seq);
+        let down_at = |wait_ms: f64| self.schedule.state_at(at + wait_ms) == HostState::Down;
+        // Reconnect spans tile [0, down_wait) exactly; the last one is
+        // flagged when the wait ends in abandonment — the allowance is
+        // spent and the host is still down.
+        while inv.down_retries + 1 < inv.allowed_attempts && down_at(inv.down_wait_ms) {
+            let from_ms = inv.down_wait_ms;
+            inv.down_retries += 1;
+            inv.down_wait_ms += config.retry.bounded_backoff_ms(inv.down_retries, &mut rng);
+            if inv.scope.is_enabled() {
+                let spent = inv.down_retries + 1 >= inv.allowed_attempts;
+                let flag = u64::from(spent && down_at(inv.down_wait_ms));
+                let (to_ms, retry) = (inv.down_wait_ms, inv.down_retries);
+                inv.scope.child(SpanKind::Reconnect, from_ms, to_ms, retry, flag);
+            }
+        }
+        self.down_retries += inv.down_retries;
+        if !down_at(inv.down_wait_ms) {
+            return ControlFlow::Continue(());
+        }
+        // Still down with nothing left to spend: abandoned without ever
+        // executing.
+        self.down_failures += 1;
+        self.fault_stats.abandoned += 1;
+        self.settle_budget(config, inv, inv.down_retries, false);
+        inv.scope.root(inv.down_wait_ms, self.host_id as u64, tick_us(at));
+        ControlFlow::Break(self.retire(inv, inv.down_wait_ms, false))
+    }
+
+    /// Stage 2, observe: fires every timer due at this arrival boundary
+    /// in calendar order — keep-alive expiries retire idle instances with
+    /// the deadline credit the lazy sweep used to charge, pre-restores
+    /// spawn back-dated instances — then shows the arrival to the
+    /// predictor. Every live instance keeps a queued expiry entry at or
+    /// before its true deadline, so the drain alone reproduces the old
+    /// per-arrival sweep's strict `at − last > hold` predicate exactly.
+    /// Without prediction only the drain runs.
+    fn observe(&mut self, inv: &Invocation) {
+        let (at, function) = (inv.routed.at_ms, inv.routed.function);
         self.drain_timers(at);
-
-        if let Some(bank) = self.prewarm.as_mut() {
-            let restore_est = self.last_restore_ms[function];
-            let scheduled = bank.observe(function, at, restore_est);
-            // Each observation replaces the function's pending
-            // pre-restore; moving the key cancels any stale timer still
-            // in the queue.
-            self.prewarm_pending[function] = scheduled;
-            if let Some(t_pre) = scheduled {
-                self.timers.push(
-                    t_pre,
-                    self.host_id as u32,
-                    FleetEventKind::PrewarmTimer,
-                    function as u32,
-                );
-            }
+        let Some(prewarm) = self.prewarm.as_mut() else { return };
+        let scheduled = prewarm
+            .bank
+            .observe(function, at, prewarm.last_restore_ms[function]);
+        // Each observation replaces the function's pending pre-restore;
+        // moving the key cancels any stale timer still in the queue.
+        prewarm.pending[function] = scheduled;
+        if let Some(t_pre) = scheduled {
+            let (host, function) = (self.host_id as u32, function as u32);
+            self.timers.push(t_pre, host, FleetEventKind::PrewarmTimer, function);
         }
+    }
 
-        // Admission ladder: shed before any pool state is touched.
-        let mut degrade_restore = false;
-        if let Some(ctl) = self.admission.as_mut() {
-            let verdict = match ctl.decide(at, function, self.pool.warm_count()) {
-                AdmissionDecision::Admit => 0,
-                AdmissionDecision::AdmitDegraded => {
-                    degrade_restore = true;
-                    1
-                }
-                AdmissionDecision::Shed => 2,
-            };
-            scope.instant(SpanKind::Admission, down_wait_ms, verdict, 0);
-            if verdict == 2 {
-                if !routed.hedge {
-                    self.series.record_shed(at);
-                }
-                // The observation above may have tightened this
-                // function's hold without an invocation to re-key it.
-                self.resync_expiry(function);
-                // A shed invocation never executes: its root covers only
-                // the reconnect wait it burned getting here.
-                scope.root(down_wait_ms, self.host_id as u64, tick_us(at));
-                return 0.0;
+    /// Stage 3, admit: the admission ladder decides before any pool
+    /// state is touched. A degraded admit marks the restore for lazy
+    /// paging; a shed breaks with latency 0, since the invocation never
+    /// executes. Every arrival passes without admission control.
+    fn admit(&mut self, inv: &mut Invocation) -> ControlFlow<f64> {
+        let Some(ctl) = self.admission.as_mut() else {
+            return ControlFlow::Continue(());
+        };
+        let (at, function) = (inv.routed.at_ms, inv.routed.function);
+        let verdict = match ctl.decide(at, function, self.pool.warm_count()) {
+            AdmissionDecision::Admit => 0,
+            AdmissionDecision::AdmitDegraded => {
+                inv.degrade_restore = true;
+                1
             }
+            AdmissionDecision::Shed => 2,
+        };
+        inv.scope.instant(SpanKind::Admission, inv.down_wait_ms, verdict, 0);
+        if verdict != 2 {
+            return ControlFlow::Continue(());
         }
+        if !inv.routed.hedge {
+            self.series.record_shed(at);
+        }
+        // The observation may have tightened this function's hold
+        // without an invocation to re-key it.
+        self.resync_expiry(function);
+        // A shed invocation's root covers only the reconnect wait it
+        // burned getting here.
+        inv.scope.root(inv.down_wait_ms, self.host_id as u64, tick_us(at));
+        ControlFlow::Break(0.0)
+    }
 
+    /// Stage 4, start: the idle-gap eviction draw, then the start's
+    /// classification and price — a cold boot or restore, an arrival
+    /// on a pre-warmed instance, or a warm hit priced by its
+    /// interleaving degree.
+    fn start(&mut self, model: &ServiceModel, jukebox: bool, inv: &mut Invocation) {
+        let function = inv.routed.function;
         // A memory-pressure eviction during the idle gap takes the warm
         // instance away before the invocation lands. The fault plan only
         // draws (and counts) this on warm starts, so when we act on it
         // here — evicting from the pool and flipping to a cold start —
         // we take over the bookkeeping it would have done.
-        let mut starts_cold = self.live[function] == 0;
         if let Some(id) = self.live_id(function) {
-            if self.faults.evicted_before(invocation) {
-                self.pool.evict(id);
-                self.set_live(function, None);
-                self.take_prewarm_ready(function);
-                self.tenancy_release(function);
+            if self.faults.evicted_before(inv.seq) {
+                self.drop_instance(function, id, None);
                 self.fault_stats.evictions += 1;
-                starts_cold = true;
             }
         }
-
-        // Under `Instant` the cold start is a full boot priced by the
-        // flat config knob; the snapshot models replace it with the
-        // restore cost of bringing the working set back (lazy faults or
-        // a REAP prefetch of the recorded pages).
-        let mut cold_start_ms = config.cold_start_ms;
-        let mut class = StartClass::Cold;
-        let mut service_ms = if starts_cold {
-            let (id, restore_ms) = if degrade_restore && self.pool.snapshots().is_some() {
-                // Memory-pressure rung: restore by lazy paging instead
-                // of a prefetch burst the pressured host can't afford.
-                // Pays the full page count — a pressured host can't
-                // count on co-resident sharing either.
-                let spawned = self.pool.spawn_restored_degraded(function, at);
-                if let Some(ctl) = self.admission.as_mut() {
-                    ctl.note_degraded_restore();
-                }
-                spawned
-            } else {
-                // Pages already resident from co-located same-language
-                // instances come off the restore bill (0 resident — the
-                // disabled path — prices identically to pre-tenancy).
-                let resident = self.tenancy_resident(function);
-                self.pool.spawn_restored_shared(function, at, resident)
-            };
-            self.tenancy_register(function, id);
-            if self.pool.snapshots().is_some() {
-                cold_start_ms = restore_ms;
-            }
-            if self.prewarm.is_some() {
-                // Keep the pre-warm lead-time estimate tracking the
-                // restore model's actual pricing.
-                self.last_restore_ms[function] = cold_start_ms;
-            }
-            self.pool.invoke(id, at);
-            self.set_live(function, Some(id));
-            self.cold_starts += 1;
-            // A fresh container has nothing resident: full penalty, and
-            // Jukebox has no prior invocation to replay.
-            model.service_ms(profile, 1.0, false)
-        } else if let Some(ready_ms) = self.take_prewarm_ready(function) {
-            // The arrival landed on an instance pre-restored ahead of
-            // it. Memory is up (no boot, no restore burst on the
-            // critical path — only the residual wait if the arrival
-            // beat the restore), but nothing is cache-resident from a
-            // *prior invocation*: microarchitecturally this is the
-            // paper's lukewarm case at full interleaving penalty, and
-            // Jukebox replays the snapshot's recorded history.
-            let id = self.live_id(function).expect("prewarmed path has a live id");
-            self.pool.invoke(id, at).expect("live id is in the pool");
-            self.lukewarm_hits += 1;
-            self.prewarm_hits += 1;
-            class = StartClass::Lukewarm;
-            self.degree_sum += 1.0;
-            (ready_ms - at).max(0.0) + model.service_ms(profile, 1.0, jukebox)
+        inv.starts_cold = self.live[function] == 0;
+        // Taken on every path, so no ready time outlives this stage. (A
+        // ready time only ever sits beside a live instance, so a cold
+        // start finds none.)
+        let prewarm_ready = self.take_prewarm_ready(function);
+        inv.service_ms = if inv.starts_cold {
+            self.start_cold(model, inv)
+        } else if let Some(ready_ms) = prewarm_ready {
+            self.start_prewarmed(model, jukebox, inv, ready_ms)
         } else {
-            let id = self.live_id(function).expect("warm path has a live id");
-            let gap_ms = self.pool.invoke(id, at).expect("live id is in the pool");
-            let elapsed_sec = at / 1000.0;
-            let other_per_sec = if elapsed_sec > 0.0 {
-                let host_rate = self.invocations as f64 / elapsed_sec;
-                let own_rate = self.fn_invocations[function] as f64 / elapsed_sec;
-                (host_rate - own_rate).max(0.0)
-            } else {
-                0.0
-            };
-            let degree = model.degree(other_per_sec, gap_ms);
-            if degree >= model.lukewarm_threshold {
-                self.lukewarm_hits += 1;
-                class = StartClass::Lukewarm;
-            } else {
-                self.warm_hits += 1;
-                class = StartClass::Warm;
-            }
-            self.degree_sum += degree;
-            model.service_ms(profile, degree, jukebox)
+            self.start_warm(model, jukebox, inv)
         };
+    }
 
-        // A degraded host is up but slow: thermal throttling or a noisy
-        // neighbour stretches execution, not queueing or restores.
+    /// A cold start: spawns a fresh instance and returns its service
+    /// time. Under `Instant` the spawn is a full boot priced by the flat
+    /// config knob; the snapshot models replace it with the restore cost
+    /// of bringing the working set back (lazy faults or a REAP prefetch
+    /// of the recorded pages). A fresh container has nothing resident:
+    /// full penalty, and Jukebox has no prior invocation to replay.
+    fn start_cold(&mut self, model: &ServiceModel, inv: &mut Invocation) -> f64 {
+        let (at, function) = (inv.routed.at_ms, inv.routed.function);
+        let (id, restore_ms) = if inv.degrade_restore && self.pool.snapshots().is_some() {
+            // Memory-pressure rung: restore by lazy paging instead of a
+            // prefetch burst the pressured host can't afford. Pays the
+            // full page count — a pressured host can't count on
+            // co-resident sharing either.
+            let spawned = self.pool.spawn_restored_degraded(function, at);
+            if let Some(ctl) = self.admission.as_mut() {
+                ctl.note_degraded_restore();
+            }
+            spawned
+        } else {
+            // Pages already resident from co-located same-language
+            // instances come off the restore bill (0 resident — the
+            // disabled path — prices identically to pre-tenancy).
+            let resident = self.tenancy_resident(function);
+            self.pool.spawn_restored_shared(function, at, resident)
+        };
+        self.tenancy_register(function, id);
+        if self.pool.snapshots().is_some() {
+            inv.cold_start_ms = restore_ms;
+        }
+        if let Some(prewarm) = self.prewarm.as_mut() {
+            // Keep the pre-warm lead-time estimate tracking the restore
+            // model's actual pricing.
+            prewarm.last_restore_ms[function] = inv.cold_start_ms;
+        }
+        self.pool.invoke(id, at);
+        self.set_live(function, Some(id));
+        self.cold_starts += 1;
+        inv.class = StartClass::Cold;
+        model.service_ms(inv.profile, 1.0, false)
+    }
+
+    /// An arrival on an instance pre-restored ahead of it. Memory is up
+    /// (no boot, no restore burst on the critical path — only the
+    /// residual wait if the arrival beat the restore), but nothing is
+    /// cache-resident from a *prior invocation*: microarchitecturally
+    /// this is the paper's lukewarm case at full interleaving penalty,
+    /// and Jukebox replays the snapshot's recorded history.
+    fn start_prewarmed(
+        &mut self,
+        model: &ServiceModel,
+        jukebox: bool,
+        inv: &mut Invocation,
+        ready_ms: f64,
+    ) -> f64 {
+        let (at, function) = (inv.routed.at_ms, inv.routed.function);
+        let id = self.live_id(function).expect("prewarmed path has a live id");
+        self.pool.invoke(id, at).expect("live id is in the pool");
+        self.lukewarm_hits += 1;
+        if let Some(prewarm) = self.prewarm.as_mut() {
+            prewarm.hits += 1;
+        }
+        inv.class = StartClass::Lukewarm;
+        self.degree_sum += 1.0;
+        (ready_ms - at).max(0.0) + model.service_ms(inv.profile, 1.0, jukebox)
+    }
+
+    /// A warm hit: the gap since the instance's last invocation and the
+    /// host's cross-traffic rate give the interleaving degree, which
+    /// classifies the hit as warm or lukewarm and prices it.
+    fn start_warm(&mut self, model: &ServiceModel, jukebox: bool, inv: &mut Invocation) -> f64 {
+        let (at, function) = (inv.routed.at_ms, inv.routed.function);
+        let id = self.live_id(function).expect("warm path has a live id");
+        let gap_ms = self.pool.invoke(id, at).expect("live id is in the pool");
+        let elapsed_sec = at / 1000.0;
+        let other_per_sec = if elapsed_sec > 0.0 {
+            let host_rate = self.invocations as f64 / elapsed_sec;
+            let own_rate = self.fn_invocations[function] as f64 / elapsed_sec;
+            (host_rate - own_rate).max(0.0)
+        } else {
+            0.0
+        };
+        let degree = model.degree(other_per_sec, gap_ms);
+        if degree >= model.lukewarm_threshold {
+            self.lukewarm_hits += 1;
+            inv.class = StartClass::Lukewarm;
+        } else {
+            self.warm_hits += 1;
+            inv.class = StartClass::Warm;
+        }
+        self.degree_sum += degree;
+        model.service_ms(inv.profile, degree, jukebox)
+    }
+
+    /// Stage 5, stretch: a degraded host (chaos) is up but slow —
+    /// thermal throttling or a noisy neighbour stretches execution, not
+    /// queueing or restores. Registered working sets crowding the host's
+    /// memory (contention) slow every page access, execution and restore
+    /// faults alike, by the contention curve's continuous factor.
+    /// Without chaos and tenancy nothing changes.
+    fn stretch(&mut self, config: &FleetConfig, inv: &mut Invocation) {
+        let at = inv.routed.at_ms;
         if !self.schedule.is_none() && self.schedule.state_at(at) == HostState::Degraded {
-            service_ms *= config.chaos.degrade_slowdown;
+            inv.service_ms *= config.chaos.degrade_slowdown;
         }
-
-        // Co-residency pressure: when the registered working sets crowd
-        // the host's memory capacity, every page access — execution and
-        // restore faults alike — slows by the contention curve's factor.
-        // A continuous penalty, not a binary cliff.
-        if let Some(tenancy) = self.tenancy.as_mut() {
-            let slowdown = tenancy.slowdown();
-            if slowdown > 1.0 {
-                let before = service_ms + if starts_cold { cold_start_ms } else { 0.0 };
-                service_ms *= slowdown;
-                cold_start_ms *= slowdown;
-                let after = service_ms + if starts_cold { cold_start_ms } else { 0.0 };
-                tenancy.note_slowed(after - before);
-            }
+        let Some(tenancy) = self.tenancy.as_mut() else { return };
+        let slowdown = tenancy.slowdown();
+        if slowdown > 1.0 {
+            let before = inv.service_ms + if inv.starts_cold { inv.cold_start_ms } else { 0.0 };
+            inv.service_ms *= slowdown;
+            inv.cold_start_ms *= slowdown;
+            let after = inv.service_ms + if inv.starts_cold { inv.cold_start_ms } else { 0.0 };
+            tenancy.note_slowed(after - before);
         }
+    }
 
-        let costs = AttemptCosts {
-            service_ms,
-            cold_start_ms,
-            timeout_ms: config.timeout_ms,
-            starts_cold,
-        };
-        // Reconnect retries already spent their share of the allowance;
-        // the fault layer gets what is left (always ≥ 1 attempt here).
-        let policy = RetryPolicy {
-            max_attempts: allowed_attempts - down_retries,
-            ..config.retry
-        };
-        let crashes_before = self.fault_stats.crashes;
+    /// Stage 6, execute: the fault layer's attempt loop, given what the
+    /// reconnects left of the allowance (always ≥ 1 attempt here).
+    fn execute(&mut self, config: &FleetConfig, inv: &mut Invocation) -> InvocationResult {
         // Fast path: with the fault plan disabled nothing can strike (no
         // eviction, crash, timeout, or retry — none of their streams are
         // even drawn), and with the span scope disabled no child spans
@@ -907,36 +964,54 @@ impl FleetHost {
         // clean attempt; replicate it here without the attempt loop.
         // `0.0 + x == x` bit-exactly for the non-negative costs involved,
         // so the summed latency matches the layer's running accumulator.
-        let result = if !self.faults.is_enabled() && !scope.is_enabled() {
+        if !self.faults.is_enabled() && !inv.scope.is_enabled() {
             self.fault_stats.completed += 1;
-            InvocationResult {
-                latency_ms: (if starts_cold { costs.cold_start_ms } else { 0.0 })
-                    + costs.service_ms,
+            let boot_ms = if inv.starts_cold { inv.cold_start_ms } else { 0.0 };
+            return InvocationResult {
+                latency_ms: boot_ms + inv.service_ms,
                 attempts: 1,
                 completed: true,
-            }
-        } else {
-            self.faults.run_invocation(
-                &policy,
-                invocation,
-                &costs,
-                &mut self.fault_stats,
-                scope,
-                down_wait_ms,
-            )
+            };
+        }
+        let costs = AttemptCosts {
+            service_ms: inv.service_ms,
+            cold_start_ms: inv.cold_start_ms,
+            timeout_ms: config.timeout_ms,
+            starts_cold: inv.starts_cold,
         };
+        let policy = RetryPolicy {
+            max_attempts: inv.allowed_attempts - inv.down_retries,
+            ..config.retry
+        };
+        let crashes_before = self.fault_stats.crashes;
+        let stats = &mut self.fault_stats;
+        let (seq, base_ms) = (inv.seq, inv.down_wait_ms);
+        let result = self.faults.run_invocation(&policy, seq, &costs, stats, inv.scope, base_ms);
+        inv.crashed = self.fault_stats.crashes > crashes_before;
+        result
+    }
 
+    /// Stage 7, settle: repairs the pool after a crash, re-keys the live
+    /// instance's keep-alive expiry, settles the retry budget, commits
+    /// the latency to admission control, closes the span tree and
+    /// retires the invocation.
+    fn settle(
+        &mut self,
+        config: &FleetConfig,
+        inv: &mut Invocation,
+        result: InvocationResult,
+    ) -> f64 {
+        let (at, function) = (inv.routed.at_ms, inv.routed.function);
         // Crashes tear the instance down. If the retry layer recovered,
         // its final attempt ran on a fresh spawn; reflect that in the
         // pool. If it gave up, the function has no live instance left.
-        let crashed = self.fault_stats.crashes > crashes_before;
         if let Some(id) = self.live_id(function) {
-            if crashed || !result.completed {
-                self.pool.evict(id);
-                self.set_live(function, None);
-                self.tenancy_release(function);
+            if inv.crashed || !result.completed {
+                // `start` already took any pre-warm ready time, so the
+                // teardown's take is a no-op here.
+                self.drop_instance(function, id, None);
             }
-            if crashed && result.completed {
+            if inv.crashed && result.completed {
                 let fresh = self.pool.spawn(function, at);
                 self.pool.invoke(fresh, at);
                 self.set_live(function, Some(fresh));
@@ -946,25 +1021,31 @@ impl FleetHost {
         // Whatever instance is live now was just invoked at `at`: re-key
         // its keep-alive deadline under the hold in force.
         if self.live[function] != 0 {
-            self.schedule_expiry(function, at + self.hold_for(function));
+            let deadline_ms = at + self.hold_for(function);
+            self.schedule_expiry(function, deadline_ms, FleetEventKind::KeepAliveExpiry);
         }
-
         let fault_retries = result.attempts.saturating_sub(1);
         self.retries += fault_retries;
-        if budget.is_limited() {
-            let mut t = tokens;
-            budget.settle(&mut t, down_retries + fault_retries, result.completed);
-            self.retry_tokens[function] = t;
-        }
-        let latency_ms = down_wait_ms + result.latency_ms;
+        self.settle_budget(config, inv, inv.down_retries + fault_retries, result.completed);
+        let latency_ms = inv.down_wait_ms + result.latency_ms;
         if let Some(ctl) = self.admission.as_mut() {
             ctl.commit(at, function, latency_ms);
         }
         // The root's tick duration equals the histogram's recorded value
         // exactly (same float, same rounding), and the children tiled
         // every contributing window — exact critical-path attribution.
-        scope.root(latency_ms, self.host_id as u64, tick_us(at));
-        self.retire(routed, function, latency_ms, result.completed, class)
+        inv.scope.root(latency_ms, self.host_id as u64, tick_us(at));
+        self.retire(inv, latency_ms, result.completed)
+    }
+
+    /// Settles `retries` spent attempts against the invocation's retry
+    /// budget (a no-op when the budget is unlimited).
+    fn settle_budget(&mut self, config: &FleetConfig, inv: &Invocation, retries: u64, done: bool) {
+        if let Some(tokens) = self.retry_tokens.as_mut() {
+            let mut level = inv.tokens;
+            config.retry_budget.settle(&mut level, retries, done);
+            tokens[inv.routed.function] = level;
+        }
     }
 
     /// Warm hits of either temperature.
@@ -991,21 +1072,35 @@ impl FleetHost {
     /// prediction is on, the global keep-alive otherwise). Read-only —
     /// see [`server::InstancePool::residency_ms_through`].
     pub fn memory_ms_through(&self, end_ms: f64) -> f64 {
-        self.pool
-            .residency_ms_through(end_ms, self.prewarm.as_ref().map(|b| b.holds()))
+        self.pool.residency_ms_through(
+            end_ms,
+            self.prewarm.as_ref().map(|prewarm| prewarm.bank.holds()),
+        )
     }
 
     /// Pre-restores the policy bank scheduled (0 when prediction is
     /// off; scheduled ≥ spawned, since a raised hold cancels a pending
     /// pre-warm).
     pub fn prewarms_scheduled(&self) -> u64 {
-        self.prewarm.as_ref().map_or(0, |b| b.prewarms_scheduled())
+        self.prewarm.as_ref().map_or(0, |prewarm| prewarm.bank.prewarms_scheduled())
+    }
+
+    /// Pre-restores actually spawned ahead of a predicted arrival (0
+    /// when prediction is off).
+    pub fn prewarm_spawns(&self) -> u64 {
+        self.prewarm.as_ref().map_or(0, |prewarm| prewarm.spawns)
+    }
+
+    /// Arrivals that landed on a pre-warmed instance (0 when prediction
+    /// is off).
+    pub fn prewarm_hits(&self) -> u64 {
+        self.prewarm.as_ref().map_or(0, |prewarm| prewarm.hits)
     }
 
     /// Arrivals processed while a tightened (below-cap) adaptive hold
     /// was in force (0 when prediction is off).
     pub fn early_decays(&self) -> u64 {
-        self.prewarm.as_ref().map_or(0, |b| b.early_decays())
+        self.prewarm.as_ref().map_or(0, |prewarm| prewarm.bank.early_decays())
     }
 
     /// The admission controller, when admission control is enabled.
@@ -1044,11 +1139,11 @@ impl FleetHost {
         }
         // The prediction series only exist when the policy is on — a
         // disabled run must export byte-identical telemetry.
-        if let Some(bank) = &self.prewarm {
-            registry.counter_add("predict.prewarms_scheduled", bank.prewarms_scheduled());
-            registry.counter_add("predict.prewarm_spawns", self.prewarm_spawns);
-            registry.counter_add("predict.prewarm_hits", self.prewarm_hits);
-            registry.counter_add("predict.early_decays", bank.early_decays());
+        if let Some(prewarm) = &self.prewarm {
+            registry.counter_add("predict.prewarms_scheduled", prewarm.bank.prewarms_scheduled());
+            registry.counter_add("predict.prewarm_spawns", prewarm.spawns);
+            registry.counter_add("predict.prewarm_hits", prewarm.hits);
+            registry.counter_add("predict.early_decays", prewarm.bank.early_decays());
         }
         // The tenancy series only exist when some tenancy knob is on —
         // a disabled run must export byte-identical telemetry.
@@ -1283,9 +1378,9 @@ mod tests {
         }
         assert_eq!(plain.cold_starts, 40);
         assert!(
-            warm.prewarm_hits > 30,
+            warm.prewarm_hits() > 30,
             "prewarm hits {} of 40 arrivals",
-            warm.prewarm_hits
+            warm.prewarm_hits()
         );
         assert!(warm.cold_starts < 10, "cold starts {}", warm.cold_starts);
         assert!(
@@ -1303,8 +1398,8 @@ mod tests {
         for i in 0..200 {
             host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 25.0, i % 10));
         }
-        assert_eq!(host.prewarm_spawns, 0);
-        assert_eq!(host.prewarm_hits, 0);
+        assert_eq!(host.prewarm_spawns(), 0);
+        assert_eq!(host.prewarm_hits(), 0);
         assert_eq!(host.prewarms_scheduled(), 0);
         assert_eq!(host.early_decays(), 0);
         let mut registry = Registry::new();
@@ -1334,8 +1429,8 @@ mod tests {
         let mut registry = Registry::new();
         host.fill_registry(&mut registry);
         let snapshot = registry.snapshot();
-        assert_eq!(snapshot.counter("predict.prewarm_spawns"), host.prewarm_spawns);
-        assert_eq!(snapshot.counter("predict.prewarm_hits"), host.prewarm_hits);
+        assert_eq!(snapshot.counter("predict.prewarm_spawns"), host.prewarm_spawns());
+        assert_eq!(snapshot.counter("predict.prewarm_hits"), host.prewarm_hits());
         assert!(snapshot.counter("predict.early_decays") > 0);
     }
 

@@ -437,20 +437,14 @@ impl Router {
         health: &HealthView,
         hedge: &HedgeConfig,
     ) -> RouteDecision {
-        let mut host = preferred;
-        let mut failed_over = false;
-        if health.status(preferred) == HealthStatus::Unhealthy {
-            for step in 1..self.hosts {
-                let candidate = (preferred + step) % self.hosts;
-                if health.status(candidate) != HealthStatus::Unhealthy {
-                    host = candidate;
-                    failed_over = true;
-                    break;
-                }
-            }
-        }
+        let failover = if health.status(preferred) == HealthStatus::Unhealthy {
+            self.next_routable(preferred, health)
+        } else {
+            None
+        };
+        let host = failover.unwrap_or(preferred);
         self.commit(host, function, expected_ms);
-        if failed_over {
+        if failover.is_some() {
             self.failovers += 1;
         }
         let mut hedge_target = None;
@@ -459,13 +453,7 @@ impl Router {
             && (self.hedges + 1) as f64 <= hedge.max_fraction * self.dispatches as f64
         {
             // Hedge toward the next routable host after the primary.
-            for step in 1..self.hosts {
-                let candidate = (host + step) % self.hosts;
-                if health.status(candidate) != HealthStatus::Unhealthy {
-                    hedge_target = Some(candidate);
-                    break;
-                }
-            }
+            hedge_target = self.next_routable(host, health);
             if let Some(h) = hedge_target {
                 self.charge(h, function, expected_ms);
                 self.hedges += 1;
@@ -473,9 +461,17 @@ impl Router {
         }
         RouteDecision {
             host,
-            failed_over,
+            failed_over: failover.is_some(),
             hedge: hedge_target,
         }
+    }
+
+    /// The first host after `from` (walking `from + 1, from + 2, …`
+    /// modulo the fleet) whose breaker is not open, if any.
+    fn next_routable(&self, from: usize, health: &HealthView) -> Option<usize> {
+        (1..self.hosts)
+            .map(|step| (from + step) % self.hosts)
+            .find(|&host| health.status(host) != HealthStatus::Unhealthy)
     }
 
     /// Expected-work ledger (ms per host), for imbalance reporting.

@@ -43,9 +43,11 @@ use crate::chaos::ChaosPlan;
 use crate::config::FleetConfig;
 use crate::health::HealthView;
 use crate::host::{admission_priorities, FleetHost, HedgeOutcome, RoutedInvocation};
-use crate::route::{Router, RoutingPolicy};
+use crate::route::{RouteDecision, Router, RoutingPolicy};
+use crate::tenant::HostTenancy;
 use crate::timing::ServiceModel;
 use crate::traffic::{ArrivalStream, Population};
+use server::AdmissionControl;
 
 /// Per-host slice of a [`FleetRun`].
 #[derive(Clone, Debug, PartialEq)]
@@ -161,33 +163,20 @@ impl FleetRun {
     /// histogram tracked (hedged pairs count once, shed arrivals not at
     /// all; without resilience this is exactly `invocations`).
     pub fn mean_latency_ms(&self) -> f64 {
-        if self.latency_us.count() == 0 {
-            0.0
-        } else {
-            self.latency_sum_ms / self.latency_us.count() as f64
-        }
+        ratio(self.latency_sum_ms, self.latency_us.count())
     }
 
     /// Retry amplification: dispatched attempts per admitted arrival
     /// (1.0 when nothing ever retried).
     pub fn retry_amplification(&self) -> f64 {
-        if self.invocations == 0 {
-            1.0
-        } else {
-            1.0 + self.retries as f64 / self.invocations as f64
-        }
+        1.0 + ratio(self.retries as f64, self.invocations)
     }
 
     /// Fleet-wide shared-page hit rate: the share of shareable page
     /// registrations that found the page already resident on the host
     /// (0.0 when nothing registered — dedup off or tenancy disabled).
     pub fn shared_page_hit_rate(&self) -> f64 {
-        let touched = self.shared_pages + self.dedup_hits;
-        if touched == 0 {
-            0.0
-        } else {
-            self.dedup_hits as f64 / touched as f64
-        }
+        ratio(self.dedup_hits as f64, self.shared_pages + self.dedup_hits)
     }
 
     /// Median end-to-end latency, ms (0.0 when nothing completed — an
@@ -207,27 +196,28 @@ impl FleetRun {
 
     /// Fraction of invocations that found no warm instance.
     pub fn cold_start_rate(&self) -> f64 {
-        if self.invocations == 0 {
-            0.0
-        } else {
-            self.cold_starts as f64 / self.invocations as f64
-        }
+        ratio(self.cold_starts as f64, self.invocations)
     }
 
     /// Fraction of invocations served warm but microarchitecturally
     /// cold — the paper's lukewarm share.
     pub fn lukewarm_fraction(&self) -> f64 {
-        if self.invocations == 0 {
-            0.0
-        } else {
-            self.lukewarm_hits as f64 / self.invocations as f64
-        }
+        ratio(self.lukewarm_hits as f64, self.invocations)
     }
 
     /// Warm-pool occupancy in instance-seconds — the frontier's x-axis
     /// in its natural unit.
     pub fn memory_instance_s(&self) -> f64 {
         self.memory_ms / 1000.0
+    }
+}
+
+/// `part / whole`, or 0 when `whole` is 0.
+fn ratio(part: f64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part / whole as f64
     }
 }
 
@@ -249,12 +239,14 @@ const SHARDS_PER_WORKER: usize = 4;
 type ShardItem = (usize, RoutedInvocation);
 
 /// One shard's bounded batch queue — the producer side of the pipeline.
+#[derive(Default)]
 struct ShardQueue {
     state: Mutex<ShardQueueState>,
     /// Signals the backpressured producer when a full queue drains.
     drained: Condvar,
 }
 
+#[derive(Default)]
 struct ShardQueueState {
     batches: VecDeque<Vec<ShardItem>>,
     /// Whether the shard is runnable-or-running. Set by the producer
@@ -268,11 +260,13 @@ struct ShardQueueState {
 
 /// The work-stealing scheduler: shards with undrained work, plus the
 /// producer-finished flag that lets workers exit.
+#[derive(Default)]
 struct Scheduler {
     state: Mutex<SchedulerState>,
     runnable: Condvar,
 }
 
+#[derive(Default)]
 struct SchedulerState {
     queue: VecDeque<usize>,
     finished: bool,
@@ -314,7 +308,7 @@ fn push_batch(
 fn worker_loop(
     queues: &[ShardQueue],
     scheduler: &Scheduler,
-    shards: &[Mutex<Vec<FleetHost>>],
+    shards: &[Mutex<&mut [FleetHost]>],
     config: &FleetConfig,
     model: &ServiceModel,
     jukebox: bool,
@@ -366,7 +360,8 @@ fn worker_loop(
 /// order. Under chaos the router consults a health view advanced to
 /// each arrival — probe rounds, breaker transitions, failover walks,
 /// and hedge decisions all happen here, which is what keeps them
-/// thread-count-independent.
+/// thread-count-independent. Without chaos the view stays all-healthy,
+/// so the router takes its preferred host and never hedges.
 fn route_stream(
     config: &FleetConfig,
     model: &ServiceModel,
@@ -384,96 +379,64 @@ fn route_stream(
     let warm_ms: Vec<f64> = (0..model.functions())
         .map(|profile| model.timing(profile).warm_ms)
         .collect();
-    let route_span = |dispatch: u64, hedge_lane: bool, host: u64, failed_over: bool| Span {
-        trace: trace_id(dispatch, hedge_lane),
-        id: 1,
-        parent: 0,
-        kind: SpanKind::Route,
-        start_us: 0,
-        dur_us: 0,
-        a: host,
-        b: u64::from(failed_over),
-    };
     let mut end_ms = 0.0_f64;
     for (dispatch, event) in (0_u64..).zip(stream.by_ref().take(config.invocations)) {
-        end_ms = end_ms.max(event.at_ms);
+        let at_ms = event.at_ms;
+        end_ms = end_ms.max(at_ms);
         let function = event.instance;
+        if !chaos_plan.is_none() {
+            health.advance_to(at_ms, &chaos_plan);
+            if chaos_plan.all_down_at(at_ms) {
+                return Err(SimError::all_hosts_down(at_ms as u64));
+            }
+        }
         let expected_ms = warm_ms[function % warm_ms.len()];
-        if chaos_plan.is_none() {
-            let host = router.route(function, expected_ms);
-            if config.samples(dispatch) {
-                route_spans.record(route_span(dispatch, false, host as u64, false));
-            }
-            emit(
-                host,
-                RoutedInvocation {
-                    at_ms: event.at_ms,
-                    function,
-                    dispatch,
-                    hedge: false,
-                    duplicate: false,
-                },
-            );
-        } else {
-            health.advance_to(event.at_ms, &chaos_plan);
-            if chaos_plan.all_down_at(event.at_ms) {
-                return Err(SimError::all_hosts_down(event.at_ms as u64));
-            }
-            let decision = router.route_resilient(function, expected_ms, &health, &config.hedge);
-            let hedge = decision.hedge.is_some();
-            if config.samples(dispatch) {
-                route_spans.record(route_span(
-                    dispatch,
-                    false,
-                    decision.host as u64,
-                    decision.failed_over,
-                ));
-                if let Some(second) = decision.hedge {
-                    route_spans.record(Span {
-                        trace: trace_id(dispatch, false),
-                        id: 2,
-                        parent: 0,
-                        kind: SpanKind::Hedge,
-                        start_us: 0,
-                        dur_us: 0,
-                        a: decision.host as u64,
-                        b: second as u64,
-                    });
-                    route_spans.record(route_span(dispatch, true, second as u64, false));
-                }
-            }
-            emit(
-                decision.host,
-                RoutedInvocation {
-                    at_ms: event.at_ms,
-                    function,
-                    dispatch,
-                    hedge,
-                    duplicate: false,
-                },
-            );
-            if let Some(second) = decision.hedge {
-                emit(
-                    second,
-                    RoutedInvocation {
-                        at_ms: event.at_ms,
-                        function,
-                        dispatch,
-                        hedge: true,
-                        duplicate: true,
-                    },
-                );
-            }
+        let decision = router.route_resilient(function, expected_ms, &health, &config.hedge);
+        if config.samples(dispatch) {
+            record_route_spans(route_spans, dispatch, &decision);
+        }
+        let copy = |hedge, duplicate| RoutedInvocation {
+            at_ms,
+            function,
+            dispatch,
+            hedge,
+            duplicate,
+        };
+        emit(decision.host, copy(decision.hedge.is_some(), false));
+        if let Some(second) = decision.hedge {
+            emit(second, copy(true, true));
         }
     }
     Ok(end_ms)
+}
+
+/// Records a sampled dispatch's route-phase spans: the primary lane's
+/// route (flagged when it failed over) and, for a hedged dispatch, the
+/// hedge decision and the duplicate lane's route.
+fn record_route_spans(ring: &mut SpanRing, dispatch: u64, decision: &RouteDecision) {
+    let span = |duplicate: bool, id: u32, kind: SpanKind, a: usize, b: u64| Span {
+        trace: trace_id(dispatch, duplicate),
+        id,
+        parent: 0,
+        kind,
+        start_us: 0,
+        dur_us: 0,
+        a: a as u64,
+        b,
+    };
+    let failed_over = u64::from(decision.failed_over);
+    ring.record(span(false, 1, SpanKind::Route, decision.host, failed_over));
+    if let Some(second) = decision.hedge {
+        ring.record(span(false, 2, SpanKind::Hedge, decision.host, second as u64));
+        ring.record(span(true, 1, SpanKind::Route, second, 0));
+    }
 }
 
 /// The span-ring capacity for route-phase spans of sampled dispatches
 /// (ids 1–3 on each lane; the host side owns the root and ids from 4).
 fn route_span_capacity(config: &FleetConfig) -> usize {
     if config.trace_sample > 0 {
-        (config.invocations / config.trace_sample as usize + 1) * 4
+        (config.invocations / config.trace_sample as usize + 1).saturating_mul(4)
     } else {
         0
     }
@@ -487,17 +450,23 @@ pub fn run_fleet(
     jukebox: bool,
 ) -> Result<FleetRun, SimError> {
     config.validate()?;
+    let (mut hosts, mut router) = build(config);
+    let mut route_spans = SpanRing::with_capacity(route_span_capacity(config));
+    let end_ms = drive(config, model, jukebox, &mut hosts, &mut router, &mut route_spans)?;
+    merge(config, jukebox, &router, route_spans, &hosts, end_ms)
+}
 
-    let threads = config.threads.min(config.hosts);
+/// Build: every host, sharing one admission-priority table, and the
+/// router. The placement-aware policy scores hosts by same-language
+/// affinity, so it routes with the suite's language table; every other
+/// policy keeps the language-blind constructor (identical state, bit
+/// for bit).
+fn build(config: &FleetConfig) -> (Vec<FleetHost>, Router) {
     let priorities = admission_priorities(config);
-    let mut hosts: Vec<FleetHost> = (0..config.hosts)
+    let hosts = (0..config.hosts)
         .map(|id| FleetHost::with_priorities(config, id, &priorities))
         .collect();
-    // The placement-aware policy scores hosts by same-language affinity,
-    // so it routes with the suite's language table; every other policy
-    // keeps the language-blind constructor (identical state, bit for
-    // bit).
-    let mut router = if config.policy == RoutingPolicy::PlacementAware {
+    let router = if config.policy == RoutingPolicy::PlacementAware {
         let lang_of: Vec<u8> = workloads::paper_suite()
             .iter()
             .map(|profile| luke_tenancy::language_slot(profile.language))
@@ -506,240 +475,200 @@ pub fn run_fleet(
     } else {
         Router::new(config.policy, config.hosts)
     };
-    let mut route_spans = SpanRing::with_capacity(route_span_capacity(config));
+    (hosts, router)
+}
 
-    let end_ms = if threads <= 1 {
-        // Sequential reference path: route each arrival and process it
-        // on its host immediately. Per-host arrival order equals the
-        // canonical route order by construction, and peak memory is
-        // O(hosts) — no routed queue is ever materialized.
-        route_stream(config, model, &mut router, &mut route_spans, |host, routed| {
-            hosts[host].process(config, model, jukebox, routed);
-        })?
-    } else {
-        // Streaming pipeline: one producer routes in canonical order
-        // and feeds bounded per-shard queues; workers steal runnable
-        // shards. Shard boundaries are contiguous host chunks, so
-        // reassembling the shards in order restores host-id order no
-        // matter which worker ran what.
-        let shard_count = (threads * SHARDS_PER_WORKER).min(config.hosts);
-        let shard_len = config.hosts.div_ceil(shard_count);
-        let mut shards: Vec<Mutex<Vec<FleetHost>>> = Vec::new();
-        {
-            let mut it = hosts.drain(..);
-            loop {
-                let chunk: Vec<FleetHost> = it.by_ref().take(shard_len).collect();
-                if chunk.is_empty() {
-                    break;
-                }
-                shards.push(Mutex::new(chunk));
-            }
+/// Drive: routes the arrival stream and processes every routed copy on
+/// its host, returning the last arrival time. One thread takes the
+/// sequential reference path (see the module docs): each arrival is
+/// processed on its host as soon as it is routed.
+fn drive(
+    config: &FleetConfig,
+    model: &ServiceModel,
+    jukebox: bool,
+    hosts: &mut [FleetHost],
+    router: &mut Router,
+    route_spans: &mut SpanRing,
+) -> Result<f64, SimError> {
+    let threads = config.threads.min(config.hosts);
+    if threads > 1 {
+        return drive_streaming(config, model, jukebox, threads, hosts, router, route_spans);
+    }
+    route_stream(config, model, router, route_spans, |host, routed| {
+        hosts[host].process(config, model, jukebox, routed);
+    })
+}
+
+/// The streaming pipeline of the module docs, with `threads` workers.
+/// Shards are contiguous host chunks borrowed in place, so no host ever
+/// moves.
+fn drive_streaming(
+    config: &FleetConfig,
+    model: &ServiceModel,
+    jukebox: bool,
+    threads: usize,
+    hosts: &mut [FleetHost],
+    router: &mut Router,
+    route_spans: &mut SpanRing,
+) -> Result<f64, SimError> {
+    let shard_count = (threads * SHARDS_PER_WORKER).min(hosts.len());
+    let shard_len = hosts.len().div_ceil(shard_count);
+    let shards: Vec<Mutex<&mut [FleetHost]>> =
+        hosts.chunks_mut(shard_len).map(Mutex::new).collect();
+    let queues: Vec<ShardQueue> = shards.iter().map(|_| ShardQueue::default()).collect();
+    let scheduler = Scheduler::default();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| worker_loop(&queues, &scheduler, &shards, config, model, jukebox));
         }
-        let queues: Vec<ShardQueue> = (0..shards.len())
-            .map(|_| ShardQueue {
-                state: Mutex::new(ShardQueueState {
-                    batches: VecDeque::new(),
-                    scheduled: false,
-                }),
-                drained: Condvar::new(),
-            })
-            .collect();
-        let scheduler = Scheduler {
-            state: Mutex::new(SchedulerState {
-                queue: VecDeque::new(),
-                finished: false,
-            }),
-            runnable: Condvar::new(),
-        };
-
-        let routed: Result<f64, SimError> = std::thread::scope(|scope| {
-            let queues = &queues;
-            let scheduler = &scheduler;
-            let shards_ref = &shards;
-            for _ in 0..threads {
-                scope.spawn(move || {
-                    worker_loop(queues, scheduler, shards_ref, config, model, jukebox);
-                });
+        // The producer runs on this thread; its open batches flush
+        // either at BATCH_ITEMS or when the stream ends.
+        let mut open: Vec<Vec<ShardItem>> = vec![Vec::new(); queues.len()];
+        let result = route_stream(config, model, router, route_spans, |host, routed| {
+            let shard = host / shard_len;
+            let batch = &mut open[shard];
+            batch.push((host % shard_len, routed));
+            if batch.len() >= BATCH_ITEMS {
+                push_batch(&queues, &scheduler, shard, std::mem::take(batch));
             }
-            // The producer runs on this thread; its open batches flush
-            // either at BATCH_ITEMS or when the stream ends.
-            let mut open: Vec<Vec<ShardItem>> = vec![Vec::new(); queues.len()];
-            let result = route_stream(
-                config,
-                model,
-                &mut router,
-                &mut route_spans,
-                |host, routed| {
-                    let shard = host / shard_len;
-                    let batch = &mut open[shard];
-                    batch.push((host % shard_len, routed));
-                    if batch.len() >= BATCH_ITEMS {
-                        push_batch(queues, scheduler, shard, std::mem::take(batch));
-                    }
-                },
-            );
-            if result.is_ok() {
-                for (shard, batch) in open.iter_mut().enumerate() {
-                    if !batch.is_empty() {
-                        push_batch(queues, scheduler, shard, std::mem::take(batch));
-                    }
-                }
-            }
-            let mut sched = scheduler.state.lock().expect("scheduler mutex");
-            sched.finished = true;
-            scheduler.runnable.notify_all();
-            drop(sched);
-            result
         });
-        let end_ms = routed?;
-        for shard in shards {
-            hosts.extend(shard.into_inner().expect("shard hosts mutex"));
+        if result.is_ok() {
+            for (shard, batch) in open.iter_mut().enumerate() {
+                if !batch.is_empty() {
+                    push_batch(&queues, &scheduler, shard, std::mem::take(batch));
+                }
+            }
         }
-        end_ms
-    };
+        let mut sched = scheduler.state.lock().expect("scheduler mutex");
+        sched.finished = true;
+        scheduler.runnable.notify_all();
+        drop(sched);
+        result
+    })
+}
 
-    // Merge (sequential, host-id order).
+/// Merge: folds per-host state into fleet totals, one registry, one
+/// histogram, one span list and one series *in host-id order*, which is
+/// independent of which thread ran which shard.
+fn merge(
+    config: &FleetConfig,
+    jukebox: bool,
+    router: &Router,
+    mut route_spans: SpanRing,
+    hosts: &[FleetHost],
+    end_ms: f64,
+) -> Result<FleetRun, SimError> {
+    let total = |count: fn(&FleetHost) -> u64| hosts.iter().map(count).sum::<u64>();
+    let total_ms = |ms: &dyn Fn(&FleetHost) -> f64| hosts.iter().map(ms).fold(0.0, |a, b| a + b);
     let mut registry = Registry::new();
     let mut latency_us = Histogram::new();
-    let mut run = FleetRun {
-        policy: config.policy,
-        hosts: config.hosts,
-        jukebox,
-        invocations: 0,
-        cold_starts: 0,
-        warm_hits: 0,
-        lukewarm_hits: 0,
-        completed: 0,
-        abandoned: 0,
-        latency_sum_ms: 0.0,
-        latency_us: Histogram::new(),
-        per_host: Vec::with_capacity(config.hosts),
-        snapshot: Registry::new().snapshot(),
-        host_crashes: 0,
-        failovers: router.failovers(),
-        hedges: router.hedges(),
-        retries: 0,
-        shed: 0,
-        degraded_restores: 0,
-        resilient: config.resilience_enabled(),
-        spans: Vec::new(),
-        timeline: Vec::new(),
-        traced: config.tracing_enabled(),
-        windowed: config.series_enabled(),
-        memory_ms: 0.0,
-        prewarms_scheduled: 0,
-        prewarm_spawns: 0,
-        prewarm_hits: 0,
-        early_decays: 0,
-        prewarmed: config.prewarm_enabled(),
-        placement_routed: router.placement_routed(),
-        shared_pages: 0,
-        dedup_hits: 0,
-        dedup_bytes_saved: 0,
-        contention_extra_ms: 0.0,
-        slowed_invocations: 0,
-        tenant: config.tenancy_enabled(),
-    };
-    let mut spans: Vec<Span> = route_spans.take_spans();
+    let mut latency_sum_ms = total_ms(&|h| h.latency_sum_ms);
+    let mut spans = route_spans.take_spans();
     let mut series = TimeWindows::new(config.series_window_ms);
-    let mut hedge_pairs: BTreeMap<u64, HedgeOutcome> = BTreeMap::new();
-    for host in &hosts {
+    for host in hosts {
         host.fill_registry(&mut registry);
         latency_us.merge(&host.latency_us);
         spans.extend(host.spans.spans());
         series.merge(&host.series);
-        run.invocations += host.invocations;
-        run.cold_starts += host.cold_starts;
-        run.warm_hits += host.warm_hits;
-        run.lukewarm_hits += host.lukewarm_hits;
-        run.completed += host.fault_stats.completed;
-        run.abandoned += host.fault_stats.abandoned;
-        run.latency_sum_ms += host.latency_sum_ms;
-        run.host_crashes += host.host_crashes;
-        run.retries += host.retries + host.down_retries;
-        run.memory_ms += host.memory_ms_through(end_ms);
-        run.prewarms_scheduled += host.prewarms_scheduled();
-        run.prewarm_spawns += host.prewarm_spawns;
-        run.prewarm_hits += host.prewarm_hits;
-        run.early_decays += host.early_decays();
-        if let Some(ctl) = host.admission() {
-            run.shed += ctl.shed();
-            run.degraded_restores += ctl.degraded_restores();
-        }
-        if let Some(tenancy) = host.tenancy() {
-            run.shared_pages += tenancy.shared_pages();
-            run.dedup_hits += tenancy.dedup_hits();
-            run.dedup_bytes_saved += tenancy.dedup_bytes_saved();
-            run.contention_extra_ms += tenancy.extra_ms();
-            run.slowed_invocations += tenancy.slowed();
-        }
-        // Hedge copies share a dispatch id: keep the better fate (a
-        // completion beats a failure, then the faster latency wins).
-        for &outcome in &host.hedge_outcomes {
-            hedge_pairs
-                .entry(outcome.dispatch)
-                .and_modify(|best| {
-                    let better = (outcome.completed, !best.completed) == (true, true)
-                        || (outcome.completed == best.completed
-                            && outcome.latency_ms < best.latency_ms);
-                    if better {
-                        *best = outcome;
-                    }
-                })
-                .or_insert(outcome);
-        }
-        run.per_host.push(HostSummary {
-            host: host.host_id,
-            invocations: host.invocations,
-            cold_starts: host.cold_starts,
-            warm_hits: host.warm_hits,
-            lukewarm_hits: host.lukewarm_hits,
-            mean_degree: host.mean_degree(),
-            mean_latency_ms: if host.latency_us.count() == 0 {
-                0.0
-            } else {
-                host.latency_sum_ms / host.latency_us.count() as f64
-            },
-            warm_instances: host.warm_instances(),
-        });
     }
     // Each hedged dispatch lands in the fleet histogram exactly once,
     // as its joined (faster) outcome — in dispatch order, which is
     // host-schedule-independent. The time-series records the joined
     // pair the same way: one arrival, one outcome.
-    for outcome in hedge_pairs.values() {
-        let latency_us_value = (outcome.latency_ms * 1000.0).round() as u64;
-        latency_us.record(latency_us_value);
-        run.latency_sum_ms += outcome.latency_ms;
+    for outcome in join_hedges(hosts).values() {
+        let outcome_us = (outcome.latency_ms * 1000.0).round() as u64;
+        latency_us.record(outcome_us);
+        latency_sum_ms += outcome.latency_ms;
         series.record_arrival(outcome.at_ms);
-        series.record_outcome(
-            outcome.at_ms,
-            latency_us_value,
-            outcome.class,
-            config.series_slo_ms > 0.0 && outcome.latency_ms > config.series_slo_ms,
-        );
+        let over_slo = config.series_slo_ms > 0.0 && outcome.latency_ms > config.series_slo_ms;
+        series.record_outcome(outcome.at_ms, outcome_us, outcome.class, over_slo);
     }
     // Canonical span order: (trace lane, span id), independent of which
     // thread ran which shard.
     sort_canonical(&mut spans);
-    run.spans = spans;
-    run.timeline = series.rows();
     registry.gauge_set("fleet.hosts", config.hosts as f64);
-    if run.resilient {
-        registry.counter_add("fleet.failovers", run.failovers);
-        registry.counter_add("fleet.hedges", run.hedges);
+    if config.resilience_enabled() {
+        registry.counter_add("fleet.failovers", router.failovers());
+        registry.counter_add("fleet.hedges", router.hedges());
     }
     // Route-phase placement counter, only under the policy that scores
     // placements — every other policy keeps its exact export shape.
     if config.policy == RoutingPolicy::PlacementAware {
-        registry.counter_add("fleet.placement_routed", run.placement_routed);
+        registry.counter_add("fleet.placement_routed", router.placement_routed());
     }
-    run.snapshot = registry.snapshot();
-    run.latency_us = latency_us;
+    let run = FleetRun {
+        policy: config.policy,
+        hosts: config.hosts,
+        jukebox,
+        invocations: total(|h| h.invocations),
+        cold_starts: total(|h| h.cold_starts),
+        warm_hits: total(|h| h.warm_hits),
+        lukewarm_hits: total(|h| h.lukewarm_hits),
+        completed: total(|h| h.fault_stats.completed),
+        abandoned: total(|h| h.fault_stats.abandoned),
+        latency_sum_ms,
+        latency_us,
+        per_host: hosts.iter().map(summarize).collect(),
+        snapshot: registry.snapshot(),
+        host_crashes: total(|h| h.host_crashes),
+        failovers: router.failovers(),
+        hedges: router.hedges(),
+        retries: total(|h| h.retries + h.down_retries),
+        shed: total(|h| h.admission().map_or(0, AdmissionControl::shed)),
+        degraded_restores: total(|h| h.admission().map_or(0, AdmissionControl::degraded_restores)),
+        resilient: config.resilience_enabled(),
+        spans,
+        timeline: series.rows(),
+        traced: config.tracing_enabled(),
+        windowed: config.series_enabled(),
+        memory_ms: total_ms(&|h| h.memory_ms_through(end_ms)),
+        prewarms_scheduled: total(FleetHost::prewarms_scheduled),
+        prewarm_spawns: total(FleetHost::prewarm_spawns),
+        prewarm_hits: total(FleetHost::prewarm_hits),
+        early_decays: total(FleetHost::early_decays),
+        prewarmed: config.prewarm_enabled(),
+        placement_routed: router.placement_routed(),
+        shared_pages: total(|h| h.tenancy().map_or(0, HostTenancy::shared_pages)),
+        dedup_hits: total(|h| h.tenancy().map_or(0, HostTenancy::dedup_hits)),
+        dedup_bytes_saved: total(|h| h.tenancy().map_or(0, HostTenancy::dedup_bytes_saved)),
+        contention_extra_ms: total_ms(&|h| h.tenancy().map_or(0.0, HostTenancy::extra_ms)),
+        slowed_invocations: total(|h| h.tenancy().map_or(0, HostTenancy::slowed)),
+        tenant: config.tenancy_enabled(),
+    };
     if config.admission.enabled && run.invocations == 0 && run.shed > 0 {
         return Err(SimError::admission_rejected(run.shed));
     }
     Ok(run)
+}
+
+/// Joins hedge copies, which share a dispatch id, keeping each
+/// dispatch's better fate: a completion beats a failure, then the
+/// faster latency wins.
+fn join_hedges(hosts: &[FleetHost]) -> BTreeMap<u64, HedgeOutcome> {
+    let mut pairs: BTreeMap<u64, HedgeOutcome> = BTreeMap::new();
+    for &outcome in hosts.iter().flat_map(|host| &host.hedge_outcomes) {
+        let best = pairs.entry(outcome.dispatch).or_insert(outcome);
+        if (outcome.completed && !best.completed)
+            || (outcome.completed == best.completed && outcome.latency_ms < best.latency_ms)
+        {
+            *best = outcome;
+        }
+    }
+    pairs
+}
+
+/// One host's row of [`FleetRun::per_host`].
+fn summarize(host: &FleetHost) -> HostSummary {
+    HostSummary {
+        host: host.host_id,
+        invocations: host.invocations,
+        cold_starts: host.cold_starts,
+        warm_hits: host.warm_hits,
+        lukewarm_hits: host.lukewarm_hits,
+        mean_degree: host.mean_degree(),
+        mean_latency_ms: ratio(host.latency_sum_ms, host.latency_us.count()),
+        warm_instances: host.warm_instances(),
+    }
 }
 
 /// A base-vs-Jukebox pair over identical traffic.
@@ -873,37 +802,92 @@ impl std::fmt::Display for FleetRun {
     }
 }
 
+/// A one-row dataset, each cell given next to its column name.
+fn single_row(name: &str, cells: Vec<(&str, Value)>) -> Dataset {
+    let (columns, row): (Vec<&str>, Vec<Value>) = cells.into_iter().unzip();
+    let mut dataset = Dataset::new(name, &columns);
+    dataset.push_row(row);
+    dataset
+}
+
 impl Export for FleetRun {
     fn datasets(&self) -> Vec<Dataset> {
-        let mut summary = Dataset::new(
+        let summary = single_row(
             "fleet.summary",
-            &[
-                "policy",
-                "hosts",
-                "jukebox",
-                "invocations",
-                "cold_start_rate",
-                "lukewarm_fraction",
-                "mean_ms",
-                "p50_ms",
-                "p99_ms",
-                "completed",
-                "abandoned",
+            vec![
+                ("policy", Value::str(self.policy.label())),
+                ("hosts", Value::UInt(self.hosts as u64)),
+                ("jukebox", Value::UInt(u64::from(self.jukebox))),
+                ("invocations", Value::UInt(self.invocations)),
+                ("cold_start_rate", Value::Float(self.cold_start_rate())),
+                ("lukewarm_fraction", Value::Float(self.lukewarm_fraction())),
+                ("mean_ms", Value::Float(self.mean_latency_ms())),
+                ("p50_ms", Value::Float(self.p50_ms())),
+                ("p99_ms", Value::Float(self.p99_ms())),
+                ("completed", Value::UInt(self.completed)),
+                ("abandoned", Value::UInt(self.abandoned)),
             ],
         );
-        summary.push_row(vec![
-            Value::str(self.policy.label()),
-            Value::UInt(self.hosts as u64),
-            Value::UInt(u64::from(self.jukebox)),
-            Value::UInt(self.invocations),
-            Value::Float(self.cold_start_rate()),
-            Value::Float(self.lukewarm_fraction()),
-            Value::Float(self.mean_latency_ms()),
-            Value::Float(self.p50_ms()),
-            Value::Float(self.p99_ms()),
-            Value::UInt(self.completed),
-            Value::UInt(self.abandoned),
-        ]);
+        let mut out = vec![summary, self.hosts_dataset()];
+        // Each optional layer's dataset exists only when that layer was
+        // on, so a run with it off keeps its exact export shape.
+        if self.prewarmed {
+            out.push(single_row(
+                "fleet.prewarm",
+                vec![
+                    ("memory_instance_s", Value::Float(self.memory_instance_s())),
+                    ("prewarms_scheduled", Value::UInt(self.prewarms_scheduled)),
+                    ("prewarm_spawns", Value::UInt(self.prewarm_spawns)),
+                    ("prewarm_hits", Value::UInt(self.prewarm_hits)),
+                    ("early_decays", Value::UInt(self.early_decays)),
+                    ("cold_starts", Value::UInt(self.cold_starts)),
+                ],
+            ));
+        }
+        if self.tenant {
+            out.push(single_row(
+                "fleet.tenancy",
+                vec![
+                    ("memory_instance_s", Value::Float(self.memory_instance_s())),
+                    ("shared_pages", Value::UInt(self.shared_pages)),
+                    ("dedup_hits", Value::UInt(self.dedup_hits)),
+                    ("dedup_bytes_saved", Value::UInt(self.dedup_bytes_saved)),
+                    ("hit_rate", Value::Float(self.shared_page_hit_rate())),
+                    ("placement_routed", Value::UInt(self.placement_routed)),
+                    ("slowed_invocations", Value::UInt(self.slowed_invocations)),
+                    ("contention_extra_ms", Value::Float(self.contention_extra_ms)),
+                    ("cold_starts", Value::UInt(self.cold_starts)),
+                ],
+            ));
+        }
+        if self.resilient {
+            out.push(single_row(
+                "fleet.resilience",
+                vec![
+                    ("host_crashes", Value::UInt(self.host_crashes)),
+                    ("failovers", Value::UInt(self.failovers)),
+                    ("hedges", Value::UInt(self.hedges)),
+                    ("retries", Value::UInt(self.retries)),
+                    ("retry_amplification", Value::Float(self.retry_amplification())),
+                    ("shed", Value::UInt(self.shed)),
+                    ("degraded_restores", Value::UInt(self.degraded_restores)),
+                    ("abandoned", Value::UInt(self.abandoned)),
+                ],
+            ));
+        }
+        if self.traced {
+            out.push(self.spans_dataset());
+        }
+        if self.windowed {
+            out.push(self.timeline_dataset());
+        }
+        out
+    }
+}
+
+impl FleetRun {
+    /// The `fleet.hosts` dataset: one row per host, in host order.
+    fn hosts_dataset(&self) -> Dataset {
         let mut hosts = Dataset::new(
             "fleet.hosts",
             &[
@@ -929,145 +913,59 @@ impl Export for FleetRun {
                 Value::UInt(s.warm_instances as u64),
             ]);
         }
-        let mut out = vec![summary, hosts];
-        // The prediction dataset only exists when the policy was on —
-        // disabled runs keep their exact pre-prediction export shape.
-        if self.prewarmed {
-            let mut prewarm = Dataset::new(
-                "fleet.prewarm",
-                &[
-                    "memory_instance_s",
-                    "prewarms_scheduled",
-                    "prewarm_spawns",
-                    "prewarm_hits",
-                    "early_decays",
-                    "cold_starts",
-                ],
-            );
-            prewarm.push_row(vec![
-                Value::Float(self.memory_instance_s()),
-                Value::UInt(self.prewarms_scheduled),
-                Value::UInt(self.prewarm_spawns),
-                Value::UInt(self.prewarm_hits),
-                Value::UInt(self.early_decays),
-                Value::UInt(self.cold_starts),
+        hosts
+    }
+
+    /// The `fleet.spans` dataset: one row per recorded span.
+    fn spans_dataset(&self) -> Dataset {
+        let columns = ["trace", "span", "parent", "kind", "start_us", "dur_us", "a", "b"];
+        let mut spans = Dataset::new("fleet.spans", &columns);
+        for s in &self.spans {
+            spans.push_row(vec![
+                Value::UInt(s.trace),
+                Value::UInt(u64::from(s.id)),
+                Value::UInt(u64::from(s.parent)),
+                Value::UInt(s.kind as u64),
+                Value::UInt(s.start_us),
+                Value::UInt(s.dur_us),
+                Value::UInt(s.a),
+                Value::UInt(s.b),
             ]);
-            out.push(prewarm);
         }
-        // The tenancy dataset only exists when some tenancy knob was on
-        // — disabled runs keep their exact pre-tenancy export shape.
-        if self.tenant {
-            let mut tenancy = Dataset::new(
-                "fleet.tenancy",
-                &[
-                    "memory_instance_s",
-                    "shared_pages",
-                    "dedup_hits",
-                    "dedup_bytes_saved",
-                    "hit_rate",
-                    "placement_routed",
-                    "slowed_invocations",
-                    "contention_extra_ms",
-                    "cold_starts",
-                ],
-            );
-            tenancy.push_row(vec![
-                Value::Float(self.memory_instance_s()),
-                Value::UInt(self.shared_pages),
-                Value::UInt(self.dedup_hits),
-                Value::UInt(self.dedup_bytes_saved),
-                Value::Float(self.shared_page_hit_rate()),
-                Value::UInt(self.placement_routed),
-                Value::UInt(self.slowed_invocations),
-                Value::Float(self.contention_extra_ms),
-                Value::UInt(self.cold_starts),
+        spans
+    }
+
+    /// The `fleet.timeline` dataset: one row per series window. Empty
+    /// percentiles export as NaN, which the JSON writer renders null.
+    fn timeline_dataset(&self) -> Dataset {
+        let mut timeline = Dataset::new(
+            "fleet.timeline",
+            &[
+                "window_start_ms",
+                "arrivals",
+                "p50_ms",
+                "p99_ms",
+                "shed_rate",
+                "slo_burn",
+                "cold_frac",
+                "luke_frac",
+                "warm_frac",
+            ],
+        );
+        for r in &self.timeline {
+            timeline.push_row(vec![
+                Value::Float(r.start_ms),
+                Value::UInt(r.arrivals),
+                Value::Float(r.p50_ms.unwrap_or(f64::NAN)),
+                Value::Float(r.p99_ms.unwrap_or(f64::NAN)),
+                Value::Float(r.shed_rate),
+                Value::Float(r.slo_burn),
+                Value::Float(r.cold_frac),
+                Value::Float(r.luke_frac),
+                Value::Float(r.warm_frac),
             ]);
-            out.push(tenancy);
         }
-        // Resilience is a third dataset only when some knob was on —
-        // default runs keep their exact pre-resilience export shape.
-        if self.resilient {
-            let mut resilience = Dataset::new(
-                "fleet.resilience",
-                &[
-                    "host_crashes",
-                    "failovers",
-                    "hedges",
-                    "retries",
-                    "retry_amplification",
-                    "shed",
-                    "degraded_restores",
-                    "abandoned",
-                ],
-            );
-            resilience.push_row(vec![
-                Value::UInt(self.host_crashes),
-                Value::UInt(self.failovers),
-                Value::UInt(self.hedges),
-                Value::UInt(self.retries),
-                Value::Float(self.retry_amplification()),
-                Value::UInt(self.shed),
-                Value::UInt(self.degraded_restores),
-                Value::UInt(self.abandoned),
-            ]);
-            out.push(resilience);
-        }
-        // The causal span forest, only when sampling was on: default
-        // runs keep their exact export shape.
-        if self.traced {
-            let mut spans = Dataset::new(
-                "fleet.spans",
-                &[
-                    "trace", "span", "parent", "kind", "start_us", "dur_us", "a", "b",
-                ],
-            );
-            for s in &self.spans {
-                spans.push_row(vec![
-                    Value::UInt(s.trace),
-                    Value::UInt(u64::from(s.id)),
-                    Value::UInt(u64::from(s.parent)),
-                    Value::UInt(s.kind as u64),
-                    Value::UInt(s.start_us),
-                    Value::UInt(s.dur_us),
-                    Value::UInt(s.a),
-                    Value::UInt(s.b),
-                ]);
-            }
-            out.push(spans);
-        }
-        // The windowed timeline, only when a window width was set. Empty
-        // percentiles export as NaN, which the JSON writer renders null.
-        if self.windowed {
-            let mut timeline = Dataset::new(
-                "fleet.timeline",
-                &[
-                    "window_start_ms",
-                    "arrivals",
-                    "p50_ms",
-                    "p99_ms",
-                    "shed_rate",
-                    "slo_burn",
-                    "cold_frac",
-                    "luke_frac",
-                    "warm_frac",
-                ],
-            );
-            for r in &self.timeline {
-                timeline.push_row(vec![
-                    Value::Float(r.start_ms),
-                    Value::UInt(r.arrivals),
-                    Value::Float(r.p50_ms.unwrap_or(f64::NAN)),
-                    Value::Float(r.p99_ms.unwrap_or(f64::NAN)),
-                    Value::Float(r.shed_rate),
-                    Value::Float(r.slo_burn),
-                    Value::Float(r.cold_frac),
-                    Value::Float(r.luke_frac),
-                    Value::Float(r.warm_frac),
-                ]);
-            }
-            out.push(timeline);
-        }
-        out
+        timeline
     }
 }
 
@@ -1219,32 +1117,6 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_run_is_thread_count_invariant() {
-        let m = model();
-        let config = FleetConfig {
-            keep_alive_ms: 30_000.0,
-            prewarm: luke_predict::PrewarmConfig::default_enabled(),
-            ..quick_config()
-        };
-        let one = run_fleet(&config, &m, false).unwrap();
-        let four = run_fleet(
-            &FleetConfig {
-                threads: 4,
-                ..config
-            },
-            &m,
-            false,
-        )
-        .unwrap();
-        assert_eq!(one.snapshot.to_json(), four.snapshot.to_json());
-        assert_eq!(one.memory_ms, four.memory_ms);
-        assert_eq!(
-            luke_obs::export::to_json(&one.datasets()),
-            luke_obs::export::to_json(&four.datasets())
-        );
-    }
-
-    #[test]
     fn tenancy_run_exports_the_tenancy_dataset_and_dedup_pays_off() {
         let m = model();
         let base = run_fleet(&quick_config(), &m, false).unwrap();
@@ -1360,34 +1232,6 @@ mod tests {
     }
 
     #[test]
-    fn tenancy_run_is_thread_count_invariant() {
-        let m = model();
-        let config = FleetConfig {
-            policy: RoutingPolicy::PlacementAware,
-            cold_start_model: luke_snapshot::ColdStartModel::ReapPrefetch,
-            tenancy: luke_tenancy::TenancyConfig::default_enabled(),
-            ..quick_config()
-        };
-        let one = run_fleet(&config, &m, false).unwrap();
-        let four = run_fleet(
-            &FleetConfig {
-                threads: 4,
-                ..config
-            },
-            &m,
-            false,
-        )
-        .unwrap();
-        assert_eq!(one.snapshot.to_json(), four.snapshot.to_json());
-        assert_eq!(one.memory_ms, four.memory_ms);
-        assert_eq!(one.contention_extra_ms, four.contention_extra_ms);
-        assert_eq!(
-            luke_obs::export::to_json(&one.datasets()),
-            luke_obs::export::to_json(&four.datasets())
-        );
-    }
-
-    #[test]
     fn adaptive_policy_spends_less_memory_than_its_fixed_cap() {
         let m = model();
         let fixed = run_fleet(&quick_config(), &m, false).unwrap();
@@ -1407,28 +1251,6 @@ mod tests {
             "adaptive {} vs fixed {}",
             adaptive.memory_ms,
             fixed.memory_ms
-        );
-    }
-
-    #[test]
-    fn thread_count_does_not_change_the_snapshot() {
-        let m = model();
-        let one = run_fleet(&quick_config(), &m, false).unwrap();
-        let four = run_fleet(
-            &FleetConfig {
-                threads: 4,
-                ..quick_config()
-            },
-            &m,
-            false,
-        )
-        .unwrap();
-        assert_eq!(one.snapshot.to_json(), four.snapshot.to_json());
-        assert_eq!(one.latency_us, four.latency_us);
-        assert_eq!(one.per_host, four.per_host);
-        assert_eq!(
-            luke_obs::export::to_json(&one.datasets()),
-            luke_obs::export::to_json(&four.datasets())
         );
     }
 
@@ -1462,7 +1284,7 @@ mod tests {
     use crate::chaos::ChaosConfig;
     use crate::route::HedgeConfig;
     use crate::traffic::SurgeConfig;
-    use server::{AdmissionConfig, RetryBudget};
+    use server::{AdmissionConfig, RetryBudget, RetryPolicy};
 
     fn chaotic_config() -> FleetConfig {
         FleetConfig {
@@ -1594,25 +1416,117 @@ mod tests {
         }
     }
 
+    /// One optional layer of the power-set test: its name and how it
+    /// switches itself on.
+    type Layer = (&'static str, fn(&mut FleetConfig));
+
+    const LAYERS: [Layer; 5] = [
+        ("reap", |c| c.cold_start_model = luke_snapshot::ColdStartModel::ReapPrefetch),
+        ("prewarm", |c| {
+            c.keep_alive_ms = 30_000.0;
+            c.prewarm = luke_predict::PrewarmConfig::default_enabled();
+        }),
+        ("tenancy", |c| {
+            c.policy = RoutingPolicy::PlacementAware;
+            c.tenancy = luke_tenancy::TenancyConfig::default_enabled();
+        }),
+        ("resilience", |c| {
+            let chaotic = chaotic_config();
+            c.chaos = chaotic.chaos;
+            c.hedge = chaotic.hedge;
+            c.retry_budget = chaotic.retry_budget;
+            c.admission = AdmissionConfig {
+                enabled: true,
+                reserved_concurrency: 1,
+                burst_concurrency: 0,
+                host_concurrency: 2,
+                memory_pressure_instances: 8,
+            };
+            c.surge = SurgeConfig {
+                flash_multiplier: 10.0,
+                flash_start_ms: 10_000.0,
+                flash_duration_ms: 10_000.0,
+                ..SurgeConfig::none()
+            };
+        }),
+        ("observability", |c| {
+            c.trace_sample = 4;
+            c.series_window_ms = 5_000.0;
+            c.series_slo_ms = 50.0;
+        }),
+    ];
+
     #[test]
-    fn chaos_thread_count_still_does_not_change_results() {
+    fn every_layer_combination_is_thread_count_invariant_and_conserves_arrivals() {
         let m = model();
-        let one = run_fleet(&chaotic_config(), &m, false).unwrap();
-        let four = run_fleet(
-            &FleetConfig {
-                threads: 4,
-                ..chaotic_config()
+        for mask in 0..1_u32 << LAYERS.len() {
+            let mut config = quick_config();
+            let mut on = Vec::new();
+            for (bit, (name, enable)) in LAYERS.iter().enumerate() {
+                if mask & (1 << bit) != 0 {
+                    enable(&mut config);
+                    on.push(*name);
+                }
+            }
+            let one = run_fleet(&config, &m, false).unwrap();
+            let three = run_fleet(&FleetConfig { threads: 3, ..config.clone() }, &m, false).unwrap();
+            assert_eq!(one.snapshot.to_json(), three.snapshot.to_json(), "{on:?}");
+            assert_eq!(one.latency_us, three.latency_us, "{on:?}");
+            assert_eq!(one.per_host, three.per_host, "{on:?}");
+            assert_eq!(one.memory_ms.to_bits(), three.memory_ms.to_bits(), "{on:?}");
+            assert_eq!(
+                one.contention_extra_ms.to_bits(),
+                three.contention_extra_ms.to_bits(),
+                "{on:?}"
+            );
+            assert_eq!(
+                luke_obs::export::to_json(&one.datasets()),
+                luke_obs::export::to_json(&three.datasets()),
+                "{on:?}"
+            );
+            // Every dispatched copy (arrivals plus hedge duplicates) ends
+            // exactly one way: completed, abandoned or shed.
+            assert_eq!(
+                one.completed + one.abandoned + one.shed,
+                config.invocations as u64 + one.hedges,
+                "{on:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn retry_policy_is_validated_and_a_huge_attempt_cap_runs() {
+        let faulty = FleetConfig {
+            fault_rates: server::FaultRates {
+                crash: 0.1,
+                timeout: 0.05,
+                cold_start_failure: 0.05,
+                memory_pressure: 0.05,
             },
-            &m,
-            false,
-        )
-        .unwrap();
-        assert_eq!(one.snapshot.to_json(), four.snapshot.to_json());
-        assert_eq!(one.latency_us, four.latency_us);
-        assert_eq!(one.per_host, four.per_host);
-        assert_eq!(
-            luke_obs::export::to_json(&one.datasets()),
-            luke_obs::export::to_json(&four.datasets())
-        );
+            trace_sample: 7,
+            ..quick_config()
+        };
+        let base = RetryPolicy::default();
+        // Each policy with the field validation must name, or `None`
+        // when the run must complete.
+        let cases = [
+            (RetryPolicy { max_attempts: 0, ..base }, Some("retry.max_attempts")),
+            (RetryPolicy { base_backoff_ms: f64::NAN, ..base }, Some("retry.base_backoff_ms")),
+            (RetryPolicy { deadline_ms: -1.0, ..base }, Some("retry.deadline_ms")),
+            (RetryPolicy { max_attempts: u64::MAX, ..base }, None),
+        ];
+        for (retry, expected) in cases {
+            let config = FleetConfig { retry, ..faulty.clone() };
+            match (expected, run_fleet(&config, &model(), false)) {
+                (Some(expected), Err(SimError::InvalidConfig { field, .. })) => {
+                    assert_eq!(field, expected);
+                }
+                (None, Ok(run)) => {
+                    assert_eq!(run.completed + run.abandoned, 4_000);
+                    assert!(run.traced);
+                }
+                (expected, other) => panic!("{retry:?} (expected {expected:?}): {other:?}"),
+            }
+        }
     }
 }

@@ -551,7 +551,11 @@ mod tests {
         #[test]
         fn macro_generates_and_checks(x in 0u64..100, flag in any::<bool>()) {
             prop_assert!(x < 100);
-            prop_assert_eq!(flag || !flag, true);
+            // Both generated values reach the body: the flag picks the
+            // radix `x` round-trips through.
+            let radix = if flag { 16 } else { 10 };
+            let shown = if flag { format!("{x:x}") } else { x.to_string() };
+            prop_assert_eq!(u64::from_str_radix(&shown, radix), Ok(x));
         }
     }
 

@@ -440,50 +440,59 @@ impl RetryPolicy {
         jitter: f64,
         deadline_ms: f64,
     ) -> Result<Self, SimError> {
-        if max_attempts == 0 {
-            return Err(SimError::invalid_config(
-                "retry.max_attempts",
-                "at least one attempt is required",
-            ));
-        }
-        if !(base_backoff_ms >= 0.0 && base_backoff_ms.is_finite()) {
-            return Err(SimError::invalid_config(
-                "retry.base_backoff_ms",
-                format!("must be ≥ 0 and finite, got {base_backoff_ms}"),
-            ));
-        }
-        if !(backoff_multiplier >= 1.0 && backoff_multiplier.is_finite()) {
-            return Err(SimError::invalid_config(
-                "retry.backoff_multiplier",
-                format!("must be ≥ 1, got {backoff_multiplier}"),
-            ));
-        }
-        if !(max_backoff_ms >= base_backoff_ms && max_backoff_ms.is_finite()) {
-            return Err(SimError::invalid_config(
-                "retry.max_backoff_ms",
-                format!("must be ≥ base backoff, got {max_backoff_ms}"),
-            ));
-        }
-        if !(0.0..=1.0).contains(&jitter) {
-            return Err(SimError::invalid_config(
-                "retry.jitter",
-                format!("must be in [0, 1], got {jitter}"),
-            ));
-        }
-        if deadline_ms.is_nan() || deadline_ms <= 0.0 {
-            return Err(SimError::invalid_config(
-                "retry.deadline_ms",
-                format!("must be positive, got {deadline_ms}"),
-            ));
-        }
-        Ok(RetryPolicy {
+        let policy = RetryPolicy {
             max_attempts,
             base_backoff_ms,
             backoff_multiplier,
             max_backoff_ms,
             jitter,
             deadline_ms,
-        })
+        };
+        policy.validate()?;
+        Ok(policy)
+    }
+
+    /// Validates every field, naming the first offending one. Policies
+    /// built as struct literals (config defaults, sweeps) must pass this
+    /// before they drive a run.
+    pub fn validate(&self) -> Result<(), SimError> {
+        if self.max_attempts == 0 {
+            return Err(SimError::invalid_config(
+                "retry.max_attempts",
+                "at least one attempt is required",
+            ));
+        }
+        if !(self.base_backoff_ms >= 0.0 && self.base_backoff_ms.is_finite()) {
+            return Err(SimError::invalid_config(
+                "retry.base_backoff_ms",
+                format!("must be ≥ 0 and finite, got {}", self.base_backoff_ms),
+            ));
+        }
+        if !(self.backoff_multiplier >= 1.0 && self.backoff_multiplier.is_finite()) {
+            return Err(SimError::invalid_config(
+                "retry.backoff_multiplier",
+                format!("must be ≥ 1, got {}", self.backoff_multiplier),
+            ));
+        }
+        if !(self.max_backoff_ms >= self.base_backoff_ms && self.max_backoff_ms.is_finite()) {
+            return Err(SimError::invalid_config(
+                "retry.max_backoff_ms",
+                format!("must be ≥ base backoff, got {}", self.max_backoff_ms),
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.jitter) {
+            return Err(SimError::invalid_config(
+                "retry.jitter",
+                format!("must be in [0, 1], got {}", self.jitter),
+            ));
+        }
+        if self.deadline_ms.is_nan() || self.deadline_ms <= 0.0 {
+            return Err(SimError::invalid_config(
+                "retry.deadline_ms",
+                format!("must be positive, got {}", self.deadline_ms),
+            ));
+        }
+        Ok(())
     }
 
     /// Backoff before retry number `retry` (1-based), with jitter drawn
