@@ -17,6 +17,7 @@
 //! [`host_interleaving`]: crate::experiments::host_interleaving
 
 use crate::config::SystemConfig;
+use crate::system::{pipelines, run_traced};
 use jukebox::os::JukeboxRuntime;
 use luke_common::SimError;
 use sim_cpu::Core;
@@ -136,21 +137,33 @@ impl HostSim {
     ///
     /// Panics if `idx` is out of range.
     pub fn dispatch(&mut self, idx: usize) {
+        let pipelined = pipelines(&self.instances[idx].function);
+        self.dispatch_as(idx, pipelined);
+    }
+
+    /// [`HostSim::dispatch`] on the trace path the caller picks.
+    fn dispatch_as(&mut self, idx: usize, pipelined: bool) {
         let instance = &mut self.instances[idx];
-        let trace = instance.function.invocation_trace(instance.next_invocation);
+        let invocation = instance.next_invocation;
         instance.next_invocation += 1;
+        let (core, mem) = (&mut self.core, &mut self.mem);
+        let (function, page_table) = (&instance.function, &mut instance.page_table);
         let result = match &mut self.jukebox {
             Some(rt) => {
                 let prefetcher = rt
                     .dispatch(idx as u64)
                     .expect("registered and enabled instance");
-                self.core
-                    .run_invocation(trace, &mut self.mem, &mut instance.page_table, prefetcher)
+                run_traced(
+                    pipelined, core, mem, page_table, function, invocation, prefetcher,
+                )
             }
-            None => self.core.run_invocation(
-                trace,
-                &mut self.mem,
-                &mut instance.page_table,
+            None => run_traced(
+                pipelined,
+                core,
+                mem,
+                page_table,
+                function,
+                invocation,
                 &mut NoPrefetcher,
             ),
         };
@@ -281,6 +294,21 @@ mod tests {
             "jukebox should help under true interleaving: {jb_cpi:.2} vs {base_cpi:.2}"
         );
         assert!(jb.jukebox_metadata_bytes() > 0);
+    }
+
+    #[test]
+    fn pipelined_and_inline_dispatch_agree() {
+        let p = profiles(2, 0.2);
+        let run = |pipelined: bool| {
+            let mut host = HostSim::new(SystemConfig::skylake(), &p, true);
+            for idx in round_robin(2, 2) {
+                host.dispatch_as(idx, pipelined);
+            }
+            (host.all_stats(), host.jukebox_metadata_bytes())
+        };
+        let inline = run(false);
+        assert!(inline.1 > 0);
+        assert_eq!(inline, run(true));
     }
 
     #[test]

@@ -2,12 +2,153 @@
 
 use crate::config::SystemConfig;
 use luke_obs::{Registry, Span};
+use sim_cpu::instr::Instr;
 use sim_cpu::{Core, InvocationResult};
 use sim_mem::hierarchy::HierarchySnapshot;
 use sim_mem::prefetch::{InstructionPrefetcher, NoPrefetcher};
 use sim_mem::{MemoryHierarchy, PageTable};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::OnceLock;
 use workloads::stressor::stressor_trace;
 use workloads::{FunctionProfile, SyntheticFunction};
+
+/// Instructions per chunk when a trace is generated on a helper thread.
+const CHUNK: usize = 16 * 1024;
+
+/// Chunk buffers per streamed invocation, recycled between the helper and
+/// the core: one being filled, one being simulated, the rest queued. The
+/// queue lets the helper run a quarter to a half of a paper-scale trace
+/// ahead, so the core does not stall when the helper's core is taken away
+/// for a few milliseconds (with 4 buffers, `cycle-paper` lost most of its
+/// gain on a VM with bursty steal time).
+const BUFFERS: usize = 16;
+
+/// Whether the process may run a second thread on a second core. Read
+/// once: it is the affinity mask (and cgroup quota) at first use.
+fn spare_core() -> bool {
+    static SPARE: OnceLock<bool> = OnceLock::new();
+    *SPARE.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2))
+}
+
+/// Whether [`run_traced`] should stream `function`'s traces from a helper
+/// thread. Only with a core to spare, else the helper competes with the
+/// core it feeds, and only for traces of several chunks, else spawning
+/// and buffer hand-offs cost more than generation (docs/MODEL.md, "Trace
+/// pipeline").
+pub(crate) fn pipelines(function: &SyntheticFunction) -> bool {
+    spare_core() && function.layout().walk_instr_estimate() >= 4 * CHUNK as u64
+}
+
+/// Runs invocation `invocation` of `function` on `core`: the one path
+/// of every cycle-model invocation. `pipelined` (from [`pipelines`])
+/// generates the trace in chunks on a scoped helper thread while the core
+/// simulates the earlier ones; otherwise the trace is materialized first.
+/// The core sees the same instructions either way, and the prefetcher,
+/// page table and hierarchy stay on the calling thread.
+pub(crate) fn run_traced<P: InstructionPrefetcher + ?Sized>(
+    pipelined: bool,
+    core: &mut Core,
+    mem: &mut MemoryHierarchy,
+    page_table: &mut PageTable,
+    function: &SyntheticFunction,
+    invocation: u64,
+    prefetcher: &mut P,
+) -> InvocationResult {
+    if pipelined {
+        streamed(function, invocation, |trace| {
+            core.run_invocation(trace, mem, page_table, prefetcher)
+        })
+        .0
+    } else {
+        let trace = function.invocation_trace(invocation);
+        core.run_invocation(trace, mem, page_table, prefetcher)
+    }
+}
+
+/// Generates invocation `invocation`'s trace on a scoped helper thread,
+/// [`CHUNK`] instructions at a time into [`BUFFERS`] recycled buffers, and
+/// hands `consume` an iterator over it. Also returns whether the helper
+/// walked the whole trace: it stops early once `consume` has dropped the
+/// iterator.
+fn streamed<R>(
+    function: &SyntheticFunction,
+    invocation: u64,
+    consume: impl FnOnce(Chunks) -> R,
+) -> (R, bool) {
+    // Neither channel can fill: only `BUFFERS` buffers exist.
+    let (full_tx, full_rx) = mpsc::sync_channel(BUFFERS);
+    let (free_tx, free_rx) = mpsc::sync_channel(BUFFERS);
+    // A chunk overshoots `CHUNK` by at most one procedure visit, a few
+    // hundred instructions.
+    let buffer = || Vec::with_capacity(2 * CHUNK);
+    // The helper fills `first` while the core starts on an empty chunk;
+    // the rest wait in the free channel.
+    for _ in 2..BUFFERS {
+        free_tx.send(buffer()).expect("receiver is alive");
+    }
+    let first = buffer();
+    let chunks = Chunks {
+        chunk: buffer(),
+        next: 0,
+        full: full_rx,
+        free: free_tx,
+    };
+    std::thread::scope(|scope| {
+        let generator = scope.spawn(move || {
+            let tail = function.invocation_trace_chunked(invocation, CHUNK, first, &mut |full| {
+                full_tx.send(full).ok()?;
+                free_rx.recv().ok()
+            });
+            // Whether or not the core still reads, the walk reached the end.
+            tail.map(|tail| full_tx.send(tail)).is_some()
+        });
+        let result = consume(chunks);
+        let finished = generator.join().expect("trace generator panicked");
+        (result, finished)
+    })
+}
+
+/// The core's side of a streamed trace: yields each chunk's instructions
+/// in order and hands every drained buffer back to the generator.
+struct Chunks {
+    chunk: Vec<Instr>,
+    next: usize,
+    full: Receiver<Vec<Instr>>,
+    free: SyncSender<Vec<Instr>>,
+}
+
+impl Chunks {
+    /// Swaps the drained chunk for the next non-empty one and yields its
+    /// first instruction; `None` once the generator has sent its tail.
+    #[cold]
+    fn refill(&mut self) -> Option<Instr> {
+        loop {
+            let mut drained = std::mem::replace(&mut self.chunk, self.full.recv().ok()?);
+            drained.clear();
+            // Fails only once the generator has finished.
+            let _ = self.free.send(drained);
+            if let Some(&first) = self.chunk.first() {
+                self.next = 1;
+                return Some(first);
+            }
+        }
+    }
+}
+
+impl Iterator for Chunks {
+    type Item = Instr;
+
+    #[inline]
+    fn next(&mut self) -> Option<Instr> {
+        match self.chunk.get(self.next) {
+            Some(&instr) => {
+                self.next += 1;
+                Some(instr)
+            }
+            None => self.refill(),
+        }
+    }
+}
 
 /// Metrics of one simulated invocation: core timing plus the memory-system
 /// counter deltas attributable to it.
@@ -140,12 +281,28 @@ impl SystemSim {
         &mut self,
         prefetcher: &mut P,
     ) -> InvocationMetrics {
-        let trace = self.function.invocation_trace(self.next_invocation);
+        let pipelined = pipelines(&self.function);
+        self.run_invocation_as(pipelined, prefetcher)
+    }
+
+    /// [`SystemSim::run_invocation`] on the trace path the caller picks.
+    fn run_invocation_as<P: InstructionPrefetcher + ?Sized>(
+        &mut self,
+        pipelined: bool,
+        prefetcher: &mut P,
+    ) -> InvocationMetrics {
+        let invocation = self.next_invocation;
         self.next_invocation += 1;
         let before = self.mem.snapshot();
-        let result =
-            self.core
-                .run_invocation(trace, &mut self.mem, &mut self.page_table, prefetcher);
+        let result = run_traced(
+            pipelined,
+            &mut self.core,
+            &mut self.mem,
+            &mut self.page_table,
+            &self.function,
+            invocation,
+            prefetcher,
+        );
         let metrics = InvocationMetrics {
             result,
             mem: self.mem.snapshot().delta(&before),
@@ -160,8 +317,10 @@ impl SystemSim {
                 .counter_add("prefetch.issued", result.prefetch.issued);
             self.registry
                 .counter_add("prefetch.redundant", result.prefetch.redundant);
-            self.registry
-                .counter_add("prefetch.metadata_written", result.prefetch.metadata_written);
+            self.registry.counter_add(
+                "prefetch.metadata_written",
+                result.prefetch.metadata_written,
+            );
             self.registry
                 .counter_add("prefetch.metadata_read", result.prefetch.metadata_read);
         }
@@ -258,6 +417,92 @@ mod tests {
             q.result.cycles,
             b.result.cycles
         );
+    }
+
+    /// What one configuration's run leaves behind, for comparing the two
+    /// trace paths.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        metrics: Vec<InvocationMetrics>,
+        spans: Vec<Span>,
+        registry: luke_obs::Snapshot,
+        jukebox: Option<String>,
+    }
+
+    /// Runs 4 invocations of a multi-chunk trace with every invocation on
+    /// the chosen path: back to back, flushed between, or flushed between
+    /// with Jukebox.
+    fn run_config(pipelined: bool, flush: bool, jukebox: bool) -> Outcome {
+        let p = FunctionProfile::named("Fib-G").unwrap().scaled(0.2);
+        let mut sim = SystemSim::new(SystemConfig::skylake(), &p);
+        assert!(sim.function().layout().walk_instr_estimate() >= 4 * CHUNK as u64);
+        sim.enable_obs();
+        sim.set_span_capacity(1 << 16);
+        let mut jb = jukebox::JukeboxPrefetcher::new(sim.config().jukebox);
+        let (lo, hi) = sim.function().layout().address_span();
+        jb.set_address_bounds(lo, hi);
+        let mut metrics = Vec::new();
+        for _ in 0..4 {
+            if flush {
+                sim.flush_microarch();
+            }
+            metrics.push(if jukebox {
+                sim.run_invocation_as(pipelined, &mut jb)
+            } else {
+                sim.run_invocation_as(pipelined, &mut NoPrefetcher)
+            });
+        }
+        Outcome {
+            metrics,
+            spans: sim.take_spans(),
+            registry: sim.registry().snapshot(),
+            jukebox: jukebox.then(|| {
+                format!(
+                    "{:?} {} {} {} {:?}",
+                    jb.last_replay(),
+                    jb.replay_aborts(),
+                    jb.dropped_prefetches(),
+                    jb.record_bytes_required(),
+                    jb.snapshot()
+                )
+            }),
+        }
+    }
+
+    #[test]
+    fn pipelined_and_inline_traces_agree() {
+        for (flush, jukebox) in [(false, false), (true, false), (true, true)] {
+            let inline = run_config(false, flush, jukebox);
+            let pipelined = run_config(true, flush, jukebox);
+            assert!(!inline.spans.is_empty());
+            assert_eq!(inline, pipelined, "flush {flush}, jukebox {jukebox}");
+        }
+    }
+
+    /// A trace longer than all the buffers together: a chunk overshoots
+    /// `CHUNK` by less than one visit, so the helper must wait for drained
+    /// buffers to finish it.
+    fn longer_than_the_buffers() -> SyntheticFunction {
+        let p = FunctionProfile::named("Auth-P").unwrap().scaled(0.5);
+        let f = SyntheticFunction::build(&p);
+        assert!(f.invocation_trace(0).len() > BUFFERS * (CHUNK + 1024));
+        f
+    }
+
+    #[test]
+    fn streamed_trace_is_the_whole_trace() {
+        let f = longer_than_the_buffers();
+        let (streamed, finished) = streamed(&f, 0, |chunks| chunks.collect::<Vec<_>>());
+        assert!(finished);
+        assert_eq!(streamed, f.invocation_trace(0));
+    }
+
+    #[test]
+    fn generator_stops_when_the_core_drops_the_trace() {
+        let f = longer_than_the_buffers();
+        let (taken, finished) = streamed(&f, 0, |mut chunks| chunks.by_ref().take(10).count());
+        assert_eq!(taken, 10);
+        assert!(!finished, "the generator ran to the end with no consumer");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::layout::CodeLayout;
 use crate::profile::FunctionProfile;
-use crate::trace::emit_invocation;
+use crate::trace::{emit_invocation, emit_invocation_chunked};
 use sim_cpu::instr::Instr;
 
 /// A synthetic serverless function ready to generate invocation traces.
@@ -53,6 +53,27 @@ impl SyntheticFunction {
     /// Deterministic: the same index always produces the same trace.
     pub fn invocation_trace(&self, invocation: u64) -> Vec<Instr> {
         emit_invocation(&self.profile, &self.layout, invocation)
+    }
+
+    /// Generates the same trace in chunks of at least `chunk`
+    /// instructions, each ending on a procedure visit; see
+    /// [`emit_invocation_chunked`] for how `first`, `hand_off` and the
+    /// returned tail work.
+    pub fn invocation_trace_chunked(
+        &self,
+        invocation: u64,
+        chunk: usize,
+        first: Vec<Instr>,
+        hand_off: &mut dyn FnMut(Vec<Instr>) -> Option<Vec<Instr>>,
+    ) -> Option<Vec<Instr>> {
+        emit_invocation_chunked(
+            &self.profile,
+            &self.layout,
+            invocation,
+            chunk,
+            first,
+            hand_off,
+        )
     }
 }
 

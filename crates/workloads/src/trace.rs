@@ -24,18 +24,47 @@ pub const SWEEP_SHUFFLE_WINDOW: usize = 8;
 
 /// Emits the dynamic instruction trace of one invocation.
 ///
-/// Deterministic in `(profile.seed, invocation)`.
+/// Deterministic in `(profile.seed, invocation)`. This is
+/// [`emit_invocation_chunked`] with one unbounded chunk.
 pub fn emit_invocation(
     profile: &FunctionProfile,
     layout: &CodeLayout,
     invocation: u64,
 ) -> Vec<Instr> {
+    let whole = Vec::with_capacity(layout.walk_instr_estimate() as usize);
+    emit_invocation_chunked(profile, layout, invocation, usize::MAX, whole, &mut |_| {
+        None
+    })
+    .expect("an unbounded chunk is never handed off")
+}
+
+/// Emits the trace of one invocation in chunks of at least `chunk`
+/// instructions, filling `first` and then each buffer `hand_off` returns.
+///
+/// A buffer is handed off at the end of the first procedure visit that
+/// brings it to `chunk` instructions, so every chunk ends on a visit
+/// boundary. `hand_off` takes the filled buffer and returns the next
+/// (empty) one, or `None` to stop the walk there. Returns the last,
+/// partly filled buffer when the walk reaches the end, `None` when
+/// `hand_off` stopped it. Concatenated, the chunks and the returned tail
+/// are exactly [`emit_invocation`]'s trace: the RNG draws do not depend on
+/// where the chunks break.
+pub fn emit_invocation_chunked(
+    profile: &FunctionProfile,
+    layout: &CodeLayout,
+    invocation: u64,
+    chunk: usize,
+    first: Vec<Instr>,
+    hand_off: &mut dyn FnMut(Vec<Instr>) -> Option<Vec<Instr>>,
+) -> Option<Vec<Instr>> {
     let inv_rng = DetRng::new(profile.seed).split(0xE317).split(invocation);
     let included = optional_inclusion(layout, &inv_rng);
     let mut emitter = Emitter {
         rng: inv_rng.split(0xF00D),
         data: DataSpace::new(profile.data_footprint),
-        out: Vec::with_capacity(layout.walk_instr_estimate() as usize),
+        out: first,
+        chunk,
+        hand_off,
     };
 
     // Filter optional groups, then shuffle the sweep portion window-wise.
@@ -68,11 +97,13 @@ pub fn emit_invocation(
             0
         };
         emitter.emit_visit(layout, visit, rotation);
+        emitter.end_visit()?;
     }
     for visit in &layout.canonical[sweep_len..] {
         emitter.emit_visit(layout, visit, 0);
+        emitter.end_visit()?;
     }
-    emitter.out
+    Some(emitter.out)
 }
 
 /// Per-invocation coin flips for each optional group. Group order is
@@ -84,10 +115,13 @@ fn optional_inclusion(layout: &CodeLayout, inv_rng: &DetRng) -> Vec<bool> {
         .collect()
 }
 
-struct Emitter {
+struct Emitter<'a> {
     rng: DetRng,
     data: DataSpace,
     out: Vec<Instr>,
+    /// Hand `out` off once it holds at least this many instructions.
+    chunk: usize,
+    hand_off: &'a mut dyn FnMut(Vec<Instr>) -> Option<Vec<Instr>>,
 }
 
 /// How a block's terminal transfers control.
@@ -101,7 +135,16 @@ enum Terminal {
     Return(luke_common::addr::VirtAddr),
 }
 
-impl Emitter {
+impl Emitter<'_> {
+    /// Hands `out` off if it has reached a chunk. `None` when `hand_off`
+    /// stopped the walk.
+    fn end_visit(&mut self) -> Option<()> {
+        if self.out.len() >= self.chunk {
+            self.out = (self.hand_off)(std::mem::take(&mut self.out))?;
+        }
+        Some(())
+    }
+
     /// Emits one procedure visit. `rotation` rotates the block visit
     /// order (entering at block `rotation` and wrapping), modelling
     /// request-dependent entry points; content is unchanged.
@@ -215,6 +258,80 @@ mod tests {
         assert_eq!(a.len(), b.len());
         assert_eq!(a[100], b[100]);
         assert_eq!(a.last(), b.last());
+    }
+
+    /// Emits in chunks of `chunk`, returning the chunks in order (the
+    /// tail last).
+    fn chunks_of(
+        p: &FunctionProfile,
+        layout: &CodeLayout,
+        inv: u64,
+        chunk: usize,
+    ) -> Vec<Vec<Instr>> {
+        let mut chunks = Vec::new();
+        let tail = emit_invocation_chunked(p, layout, inv, chunk, Vec::new(), &mut |full| {
+            chunks.push(full);
+            Some(Vec::new())
+        })
+        .expect("a sink that never stops lets the walk finish");
+        chunks.push(tail);
+        chunks
+    }
+
+    #[test]
+    fn chunked_emission_equals_the_whole_trace() {
+        for p in crate::profile::paper_suite() {
+            let p = p.scaled(0.05);
+            let layout = CodeLayout::build(&p);
+            let tail_pc = layout.dispatcher_tail.terminal_pc();
+            for inv in 0..3 {
+                let whole = emit_invocation(&p, &layout, inv);
+                // Offsets just past each visit: the dispatcher tail's
+                // terminal closes every visit.
+                let visit_ends: std::collections::BTreeSet<usize> = whole
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, i)| i.pc == tail_pc)
+                    .map(|(k, _)| k + 1)
+                    .collect();
+                for chunk in [1, 7, 4096, usize::MAX] {
+                    let chunks = chunks_of(&p, &layout, inv, chunk);
+                    let (tail, full) = chunks.split_last().unwrap();
+                    let mut at = 0;
+                    for c in full {
+                        assert!(c.len() >= chunk, "{} chunk {chunk}: short chunk", p.name);
+                        at += c.len();
+                        assert!(
+                            visit_ends.contains(&at),
+                            "{} inv {inv} chunk {chunk}: boundary {at} inside a visit",
+                            p.name
+                        );
+                    }
+                    assert!(tail.len() < chunk);
+                    let joined: Vec<Instr> = chunks.concat();
+                    assert_eq!(joined, whole, "{} inv {inv} chunk {chunk}", p.name);
+                }
+                assert_eq!(chunks_of(&p, &layout, inv, usize::MAX).len(), 1);
+                assert_eq!(
+                    chunks_of(&p, &layout, inv, 1).len(),
+                    visit_ends.len() + 1,
+                    "one chunk per visit, then an empty tail"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_refusing_sink_stops_the_walk() {
+        let (p, layout) = setup("Auth-G");
+        let mut handed = 0;
+        let tail = emit_invocation_chunked(&p, &layout, 0, 64, Vec::new(), &mut |full| {
+            assert!(full.len() >= 64);
+            handed += 1;
+            None
+        });
+        assert!(tail.is_none());
+        assert_eq!(handed, 1);
     }
 
     #[test]
