@@ -1,6 +1,6 @@
 //! The shared experiment engine: a registry of every experiment, a
-//! deterministic parallel executor for their simulation cells, and a
-//! memoized cell cache shared across experiments.
+//! deterministic parallel executor for their simulation cells and fold
+//! jobs, and a memoized cell cache shared across experiments.
 //!
 //! # Model
 //!
@@ -19,16 +19,20 @@
 //! * **Memoization** — a cell simulated once is served from the cache
 //!   forever after; since a cache hit returns the exact value a fresh
 //!   simulation would, memoization cannot change any experiment's output.
-//! * **Parallelism** — [`Engine::prefetch`] plans sequentially (dedup in
-//!   plan order), executes the missing cells shard-parallel over
-//!   [`std::thread::scope`] workers that share nothing and write results
-//!   into disjoint slots, then merges into the cache in plan order. The
-//!   fold itself stays sequential and reads only cached values, so
-//!   `--threads N` is byte-identical to `--threads 1`.
+//! * **Parallelism** — [`Engine::map`] is the one parallel primitive: it
+//!   runs independent jobs on scoped workers that claim items in order
+//!   from an atomic counter and returns the results in item order.
+//!   [`Engine::prefetch`] plans sequentially (dedup in plan order), maps
+//!   the missing cells, then merges into the cache in plan order. A fold
+//!   maps its independent sweep points (record-only runs, footprint
+//!   studies, fleet runs) and assembles its rows sequentially from the
+//!   ordered results, so `--threads N` is byte-identical to `--threads 1`.
 //!
-//! Cache hit/miss counters are deterministic too: they are accounted in
-//! the sequential plan phase and on sequential inline misses, never from
-//! worker threads.
+//! A map job is a pure function of its item and reads only cells planned
+//! before the map started. Cache hit/miss counters are deterministic too:
+//! plan-time accounting runs on the calling thread, and an inline miss is
+//! counted by the insert that fills the slot, so two jobs racing on one
+//! unplanned cell count it once.
 
 mod cell;
 mod registry;
@@ -40,9 +44,22 @@ use crate::config::SystemConfig;
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec, RunSummary};
 use luke_common::SimError;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use workloads::FunctionProfile;
+
+thread_local! {
+    /// Workers of the [`Engine::map`] this thread is running a job for;
+    /// 1 on any thread that is not a map worker.
+    static MAP_WORKERS: std::cell::Cell<usize> = const { std::cell::Cell::new(1) };
+}
+
+/// How many map workers, this thread included, are busy alongside the
+/// current job: 1 outside [`Engine::map`]. The trace pipeline reads it to
+/// leave helper threads out when the workers already fill every core.
+pub(crate) fn map_workers() -> usize {
+    MAP_WORKERS.with(std::cell::Cell::get)
+}
 
 /// Execution context shared by every experiment in one invocation: the
 /// memoized cell cache, the worker-thread budget, and the cache counters.
@@ -54,8 +71,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine that shards planned cells across up to `threads` workers.
-    /// `0` is treated as `1`.
+    /// An engine that runs planned cells and fold jobs on up to `threads`
+    /// workers. `0` is treated as `1`.
     pub fn new(threads: usize) -> Engine {
         Engine {
             threads: threads.max(1),
@@ -89,9 +106,60 @@ impl Engine {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Simulates every not-yet-cached cell of a plan, sharding the missing
-    /// cells across scoped worker threads (sequential plan → shared-nothing
-    /// execute → merge in plan order, the fleet pattern).
+    /// Applies `job` to every item on up to [`Engine::threads`] scoped
+    /// workers and returns the results in item order.
+    ///
+    /// Each worker claims the next unclaimed item index from an atomic
+    /// counter, so uneven job costs balance across workers; each result is
+    /// placed by its index, so the output is independent of which worker
+    /// ran what. With one worker (a 1-thread engine, or at most one item)
+    /// every job runs inline on the calling thread.
+    ///
+    /// `job` must be a pure function of its item: the engine's
+    /// determinism rests on it. Fallible jobs return `Result`s; collecting
+    /// them yields the first error in item order, the one a serial loop
+    /// would have stopped at.
+    pub fn map<T, R, F>(&self, items: &[T], job: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        let workers = self.threads.min(items.len());
+        if workers <= 1 {
+            return items.iter().map(job).collect();
+        }
+        let next = AtomicUsize::new(0);
+        let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        MAP_WORKERS.with(|w| w.set(workers));
+                        let mut out = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(item) = items.get(i) else { break };
+                            out.push((i, job(item)));
+                        }
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
+        });
+        let mut results: Vec<(usize, R)> = claimed.into_iter().flatten().collect();
+        results.sort_unstable_by_key(|&(i, _)| i);
+        results.into_iter().map(|(_, result)| result).collect()
+    }
+
+    /// Simulates every not-yet-cached cell of a plan: sequential plan →
+    /// [`Engine::map`] over the missing cells → merge in plan order.
     ///
     /// Each planned cell is accounted exactly once: a cache hit (already
     /// simulated, or duplicated earlier in this plan) or a miss (simulated
@@ -113,26 +181,9 @@ impl Engine {
                 }
             }
         }
-        if queue.is_empty() {
-            return;
-        }
-
-        let mut results: Vec<Option<RunSummary>> = vec![None; queue.len()];
-        let workers = self.threads.min(queue.len());
-        let shard_len = queue.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (cells, out) in queue.chunks(shard_len).zip(results.chunks_mut(shard_len)) {
-                scope.spawn(move || {
-                    for (cell, slot) in cells.iter().zip(out.iter_mut()) {
-                        *slot = Some(cell.simulate());
-                    }
-                });
-            }
-        });
-
+        let results = self.map(&queue, |cell| cell.simulate());
         let mut cache = self.cache.lock().expect("engine cache poisoned");
         for (cell, summary) in queue.iter().zip(results) {
-            let summary = summary.expect("worker filled every slot");
             cache.insert(cell.key(), summary);
         }
     }
@@ -143,7 +194,9 @@ impl Engine {
     ///
     /// Inline lookups of planned cells are not re-counted — each planned
     /// cell was already accounted by [`Engine::prefetch`]. An *unplanned*
-    /// cell counts as one more simulated cell.
+    /// cell counts as one more simulated cell, once: when map jobs race
+    /// to simulate the same cell, only the insert that fills the slot
+    /// counts it.
     pub fn run(
         &self,
         config: &SystemConfig,
@@ -164,11 +217,14 @@ impl Engine {
             return hit;
         }
         let summary = cell.simulate();
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.cache
+        let raced = self
+            .cache
             .lock()
             .expect("engine cache poisoned")
             .insert(key, summary);
+        if raced.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
         summary
     }
 
@@ -305,6 +361,115 @@ mod tests {
         );
         assert_eq!(first, second);
         assert_eq!(engine.cells_simulated(), 1, "second call must be a hit");
+    }
+
+    /// A job whose cost varies with the item: later items often finish
+    /// before earlier ones.
+    fn uneven(i: &u64) -> u64 {
+        std::thread::sleep(std::time::Duration::from_micros((i * 7 % 5) * 200));
+        i * i
+    }
+
+    #[test]
+    fn map_returns_results_in_item_order() {
+        let items: Vec<u64> = (0..23).collect();
+        let expected: Vec<u64> = items.iter().map(|i| i * i).collect();
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(
+                Engine::new(threads).map(&items, uneven),
+                expected,
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn map_with_more_workers_than_items_or_none() {
+        let engine = Engine::new(8);
+        assert_eq!(engine.map(&[3u64, 1, 2], uneven), vec![9, 1, 4]);
+        assert_eq!(engine.map(&[] as &[u64], uneven), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn single_thread_map_runs_inline() {
+        let caller = std::thread::current().id();
+        let ran_on = Engine::single().map(&[0u8; 5], |_| std::thread::current().id());
+        assert_eq!(ran_on, vec![caller; 5]);
+    }
+
+    #[test]
+    fn map_errors_resolve_to_the_first_in_item_order() {
+        let items: Vec<u64> = (0..8).collect();
+        for threads in [1, 2, 3, 8] {
+            // With workers to spare, item 2 fails only after item 5 has.
+            let five_failed = std::sync::atomic::AtomicBool::new(false);
+            let job = |&i: &u64| -> Result<u64, String> {
+                match i {
+                    2 => {
+                        while threads > 1 && !five_failed.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        Err("item 2".to_string())
+                    }
+                    5 => {
+                        five_failed.store(true, Ordering::SeqCst);
+                        Err("item 5".to_string())
+                    }
+                    _ => Ok(i),
+                }
+            };
+            let collected: Result<Vec<u64>, String> =
+                Engine::new(threads).map(&items, job).into_iter().collect();
+            assert_eq!(collected, Err("item 2".to_string()), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn prefetch_of_mixed_cost_cells_is_thread_invariant() {
+        let params = ExperimentParams::quick();
+        let cfg = SystemConfig::skylake();
+        let mut cells = suite_cells(&["Auth-G", "Fib-G", "Email-P", "Auth-G", "Pay-N"]);
+        // A larger scale and a costlier prefetcher make the cells uneven.
+        let big = FunctionProfile::named("RecO-P").unwrap().scaled(0.06);
+        cells.push(Cell::new(
+            &cfg,
+            &big,
+            PrefetcherKind::Jukebox(cfg.jukebox),
+            RunSpec::lukewarm(),
+            &params,
+        ));
+        let run = |threads: usize| {
+            let engine = Engine::new(threads);
+            engine.prefetch(&cells);
+            let cache = engine.cache.lock().unwrap().clone();
+            (cache, engine.cells_simulated(), engine.cache_hits())
+        };
+        let serial = run(1);
+        assert_eq!((serial.1, serial.2), (5, 1));
+        assert_eq!(run(3), serial);
+    }
+
+    #[test]
+    fn racing_inline_misses_count_once() {
+        let params = ExperimentParams::quick();
+        let cfg = SystemConfig::skylake();
+        let profile = FunctionProfile::named("Geo-G")
+            .unwrap()
+            .scaled(params.scale);
+        for threads in [1, 4] {
+            let engine = Engine::new(threads);
+            let runs = engine.map(&[(); 4], |_| {
+                engine.run(
+                    &cfg,
+                    &profile,
+                    PrefetcherKind::None,
+                    RunSpec::lukewarm(),
+                    &params,
+                )
+            });
+            assert!(runs.windows(2).all(|w| w[0] == w[1]));
+            assert_eq!(engine.cells_simulated(), 1, "threads={threads}");
+        }
     }
 
     #[test]

@@ -91,8 +91,9 @@ pub struct Data {
 }
 
 /// Registry entry: see [`crate::engine::registry`]. The pool-level
-/// simulation has no cycle-accurate runner cells, so the plan is empty
-/// and the run ignores the engine.
+/// simulation has no cycle-accurate runner cells, so the plan is empty,
+/// and the run maps one job per (window, corruption) cell over the
+/// engine's workers.
 pub struct Entry;
 
 impl crate::engine::Experiment for Entry {
@@ -113,10 +114,10 @@ impl crate::engine::Experiment for Entry {
     }
     fn run(
         &self,
-        _engine: &Engine,
+        engine: &Engine,
         params: &ExperimentParams,
     ) -> Result<Box<dyn crate::engine::ExperimentData>, luke_common::SimError> {
-        run_experiment(params).map(|d| Box::new(d) as Box<dyn crate::engine::ExperimentData>)
+        run_with(engine, params).map(|d| Box::new(d) as Box<dyn crate::engine::ExperimentData>)
     }
 }
 
@@ -144,6 +145,16 @@ fn population(functions: usize, seed: u64) -> Vec<IatDistribution> {
 /// Propagates `ServiceModel`/`SnapshotStore` construction errors (the
 /// paper suite and default timings always validate).
 pub fn run_experiment(params: &ExperimentParams) -> Result<Data, luke_common::SimError> {
+    run_with(&Engine::single(), params)
+}
+
+/// [`run_experiment`] with each (window, corruption) cell as one
+/// [`Engine::map`] job.
+///
+/// # Errors
+///
+/// As [`run_experiment`].
+pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Result<Data, luke_common::SimError> {
     let functions = ((150.0 * params.scale) as usize).max(20);
     let invocations = ((30_000.0 * params.scale) as usize).max(2_000);
     let suite = workloads::paper_suite();
@@ -151,10 +162,13 @@ pub fn run_experiment(params: &ExperimentParams) -> Result<Data, luke_common::Si
     let distributions = population(functions, 0xC01D);
     let timings = SnapshotTimings::default();
 
-    let mut rows = Vec::new();
-    for &minutes in &KEEP_ALIVE_MINUTES {
-        for &corruption_rate in &CORRUPTION_RATES {
-            rows.push(run_cell(
+    let cells: Vec<(f64, f64)> = KEEP_ALIVE_MINUTES
+        .iter()
+        .flat_map(|&minutes| CORRUPTION_RATES.map(|rate| (minutes, rate)))
+        .collect();
+    let rows = engine
+        .map(&cells, |&(minutes, corruption_rate)| {
+            run_cell(
                 minutes,
                 corruption_rate,
                 functions,
@@ -162,9 +176,10 @@ pub fn run_experiment(params: &ExperimentParams) -> Result<Data, luke_common::Si
                 &distributions,
                 &model,
                 timings,
-            )?);
-        }
-    }
+            )
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
     Ok(Data {
         rows,
         functions,

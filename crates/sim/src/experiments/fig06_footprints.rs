@@ -33,7 +33,8 @@ pub struct Data {
 
 /// Registry entry: see [`crate::engine::registry`]. The footprint study
 /// traces L1-I accesses directly (no cycle-accurate runner cells), so the
-/// plan is empty and the run ignores the engine.
+/// plan is empty, and the run maps one study per function over the
+/// engine's workers.
 pub struct Entry;
 
 impl crate::engine::Experiment for Entry {
@@ -51,28 +52,31 @@ impl crate::engine::Experiment for Entry {
     }
     fn run(
         &self,
-        _engine: &Engine,
+        engine: &Engine,
         params: &ExperimentParams,
     ) -> Result<Box<dyn crate::engine::ExperimentData>, luke_common::SimError> {
-        Ok(Box::new(run_experiment(params)))
+        Ok(Box::new(run_with(engine, params)))
     }
 }
 
 /// Runs the footprint/commonality study over the suite.
 pub fn run_experiment(params: &ExperimentParams) -> Data {
+    run_with(&Engine::single(), params)
+}
+
+/// Runs the footprint/commonality study with each function's study as
+/// one [`Engine::map`] job.
+pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
     // The paper uses 25 invocations; quick runs use fewer.
     let invocations = if params.scale >= 0.5 { 25 } else { 6 };
-    let rows = paper_suite()
-        .into_iter()
-        .map(|p| {
-            let profile = p.scaled(params.scale);
-            let function = SyntheticFunction::build(&profile);
-            Row {
-                function: profile.name.clone(),
-                study: study(&function, invocations),
-            }
-        })
-        .collect();
+    let rows = engine.map(&paper_suite(), |p| {
+        let profile = p.scaled(params.scale);
+        let function = SyntheticFunction::build(&profile);
+        Row {
+            function: profile.name.clone(),
+            study: study(&function, invocations),
+        }
+    });
     Data { rows, invocations }
 }
 

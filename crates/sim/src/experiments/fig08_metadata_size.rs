@@ -76,7 +76,8 @@ pub fn required_metadata_bytes(
 /// Registry entry: see [`crate::engine::registry`]. The sweep measures
 /// record-only metadata sizes by driving [`SystemSim`] with a custom
 /// prefetcher setup, not through the cycle-accurate runner — the plan is
-/// empty and the run ignores the engine.
+/// empty, and the run maps one job per (function, region size) over the
+/// engine's workers.
 pub struct Entry;
 
 impl crate::engine::Experiment for Entry {
@@ -94,31 +95,43 @@ impl crate::engine::Experiment for Entry {
     }
     fn run(
         &self,
-        _engine: &Engine,
+        engine: &Engine,
         params: &ExperimentParams,
     ) -> Result<Box<dyn crate::engine::ExperimentData>, luke_common::SimError> {
-        Ok(Box::new(run_experiment(params)))
+        Ok(Box::new(run_with(engine, params)))
     }
 }
 
 /// Runs the Figure 8 sweep over the suite.
 pub fn run_experiment(params: &ExperimentParams) -> Data {
+    run_with(&Engine::single(), params)
+}
+
+/// Runs the Figure 8 sweep with each (function, region size) recording
+/// as one [`Engine::map`] job.
+pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
     let config = SystemConfig::skylake();
-    let rows = paper_suite()
+    let profiles: Vec<FunctionProfile> = paper_suite()
         .into_iter()
-        .map(|p| {
-            let profile = p.scaled(params.scale);
-            let sizes = REGION_SIZES
+        .map(|p| p.scaled(params.scale))
+        .collect();
+    let jobs: Vec<(&FunctionProfile, usize)> = profiles
+        .iter()
+        .flat_map(|profile| REGION_SIZES.iter().map(move |&region| (profile, region)))
+        .collect();
+    let bytes = engine.map(&jobs, |&(profile, region)| {
+        required_metadata_bytes(&config, profile, config.jukebox.with_region_bytes(region))
+    });
+    let rows = profiles
+        .iter()
+        .zip(bytes.chunks(REGION_SIZES.len()))
+        .map(|(profile, bytes)| Row {
+            function: profile.name.clone(),
+            sizes: REGION_SIZES
                 .iter()
-                .map(|&region| {
-                    let jb = config.jukebox.with_region_bytes(region);
-                    (region, required_metadata_bytes(&config, &profile, jb))
-                })
-                .collect();
-            Row {
-                function: profile.name.clone(),
-                sizes,
-            }
+                .copied()
+                .zip(bytes.iter().copied())
+                .collect(),
         })
         .collect();
     Data { rows }

@@ -32,7 +32,8 @@ use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::table::TextTable;
 use luke_common::SimError;
 use luke_fleet::{
-    run_fleet_pair, FleetConfig, FunctionTiming, RoutingPolicy, ServiceModel, FREQ_GHZ,
+    run_fleet, FleetComparison, FleetConfig, FunctionTiming, RoutingPolicy, ServiceModel,
+    FREQ_GHZ,
 };
 use std::fmt;
 use workloads::paper_suite;
@@ -205,10 +206,13 @@ pub fn try_run_experiment(params: &ExperimentParams) -> Result<Data, SimError> {
     try_run_experiment_with(&Engine::single(), params)
 }
 
-/// Fallible run whose calibration goes through a shared engine.
+/// Fallible run whose calibration goes through a shared engine. Each
+/// sweep point's base and Jukebox fleet runs are two [`Engine::map`]
+/// jobs; the rows are assembled in sweep order.
 pub fn try_run_experiment_with(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError> {
     let model = calibrate_model_with(engine, params)?;
-    let mut rows = Vec::new();
+    let mut points = Vec::new();
+    let mut jobs = Vec::new();
     for &hosts in fleet_sizes(params) {
         for keep_alive_min in KEEP_ALIVE_MINUTES {
             for policy in RoutingPolicy::ALL {
@@ -220,26 +224,38 @@ pub fn try_run_experiment_with(engine: &Engine, params: &ExperimentParams) -> Re
                     population: POPULATION,
                     ..FleetConfig::default()
                 };
-                let pair = run_fleet_pair(&config, &model)?;
-                let hits = pair.base.warm_hits + pair.base.lukewarm_hits;
-                rows.push(Row {
-                    policy: policy.label(),
-                    hosts,
-                    keep_alive_min,
-                    cold_start_rate: pair.base.cold_start_rate(),
-                    lukewarm_fraction: pair.base.lukewarm_fraction(),
-                    lukewarm_of_hits: if hits == 0 {
-                        0.0
-                    } else {
-                        pair.base.lukewarm_hits as f64 / hits as f64
-                    },
-                    mean_ms: pair.base.mean_latency_ms(),
-                    p50_ms: pair.base.p50_ms(),
-                    p99_ms: pair.base.p99_ms(),
-                    speedup: pair.speedup(),
-                });
+                points.push((hosts, keep_alive_min, policy));
+                jobs.push((config.clone(), false));
+                jobs.push((config, true));
             }
         }
+    }
+    let mut runs = engine
+        .map(&jobs, |(config, jukebox)| run_fleet(config, &model, *jukebox))
+        .into_iter();
+    let mut rows = Vec::new();
+    for (hosts, keep_alive_min, policy) in points {
+        let pair = FleetComparison {
+            base: runs.next().expect("one base run per point")?,
+            jukebox: runs.next().expect("one Jukebox run per point")?,
+        };
+        let hits = pair.base.warm_hits + pair.base.lukewarm_hits;
+        rows.push(Row {
+            policy: policy.label(),
+            hosts,
+            keep_alive_min,
+            cold_start_rate: pair.base.cold_start_rate(),
+            lukewarm_fraction: pair.base.lukewarm_fraction(),
+            lukewarm_of_hits: if hits == 0 {
+                0.0
+            } else {
+                pair.base.lukewarm_hits as f64 / hits as f64
+            },
+            mean_ms: pair.base.mean_latency_ms(),
+            p50_ms: pair.base.p50_ms(),
+            p99_ms: pair.base.p99_ms(),
+            speedup: pair.speedup(),
+        });
     }
     Ok(Data {
         timings: model_timings(&model),

@@ -157,7 +157,10 @@ pub fn try_run_with_engine(
     let schedule =
         |rounds: usize| -> Vec<usize> { (0..rounds).flat_map(|_| 0..profiles.len()).collect() };
 
-    // True co-run, without and with Jukebox.
+    // True co-run, without and with Jukebox. The two stay serial rather
+    // than `Engine::map` jobs: each holds a full hierarchy, and running
+    // them together costs more peak memory than it saves time
+    // (docs/ENGINE.md).
     let corun = |jukebox: bool| -> Result<Vec<f64>, SimError> {
         let mut host = HostSim::try_new(config, profiles, jukebox)?;
         host.run_schedule(&schedule(warmup_rounds));

@@ -180,21 +180,33 @@ pub fn try_run_experiment(params: &ExperimentParams) -> Result<Data, SimError> {
     try_run_experiment_with(&Engine::single(), params)
 }
 
-/// Fallible run whose calibration goes through a shared engine.
+/// Fallible run whose calibration goes through a shared engine. Each
+/// fleet run is one [`Engine::map`] job; the rows, oracle points
+/// included, are assembled in sweep order.
 pub fn try_run_experiment_with(
     engine: &Engine,
     params: &ExperimentParams,
 ) -> Result<Data, SimError> {
     let model = fleet_scale::calibrate_model_with(engine, params)?;
+    // Per model: every fixed window, then the adaptive policy.
+    let mut jobs = Vec::new();
+    for cold_model in MODELS {
+        for keep_alive_min in FIXED_KEEP_ALIVE_MINUTES {
+            jobs.push(fleet_config(cold_model, keep_alive_min, PrewarmConfig::disabled()));
+        }
+        jobs.push(fleet_config(cold_model, ADAPTIVE_CAP_MINUTES, adaptive_policy()));
+    }
+    let mut runs = engine
+        .map(&jobs, |config| run_fleet(config, &model, false))
+        .into_iter();
+    let mut next_run = || runs.next().expect("one run per job");
     let mut rows = Vec::new();
     for cold_model in MODELS {
         for keep_alive_min in FIXED_KEEP_ALIVE_MINUTES {
-            let config = fleet_config(cold_model, keep_alive_min, PrewarmConfig::disabled());
-            let run = run_fleet(&config, &model, false)?;
+            let run = next_run()?;
             rows.push(point(&run, cold_model, "fixed", keep_alive_min));
         }
-        let config = fleet_config(cold_model, ADAPTIVE_CAP_MINUTES, adaptive_policy());
-        let adaptive = run_fleet(&config, &model, false)?;
+        let adaptive = next_run()?;
         rows.push(point(&adaptive, cold_model, "adaptive", ADAPTIVE_CAP_MINUTES));
         rows.push(oracle_point(&rows, cold_model, &adaptive));
     }

@@ -287,27 +287,36 @@ pub fn try_run_experiment(params: &ExperimentParams) -> Result<Data, SimError> {
     try_run_experiment_with(&Engine::single(), params)
 }
 
-/// Fallible run whose calibration goes through a shared engine.
+/// Fallible run whose calibration goes through a shared engine. Each
+/// grid point is one [`Engine::map`] job; rows and timelines are
+/// assembled in grid order.
 pub fn try_run_experiment_with(
     engine: &Engine,
     params: &ExperimentParams,
 ) -> Result<Data, SimError> {
     let model = fleet_scale::calibrate_model_with(engine, params)?;
-    let mut rows = Vec::new();
-    let mut timelines = Vec::new();
+    let mut points = Vec::new();
     for level in ChaosLevel::ALL {
         for admission in [false, true] {
             for policy in RoutingPolicy::ALL {
-                let (row, timeline) = run_point(&model, policy, level, admission)?;
-                rows.push(row);
-                timelines.extend(timeline.into_iter().map(|window| TimelineRow {
-                    policy: policy.label(),
-                    chaos: level.label(),
-                    admission,
-                    window,
-                }));
+                points.push((level, admission, policy));
             }
         }
+    }
+    let results = engine.map(&points, |&(level, admission, policy)| {
+        run_point(&model, policy, level, admission)
+    });
+    let mut rows = Vec::new();
+    let mut timelines = Vec::new();
+    for (&(level, admission, policy), result) in points.iter().zip(results) {
+        let (row, timeline) = result?;
+        rows.push(row);
+        timelines.extend(timeline.into_iter().map(|window| TimelineRow {
+            policy: policy.label(),
+            chaos: level.label(),
+            admission,
+            window,
+        }));
     }
     Ok(Data { rows, timelines })
 }

@@ -173,19 +173,24 @@ pub fn try_run_experiment(params: &ExperimentParams) -> Result<Data, SimError> {
     try_run_experiment_with(&Engine::single(), params)
 }
 
-/// Fallible run whose calibration goes through a shared engine.
+/// Fallible run whose calibration goes through a shared engine. Each
+/// grid point is one [`Engine::map`] job.
 pub fn try_run_experiment_with(
     engine: &Engine,
     params: &ExperimentParams,
 ) -> Result<Data, SimError> {
     let model = fleet_scale::calibrate_model_with(engine, params)?;
-    let mut rows = Vec::new();
-    for policy in POLICIES {
-        for variant in VARIANTS {
+    let points: Vec<(RoutingPolicy, &'static str)> = POLICIES
+        .into_iter()
+        .flat_map(|policy| VARIANTS.map(|variant| (policy, variant)))
+        .collect();
+    let rows = engine
+        .map(&points, |&(policy, variant)| {
             let run = run_fleet(&fleet_config(policy, variant), &model, false)?;
-            rows.push(point(&run, policy, variant));
-        }
-    }
+            Ok(point(&run, policy, variant))
+        })
+        .into_iter()
+        .collect::<Result<_, SimError>>()?;
     Ok(Data { rows })
 }
 

@@ -137,7 +137,9 @@ pub fn run_workflow(workflow: &Workflow, params: &ExperimentParams) -> WorkflowR
     run_workflow_with(&Engine::single(), workflow, params)
 }
 
-/// Measures one workflow through a shared engine.
+/// Measures one workflow through a shared engine. Each stage's observed
+/// Jukebox run is one [`Engine::map`] job; the stages are assembled in
+/// workflow order.
 pub fn run_workflow_with(
     engine: &Engine,
     workflow: &Workflow,
@@ -145,28 +147,30 @@ pub fn run_workflow_with(
 ) -> WorkflowResult {
     let config = SystemConfig::skylake();
     let cycles_to_us = 1.0 / (config.core.freq_ghz * 1000.0);
+    let profiles = workflow.scaled(params.scale).stages;
+    // The Jukebox configuration runs observed (event tracing off) so its
+    // replay-validation telemetry lands in the result; the observed
+    // summary is identical to a plain run's.
+    let observed = engine.map(&profiles, |profile| {
+        run_observed(
+            &config,
+            profile,
+            PrefetcherKind::Jukebox(config.jukebox),
+            RunSpec::lukewarm(),
+            params,
+            0,
+        )
+    });
     let mut replay_aborts = 0u64;
     let mut dropped_prefetches = 0u64;
-    let stages = workflow
-        .scaled(params.scale)
-        .stages
+    let stages = profiles
         .iter()
-        .map(|profile| {
+        .zip(observed)
+        .map(|(profile, obs)| {
             let mean_us = |kind: PrefetcherKind, spec: RunSpec| {
                 let s = engine.run(&config, profile, kind, spec, params);
                 s.cycles as f64 / s.invocations.max(1) as f64 * cycles_to_us
             };
-            // The Jukebox configuration runs observed (event tracing off)
-            // so its replay-validation telemetry lands in the result; the
-            // observed summary is identical to a plain run's.
-            let obs = run_observed(
-                &config,
-                profile,
-                PrefetcherKind::Jukebox(config.jukebox),
-                RunSpec::lukewarm(),
-                params,
-                0,
-            );
             replay_aborts += obs.registry.counter("replay.aborts");
             dropped_prefetches += obs.registry.counter("replay.dropped_prefetches");
             StageLatency {

@@ -23,20 +23,22 @@ const CHUNK: usize = 16 * 1024;
 /// gain on a VM with bursty steal time).
 const BUFFERS: usize = 16;
 
-/// Whether the process may run a second thread on a second core. Read
-/// once: it is the affinity mask (and cgroup quota) at first use.
-fn spare_core() -> bool {
-    static SPARE: OnceLock<bool> = OnceLock::new();
-    *SPARE.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2))
+/// Cores the process may run threads on. Read once: it is the affinity
+/// mask (and cgroup quota) at first use.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Whether [`run_traced`] should stream `function`'s traces from a helper
-/// thread. Only with a core to spare, else the helper competes with the
-/// core it feeds, and only for traces of several chunks, else spawning
-/// and buffer hand-offs cost more than generation (docs/MODEL.md, "Trace
-/// pipeline").
+/// thread. Only while a core is left over after the threads simulating
+/// beside it (the enclosing `Engine::map`'s workers, or this thread alone
+/// outside a map), else the helper competes with the cores it feeds, and
+/// only for traces of several chunks, else spawning and buffer hand-offs
+/// cost more than generation (docs/MODEL.md, "Trace pipeline").
 pub(crate) fn pipelines(function: &SyntheticFunction) -> bool {
-    spare_core() && function.layout().walk_instr_estimate() >= 4 * CHUNK as u64
+    crate::engine::map_workers() < cores()
+        && function.layout().walk_instr_estimate() >= 4 * CHUNK as u64
 }
 
 /// Runs invocation `invocation` of `function` on `core`: the one path
@@ -503,6 +505,21 @@ mod tests {
         let (taken, finished) = streamed(&f, 0, |mut chunks| chunks.by_ref().take(10).count());
         assert_eq!(taken, 10);
         assert!(!finished, "the generator ran to the end with no consumer");
+    }
+
+    #[test]
+    fn map_workers_that_fill_the_cores_do_not_stream() {
+        let cores = cores();
+        if cores < 2 {
+            return;
+        }
+        let f = SyntheticFunction::build(&FunctionProfile::named("Fib-G").unwrap());
+        assert!(pipelines(&f), "outside a map a spare core streams");
+        let jobs = vec![(); cores];
+        let single = crate::Engine::single().map(&jobs, |_| pipelines(&f));
+        assert_eq!(single, vec![true; cores], "a 1-worker map keeps the helper");
+        let full = crate::Engine::new(cores).map(&jobs, |_| pipelines(&f));
+        assert_eq!(full, vec![false; cores], "{cores} workers fill {cores} cores");
     }
 
     #[test]
