@@ -120,7 +120,8 @@ pub fn validate_entry(
     if let Some((lo, hi)) = bounds {
         // The region must lie inside the function's code span; a pointer
         // outside it would prefetch wild addresses.
-        if base < lo.as_u64() & !(region - 1) || base + region > hi.as_u64().next_multiple_of(region)
+        if base < lo.as_u64() & !(region - 1)
+            || base + region > hi.as_u64().next_multiple_of(region)
         {
             return Err(SimError::corrupt_metadata(format!(
                 "region {base:#x} outside function layout [{:#x}, {:#x})",

@@ -72,7 +72,10 @@ fn main() {
     };
     let start = Instant::now();
     let _ = run_fleet(&tiny, &model, false).expect("tiny run");
-    println!("fixed overhead (16 invocations): {:.1}ms", start.elapsed().as_secs_f64() * 1e3);
+    println!(
+        "fixed overhead (16 invocations): {:.1}ms",
+        start.elapsed().as_secs_f64() * 1e3
+    );
 
     // Quick-scale shape: the CI bench point (16 hosts × 5,000 inv/host).
     let quick = FleetConfig {

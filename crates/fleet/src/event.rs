@@ -173,13 +173,7 @@ impl CalendarQueue {
 
     /// Schedules an event and returns its queue-assigned sequence
     /// number (the tie-break among events at the same instant).
-    pub fn push(
-        &mut self,
-        time_ms: f64,
-        host_id: u32,
-        kind: FleetEventKind,
-        function: u32,
-    ) -> u64 {
+    pub fn push(&mut self, time_ms: f64, host_id: u32, kind: FleetEventKind, function: u32) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         let event = FleetEvent {
@@ -213,10 +207,12 @@ impl CalendarQueue {
 
     /// The earliest scheduled event, without firing it.
     pub fn peek(&self) -> Option<FleetEvent> {
-        self.heap.peek().map(|key| match self.arena[key.slot as usize] {
-            Slot::Live(event) => event,
-            Slot::Free { .. } => unreachable!("heap key points at a freed slot"),
-        })
+        self.heap
+            .peek()
+            .map(|key| match self.arena[key.slot as usize] {
+                Slot::Live(event) => event,
+                Slot::Free { .. } => unreachable!("heap key points at a freed slot"),
+            })
     }
 
     /// Fires (removes and returns) the earliest scheduled event.

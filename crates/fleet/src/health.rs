@@ -46,7 +46,10 @@ impl HealthConfig {
         if !(self.probe_interval_ms > 0.0 && self.probe_interval_ms.is_finite()) {
             return Err(SimError::invalid_config(
                 "health.probe_interval_ms",
-                format!("must be positive and finite, got {}", self.probe_interval_ms),
+                format!(
+                    "must be positive and finite, got {}",
+                    self.probe_interval_ms
+                ),
             ));
         }
         if self.failure_threshold == 0 {

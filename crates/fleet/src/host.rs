@@ -14,8 +14,8 @@
 
 use luke_common::rng::DetRng;
 use luke_obs::span::{tick_us, trace_id, SpanKind, SpanRing, SpanScope};
-use luke_predict::PredictorBank;
 use luke_obs::{Histogram, Registry, StartClass, TimeWindows};
+use luke_predict::PredictorBank;
 use luke_snapshot::{ColdStartModel, PageWorkingSet, SnapshotStore};
 use server::{
     AdmissionControl, AdmissionDecision, AttemptCosts, FaultPlan, FaultStats, InstancePool,
@@ -258,7 +258,11 @@ fn span_capacity(config: &FleetConfig) -> usize {
     }
     // Worst case per lane: a restore + execute + backoff per attempt,
     // plus reconnects, the admission verdict and the root.
-    let per_lane = config.retry.max_attempts.saturating_mul(3).saturating_add(8);
+    let per_lane = config
+        .retry
+        .max_attempts
+        .saturating_mul(3)
+        .saturating_add(8);
     let per_lane = usize::try_from(per_lane).unwrap_or(usize::MAX);
     let sampled = config.invocations / config.trace_sample as usize + 1;
     sampled.saturating_mul(2).saturating_mul(per_lane)
@@ -437,7 +441,9 @@ impl FleetHost {
     /// Takes (and clears) the pending-prewarm ready time for `function`.
     /// Always `None` when prediction is disabled.
     fn take_prewarm_ready(&mut self, function: usize) -> Option<f64> {
-        self.prewarm.as_mut().and_then(|prewarm| prewarm.ready[function].take())
+        self.prewarm
+            .as_mut()
+            .and_then(|prewarm| prewarm.ready[function].take())
     }
 
     /// Shareable pages of `function` already resident on this host —
@@ -519,8 +525,12 @@ impl FleetHost {
     /// a raised hold rides on the outstanding entry (which revalidates
     /// when it fires).
     fn resync_expiry(&mut self, function: usize) {
-        let Some(id) = self.live_id(function) else { return };
-        let Some(last) = self.pool.last_invoked_ms(id) else { return };
+        let Some(id) = self.live_id(function) else {
+            return;
+        };
+        let Some(last) = self.pool.last_invoked_ms(id) else {
+            return;
+        };
         let deadline = last + self.hold_for(function);
         self.schedule_expiry(function, deadline, FleetEventKind::AdaptiveDecay);
     }
@@ -601,7 +611,9 @@ impl FleetHost {
     /// `t_pre`, leaving its ready time behind so an arrival that beats
     /// the restore pays the residual wait.
     fn fire_prewarm(&mut self, function: usize, t_pre: f64, at: f64) {
-        let Some(prewarm) = self.prewarm.as_mut() else { return };
+        let Some(prewarm) = self.prewarm.as_mut() else {
+            return;
+        };
         if prewarm.pending[function] != Some(t_pre) {
             return;
         }
@@ -619,7 +631,11 @@ impl FleetHost {
         if let Some(prewarm) = self.prewarm.as_mut() {
             // Without a snapshot store the pre-boot still takes the flat
             // cold-start time before the instance is ready.
-            let cost_ms = if snapshots { restore_ms } else { prewarm.last_restore_ms[function] };
+            let cost_ms = if snapshots {
+                restore_ms
+            } else {
+                prewarm.last_restore_ms[function]
+            };
             prewarm.ready[function] = Some(t_pre + cost_ms);
             prewarm.last_restore_ms[function] = cost_ms;
             prewarm.spawns += 1;
@@ -641,7 +657,11 @@ impl FleetHost {
         // scope can borrow it while the host mutates its own state.
         let mut spans = std::mem::take(&mut self.spans);
         let mut off = SpanRing::disabled();
-        let ring = if config.samples(routed.dispatch) { &mut spans } else { &mut off };
+        let ring = if config.samples(routed.dispatch) {
+            &mut spans
+        } else {
+            &mut off
+        };
         let trace = trace_id(routed.dispatch, routed.duplicate);
         let mut scope = SpanScope::new(ring, trace, HOST_SPAN_FIRST_ID);
         let latency_ms = self.process_scoped(config, model, jukebox, routed, &mut scope);
@@ -689,7 +709,10 @@ impl FleetHost {
             self.series.record_arrival(routed.at_ms);
         }
         let budget = &config.retry_budget;
-        let tokens = self.retry_tokens.as_ref().map_or(0.0, |t| t[routed.function]);
+        let tokens = self
+            .retry_tokens
+            .as_ref()
+            .map_or(0.0, |t| t[routed.function]);
         Invocation {
             routed,
             scope,
@@ -735,7 +758,8 @@ impl FleetHost {
                 let spent = inv.down_retries + 1 >= inv.allowed_attempts;
                 let flag = u64::from(spent && down_at(inv.down_wait_ms));
                 let (to_ms, retry) = (inv.down_wait_ms, inv.down_retries);
-                inv.scope.child(SpanKind::Reconnect, from_ms, to_ms, retry, flag);
+                inv.scope
+                    .child(SpanKind::Reconnect, from_ms, to_ms, retry, flag);
             }
         }
         self.down_retries += inv.down_retries;
@@ -747,7 +771,8 @@ impl FleetHost {
         self.down_failures += 1;
         self.fault_stats.abandoned += 1;
         self.settle_budget(config, inv, inv.down_retries, false);
-        inv.scope.root(inv.down_wait_ms, self.host_id as u64, tick_us(at));
+        inv.scope
+            .root(inv.down_wait_ms, self.host_id as u64, tick_us(at));
         ControlFlow::Break(self.retire(inv, inv.down_wait_ms, false))
     }
 
@@ -762,7 +787,9 @@ impl FleetHost {
     fn observe(&mut self, inv: &Invocation) {
         let (at, function) = (inv.routed.at_ms, inv.routed.function);
         self.drain_timers(at);
-        let Some(prewarm) = self.prewarm.as_mut() else { return };
+        let Some(prewarm) = self.prewarm.as_mut() else {
+            return;
+        };
         let scheduled = prewarm
             .bank
             .observe(function, at, prewarm.last_restore_ms[function]);
@@ -771,7 +798,8 @@ impl FleetHost {
         prewarm.pending[function] = scheduled;
         if let Some(t_pre) = scheduled {
             let (host, function) = (self.host_id as u32, function as u32);
-            self.timers.push(t_pre, host, FleetEventKind::PrewarmTimer, function);
+            self.timers
+                .push(t_pre, host, FleetEventKind::PrewarmTimer, function);
         }
     }
 
@@ -792,7 +820,8 @@ impl FleetHost {
             }
             AdmissionDecision::Shed => 2,
         };
-        inv.scope.instant(SpanKind::Admission, inv.down_wait_ms, verdict, 0);
+        inv.scope
+            .instant(SpanKind::Admission, inv.down_wait_ms, verdict, 0);
         if verdict != 2 {
             return ControlFlow::Continue(());
         }
@@ -804,7 +833,8 @@ impl FleetHost {
         self.resync_expiry(function);
         // A shed invocation's root covers only the reconnect wait it
         // burned getting here.
-        inv.scope.root(inv.down_wait_ms, self.host_id as u64, tick_us(at));
+        inv.scope
+            .root(inv.down_wait_ms, self.host_id as u64, tick_us(at));
         ControlFlow::Break(0.0)
     }
 
@@ -894,7 +924,9 @@ impl FleetHost {
         ready_ms: f64,
     ) -> f64 {
         let (at, function) = (inv.routed.at_ms, inv.routed.function);
-        let id = self.live_id(function).expect("prewarmed path has a live id");
+        let id = self
+            .live_id(function)
+            .expect("prewarmed path has a live id");
         self.pool.invoke(id, at).expect("live id is in the pool");
         self.lukewarm_hits += 1;
         if let Some(prewarm) = self.prewarm.as_mut() {
@@ -943,13 +975,25 @@ impl FleetHost {
         if !self.schedule.is_none() && self.schedule.state_at(at) == HostState::Degraded {
             inv.service_ms *= config.chaos.degrade_slowdown;
         }
-        let Some(tenancy) = self.tenancy.as_mut() else { return };
+        let Some(tenancy) = self.tenancy.as_mut() else {
+            return;
+        };
         let slowdown = tenancy.slowdown();
         if slowdown > 1.0 {
-            let before = inv.service_ms + if inv.starts_cold { inv.cold_start_ms } else { 0.0 };
+            let before = inv.service_ms
+                + if inv.starts_cold {
+                    inv.cold_start_ms
+                } else {
+                    0.0
+                };
             inv.service_ms *= slowdown;
             inv.cold_start_ms *= slowdown;
-            let after = inv.service_ms + if inv.starts_cold { inv.cold_start_ms } else { 0.0 };
+            let after = inv.service_ms
+                + if inv.starts_cold {
+                    inv.cold_start_ms
+                } else {
+                    0.0
+                };
             tenancy.note_slowed(after - before);
         }
     }
@@ -966,7 +1010,11 @@ impl FleetHost {
         // so the summed latency matches the layer's running accumulator.
         if !self.faults.is_enabled() && !inv.scope.is_enabled() {
             self.fault_stats.completed += 1;
-            let boot_ms = if inv.starts_cold { inv.cold_start_ms } else { 0.0 };
+            let boot_ms = if inv.starts_cold {
+                inv.cold_start_ms
+            } else {
+                0.0
+            };
             return InvocationResult {
                 latency_ms: boot_ms + inv.service_ms,
                 attempts: 1,
@@ -986,7 +1034,9 @@ impl FleetHost {
         let crashes_before = self.fault_stats.crashes;
         let stats = &mut self.fault_stats;
         let (seq, base_ms) = (inv.seq, inv.down_wait_ms);
-        let result = self.faults.run_invocation(&policy, seq, &costs, stats, inv.scope, base_ms);
+        let result = self
+            .faults
+            .run_invocation(&policy, seq, &costs, stats, inv.scope, base_ms);
         inv.crashed = self.fault_stats.crashes > crashes_before;
         result
     }
@@ -1026,7 +1076,12 @@ impl FleetHost {
         }
         let fault_retries = result.attempts.saturating_sub(1);
         self.retries += fault_retries;
-        self.settle_budget(config, inv, inv.down_retries + fault_retries, result.completed);
+        self.settle_budget(
+            config,
+            inv,
+            inv.down_retries + fault_retries,
+            result.completed,
+        );
         let latency_ms = inv.down_wait_ms + result.latency_ms;
         if let Some(ctl) = self.admission.as_mut() {
             ctl.commit(at, function, latency_ms);
@@ -1082,7 +1137,9 @@ impl FleetHost {
     /// off; scheduled ≥ spawned, since a raised hold cancels a pending
     /// pre-warm).
     pub fn prewarms_scheduled(&self) -> u64 {
-        self.prewarm.as_ref().map_or(0, |prewarm| prewarm.bank.prewarms_scheduled())
+        self.prewarm
+            .as_ref()
+            .map_or(0, |prewarm| prewarm.bank.prewarms_scheduled())
     }
 
     /// Pre-restores actually spawned ahead of a predicted arrival (0
@@ -1100,7 +1157,9 @@ impl FleetHost {
     /// Arrivals processed while a tightened (below-cap) adaptive hold
     /// was in force (0 when prediction is off).
     pub fn early_decays(&self) -> u64 {
-        self.prewarm.as_ref().map_or(0, |prewarm| prewarm.bank.early_decays())
+        self.prewarm
+            .as_ref()
+            .map_or(0, |prewarm| prewarm.bank.early_decays())
     }
 
     /// The admission controller, when admission control is enabled.
@@ -1140,7 +1199,10 @@ impl FleetHost {
         // The prediction series only exist when the policy is on — a
         // disabled run must export byte-identical telemetry.
         if let Some(prewarm) = &self.prewarm {
-            registry.counter_add("predict.prewarms_scheduled", prewarm.bank.prewarms_scheduled());
+            registry.counter_add(
+                "predict.prewarms_scheduled",
+                prewarm.bank.prewarms_scheduled(),
+            );
             registry.counter_add("predict.prewarm_spawns", prewarm.spawns);
             registry.counter_add("predict.prewarm_hits", prewarm.hits);
             registry.counter_add("predict.early_decays", prewarm.bank.early_decays());
@@ -1154,7 +1216,10 @@ impl FleetHost {
             registry.counter_add("tenancy.slowed_invocations", tenancy.slowed());
             // Total contention-added latency, rounded to whole ms — the
             // registry speaks integers.
-            registry.counter_add("tenancy.contention_slowdown", tenancy.extra_ms().round() as u64);
+            registry.counter_add(
+                "tenancy.contention_slowdown",
+                tenancy.extra_ms().round() as u64,
+            );
         }
     }
 }
@@ -1178,20 +1243,10 @@ mod tests {
     fn first_touch_is_cold_then_warm() {
         let (config, model) = setup();
         let mut host = FleetHost::new(&config, 0);
-        let cold = host.process(
-            &config,
-            &model,
-            false,
-            RoutedInvocation::new(0.0, 3),
-        );
+        let cold = host.process(&config, &model, false, RoutedInvocation::new(0.0, 3));
         assert_eq!(host.cold_starts, 1);
         assert_eq!(host.hits(), 0);
-        let warm = host.process(
-            &config,
-            &model,
-            false,
-            RoutedInvocation::new(10.0, 3),
-        );
+        let warm = host.process(&config, &model, false, RoutedInvocation::new(10.0, 3));
         assert_eq!(host.hits(), 1);
         assert!(cold > warm, "cold {cold} vs warm {warm}");
         assert_eq!(host.invocations, 2);
@@ -1216,7 +1271,12 @@ mod tests {
         // Foreign traffic so the interleaving estimate has pressure.
         for i in 0..2000 {
             let at = i as f64 * 2.0;
-            host.process(&config, &model, false, RoutedInvocation::new(at, 1 + (i % 9)));
+            host.process(
+                &config,
+                &model,
+                false,
+                RoutedInvocation::new(at, 1 + (i % 9)),
+            );
         }
         host.process(&config, &model, false, RoutedInvocation::new(4000.0, 0));
         let before = (host.warm_hits, host.lukewarm_hits);
@@ -1225,7 +1285,11 @@ mod tests {
         assert_eq!(host.warm_hits, before.0 + 1, "short gap should stay warm");
         // 10s gap inside keep-alive: lukewarm.
         host.process(&config, &model, false, RoutedInvocation::new(14_001.0, 0));
-        assert_eq!(host.lukewarm_hits, before.1 + 1, "long gap should be lukewarm");
+        assert_eq!(
+            host.lukewarm_hits,
+            before.1 + 1,
+            "long gap should be lukewarm"
+        );
     }
 
     #[test]
@@ -1249,7 +1313,12 @@ mod tests {
         let (config, model) = setup();
         let mut host = FleetHost::new(&config, 0);
         for i in 0..100 {
-            host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 10.0, i % 10));
+            host.process(
+                &config,
+                &model,
+                false,
+                RoutedInvocation::new(i as f64 * 10.0, i % 10),
+            );
         }
         assert_eq!(host.fault_stats.total_faults(), 0);
         assert_eq!(host.fault_stats.completed, 100);
@@ -1268,13 +1337,15 @@ mod tests {
         config.validate().unwrap();
         let mut host = FleetHost::new(&config, 0);
         for i in 0..500 {
-            host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 10.0, i % 10));
+            host.process(
+                &config,
+                &model,
+                false,
+                RoutedInvocation::new(i as f64 * 10.0, i % 10),
+            );
         }
         assert!(host.fault_stats.total_faults() > 0, "faults should strike");
-        assert_eq!(
-            host.fault_stats.completed + host.fault_stats.abandoned,
-            500
-        );
+        assert_eq!(host.fault_stats.completed + host.fault_stats.abandoned, 500);
         // Every live entry must point at a real pool instance.
         for function in 0..host.live.len() {
             if let Some(id) = host.live_id(function) {
@@ -1321,7 +1392,12 @@ mod tests {
         let (config, model) = setup();
         let mut host = FleetHost::new(&config, 0);
         for i in 0..20 {
-            host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 10.0, i % 10));
+            host.process(
+                &config,
+                &model,
+                false,
+                RoutedInvocation::new(i as f64 * 10.0, i % 10),
+            );
         }
         let mut registry = Registry::new();
         host.fill_registry(&mut registry);
@@ -1340,7 +1416,12 @@ mod tests {
         };
         let mut host = FleetHost::new(&config, 0);
         for i in 0..20 {
-            host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 10.0, i % 10));
+            host.process(
+                &config,
+                &model,
+                false,
+                RoutedInvocation::new(i as f64 * 10.0, i % 10),
+            );
         }
         let mut registry = Registry::new();
         host.fill_registry(&mut registry);
@@ -1396,7 +1477,12 @@ mod tests {
         let (config, model) = setup();
         let mut host = FleetHost::new(&config, 0);
         for i in 0..200 {
-            host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 25.0, i % 10));
+            host.process(
+                &config,
+                &model,
+                false,
+                RoutedInvocation::new(i as f64 * 25.0, i % 10),
+            );
         }
         assert_eq!(host.prewarm_spawns(), 0);
         assert_eq!(host.prewarm_hits(), 0);
@@ -1424,13 +1510,24 @@ mod tests {
         };
         let mut host = FleetHost::new(&config, 0);
         for i in 0..40 {
-            host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 5_000.0, 0));
+            host.process(
+                &config,
+                &model,
+                false,
+                RoutedInvocation::new(i as f64 * 5_000.0, 0),
+            );
         }
         let mut registry = Registry::new();
         host.fill_registry(&mut registry);
         let snapshot = registry.snapshot();
-        assert_eq!(snapshot.counter("predict.prewarm_spawns"), host.prewarm_spawns());
-        assert_eq!(snapshot.counter("predict.prewarm_hits"), host.prewarm_hits());
+        assert_eq!(
+            snapshot.counter("predict.prewarm_spawns"),
+            host.prewarm_spawns()
+        );
+        assert_eq!(
+            snapshot.counter("predict.prewarm_hits"),
+            host.prewarm_hits()
+        );
         assert!(snapshot.counter("predict.early_decays") > 0);
     }
 
@@ -1439,7 +1536,12 @@ mod tests {
         let (config, model) = setup();
         let mut host = FleetHost::new(&config, 0);
         for i in 0..50 {
-            host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 100.0, i % 10));
+            host.process(
+                &config,
+                &model,
+                false,
+                RoutedInvocation::new(i as f64 * 100.0, i % 10),
+            );
         }
         // 10 functions resident from their first touch through the
         // horizon (all gaps far inside keep-alive).
@@ -1457,7 +1559,12 @@ mod tests {
         let (config, model) = setup();
         let mut host = FleetHost::new(&config, 0);
         for i in 0..50 {
-            host.process(&config, &model, false, RoutedInvocation::new(i as f64 * 20.0, i % 10));
+            host.process(
+                &config,
+                &model,
+                false,
+                RoutedInvocation::new(i as f64 * 20.0, i % 10),
+            );
         }
         let mut registry = Registry::new();
         host.fill_registry(&mut registry);

@@ -659,8 +659,7 @@ mod tests {
 
     #[test]
     fn placement_aware_prefers_the_same_language_host_over_an_equally_loaded_one() {
-        let mut router =
-            Router::with_languages(RoutingPolicy::PlacementAware, 2, vec![0u8, 1u8]);
+        let mut router = Router::with_languages(RoutingPolicy::PlacementAware, 2, vec![0u8, 1u8]);
         // Function 0 (lang 0) lands on host 0 (tie → lowest index).
         assert_eq!(router.route(0, 1.0), 0);
         // Another lang-0 function: host 0 carries 1ms total but earns
@@ -669,8 +668,8 @@ mod tests {
         // depends on magnitudes. Charge host 1 with foreign work first
         // so the affinity decision is isolated:
         assert_eq!(router.route(1, 1.0), 1); // lang 1 → host 1 (least loaded)
-        // Now both hosts carry 1.0ms. A lang-0 invocation scores
-        // host 0 at 1.0 − 0.5×1.0 = 0.5 and host 1 at 1.0 → host 0.
+                                             // Now both hosts carry 1.0ms. A lang-0 invocation scores
+                                             // host 0 at 1.0 − 0.5×1.0 = 0.5 and host 1 at 1.0 → host 0.
         assert_eq!(router.route(2, 1.0), 0);
         // And a lang-1 invocation symmetrically sticks to host 1.
         assert_eq!(router.route(3, 1.0), 1);

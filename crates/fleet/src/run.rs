@@ -275,12 +275,7 @@ struct SchedulerState {
 /// Enqueues one batch for `shard`, blocking while the shard's queue is
 /// at the backpressure bound, and marks the shard runnable if no worker
 /// currently owns it.
-fn push_batch(
-    queues: &[ShardQueue],
-    scheduler: &Scheduler,
-    shard: usize,
-    batch: Vec<ShardItem>,
-) {
+fn push_batch(queues: &[ShardQueue], scheduler: &Scheduler, shard: usize, batch: Vec<ShardItem>) {
     let make_runnable = {
         let mut q = queues[shard].state.lock().expect("shard queue mutex");
         while q.batches.len() >= MAX_QUEUED_BATCHES {
@@ -427,7 +422,13 @@ fn record_route_spans(ring: &mut SpanRing, dispatch: u64, decision: &RouteDecisi
     let failed_over = u64::from(decision.failed_over);
     ring.record(span(false, 1, SpanKind::Route, decision.host, failed_over));
     if let Some(second) = decision.hedge {
-        ring.record(span(false, 2, SpanKind::Hedge, decision.host, second as u64));
+        ring.record(span(
+            false,
+            2,
+            SpanKind::Hedge,
+            decision.host,
+            second as u64,
+        ));
         ring.record(span(true, 1, SpanKind::Route, second, 0));
     }
 }
@@ -452,7 +453,14 @@ pub fn run_fleet(
     config.validate()?;
     let (mut hosts, mut router) = build(config);
     let mut route_spans = SpanRing::with_capacity(route_span_capacity(config));
-    let end_ms = drive(config, model, jukebox, &mut hosts, &mut router, &mut route_spans)?;
+    let end_ms = drive(
+        config,
+        model,
+        jukebox,
+        &mut hosts,
+        &mut router,
+        &mut route_spans,
+    )?;
     merge(config, jukebox, &router, route_spans, &hosts, end_ms)
 }
 
@@ -855,7 +863,10 @@ impl Export for FleetRun {
                     ("hit_rate", Value::Float(self.shared_page_hit_rate())),
                     ("placement_routed", Value::UInt(self.placement_routed)),
                     ("slowed_invocations", Value::UInt(self.slowed_invocations)),
-                    ("contention_extra_ms", Value::Float(self.contention_extra_ms)),
+                    (
+                        "contention_extra_ms",
+                        Value::Float(self.contention_extra_ms),
+                    ),
                     ("cold_starts", Value::UInt(self.cold_starts)),
                 ],
             ));
@@ -868,7 +879,10 @@ impl Export for FleetRun {
                     ("failovers", Value::UInt(self.failovers)),
                     ("hedges", Value::UInt(self.hedges)),
                     ("retries", Value::UInt(self.retries)),
-                    ("retry_amplification", Value::Float(self.retry_amplification())),
+                    (
+                        "retry_amplification",
+                        Value::Float(self.retry_amplification()),
+                    ),
                     ("shed", Value::UInt(self.shed)),
                     ("degraded_restores", Value::UInt(self.degraded_restores)),
                     ("abandoned", Value::UInt(self.abandoned)),
@@ -918,7 +932,9 @@ impl FleetRun {
 
     /// The `fleet.spans` dataset: one row per recorded span.
     fn spans_dataset(&self) -> Dataset {
-        let columns = ["trace", "span", "parent", "kind", "start_us", "dur_us", "a", "b"];
+        let columns = [
+            "trace", "span", "parent", "kind", "start_us", "dur_us", "a", "b",
+        ];
         let mut spans = Dataset::new("fleet.spans", &columns);
         for s in &self.spans {
             spans.push_row(vec![
@@ -1178,7 +1194,10 @@ mod tests {
             ..quick_config()
         };
         let run = run_fleet(&config, &m, false).unwrap();
-        assert!(run.slowed_invocations > 0, "pressure never crossed the knee");
+        assert!(
+            run.slowed_invocations > 0,
+            "pressure never crossed the knee"
+        );
         assert!(run.contention_extra_ms > 0.0);
         let base = run_fleet(&quick_config(), &m, false).unwrap();
         assert!(
@@ -1326,7 +1345,12 @@ mod tests {
         assert!(!run.resilient);
         assert_eq!(run.datasets().len(), 2);
         let json = run.snapshot.to_json();
-        for key in ["fleet.host_crashes", "fleet.failovers", "admission.", "fleet.retries"] {
+        for key in [
+            "fleet.host_crashes",
+            "fleet.failovers",
+            "admission.",
+            "fleet.retries",
+        ] {
             assert!(!json.contains(key), "{key} leaked into a default run");
         }
     }
@@ -1354,9 +1378,16 @@ mod tests {
             false,
         )
         .unwrap();
-        assert!(run.shed > 0, "a 30x flash crowd over 1-deep limits must shed");
+        assert!(
+            run.shed > 0,
+            "a 30x flash crowd over 1-deep limits must shed"
+        );
         assert_eq!(run.snapshot.counter("admission.shed"), run.shed);
-        assert_eq!(run.invocations + run.shed, 4_000, "shed + served = arrivals");
+        assert_eq!(
+            run.invocations + run.shed,
+            4_000,
+            "shed + served = arrivals"
+        );
     }
 
     #[test]
@@ -1421,7 +1452,9 @@ mod tests {
     type Layer = (&'static str, fn(&mut FleetConfig));
 
     const LAYERS: [Layer; 5] = [
-        ("reap", |c| c.cold_start_model = luke_snapshot::ColdStartModel::ReapPrefetch),
+        ("reap", |c| {
+            c.cold_start_model = luke_snapshot::ColdStartModel::ReapPrefetch
+        }),
         ("prewarm", |c| {
             c.keep_alive_ms = 30_000.0;
             c.prewarm = luke_predict::PrewarmConfig::default_enabled();
@@ -1469,7 +1502,15 @@ mod tests {
                 }
             }
             let one = run_fleet(&config, &m, false).unwrap();
-            let three = run_fleet(&FleetConfig { threads: 3, ..config.clone() }, &m, false).unwrap();
+            let three = run_fleet(
+                &FleetConfig {
+                    threads: 3,
+                    ..config.clone()
+                },
+                &m,
+                false,
+            )
+            .unwrap();
             assert_eq!(one.snapshot.to_json(), three.snapshot.to_json(), "{on:?}");
             assert_eq!(one.latency_us, three.latency_us, "{on:?}");
             assert_eq!(one.per_host, three.per_host, "{on:?}");
@@ -1510,13 +1551,40 @@ mod tests {
         // Each policy with the field validation must name, or `None`
         // when the run must complete.
         let cases = [
-            (RetryPolicy { max_attempts: 0, ..base }, Some("retry.max_attempts")),
-            (RetryPolicy { base_backoff_ms: f64::NAN, ..base }, Some("retry.base_backoff_ms")),
-            (RetryPolicy { deadline_ms: -1.0, ..base }, Some("retry.deadline_ms")),
-            (RetryPolicy { max_attempts: u64::MAX, ..base }, None),
+            (
+                RetryPolicy {
+                    max_attempts: 0,
+                    ..base
+                },
+                Some("retry.max_attempts"),
+            ),
+            (
+                RetryPolicy {
+                    base_backoff_ms: f64::NAN,
+                    ..base
+                },
+                Some("retry.base_backoff_ms"),
+            ),
+            (
+                RetryPolicy {
+                    deadline_ms: -1.0,
+                    ..base
+                },
+                Some("retry.deadline_ms"),
+            ),
+            (
+                RetryPolicy {
+                    max_attempts: u64::MAX,
+                    ..base
+                },
+                None,
+            ),
         ];
         for (retry, expected) in cases {
-            let config = FleetConfig { retry, ..faulty.clone() };
+            let config = FleetConfig {
+                retry,
+                ..faulty.clone()
+            };
             match (expected, run_fleet(&config, &model(), false)) {
                 (Some(expected), Err(SimError::InvalidConfig { field, .. })) => {
                     assert_eq!(field, expected);

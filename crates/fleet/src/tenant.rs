@@ -72,7 +72,9 @@ impl HostTenancy {
             registered: vec![false; config.population],
             store: SharedPageStore::for_layouts(&layouts),
             layouts,
-            contention: contention.enabled().then(|| ContentionModel::new(&contention)),
+            contention: contention
+                .enabled()
+                .then(|| ContentionModel::new(&contention)),
             dedup,
             cow_dirty_fraction,
             extra_ms: 0.0,

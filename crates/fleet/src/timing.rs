@@ -87,7 +87,10 @@ impl ServiceModel {
             if !(t.warm_ms > 0.0 && t.warm_ms.is_finite()) {
                 return Err(SimError::invalid_config(
                     "fleet.timings.warm_ms",
-                    format!("{}: warm service time must be positive, got {}", t.name, t.warm_ms),
+                    format!(
+                        "{}: warm service time must be positive, got {}",
+                        t.name, t.warm_ms
+                    ),
                 ));
             }
             if !(t.lukewarm_factor >= 1.0 && t.lukewarm_factor.is_finite()) {
@@ -205,7 +208,12 @@ mod tests {
         for i in 0..m.functions() {
             let t = m.timing(i);
             // Sub-millisecond warm functions (§2.2's ~1ms example).
-            assert!(t.warm_ms > 0.05 && t.warm_ms < 5.0, "{}: {}", t.name, t.warm_ms);
+            assert!(
+                t.warm_ms > 0.05 && t.warm_ms < 5.0,
+                "{}: {}",
+                t.name,
+                t.warm_ms
+            );
             // Figure 2's 31–114% degradation band.
             assert!(
                 (1.25..=2.2).contains(&t.lukewarm_factor),

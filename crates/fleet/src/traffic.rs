@@ -350,7 +350,9 @@ impl ArrivalStream {
     /// Builds the stream `config` asks for over `population`.
     pub fn synthesize(config: &FleetConfig, population: &Population) -> Result<Self, SimError> {
         if config.surge.is_none() {
-            Ok(ArrivalStream::Stationary(population.generator(config.seed)?))
+            Ok(ArrivalStream::Stationary(
+                population.generator(config.seed)?,
+            ))
         } else {
             Ok(ArrivalStream::Surging(
                 population.surge_generator(config.seed, &config.surge),
@@ -526,7 +528,12 @@ mod tests {
         for pair in a.windows(2) {
             assert!(pair[0].at_ms <= pair[1].at_ms);
         }
-        assert_ne!(a, pop.surge_generator(8, &surge).take(3_000).collect::<Vec<_>>());
+        assert_ne!(
+            a,
+            pop.surge_generator(8, &surge)
+                .take(3_000)
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

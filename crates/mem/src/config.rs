@@ -72,7 +72,10 @@ impl CacheConfig {
         if !self.capacity.is_power_of_two() {
             return Err(SimError::invalid_config(
                 "cache.capacity",
-                format!("cache capacity must be a power of two, got {}", self.capacity),
+                format!(
+                    "cache capacity must be a power of two, got {}",
+                    self.capacity
+                ),
             ));
         }
         if self.ways == 0 {
@@ -355,7 +358,9 @@ mod tests {
         let mut c = HierarchyConfig::skylake_like();
         c.l2.ways = 0;
         let err = c.validate().unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { ref field, .. } if field == "l2.cache.ways"));
+        assert!(
+            matches!(err, SimError::InvalidConfig { ref field, .. } if field == "l2.cache.ways")
+        );
         assert!(HierarchyConfig::skylake_like().validate().is_ok());
         assert!(HierarchyConfig::broadwell_like().validate().is_ok());
     }

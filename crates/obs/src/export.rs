@@ -207,8 +207,16 @@ mod tests {
 
     fn sample() -> Vec<Dataset> {
         let mut ds = Dataset::new("fig10.speedup", &["function", "jukebox", "cycles"]);
-        ds.push_row(vec!["Auth-G".into(), Value::Float(1.25), Value::UInt(123456)]);
-        ds.push_row(vec![Value::str("GEOMEAN"), Value::Float(f64::NAN), 0u64.into()]);
+        ds.push_row(vec![
+            "Auth-G".into(),
+            Value::Float(1.25),
+            Value::UInt(123456),
+        ]);
+        ds.push_row(vec![
+            Value::str("GEOMEAN"),
+            Value::Float(f64::NAN),
+            0u64.into(),
+        ]);
         vec![ds]
     }
 

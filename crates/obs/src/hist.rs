@@ -226,7 +226,21 @@ mod tests {
 
     #[test]
     fn every_value_falls_in_its_bucket() {
-        for &v in &[0, 1, 31, 32, 33, 47, 48, 63, 64, 100, 1000, 1 << 20, u64::MAX] {
+        for &v in &[
+            0,
+            1,
+            31,
+            32,
+            33,
+            47,
+            48,
+            63,
+            64,
+            100,
+            1000,
+            1 << 20,
+            u64::MAX,
+        ] {
             let (lo, hi) = bucket_bounds(bucket_index(v));
             assert!(lo <= v, "{v}: lo {lo}");
             assert!(v < hi || hi == u64::MAX, "{v}: hi {hi}");

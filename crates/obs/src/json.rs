@@ -304,7 +304,10 @@ mod tests {
         let doc = r#"{"a": [1, 2.5, -3e2], "b": {"c": true, "d": null}, "e": "x\ny"}"#;
         let v = parse(doc).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_f64(), Some(-300.0));
+        assert_eq!(
+            v.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
+            Some(-300.0)
+        );
         assert_eq!(v.get("b").unwrap().get("c"), Some(&JsonValue::Bool(true)));
         assert_eq!(v.get("e").unwrap().as_str(), Some("x\ny"));
     }
@@ -322,7 +325,10 @@ mod tests {
         write_f64(&mut out, 1.25);
         out.push('}');
         let v = parse(&out).unwrap();
-        assert_eq!(v.get("name").unwrap().as_str(), Some("weird \"quotes\"\tand tabs"));
+        assert_eq!(
+            v.get("name").unwrap().as_str(),
+            Some("weird \"quotes\"\tand tabs")
+        );
         assert_eq!(v.get("v").unwrap().as_f64(), Some(1.25));
     }
 

@@ -31,10 +31,7 @@ impl Registry {
         if delta == 0 && self.counters.contains_key(name) {
             return;
         }
-        *self
-            .counters
-            .entry(name.to_string())
-            .or_insert(0) += delta;
+        *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
     /// Increments the counter `name` by 1.
@@ -74,10 +71,7 @@ impl Registry {
     /// (creating it empty). Lets a component that kept its own local
     /// histogram publish it without replaying every sample.
     pub fn hist_merge(&mut self, name: &str, hist: &Histogram) {
-        self.hists
-            .entry(name.to_string())
-            .or_default()
-            .merge(hist);
+        self.hists.entry(name.to_string()).or_default().merge(hist);
     }
 
     /// Folds every metric of `other` into `self`: counters and
@@ -419,10 +413,18 @@ mod tests {
         assert_eq!(a, b);
         let v = parse(&a).unwrap();
         assert_eq!(
-            v.get("counters").unwrap().get("mem.l2.instr.misses").unwrap().as_f64(),
+            v.get("counters")
+                .unwrap()
+                .get("mem.l2.instr.misses")
+                .unwrap()
+                .as_f64(),
             Some(42.0)
         );
-        let h = v.get("histograms").unwrap().get("invocation.cycles").unwrap();
+        let h = v
+            .get("histograms")
+            .unwrap()
+            .get("invocation.cycles")
+            .unwrap();
         assert_eq!(h.get("count").unwrap().as_f64(), Some(2.0));
     }
 

@@ -160,7 +160,13 @@ impl TimeWindows {
     /// whether it blew the SLO. The outcome is attributed to the window
     /// of its *arrival* time, so merged series are insensitive to which
     /// host completed it.
-    pub fn record_outcome(&mut self, at_ms: f64, latency_us: u64, class: StartClass, over_slo: bool) {
+    pub fn record_outcome(
+        &mut self,
+        at_ms: f64,
+        latency_us: u64,
+        class: StartClass,
+        over_slo: bool,
+    ) {
         if !self.is_enabled() {
             return;
         }
@@ -221,8 +227,14 @@ impl TimeWindows {
                 WindowRow {
                     start_ms: *idx as f64 * self.window_ms,
                     arrivals: w.arrivals,
-                    p50_ms: w.latency_us.try_percentile(50.0).map(|us| us as f64 / 1000.0),
-                    p99_ms: w.latency_us.try_percentile(99.0).map(|us| us as f64 / 1000.0),
+                    p50_ms: w
+                        .latency_us
+                        .try_percentile(50.0)
+                        .map(|us| us as f64 / 1000.0),
+                    p99_ms: w
+                        .latency_us
+                        .try_percentile(99.0)
+                        .map(|us| us as f64 / 1000.0),
                     shed_rate: frac(w.shed, w.arrivals),
                     slo_burn: frac(w.over_slo, completed),
                     cold_frac: frac(w.cold, admitted),

@@ -38,7 +38,11 @@ pub fn chrome_trace_spans(process_name: &str, clock: &str, spans: &[Span]) -> St
     out.push_str("}}");
     for span in spans {
         out.push(',');
-        write_span(&mut out, span, arrivals.get(&span.trace).copied().unwrap_or(0));
+        write_span(
+            &mut out,
+            span,
+            arrivals.get(&span.trace).copied().unwrap_or(0),
+        );
     }
     // Flow pairs: one arrow per dispatch with both lanes present.
     for (&trace, &arrival) in &arrivals {
@@ -68,7 +72,11 @@ pub fn chrome_trace_spans(process_name: &str, clock: &str, spans: &[Span]) -> St
 fn write_span(out: &mut String, span: &Span, offset_us: u64) {
     out.push_str("{\"name\":");
     write_str(out, span.kind.label());
-    let cat = if span.kind >= SpanKind::Dispatch { "core" } else { "fleet" };
+    let cat = if span.kind >= SpanKind::Dispatch {
+        "core"
+    } else {
+        "fleet"
+    };
     out.push_str(&format!(
         ",\"cat\":\"{cat}\",\"pid\":1,\"tid\":{},\"ts\":{}",
         span.trace + 1,
@@ -143,9 +151,17 @@ mod tests {
         assert_eq!(stall.get("ph").unwrap().as_str(), Some("X"));
         assert_eq!(stall.get("ts").unwrap().as_f64(), Some(5.0));
         assert_eq!(stall.get("dur").unwrap().as_f64(), Some(120.0));
-        assert_eq!(stall.get("args").unwrap().get("line").unwrap().as_f64(), Some(42.0));
         assert_eq!(
-            te[3].get("args").unwrap().get("instructions").unwrap().as_f64(),
+            stall.get("args").unwrap().get("line").unwrap().as_f64(),
+            Some(42.0)
+        );
+        assert_eq!(
+            te[3]
+                .get("args")
+                .unwrap()
+                .get("instructions")
+                .unwrap()
+                .as_f64(),
             Some(5000.0)
         );
     }

@@ -251,7 +251,11 @@ mod tests {
         let due = bank.due_prewarms(40_000.0);
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].0, 0);
-        assert!((due[0].1 - 39_900.0).abs() < 1.0, "scheduled at {}", due[0].1);
+        assert!(
+            (due[0].1 - 39_900.0).abs() < 1.0,
+            "scheduled at {}",
+            due[0].1
+        );
         // Draining is idempotent.
         assert!(bank.due_prewarms(40_000.0).is_empty());
     }

@@ -244,7 +244,11 @@ impl FaultPlan {
                 }
                 Some((kind, wasted_ms)) => {
                     let from = base_ms + latency_ms;
-                    let spawn_ms = if needs_spawn { costs.cold_start_ms } else { 0.0 };
+                    let spawn_ms = if needs_spawn {
+                        costs.cold_start_ms
+                    } else {
+                        0.0
+                    };
                     latency_ms += wasted_ms;
                     let to = base_ms + latency_ms;
                     match kind {
@@ -309,7 +313,11 @@ impl FaultPlan {
             // A failed spawn is detected after the full spawn overhead.
             return Some((FaultKind::ColdStartFailure, costs.cold_start_ms));
         }
-        let spawn_ms = if needs_spawn { costs.cold_start_ms } else { 0.0 };
+        let spawn_ms = if needs_spawn {
+            costs.cold_start_ms
+        } else {
+            0.0
+        };
         if self.strikes(FaultKind::InstanceCrash, invocation, attempt) {
             stats.crashes += 1;
             // The crash point is uniform over the attempt's service time.
@@ -953,8 +961,14 @@ mod tests {
             );
             let mut plain_stats = FaultStats::default();
             let plain = run_untraced(&plan, &RetryPolicy::no_retry(), 0, &costs, &mut plain_stats);
-            assert_eq!(traced, plain, "{kind:?}/{outcome}: scope changed the result");
-            assert_eq!(traced_stats, plain_stats, "{kind:?}/{outcome}: scope changed the stats");
+            assert_eq!(
+                traced, plain,
+                "{kind:?}/{outcome}: scope changed the result"
+            );
+            assert_eq!(
+                traced_stats, plain_stats,
+                "{kind:?}/{outcome}: scope changed the stats"
+            );
             assert!(!traced.completed);
             if cfg!(feature = "obs_disabled") {
                 assert!(ring.is_empty());

@@ -43,9 +43,12 @@ impl IatDistribution {
     /// directly constructible.
     pub fn validate(&self) -> Result<(), SimError> {
         match *self {
-            IatDistribution::Fixed(ms) if !(ms >= 0.0 && ms.is_finite()) => Err(
-                SimError::invalid_config("iat.fixed_ms", format!("fixed IAT must be ≥ 0 and finite, got {ms}")),
-            ),
+            IatDistribution::Fixed(ms) if !(ms >= 0.0 && ms.is_finite()) => {
+                Err(SimError::invalid_config(
+                    "iat.fixed_ms",
+                    format!("fixed IAT must be ≥ 0 and finite, got {ms}"),
+                ))
+            }
             IatDistribution::Exponential { mean_ms } if !(mean_ms > 0.0 && mean_ms.is_finite()) => {
                 Err(SimError::invalid_config(
                     "iat.mean_ms",

@@ -33,8 +33,8 @@ pub mod traffic;
 
 pub use admission::{AdmissionConfig, AdmissionControl, AdmissionDecision};
 pub use fault::{
-    AttemptCosts, FaultKind, FaultPlan, FaultRates, FaultStats,
-    InvocationResult, RetryBudget, RetryPolicy,
+    AttemptCosts, FaultKind, FaultPlan, FaultRates, FaultStats, InvocationResult, RetryBudget,
+    RetryPolicy,
 };
 pub use iat::IatDistribution;
 pub use interleave::InterleaveModel;

@@ -202,10 +202,9 @@ impl InstancePool {
         now_ms: f64,
         resident_pages: usize,
     ) -> (u64, f64) {
-        let restore_ms = self
-            .snapshots
-            .as_mut()
-            .map_or(0.0, |s| s.restore_ms_with_resident(function, resident_pages));
+        let restore_ms = self.snapshots.as_mut().map_or(0.0, |s| {
+            s.restore_ms_with_resident(function, resident_pages)
+        });
         (self.spawn(function, now_ms), restore_ms)
     }
 
@@ -647,7 +646,10 @@ mod tests {
         assert_eq!(expired, 2);
         assert!(evented.expire_with_deadline(a2, 4_000.0 + 10_000.0));
         assert!(evented.expire_with_deadline(2, 2_000.0 + 10_000.0));
-        assert!(!evented.expire_with_deadline(99, 0.0), "unknown id is a no-op");
+        assert!(
+            !evented.expire_with_deadline(99, 0.0),
+            "unknown id is a no-op"
+        );
         assert_eq!(evented.expirations(), swept.expirations());
         assert_eq!(evented.retired_memory_ms(), swept.retired_memory_ms());
         assert_eq!(evented.warm_count(), swept.warm_count());
@@ -844,7 +846,10 @@ mod tests {
         }
         for round in 1..=4 {
             let now = round as f64 * 3_500.0;
-            assert_eq!(plain.sweep_expired_ids(now), weighted.sweep_expired_ids(now));
+            assert_eq!(
+                plain.sweep_expired_ids(now),
+                weighted.sweep_expired_ids(now)
+            );
             assert_eq!(plain.retired_memory_ms(), weighted.retired_memory_ms());
             assert_eq!(
                 plain.residency_ms_through(now, None),

@@ -131,7 +131,9 @@ mod tests {
     #[test]
     fn simulate_matches_direct_runner_call() {
         let params = ExperimentParams::quick();
-        let profile = FunctionProfile::named("Auth-G").unwrap().scaled(params.scale);
+        let profile = FunctionProfile::named("Auth-G")
+            .unwrap()
+            .scaled(params.scale);
         let cfg = SystemConfig::skylake();
         let cell = Cell::new(
             &cfg,

@@ -519,7 +519,11 @@ mod tests {
         let single = crate::Engine::single().map(&jobs, |_| pipelines(&f));
         assert_eq!(single, vec![true; cores], "a 1-worker map keeps the helper");
         let full = crate::Engine::new(cores).map(&jobs, |_| pipelines(&f));
-        assert_eq!(full, vec![false; cores], "{cores} workers fill {cores} cores");
+        assert_eq!(
+            full,
+            vec![false; cores],
+            "{cores} workers fill {cores} cores"
+        );
     }
 
     #[test]

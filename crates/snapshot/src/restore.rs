@@ -439,7 +439,11 @@ mod tests {
         assert_eq!(second, third, "steady-state restores are identical");
         assert_eq!(s.stats().pages_recorded, pages);
         assert_eq!(s.stats().pages_prefetched, 2 * pages);
-        assert_eq!(s.stats().pages_faulted, pages, "only the record pass faults");
+        assert_eq!(
+            s.stats().pages_faulted,
+            pages,
+            "only the record pass faults"
+        );
         assert_eq!(s.stats().replay_aborts, 0);
         assert_eq!(s.stats().restore_latency_us.count(), 3);
     }
@@ -488,8 +492,7 @@ mod tests {
         let pages = s.working_set(0).len();
         let full = s.restore_ms(0);
         let discounted = s.restore_ms_with_resident(0, pages / 2);
-        let expected =
-            SnapshotTimings::default().lazy_restore_us(pages - pages / 2) / 1000.0;
+        let expected = SnapshotTimings::default().lazy_restore_us(pages - pages / 2) / 1000.0;
         assert!((discounted - expected).abs() < 1e-12);
         assert!(discounted < full);
         // Instant stays bit-transparent through the resident path.
@@ -505,7 +508,10 @@ mod tests {
         s.restore_ms(5);
         assert!(s.tamper(5));
         let degraded = s.restore_ms(5);
-        assert!((degraded - lazy_ms).abs() < 1e-12, "degraded restore is lazy");
+        assert!(
+            (degraded - lazy_ms).abs() < 1e-12,
+            "degraded restore is lazy"
+        );
         assert_eq!(s.stats().replay_aborts, 1);
         // The degraded pass re-recorded: the next restore prefetches.
         let recovered = s.restore_ms(5);
@@ -526,8 +532,7 @@ mod tests {
         let ms = s.restore_ms(2);
         let prefetched = ws.len() / 2;
         let faulted = ws.len() - prefetched;
-        let expected =
-            SnapshotTimings::default().prefetch_restore_us(prefetched, faulted) / 1000.0;
+        let expected = SnapshotTimings::default().prefetch_restore_us(prefetched, faulted) / 1000.0;
         assert!((ms - expected).abs() < 1e-12);
         assert_eq!(s.stats().replay_aborts, 0, "partial records are valid");
         assert_eq!(s.stats().pages_prefetched, prefetched as u64);
@@ -546,7 +551,11 @@ mod tests {
         s.install(4, stale);
         s.restore_ms(4);
         assert_eq!(s.stats().replay_aborts, 1);
-        assert_eq!(s.stats().pages_prefetched, 0, "never prefetch outside the layout");
+        assert_eq!(
+            s.stats().pages_prefetched,
+            0,
+            "never prefetch outside the layout"
+        );
     }
 
     #[test]

@@ -161,8 +161,7 @@ impl PageWorkingSet {
         // between kinds is weighted by how much of each remains.
         while next_code < code || next_data < data {
             let remaining = (code - next_code + data - next_data) as f64;
-            let take_code =
-                next_code < code && rng.chance((code - next_code) as f64 / remaining);
+            let take_code = next_code < code && rng.chance((code - next_code) as f64 / remaining);
             if take_code {
                 pages.push(SnapshotPage {
                     page: CODE_BASE_PAGE + next_code,
@@ -333,9 +332,18 @@ mod tests {
         // explicitly-specified sets — there the Vec and the BTreeSet
         // index would diverge. `try_new` names the duplicate instead.
         let dup = [
-            SnapshotPage { page: 5, kind: PageKind::Code },
-            SnapshotPage { page: 9, kind: PageKind::Code },
-            SnapshotPage { page: 5, kind: PageKind::Data },
+            SnapshotPage {
+                page: 5,
+                kind: PageKind::Code,
+            },
+            SnapshotPage {
+                page: 9,
+                kind: PageKind::Code,
+            },
+            SnapshotPage {
+                page: 5,
+                kind: PageKind::Data,
+            },
         ];
         let err = PageWorkingSet::try_new(dup).unwrap_err();
         let text = format!("{err}");
@@ -344,9 +352,18 @@ mod tests {
         // The happy path keeps order and stays consistent with the
         // lenient constructor.
         let unique = [
-            SnapshotPage { page: 5, kind: PageKind::Code },
-            SnapshotPage { page: 9, kind: PageKind::Code },
-            SnapshotPage { page: 100, kind: PageKind::Data },
+            SnapshotPage {
+                page: 5,
+                kind: PageKind::Code,
+            },
+            SnapshotPage {
+                page: 9,
+                kind: PageKind::Code,
+            },
+            SnapshotPage {
+                page: 100,
+                kind: PageKind::Data,
+            },
         ];
         let ws = PageWorkingSet::try_new(unique).unwrap();
         assert_eq!(ws.pages(), &unique);

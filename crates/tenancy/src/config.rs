@@ -65,7 +65,10 @@ impl ContentionConfig {
         if !(self.exponent >= 1.0 && self.exponent.is_finite()) {
             return Err(SimError::invalid_config(
                 "tenancy.exponent",
-                format!("contention exponent must be ≥ 1 and finite, got {}", self.exponent),
+                format!(
+                    "contention exponent must be ≥ 1 and finite, got {}",
+                    self.exponent
+                ),
             ));
         }
         Ok(())

@@ -89,7 +89,10 @@ mod tests {
     fn slowdown_is_continuous_and_monotone_past_the_knee() {
         let m = model();
         let just_past = m.slowdown((1 << 19) + 4096);
-        assert!(just_past > 1.0 && just_past < 1.01, "continuous at the knee: {just_past}");
+        assert!(
+            just_past > 1.0 && just_past < 1.01,
+            "continuous at the knee: {just_past}"
+        );
         let mut last = 1.0;
         for pages in 0..600 {
             let s = m.slowdown(pages * 4096);

@@ -105,7 +105,12 @@ mod tests {
                 "{}",
                 profile.name
             );
-            assert_eq!(layout.data_pages as usize, ws.data_pages(), "{}", profile.name);
+            assert_eq!(
+                layout.data_pages as usize,
+                ws.data_pages(),
+                "{}",
+                profile.name
+            );
             assert_eq!(layout.total_bytes(), ws.bytes());
         }
     }

@@ -597,8 +597,8 @@ mod tests {
         store.register(&python[0], true, 0.0);
         let reg = store.register(&python[1], true, 0.0);
         // The whole runtime core and the common library prefix dedupe.
-        let expected = python[0].runtime_pages
-            + python[0].library_pages.min(python[1].library_pages);
+        let expected =
+            python[0].runtime_pages + python[0].library_pages.min(python[1].library_pages);
         assert_eq!(reg.dedup_hits, expected);
         assert!(reg.weight < 1.0);
     }

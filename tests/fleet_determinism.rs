@@ -5,6 +5,8 @@
 //! included, through the `fleet.spans` rows) — with and without fault
 //! injection, and for every routing policy.
 
+use luke_obs::export::{to_csv, to_json};
+use luke_obs::Export;
 use lukewarm::fleet::{
     run_fleet, run_fleet_pair, AdmissionConfig, CalendarQueue, ChaosConfig, ColdStartModel,
     FleetConfig, FleetEventKind, HedgeConfig, PrewarmConfig, RetryBudget, RoutingPolicy,
@@ -12,8 +14,6 @@ use lukewarm::fleet::{
 };
 use lukewarm::server::FaultRates;
 use lukewarm::workloads::paper_suite;
-use luke_obs::export::{to_csv, to_json};
-use luke_obs::Export;
 use proptest::prelude::*;
 
 /// A 64-host sweep config — the same scale the `fleet_scale` bench uses
@@ -38,7 +38,11 @@ fn assert_bit_identical(a: &lukewarm::fleet::FleetRun, b: &lukewarm::fleet::Flee
     assert_eq!(a.snapshot.to_json(), b.snapshot.to_json(), "snapshot");
     assert_eq!(a.latency_us, b.latency_us, "latency histogram");
     assert_eq!(a.per_host, b.per_host, "per-host summaries");
-    assert_eq!(to_json(&a.datasets()), to_json(&b.datasets()), "JSON export");
+    assert_eq!(
+        to_json(&a.datasets()),
+        to_json(&b.datasets()),
+        "JSON export"
+    );
     assert_eq!(to_csv(&a.datasets()), to_csv(&b.datasets()), "CSV export");
 }
 
@@ -159,7 +163,10 @@ fn snapshot_restore_models_are_thread_count_neutral() {
             false,
         )
         .expect("4-thread run");
-        assert!(one.snapshot.counter("snapshot.restores") > 0, "restores drawn");
+        assert!(
+            one.snapshot.counter("snapshot.restores") > 0,
+            "restores drawn"
+        );
         assert_bit_identical(&one, &four);
     }
 }
@@ -321,7 +328,10 @@ fn work_stealing_at_2048_hosts_is_bit_identical_to_one_thread() {
     let m = model();
     let one = run_fleet(&quick_scale_config(), &m, false).expect("1-thread run");
     assert!(one.host_crashes > 0, "chaos must engage at this scale");
-    assert!(one.prewarm_spawns > 0 || one.early_decays > 0, "prediction must engage");
+    assert!(
+        one.prewarm_spawns > 0 || one.early_decays > 0,
+        "prediction must engage"
+    );
     for threads in [4, 8] {
         let stolen = run_fleet(
             &FleetConfig {

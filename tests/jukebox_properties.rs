@@ -3,11 +3,11 @@
 //! (unlimited capacity) or a prefix-closed subset of it (capped capacity),
 //! and the packed metadata must respect the configured budget.
 
+use luke_common::addr::{LineAddr, VirtAddr};
+use luke_common::size::ByteSize;
 use lukewarm::jukebox::{JukeboxConfig, JukeboxPrefetcher};
 use lukewarm::mem::prefetch::{FetchObservation, InstructionPrefetcher, PrefetchIssuer};
 use lukewarm::mem::{HierarchyConfig, MemoryHierarchy, PageTable};
-use luke_common::addr::{LineAddr, VirtAddr};
-use luke_common::size::ByteSize;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 

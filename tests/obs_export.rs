@@ -107,7 +107,10 @@ fn observed_summary_matches_the_plain_runner() {
 
 #[test]
 fn figure_emit_json_is_parseable_and_covers_the_table() {
-    let out = run_cli(&argv("figure fig10 --scale 0.02 --invocations 1 --emit json")).unwrap();
+    let out = run_cli(&argv(
+        "figure fig10 --scale 0.02 --invocations 1 --emit json",
+    ))
+    .unwrap();
     let v = parse(&out).expect("--emit json output parses");
     let datasets = v
         .get("datasets")
@@ -125,10 +128,7 @@ fn figure_emit_json_is_parseable_and_covers_the_table() {
         .filter_map(JsonValue::as_str)
         .collect();
     assert_eq!(columns, ["function", "jukebox", "perfect I-cache"]);
-    let rows = fig10
-        .get("rows")
-        .and_then(JsonValue::as_arr)
-        .expect("rows");
+    let rows = fig10.get("rows").and_then(JsonValue::as_arr).expect("rows");
     assert!(!rows.is_empty());
     for row in rows {
         let cells = row.as_arr().expect("row array");
@@ -146,8 +146,14 @@ fn figure_emit_json_is_parseable_and_covers_the_table() {
 
 #[test]
 fn figure_emit_csv_matches_its_column_header() {
-    let out = run_cli(&argv("figure fig10 --scale 0.02 --invocations 1 --emit csv")).unwrap();
-    assert!(out.starts_with("# fig10.speedup\n"), "missing dataset header");
+    let out = run_cli(&argv(
+        "figure fig10 --scale 0.02 --invocations 1 --emit csv",
+    ))
+    .unwrap();
+    assert!(
+        out.starts_with("# fig10.speedup\n"),
+        "missing dataset header"
+    );
     let mut lines = out.lines().skip(1);
     let header = lines.next().expect("column header");
     let width = header.split(',').count();
@@ -337,7 +343,12 @@ fn resilience_counters_all_reach_the_export() {
     )
     .expect("valid config");
     let json = plain.snapshot.to_json();
-    for key in ["fleet.host_crashes", "fleet.failovers", "fleet.hedges", "admission."] {
+    for key in [
+        "fleet.host_crashes",
+        "fleet.failovers",
+        "fleet.hedges",
+        "admission.",
+    ] {
         assert!(!json.contains(key), "{key} leaked into a default run");
     }
 }
@@ -391,7 +402,10 @@ fn tenancy_counters_all_reach_the_export() {
             .unwrap_or_else(|| panic!("{name} missing from export"));
         assert!(value > 0.0, "{name} never incremented");
     }
-    assert_eq!(run.snapshot.counter("tenancy.shared_pages"), run.shared_pages);
+    assert_eq!(
+        run.snapshot.counter("tenancy.shared_pages"),
+        run.shared_pages
+    );
     assert_eq!(run.snapshot.counter("tenancy.dedup_hits"), run.dedup_hits);
     assert_eq!(
         run.snapshot.counter("tenancy.dedup_bytes_saved"),
@@ -409,7 +423,11 @@ fn tenancy_counters_all_reach_the_export() {
     // The dotted names survive the Prometheus name-escaping path as
     // underscore forms, each on a parseable `name value` line.
     let prom = run.snapshot.to_prometheus();
-    for name in ["tenancy_shared_pages", "tenancy_dedup_bytes_saved", "fleet_placement_routed"] {
+    for name in [
+        "tenancy_shared_pages",
+        "tenancy_dedup_bytes_saved",
+        "fleet_placement_routed",
+    ] {
         assert!(
             prom.lines().any(|l| l.starts_with(&format!("{name} "))),
             "{name} missing from Prometheus exposition:\n{prom}"
@@ -439,7 +457,9 @@ fn tenancy_counters_all_reach_the_export() {
         assert!(!json.contains(key), "{key} leaked into a default run");
     }
     assert!(
-        !luke_obs::Export::datasets(&plain).iter().any(|d| d.name == "fleet.tenancy"),
+        !luke_obs::Export::datasets(&plain)
+            .iter()
+            .any(|d| d.name == "fleet.tenancy"),
         "fleet.tenancy dataset leaked into a default run"
     );
 }
@@ -481,8 +501,10 @@ fn prometheus_exposition_sanitizes_hostile_metric_and_label_text() {
     registry.hist_record("weird.hist\nname", 42);
     let out = registry.snapshot().to_prometheus();
     for line in out.lines() {
-        assert!(!line.contains(' ') || line.starts_with("# ") || line.split(' ').count() == 2,
-            "unparseable exposition line: {line:?}");
+        assert!(
+            !line.contains(' ') || line.starts_with("# ") || line.split(' ').count() == 2,
+            "unparseable exposition line: {line:?}"
+        );
     }
     assert!(out.contains("fleet_p99_ms_x 7"), "{out}");
     assert!(out.contains("_9lives 1"), "{out}");
@@ -542,7 +564,10 @@ fn chrome_span_trace_pairs_every_hedge_flow() {
         .iter()
         .filter(|s| s.id == 0 && is_hedge_lane(s.trace))
         .count();
-    assert!(hedge_lanes > 0, "chaos with hedging must sample a hedged pair");
+    assert!(
+        hedge_lanes > 0,
+        "chaos with hedging must sample a hedged pair"
+    );
 
     let doc = luke_obs::trace::chrome_trace_spans("fleet", "us", &run.spans);
     let v = parse(&doc).expect("span trace parses");

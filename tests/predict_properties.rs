@@ -2,11 +2,11 @@
 //! quantile monotonicity, merge determinism, the adaptive hold floor,
 //! and the fleet-level bit-transparency of a disabled `PrewarmConfig`.
 
+use luke_obs::export::{to_csv, to_json};
+use luke_obs::Export;
 use lukewarm::fleet::{run_fleet, FleetConfig, PrewarmConfig, ServiceModel};
 use lukewarm::predict::{IatHistogram, Predictor, PredictorBank};
 use lukewarm::workloads::paper_suite;
-use luke_obs::export::{to_csv, to_json};
-use luke_obs::Export;
 use proptest::prelude::*;
 
 /// Arrival gaps bounded to the histogram's meaningful range (sub-ms to
@@ -148,7 +148,10 @@ fn adaptive_sweeps_respect_the_last_arrival_plus_minimum_hold() {
         last = at;
         let just_before = at + bank.holds()[0] - 1e-6;
         let expired = pool.sweep_adaptive(just_before.max(at), bank.holds());
-        assert!(expired.is_empty(), "expired {expired:?} before the hold at {at}");
+        assert!(
+            expired.is_empty(),
+            "expired {expired:?} before the hold at {at}"
+        );
     }
     assert!(pool.instance(id).is_some());
     // Past last-arrival + hold the instance does expire.
@@ -205,7 +208,10 @@ fn disabled_prewarm_reproduces_the_plain_fleet_bit_for_bit() {
         );
     }
     let json = plain.snapshot.to_json();
-    assert!(!json.contains("predict."), "predict.* leaked into a plain run");
+    assert!(
+        !json.contains("predict."),
+        "predict.* leaked into a plain run"
+    );
     assert!(
         !to_json(&plain.datasets()).contains("fleet.prewarm"),
         "fleet.prewarm leaked into a plain run"

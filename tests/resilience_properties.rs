@@ -4,14 +4,14 @@
 //! is corrupted — including a full-system check that a corrupt-snapshot
 //! run degrades to the no-prefetch baseline instead of panicking.
 
+use luke_common::addr::VirtAddr;
+use luke_obs::span::{SpanRing, SpanScope};
 use lukewarm::jukebox::metadata::{MetadataBuffer, MetadataEntry};
 use lukewarm::jukebox::{replay_validated, JukeboxConfig, JukeboxPrefetcher};
 use lukewarm::mem::prefetch::{NoPrefetcher, PrefetchIssuer};
 use lukewarm::mem::{HierarchyConfig, MemoryHierarchy, PageTable};
 use lukewarm::prelude::*;
 use lukewarm::server::{AttemptCosts, FaultPlan, FaultRates, FaultStats, RetryPolicy};
-use luke_common::addr::VirtAddr;
-use luke_obs::span::{SpanRing, SpanScope};
 use proptest::prelude::*;
 
 proptest! {

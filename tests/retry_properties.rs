@@ -3,13 +3,13 @@
 //! chaos plan whose disabled sentinel is transparent everywhere — no
 //! fault windows, no RNG draws, no resilience telemetry.
 
+use luke_common::DetRng;
 use lukewarm::fleet::{
     run_fleet, ChaosConfig, ChaosPlan, FleetConfig, HostSchedule, HostState, RetryBudget,
     ServiceModel,
 };
 use lukewarm::server::RetryPolicy;
 use lukewarm::workloads::paper_suite;
-use luke_common::DetRng;
 use proptest::prelude::*;
 
 fn policy(base_backoff_ms: f64, cap_mult: f64) -> RetryPolicy {

@@ -188,7 +188,10 @@ fn hedged_lanes_share_their_dispatch() {
         );
         hedged += 1;
     }
-    assert!(hedged > 0, "heavy chaos with hedging must sample hedge lanes");
+    assert!(
+        hedged > 0,
+        "heavy chaos with hedging must sample hedge lanes"
+    );
     assert_eq!(hedged, run.hedges, "one hedge lane per hedged dispatch");
 }
 
