@@ -9,6 +9,7 @@
 use luke_bench::record::BenchRecord;
 use luke_fleet::{run_fleet, FleetConfig, ServiceModel};
 use lukewarm_sim::experiments::fleet_scale;
+use lukewarm_sim::Engine;
 use std::fmt::Write as _;
 use std::time::Instant;
 use workloads::paper_suite;
@@ -166,7 +167,9 @@ fn thread_scaling_report(record: &mut BenchRecord) -> String {
 fn main() {
     luke_bench::harness("Fleet scaling", |params| {
         let mut record = BenchRecord::new("fleet_scale");
-        let mut out = fleet_scale::run_experiment(params).to_string();
+        let mut out = fleet_scale::run(&Engine::single(), params)
+            .expect("valid sweep")
+            .to_string();
         out.push('\n');
         out.push_str(&thread_scaling_report(&mut record));
         match record.write() {

@@ -1,7 +1,7 @@
-//! Minimal fixed-width text tables for benchmark-harness output.
+//! Minimal fixed-width text tables for experiment output.
 //!
 //! Every figure/table reproduction prints its rows through [`TextTable`] so
-//! the output of `cargo bench` lines up in readable columns (and can be
+//! the output of `lukewarm figure` lines up in readable columns (and can be
 //! pasted into `EXPERIMENTS.md` verbatim).
 
 use std::fmt;

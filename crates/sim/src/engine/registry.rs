@@ -1,7 +1,7 @@
 //! The experiment registry: every experiment module registers one
-//! [`Experiment`] trait object here, and the CLI, exporters, docs and
-//! bench harness are all driven from this single list instead of
-//! hand-maintained parallel match arms.
+//! [`Spec`] constant here, and the CLI, exporters, docs and benchmark are
+//! all driven from this single list instead of hand-maintained parallel
+//! match arms.
 
 use super::{Cell, Engine};
 use crate::runner::ExperimentParams;
@@ -35,8 +35,10 @@ pub trait Experiment: Sync {
     fn module(&self) -> &'static str;
 
     /// The cell grid this experiment folds over. Experiments that do not
-    /// use the cycle-accurate runner return an empty plan.
-    fn plan(&self, params: &ExperimentParams) -> Vec<Cell>;
+    /// use the cycle-accurate runner plan no cells.
+    fn plan(&self, _params: &ExperimentParams) -> Vec<Cell> {
+        Vec::new()
+    }
 
     /// Runs the experiment's fold against a (pre-fetched) engine.
     ///
@@ -50,33 +52,80 @@ pub trait Experiment: Sync {
     ) -> Result<Box<dyn ExperimentData>, SimError>;
 }
 
+/// An experiment's registration as data: each module declares one
+/// `pub const EXPERIMENT: Spec<Data>` naming its plan and its `run`.
+pub struct Spec<D> {
+    /// Canonical CLI name.
+    pub name: &'static str,
+    /// Alternate CLI names.
+    pub aliases: &'static [&'static str],
+    /// One-line description.
+    pub description: &'static str,
+    /// The registering module's path (`module_path!()`).
+    pub module: &'static str,
+    /// The cell grid the fold reads.
+    pub plan: fn(&ExperimentParams) -> Vec<Cell>,
+    /// The fold.
+    pub run: fn(&Engine, &ExperimentParams) -> Result<D, SimError>,
+}
+
+impl<D: ExperimentData + 'static> Experiment for Spec<D> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn aliases(&self) -> &'static [&'static str] {
+        self.aliases
+    }
+
+    fn description(&self) -> &'static str {
+        self.description
+    }
+
+    fn module(&self) -> &'static str {
+        self.module
+    }
+
+    fn plan(&self, params: &ExperimentParams) -> Vec<Cell> {
+        (self.plan)(params)
+    }
+
+    fn run(
+        &self,
+        engine: &Engine,
+        params: &ExperimentParams,
+    ) -> Result<Box<dyn ExperimentData>, SimError> {
+        Ok(Box::new((self.run)(engine, params)?))
+    }
+}
+
 use crate::experiments::*;
 
 /// Every experiment, in paper order: figures, Table 3, then the
 /// beyond-the-paper studies.
 static REGISTRY: [&dyn Experiment; 22] = [
-    &fig01_cpi_vs_iat::Entry,
-    &fig02_topdown::Entry,
-    &fig05_mpki::Entry,
-    &fig06_footprints::Entry,
-    &fig08_metadata_size::Entry,
-    &fig09_metadata_cap::Entry,
-    &fig10_speedup::Entry,
-    &fig11_coverage::Entry,
-    &fig12_bandwidth::Entry,
-    &fig13_pif::Entry,
-    &table3_broadwell::Entry,
-    &ablations::Entry,
-    &related_work::Entry,
-    &workflow_slo::Entry,
-    &host_interleaving::Entry,
-    &keep_alive::Entry,
-    &resilience::Entry,
-    &fleet_scale::Entry,
-    &cold_spectrum::Entry,
-    &surge::Entry,
-    &prewarm_frontier::Entry,
-    &tenancy::Entry,
+    &fig01_cpi_vs_iat::EXPERIMENT,
+    &fig02_topdown::EXPERIMENT,
+    &fig05_mpki::EXPERIMENT,
+    &fig06_footprints::EXPERIMENT,
+    &fig08_metadata_size::EXPERIMENT,
+    &fig09_metadata_cap::EXPERIMENT,
+    &fig10_speedup::EXPERIMENT,
+    &fig11_coverage::EXPERIMENT,
+    &fig12_bandwidth::EXPERIMENT,
+    &fig13_pif::EXPERIMENT,
+    &table3_broadwell::EXPERIMENT,
+    &ablations::EXPERIMENT,
+    &related_work::EXPERIMENT,
+    &workflow_slo::EXPERIMENT,
+    &host_interleaving::EXPERIMENT,
+    &keep_alive::EXPERIMENT,
+    &resilience::EXPERIMENT,
+    &fleet_scale::EXPERIMENT,
+    &cold_spectrum::EXPERIMENT,
+    &surge::EXPERIMENT,
+    &prewarm_frontier::EXPERIMENT,
+    &tenancy::EXPERIMENT,
 ];
 
 /// All registered experiments, in paper order.

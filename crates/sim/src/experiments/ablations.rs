@@ -15,12 +15,13 @@
 //!   of a freshly restored instance.
 
 use crate::config::SystemConfig;
-use crate::engine::{Cell, Engine};
+use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use crate::system::SystemSim;
 use jukebox::metadata::MetadataBuffer;
 use jukebox::{JukeboxConfig, JukeboxPrefetcher};
 use luke_common::table::TextTable;
+use luke_common::SimError;
 use luke_obs::{Dataset, Export};
 use sim_mem::prefetch::{FetchObservation, InstructionPrefetcher, PrefetchIssuer};
 use std::fmt;
@@ -119,45 +120,22 @@ pub fn plan(params: &ExperimentParams) -> Vec<Cell> {
 }
 
 /// Registry entry: see [`crate::engine::registry`].
-pub struct Entry;
-
-impl crate::engine::Experiment for Entry {
-    fn name(&self) -> &'static str {
-        "ablations"
-    }
-    fn description(&self) -> &'static str {
-        "Replay-order, CRRB-depth and snapshot-boot ablations of Jukebox"
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn plan(&self, params: &ExperimentParams) -> Vec<Cell> {
-        plan(params)
-    }
-    fn run(
-        &self,
-        engine: &Engine,
-        params: &ExperimentParams,
-    ) -> Result<Box<dyn crate::engine::ExperimentData>, luke_common::SimError> {
-        Ok(Box::new(run_with(engine, params)))
-    }
-}
+pub const EXPERIMENT: Spec<Data> = Spec {
+    name: "ablations",
+    aliases: &[],
+    description: "Replay-order, CRRB-depth and snapshot-boot ablations of Jukebox",
+    module: module_path!(),
+    plan,
+    run,
+};
 
 /// The CRRB depths swept (§5.1).
 pub const CRRB_ENTRIES: [usize; 3] = [8, 16, 32];
 
-/// Runs the ablation suite on one function (default: `Auth-G`).
-pub fn run_experiment(params: &ExperimentParams) -> Data {
-    run_with(&Engine::single(), params)
-}
-
 /// Runs the ablation suite on the default function through a shared engine.
-pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
-    run_for(
-        engine,
-        &FunctionProfile::named(DEFAULT_FUNCTION).expect("suite function"),
-        params,
-    )
+pub fn run(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError> {
+    let profile = FunctionProfile::named(DEFAULT_FUNCTION).expect("suite function");
+    Ok(run_for(engine, &profile, params))
 }
 
 /// Runs the ablation suite on the given function.

@@ -9,9 +9,10 @@
 //! rise from 100% and saturate around 250–270% past one-second IATs.
 
 use crate::config::SystemConfig;
-use crate::engine::{Cell, Engine};
+use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{CacheState, ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::table::TextTable;
+use luke_common::SimError;
 use luke_obs::{Dataset, Export, Value};
 use server::InterleaveModel;
 use std::fmt;
@@ -42,7 +43,7 @@ pub struct Data {
 
 /// The `(iat_ms, RunSpec)` sweep points: IAT 0 is back-to-back reference
 /// execution; longer gaps partially decay the hierarchy according to the
-/// high-occupancy interleave model. Shared by [`plan`] and [`run_with`] so
+/// high-occupancy interleave model. Shared by [`plan`] and [`run`] so
 /// the plan always matches what the fold requests.
 fn iat_specs(config: &SystemConfig) -> Vec<(f64, RunSpec)> {
     let model = InterleaveModel::high_occupancy();
@@ -89,37 +90,17 @@ pub fn plan(params: &ExperimentParams) -> Vec<Cell> {
 }
 
 /// Registry entry: see [`crate::engine::registry`].
-pub struct Entry;
-
-impl crate::engine::Experiment for Entry {
-    fn name(&self) -> &'static str {
-        "fig01"
-    }
-    fn description(&self) -> &'static str {
-        "Normalized CPI vs invocation inter-arrival time (Broadwell)"
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn plan(&self, params: &ExperimentParams) -> Vec<Cell> {
-        plan(params)
-    }
-    fn run(
-        &self,
-        engine: &Engine,
-        params: &ExperimentParams,
-    ) -> Result<Box<dyn crate::engine::ExperimentData>, luke_common::SimError> {
-        Ok(Box::new(run_with(engine, params)))
-    }
-}
-
-/// Runs the Figure 1 experiment (fresh single-threaded engine).
-pub fn run_experiment(params: &ExperimentParams) -> Data {
-    run_with(&Engine::single(), params)
-}
+pub const EXPERIMENT: Spec<Data> = Spec {
+    name: "fig01",
+    aliases: &[],
+    description: "Normalized CPI vs invocation inter-arrival time (Broadwell)",
+    module: module_path!(),
+    plan,
+    run,
+};
 
 /// Runs the Figure 1 experiment through a shared engine.
-pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
+pub fn run(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError> {
     let config = SystemConfig::broadwell(); // characterization platform
     let curves = FUNCTIONS
         .iter()
@@ -141,7 +122,7 @@ pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
             }
         })
         .collect();
-    Data { curves }
+    Ok(Data { curves })
 }
 
 impl Data {
@@ -205,7 +186,7 @@ mod tests {
 
     #[test]
     fn cpi_grows_with_iat_and_saturates() {
-        let data = run_experiment(&ExperimentParams::quick());
+        let data = run(&Engine::single(), &ExperimentParams::quick()).unwrap();
         assert_eq!(data.curves.len(), 2);
         for curve in &data.curves {
             assert_eq!(curve.points.len(), IATS_MS.len());
@@ -228,7 +209,7 @@ mod tests {
 
     #[test]
     fn render_contains_every_iat() {
-        let data = run_experiment(&ExperimentParams::quick());
+        let data = run(&Engine::single(), &ExperimentParams::quick()).unwrap();
         let s = data.to_string();
         for iat in IATS_MS {
             assert!(s.contains(&format!("{iat:.0}")), "missing {iat} in\n{s}");

@@ -11,10 +11,11 @@
 //! cycles.
 
 use crate::config::SystemConfig;
-use crate::engine::{Cell, Engine};
+use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::stats::mean;
 use luke_common::table::TextTable;
+use luke_common::SimError;
 use luke_obs::{Dataset, Export};
 use sim_cpu::TopDown;
 use std::fmt;
@@ -70,14 +71,8 @@ pub fn plan(params: &ExperimentParams) -> Vec<Cell> {
         .collect()
 }
 
-/// Runs reference + interleaved Top-Down for the whole suite (fresh
-/// single-threaded engine).
-pub fn run_experiment(params: &ExperimentParams) -> Data {
-    run_with(&Engine::single(), params)
-}
-
 /// Runs reference + interleaved Top-Down through a shared engine.
-pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
+pub fn run(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError> {
     let config = SystemConfig::skylake();
     let rows = paper_suite()
         .into_iter()
@@ -104,36 +99,18 @@ pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
             }
         })
         .collect();
-    Data { rows }
+    Ok(Data { rows })
 }
 
 /// Registry entry: see [`crate::engine::registry`].
-pub struct Entry;
-
-impl crate::engine::Experiment for Entry {
-    fn name(&self) -> &'static str {
-        "fig02"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["fig03", "fig04"]
-    }
-    fn description(&self) -> &'static str {
-        "Top-Down CPI stacks, reference vs interleaved execution (Figures 2-4)"
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn plan(&self, params: &ExperimentParams) -> Vec<Cell> {
-        plan(params)
-    }
-    fn run(
-        &self,
-        engine: &Engine,
-        params: &ExperimentParams,
-    ) -> Result<Box<dyn crate::engine::ExperimentData>, luke_common::SimError> {
-        Ok(Box::new(run_with(engine, params)))
-    }
-}
+pub const EXPERIMENT: Spec<Data> = Spec {
+    name: "fig02",
+    aliases: &["fig03", "fig04"],
+    description: "Top-Down CPI stacks, reference vs interleaved execution (Figures 2-4)",
+    module: module_path!(),
+    plan,
+    run,
+};
 
 impl Data {
     /// Mean CPI increase across the suite (the 70% headline).

@@ -8,10 +8,11 @@
 //! execution but >10 MPKI (mostly instructions) when interleaved.
 
 use crate::config::SystemConfig;
-use crate::engine::{Cell, Engine};
+use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::stats::mean;
 use luke_common::table::TextTable;
+use luke_common::SimError;
 use std::fmt;
 use workloads::paper_suite;
 
@@ -62,37 +63,17 @@ pub fn plan(params: &ExperimentParams) -> Vec<Cell> {
 }
 
 /// Registry entry: see [`crate::engine::registry`].
-pub struct Entry;
-
-impl crate::engine::Experiment for Entry {
-    fn name(&self) -> &'static str {
-        "fig05"
-    }
-    fn description(&self) -> &'static str {
-        "L2/LLC MPKI breakdowns, reference vs interleaved (Broadwell)"
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn plan(&self, params: &ExperimentParams) -> Vec<Cell> {
-        plan(params)
-    }
-    fn run(
-        &self,
-        engine: &Engine,
-        params: &ExperimentParams,
-    ) -> Result<Box<dyn crate::engine::ExperimentData>, luke_common::SimError> {
-        Ok(Box::new(run_with(engine, params)))
-    }
-}
-
-/// Runs the MPKI study over the suite (fresh single-threaded engine).
-pub fn run_experiment(params: &ExperimentParams) -> Data {
-    run_with(&Engine::single(), params)
-}
+pub const EXPERIMENT: Spec<Data> = Spec {
+    name: "fig05",
+    aliases: &[],
+    description: "L2/LLC MPKI breakdowns, reference vs interleaved (Broadwell)",
+    module: module_path!(),
+    plan,
+    run,
+};
 
 /// Runs the MPKI study through a shared engine.
-pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
+pub fn run(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError> {
     let config = SystemConfig::broadwell();
     let rows = paper_suite()
         .into_iter()
@@ -114,7 +95,7 @@ pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
             }
         })
         .collect();
-    Data { rows }
+    Ok(Data { rows })
 }
 
 impl Data {

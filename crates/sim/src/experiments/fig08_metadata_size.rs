@@ -8,12 +8,13 @@
 //! ≈29.5KB, with Go functions at the small end.
 
 use crate::config::SystemConfig;
-use crate::engine::{Cell, Engine};
+use crate::engine::{Engine, Spec};
 use crate::runner::ExperimentParams;
 use crate::system::SystemSim;
 use jukebox::{JukeboxConfig, JukeboxPrefetcher};
 use luke_common::size::ByteSize;
 use luke_common::table::TextTable;
+use luke_common::SimError;
 use std::fmt;
 use workloads::{paper_suite, FunctionProfile};
 
@@ -78,38 +79,18 @@ pub fn required_metadata_bytes(
 /// prefetcher setup, not through the cycle-accurate runner — the plan is
 /// empty, and the run maps one job per (function, region size) over the
 /// engine's workers.
-pub struct Entry;
-
-impl crate::engine::Experiment for Entry {
-    fn name(&self) -> &'static str {
-        "fig08"
-    }
-    fn description(&self) -> &'static str {
-        "Jukebox metadata size vs code-region size (record-only sweep)"
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn plan(&self, _params: &ExperimentParams) -> Vec<Cell> {
-        Vec::new()
-    }
-    fn run(
-        &self,
-        engine: &Engine,
-        params: &ExperimentParams,
-    ) -> Result<Box<dyn crate::engine::ExperimentData>, luke_common::SimError> {
-        Ok(Box::new(run_with(engine, params)))
-    }
-}
-
-/// Runs the Figure 8 sweep over the suite.
-pub fn run_experiment(params: &ExperimentParams) -> Data {
-    run_with(&Engine::single(), params)
-}
+pub const EXPERIMENT: Spec<Data> = Spec {
+    name: "fig08",
+    aliases: &[],
+    description: "Jukebox metadata size vs code-region size (record-only sweep)",
+    module: module_path!(),
+    plan: |_| Vec::new(),
+    run,
+};
 
 /// Runs the Figure 8 sweep with each (function, region size) recording
 /// as one [`Engine::map`] job.
-pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
+pub fn run(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError> {
     let config = SystemConfig::skylake();
     let profiles: Vec<FunctionProfile> = paper_suite()
         .into_iter()
@@ -134,7 +115,7 @@ pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
                 .collect(),
         })
         .collect();
-    Data { rows }
+    Ok(Data { rows })
 }
 
 impl fmt::Display for Data {

@@ -7,11 +7,12 @@
 //! the average gains little — which is why 16KB is the default.
 
 use crate::config::SystemConfig;
-use crate::engine::{Cell, Engine};
+use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::size::ByteSize;
 use luke_common::stats::geomean;
 use luke_common::table::TextTable;
+use luke_common::SimError;
 use std::fmt;
 use workloads::paper_suite;
 
@@ -73,29 +74,14 @@ pub fn plan(params: &ExperimentParams) -> Vec<Cell> {
 }
 
 /// Registry entry: see [`crate::engine::registry`].
-pub struct Entry;
-
-impl crate::engine::Experiment for Entry {
-    fn name(&self) -> &'static str {
-        "fig09"
-    }
-    fn description(&self) -> &'static str {
-        "Jukebox speedup vs metadata storage capacity (8/12/16/32KB)"
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn plan(&self, params: &ExperimentParams) -> Vec<Cell> {
-        plan(params)
-    }
-    fn run(
-        &self,
-        engine: &Engine,
-        params: &ExperimentParams,
-    ) -> Result<Box<dyn crate::engine::ExperimentData>, luke_common::SimError> {
-        Ok(Box::new(run_with(engine, params)))
-    }
-}
+pub const EXPERIMENT: Spec<Data> = Spec {
+    name: "fig09",
+    aliases: &[],
+    description: "Jukebox speedup vs metadata storage capacity (8/12/16/32KB)",
+    module: module_path!(),
+    plan,
+    run,
+};
 
 /// Measures `function`'s Jukebox speedup across the capacity sweep.
 fn sweep_function(
@@ -127,14 +113,8 @@ fn sweep_function(
         .collect()
 }
 
-/// Runs the Figure 9 sweep: representatives individually, geomean over
-/// the full suite (fresh single-threaded engine).
-pub fn run_experiment(params: &ExperimentParams) -> Data {
-    run_with(&Engine::single(), params)
-}
-
 /// Runs the Figure 9 sweep through a shared engine.
-pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
+pub fn run(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError> {
     let config = SystemConfig::skylake();
     let mut rows = Vec::new();
     let mut all: Vec<Vec<(u64, f64)>> = Vec::new();
@@ -161,7 +141,7 @@ pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
         function: "GEOMEAN".to_string(),
         speedups: geo,
     });
-    Data { rows }
+    Ok(Data { rows })
 }
 
 impl fmt::Display for Data {

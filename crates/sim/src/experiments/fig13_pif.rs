@@ -9,10 +9,11 @@
 //! therefore actually hides main-memory latency.
 
 use crate::config::SystemConfig;
-use crate::engine::{Cell, Engine};
+use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::stats::geomean;
 use luke_common::table::TextTable;
+use luke_common::SimError;
 use std::fmt;
 use workloads::paper_suite;
 
@@ -68,29 +69,14 @@ pub fn plan(params: &ExperimentParams) -> Vec<Cell> {
 }
 
 /// Registry entry: see [`crate::engine::registry`].
-pub struct Entry;
-
-impl crate::engine::Experiment for Entry {
-    fn name(&self) -> &'static str {
-        "fig13"
-    }
-    fn description(&self) -> &'static str {
-        "PIF vs PIF-ideal vs Jukebox vs the combination, speedup over baseline"
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn plan(&self, params: &ExperimentParams) -> Vec<Cell> {
-        plan(params)
-    }
-    fn run(
-        &self,
-        engine: &Engine,
-        params: &ExperimentParams,
-    ) -> Result<Box<dyn crate::engine::ExperimentData>, luke_common::SimError> {
-        Ok(Box::new(run_with(engine, params)))
-    }
-}
+pub const EXPERIMENT: Spec<Data> = Spec {
+    name: "fig13",
+    aliases: &[],
+    description: "PIF vs PIF-ideal vs Jukebox vs the combination, speedup over baseline",
+    module: module_path!(),
+    plan,
+    run,
+};
 
 /// Measures all four configurations for one function.
 pub fn measure_function(
@@ -120,14 +106,8 @@ pub fn measure_function(
     }
 }
 
-/// Runs Figure 13: all 20 functions contribute to the geomean;
-/// representatives are reported individually.
-pub fn run_experiment(params: &ExperimentParams) -> Data {
-    run_with(&Engine::single(), params)
-}
-
 /// Runs Figure 13 through a shared engine.
-pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
+pub fn run(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError> {
     let config = SystemConfig::skylake();
     let mut rows = Vec::new();
     let mut all = Vec::new();
@@ -147,7 +127,7 @@ pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
         jukebox: geo(|r| r.jukebox),
         jukebox_pif_ideal: geo(|r| r.jukebox_pif_ideal),
     });
-    Data { rows }
+    Ok(Data { rows })
 }
 
 impl Data {

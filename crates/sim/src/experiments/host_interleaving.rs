@@ -12,7 +12,7 @@
 //! carry over.
 
 use crate::config::SystemConfig;
-use crate::engine::{Cell, Engine};
+use crate::engine::{Cell, Engine, Spec};
 use crate::host::HostSim;
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::stats::{geomean, mean};
@@ -69,83 +69,31 @@ pub fn plan(params: &ExperimentParams) -> Vec<Cell> {
 }
 
 /// Registry entry: see [`crate::engine::registry`].
-pub struct Entry;
-
-impl crate::engine::Experiment for Entry {
-    fn name(&self) -> &'static str {
-        "host"
-    }
-    fn description(&self) -> &'static str {
-        "True multi-instance host interleaving vs the flush-between-invocations model"
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn plan(&self, params: &ExperimentParams) -> Vec<Cell> {
-        plan(params)
-    }
-    fn run(
-        &self,
-        engine: &Engine,
-        params: &ExperimentParams,
-    ) -> Result<Box<dyn crate::engine::ExperimentData>, luke_common::SimError> {
-        Ok(Box::new(try_run_experiment_with(engine, params)?))
-    }
-}
+pub const EXPERIMENT: Spec<Data> = Spec {
+    name: "host",
+    aliases: &[],
+    description: "True multi-instance host interleaving vs the flush-between-invocations model",
+    module: module_path!(),
+    plan,
+    run,
+};
 
 /// Runs the validation with the full 20-function suite co-resident: at
 /// paper scale their combined footprints (~9MB) exceed the LLC, so true
 /// interleaving pushes instruction working sets to DRAM — the regime the
 /// paper describes (§2.2, with thousands of instances).
-pub fn run_experiment(params: &ExperimentParams) -> Data {
-    match try_run_experiment(params) {
-        Ok(data) => data,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible variant of [`run_experiment`] for callers that map
-/// [`SimError`] to exit codes (the CLI).
-pub fn try_run_experiment(params: &ExperimentParams) -> Result<Data, SimError> {
-    try_run_experiment_with(&Engine::single(), params)
-}
-
-/// Fallible full-suite run through a shared engine.
-pub fn try_run_experiment_with(
-    engine: &Engine,
-    params: &ExperimentParams,
-) -> Result<Data, SimError> {
+pub fn run(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError> {
     let profiles: Vec<_> = paper_suite()
         .into_iter()
         .map(|p| p.scaled(params.scale))
         .collect();
-    try_run_with_engine(engine, &profiles, params)
-}
-
-/// Runs the validation on an explicit instance set.
-///
-/// # Panics
-///
-/// Panics if `profiles` is empty; see [`try_run_with`].
-pub fn run_with(profiles: &[workloads::FunctionProfile], params: &ExperimentParams) -> Data {
-    match try_run_with(profiles, params) {
-        Ok(data) => data,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Runs the validation on an explicit instance set, rejecting an empty
-/// one with [`SimError`] instead of panicking.
-pub fn try_run_with(
-    profiles: &[workloads::FunctionProfile],
-    params: &ExperimentParams,
-) -> Result<Data, SimError> {
-    try_run_with_engine(&Engine::single(), profiles, params)
+    run_on(engine, &profiles, params)
 }
 
 /// Runs the validation on an explicit instance set through a shared
-/// engine (which memoizes the solo and flush-model reference points).
-pub fn try_run_with_engine(
+/// engine (which memoizes the solo and flush-model reference points),
+/// rejecting an empty set with [`SimError`].
+pub fn run_on(
     engine: &Engine,
     profiles: &[workloads::FunctionProfile],
     params: &ExperimentParams,
@@ -312,7 +260,7 @@ mod tests {
     /// A co-run whose combined footprints exceed the 1MB L2, so true
     /// interleaving visibly degrades each instance. (Exceeding the 8MB
     /// LLC — the paper-scale regime where the flush model's fidelity is
-    /// near 1 — is exercised by the `host_interleaving` bench target.)
+    /// near 1 — is exercised by `lukewarm figure host --scale 1`.)
     fn data() -> Data {
         let scale = 0.55;
         let profiles: Vec<_> = paper_suite()
@@ -321,14 +269,12 @@ mod tests {
             .take(5)
             .map(|p| p.scaled(scale))
             .collect();
-        run_with(
-            &profiles,
-            &ExperimentParams {
-                scale,
-                invocations: 1,
-                warmup: 1,
-            },
-        )
+        let params = ExperimentParams {
+            scale,
+            invocations: 1,
+            warmup: 1,
+        };
+        run_on(&Engine::single(), &profiles, &params).unwrap()
     }
 
     #[test]
@@ -362,7 +308,8 @@ mod tests {
 
     #[test]
     fn empty_instance_set_is_an_error_not_a_panic() {
-        let err = try_run_with(
+        let err = run_on(
+            &Engine::single(),
             &[],
             &ExperimentParams {
                 scale: 0.1,

@@ -1,11 +1,14 @@
-//! Experiment runners — one module per figure/table of the paper.
+//! Experiment runners — one module per figure/table of the paper, plus
+//! the studies beyond it.
 //!
-//! Each module exposes a `run(params) -> Data` function returning typed
-//! rows, and the data type implements `Display`, rendering the same
-//! series the paper reports. The benchmark harness (`crates/bench`)
-//! invokes these at paper scale and prints the tables; integration tests
-//! invoke them at `ExperimentParams::quick()` scale and assert the
-//! qualitative shape.
+//! Each module has one public entry point,
+//! `run(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError>`,
+//! returning typed rows whose `Display` renders the same series the paper
+//! reports, and registers it as data: a `pub const EXPERIMENT: Spec<Data>`
+//! listed in [`crate::engine::registry`]. `lukewarm figure NAME` runs one
+//! through [`Engine::execute`](crate::Engine::execute) (at paper scale with
+//! `--scale 1 --invocations 8`); tests call `run(&Engine::single(), …)` at
+//! `ExperimentParams::quick()` scale and assert the qualitative shape.
 
 pub mod ablations;
 pub mod cold_spectrum;

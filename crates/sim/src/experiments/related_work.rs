@@ -12,10 +12,11 @@
 //!   therefore *cold* at every lukewarm invocation — near-zero benefit.
 
 use crate::config::SystemConfig;
-use crate::engine::{Cell, Engine};
+use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::size::ByteSize;
 use luke_common::table::TextTable;
+use luke_common::SimError;
 use std::fmt;
 use workloads::FunctionProfile;
 
@@ -65,42 +66,19 @@ pub fn plan(params: &ExperimentParams) -> Vec<Cell> {
 }
 
 /// Registry entry: see [`crate::engine::registry`].
-pub struct Entry;
-
-impl crate::engine::Experiment for Entry {
-    fn name(&self) -> &'static str {
-        "related-work"
-    }
-    fn description(&self) -> &'static str {
-        "Jukebox vs cache restoration and BTB-directed prefetching (§6)"
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn plan(&self, params: &ExperimentParams) -> Vec<Cell> {
-        plan(params)
-    }
-    fn run(
-        &self,
-        engine: &Engine,
-        params: &ExperimentParams,
-    ) -> Result<Box<dyn crate::engine::ExperimentData>, luke_common::SimError> {
-        Ok(Box::new(run_with(engine, params)))
-    }
-}
-
-/// Runs the §6 comparison on one function (default Auth-G).
-pub fn run_experiment(params: &ExperimentParams) -> Data {
-    run_with(&Engine::single(), params)
-}
+pub const EXPERIMENT: Spec<Data> = Spec {
+    name: "related-work",
+    aliases: &[],
+    description: "Jukebox vs cache restoration and BTB-directed prefetching (§6)",
+    module: module_path!(),
+    plan,
+    run,
+};
 
 /// Runs the §6 comparison on the default function through a shared engine.
-pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
-    run_for(
-        engine,
-        &FunctionProfile::named("Auth-G").expect("suite function"),
-        params,
-    )
+pub fn run(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError> {
+    let profile = FunctionProfile::named("Auth-G").expect("suite function");
+    Ok(run_for(engine, &profile, params))
 }
 
 /// Runs the §6 comparison on the given function.

@@ -8,10 +8,11 @@
 //! prefetches before use — hence the smaller 12% geomean speedup there.
 
 use crate::config::SystemConfig;
-use crate::engine::{Cell, Engine};
+use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::stats::geomean;
 use luke_common::table::TextTable;
+use luke_common::SimError;
 use std::fmt;
 use workloads::paper_suite;
 
@@ -48,29 +49,14 @@ pub fn plan(params: &ExperimentParams) -> Vec<Cell> {
 }
 
 /// Registry entry: see [`crate::engine::registry`].
-pub struct Entry;
-
-impl crate::engine::Experiment for Entry {
-    fn name(&self) -> &'static str {
-        "table3"
-    }
-    fn description(&self) -> &'static str {
-        "Instruction-MPKI reduction and speedup with Jukebox on both platforms"
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn plan(&self, params: &ExperimentParams) -> Vec<Cell> {
-        plan(params)
-    }
-    fn run(
-        &self,
-        engine: &Engine,
-        params: &ExperimentParams,
-    ) -> Result<Box<dyn crate::engine::ExperimentData>, luke_common::SimError> {
-        Ok(Box::new(run_with(engine, params)))
-    }
-}
+pub const EXPERIMENT: Spec<Data> = Spec {
+    name: "table3",
+    aliases: &[],
+    description: "Instruction-MPKI reduction and speedup with Jukebox on both platforms",
+    module: module_path!(),
+    plan,
+    run,
+};
 
 fn measure_platform(
     engine: &Engine,
@@ -111,17 +97,12 @@ fn measure_platform(
     }
 }
 
-/// Runs Table 3 on both platforms (fresh single-threaded engine).
-pub fn run_experiment(params: &ExperimentParams) -> Data {
-    run_with(&Engine::single(), params)
-}
-
 /// Runs Table 3 through a shared engine.
-pub fn run_with(engine: &Engine, params: &ExperimentParams) -> Data {
-    Data {
+pub fn run(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError> {
+    Ok(Data {
         skylake: measure_platform(engine, &SystemConfig::skylake(), params),
         broadwell: measure_platform(engine, &SystemConfig::broadwell(), params),
-    }
+    })
 }
 
 impl fmt::Display for Data {

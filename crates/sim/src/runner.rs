@@ -31,38 +31,50 @@ pub struct ExperimentParams {
 }
 
 impl ExperimentParams {
-    /// Validated constructor: rejects parameter combinations that would
-    /// produce NaN-prone summaries (`invocations == 0` leaves every
-    /// aggregate empty, so CPI/MPKI divide zero by zero) or meaningless
-    /// workloads (non-finite or non-positive `scale`).
+    /// Validated constructor; see [`ExperimentParams::validate`].
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`](luke_common::SimError) naming
-    /// the offending field; the CLI maps it to exit code 3.
+    /// As [`ExperimentParams::validate`].
     pub fn try_new(
         scale: f64,
         invocations: u64,
         warmup: u64,
     ) -> Result<Self, luke_common::SimError> {
-        if !scale.is_finite() || scale <= 0.0 {
+        let params = ExperimentParams {
+            scale,
+            invocations,
+            warmup,
+        };
+        params.validate()?;
+        Ok(params)
+    }
+
+    /// Rejects parameter combinations that would produce NaN-prone
+    /// summaries (`invocations == 0` leaves every aggregate empty, so
+    /// CPI/MPKI divide zero by zero) or meaningless workloads (non-finite
+    /// or non-positive `scale`). The fields are public, so
+    /// [`Engine::execute`](crate::Engine::execute) checks again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`](luke_common::SimError) naming
+    /// the offending field; the CLI maps it to exit code 3.
+    pub fn validate(&self) -> Result<(), luke_common::SimError> {
+        if !self.scale.is_finite() || self.scale <= 0.0 {
             return Err(luke_common::SimError::invalid_config(
                 "params.scale",
-                format!("must be a positive finite number, got {scale}"),
+                format!("must be a positive finite number, got {}", self.scale),
             ));
         }
-        if invocations == 0 {
+        if self.invocations == 0 {
             return Err(luke_common::SimError::invalid_config(
                 "params.invocations",
                 "must be at least 1 (a warmup-only run measures nothing and \
                  yields NaN-prone summaries)",
             ));
         }
-        Ok(ExperimentParams {
-            scale,
-            invocations,
-            warmup,
-        })
+        Ok(())
     }
 
     /// Paper-scale runs for the benchmark harness.
@@ -184,6 +196,25 @@ pub enum CacheState {
         /// Data lines the stressor touches.
         data_lines: u64,
     },
+}
+
+impl CacheState {
+    /// Applies this manipulation to `sim` ahead of one invocation.
+    pub(crate) fn apply(self, sim: &mut SystemSim) {
+        match self {
+            CacheState::Reference => {}
+            CacheState::Lukewarm => sim.flush_microarch(),
+            CacheState::Decayed {
+                l2,
+                llc,
+                flush_core,
+            } => sim.decay(l2, llc, flush_core),
+            CacheState::Stressed {
+                code_lines,
+                data_lines,
+            } => sim.run_stressor(code_lines, data_lines),
+        }
+    }
 }
 
 /// A complete run specification.
@@ -364,6 +395,22 @@ fn sum_snapshots(a: &HierarchySnapshot, b: &HierarchySnapshot) -> HierarchySnaps
     }
 }
 
+/// The simulator and prefetcher one run measures: Perfect-I-cache runs
+/// switch the hierarchy mode, and Jukebox's replay validator is bounded
+/// by the function's code span.
+fn prepare(
+    config: &SystemConfig,
+    profile: &FunctionProfile,
+    prefetcher: PrefetcherKind,
+) -> (SystemSim, Box<dyn InstructionPrefetcher>) {
+    let mut sim = SystemSim::new(*config, profile);
+    if prefetcher == PrefetcherKind::PerfectICache {
+        sim.set_perfect_icache(true);
+    }
+    let pf = prefetcher.build_bounded(Some(sim.function().layout().address_span()));
+    (sim, pf)
+}
+
 /// Runs the full measurement protocol for one (platform, function,
 /// prefetcher, state) combination.
 pub fn run(
@@ -373,37 +420,19 @@ pub fn run(
     spec: RunSpec,
     params: &ExperimentParams,
 ) -> RunSummary {
-    let mut sim = SystemSim::new(*config, profile);
-    if prefetcher == PrefetcherKind::PerfectICache {
-        sim.set_perfect_icache(true);
-    }
-    let mut pf = prefetcher.build_bounded(Some(sim.function().layout().address_span()));
-
-    let apply_state = |sim: &mut SystemSim| match spec.state {
-        CacheState::Reference => {}
-        CacheState::Lukewarm => sim.flush_microarch(),
-        CacheState::Decayed {
-            l2,
-            llc,
-            flush_core,
-        } => sim.decay(l2, llc, flush_core),
-        CacheState::Stressed {
-            code_lines,
-            data_lines,
-        } => sim.run_stressor(code_lines, data_lines),
-    };
+    let (mut sim, mut pf) = prepare(config, profile, prefetcher);
 
     // Warm-up: same state manipulation as measurement, so the recorded
     // metadata reflects lukewarm miss behaviour (as it would after the
     // paper's checkpoint warm-up).
     for _ in 0..params.warmup {
-        apply_state(&mut sim);
+        spec.state.apply(&mut sim);
         sim.run_invocation(pf.as_mut());
     }
 
     let mut summary = RunSummary::default();
     for _ in 0..params.invocations {
-        apply_state(&mut sim);
+        spec.state.apply(&mut sim);
         let m = sim.run_invocation(pf.as_mut());
         summary.add(&m);
     }
@@ -437,31 +466,13 @@ pub fn run_observed(
     params: &ExperimentParams,
     trace_capacity: usize,
 ) -> ObsRun {
-    let mut sim = SystemSim::new(*config, profile);
-    if prefetcher == PrefetcherKind::PerfectICache {
-        sim.set_perfect_icache(true);
-    }
-    let mut pf = prefetcher.build_bounded(Some(sim.function().layout().address_span()));
+    let (mut sim, mut pf) = prepare(config, profile, prefetcher);
     sim.enable_obs();
     sim.set_span_capacity(trace_capacity);
 
-    let apply_state = |sim: &mut SystemSim| match spec.state {
-        CacheState::Reference => {}
-        CacheState::Lukewarm => sim.flush_microarch(),
-        CacheState::Decayed {
-            l2,
-            llc,
-            flush_core,
-        } => sim.decay(l2, llc, flush_core),
-        CacheState::Stressed {
-            code_lines,
-            data_lines,
-        } => sim.run_stressor(code_lines, data_lines),
-    };
-
     // Warm-up runs are not measured: drop their counters and spans.
     for _ in 0..params.warmup {
-        apply_state(&mut sim);
+        spec.state.apply(&mut sim);
         sim.run_invocation(pf.as_mut());
     }
     sim.registry_mut().clear();
@@ -469,7 +480,7 @@ pub fn run_observed(
 
     let mut summary = RunSummary::default();
     for _ in 0..params.invocations {
-        apply_state(&mut sim);
+        spec.state.apply(&mut sim);
         // Keep only the last measured invocation's trace: a single
         // invocation is what the timeline exporter visualizes.
         sim.take_spans();
@@ -697,12 +708,18 @@ mod tests {
         // Warmup-free runs are legitimate (several unit tests use them).
         assert!(ExperimentParams::try_new(1.0, 1, 0).is_ok());
 
-        for bad_scale in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        for bad_scale in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let err = ExperimentParams::try_new(bad_scale, 4, 2).unwrap_err();
             assert!(
                 matches!(err, luke_common::SimError::InvalidConfig { ref field, .. } if field == "params.scale"),
                 "scale {bad_scale}: {err}"
             );
+            // Params built field by field fail the same check.
+            let built = ExperimentParams {
+                scale: bad_scale,
+                ..ok
+            };
+            assert_eq!(built.validate().unwrap_err(), err);
         }
         // Warmup-only runs measure nothing and must be rejected.
         let err = ExperimentParams::try_new(1.0, 0, 2).unwrap_err();

@@ -7,7 +7,7 @@
 //! ```
 
 use lukewarm::sim::experiments::workflow_slo;
-use lukewarm::sim::ExperimentParams;
+use lukewarm::sim::{Engine, ExperimentParams};
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -19,7 +19,8 @@ fn main() {
         invocations: 4,
         warmup: 2,
     };
-    print!("{}", workflow_slo::run_experiment(&params));
+    let data = workflow_slo::run(&Engine::single(), &params).expect("paper workflows run");
+    print!("{data}");
     println!(
         "Interactive services budget a few tens of milliseconds end-to-end [20]; \
          with five lukewarm stages on the critical path, the per-function \

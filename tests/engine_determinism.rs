@@ -1,8 +1,9 @@
 //! Golden determinism: for every registered experiment, the machine
-//! emission produced through a 4-thread engine must be byte-identical to
-//! the single-threaded one. One shared engine per thread count, exactly
-//! as `lukewarm figure --all --threads N` builds it, so cross-experiment
-//! cache hits are part of what is being checked.
+//! emission and the rendered table produced through a 4-thread engine
+//! must be byte-identical to the single-threaded ones. One shared engine
+//! per thread count, exactly as `lukewarm figure --all --threads N`
+//! builds it, so cross-experiment cache hits are part of what is being
+//! checked.
 
 use lukewarm_sim::runner::ExperimentParams;
 use lukewarm_sim::Engine;
@@ -10,7 +11,7 @@ use lukewarm_sim::Engine;
 #[test]
 fn exports_are_byte_identical_across_thread_counts() {
     let params = ExperimentParams::quick();
-    let emit = |threads: usize| -> Vec<(String, String)> {
+    let emit = |threads: usize| -> Vec<(String, String, String)> {
         let engine = Engine::new(threads);
         lukewarm_sim::engine::registry()
             .iter()
@@ -21,6 +22,7 @@ fn exports_are_byte_identical_across_thread_counts() {
                 (
                     experiment.name().to_string(),
                     luke_obs::export::to_json(&data.datasets()),
+                    data.to_string(),
                 )
             })
             .collect()
@@ -33,12 +35,19 @@ fn exports_are_byte_identical_across_thread_counts() {
     // moment they register; pin the snapshot subsystem's sweep to catch
     // an accidental deregistration.
     assert!(
-        serial.iter().any(|(name, _)| name == "cold-spectrum"),
+        serial.iter().any(|(name, ..)| name == "cold-spectrum"),
         "golden suite must cover cold-spectrum"
     );
-    for ((name, one), (name4, four)) in serial.iter().zip(&parallel) {
+    for ((name, json, table), (name4, json4, table4)) in serial.iter().zip(&parallel) {
         assert_eq!(name, name4);
-        assert_eq!(one, four, "{name}: 4-thread export diverged from 1-thread");
+        assert_eq!(
+            json, json4,
+            "{name}: 4-thread export diverged from 1-thread"
+        );
+        assert_eq!(
+            table, table4,
+            "{name}: 4-thread table diverged from 1-thread"
+        );
     }
 }
 
