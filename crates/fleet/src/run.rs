@@ -451,7 +451,7 @@ pub fn run_fleet(
     jukebox: bool,
 ) -> Result<FleetRun, SimError> {
     config.validate()?;
-    let (mut hosts, mut router) = build(config);
+    let (mut hosts, mut router) = build(config)?;
     let mut route_spans = SpanRing::with_capacity(route_span_capacity(config));
     let end_ms = drive(
         config,
@@ -468,12 +468,18 @@ pub fn run_fleet(
 /// router. The placement-aware policy scores hosts by same-language
 /// affinity, so it routes with the suite's language table; every other
 /// policy keeps the language-blind constructor (identical state, bit
-/// for bit).
-fn build(config: &FleetConfig) -> (Vec<FleetHost>, Router) {
+/// for bit). A host count whose table cannot be allocated is an invalid
+/// configuration, not a panic.
+fn build(config: &FleetConfig) -> Result<(Vec<FleetHost>, Router), SimError> {
     let priorities = admission_priorities(config);
-    let hosts = (0..config.hosts)
-        .map(|id| FleetHost::with_priorities(config, id, &priorities))
-        .collect();
+    let mut hosts = Vec::new();
+    hosts.try_reserve_exact(config.hosts).map_err(|_| {
+        SimError::invalid_config(
+            "fleet.hosts",
+            format!("cannot allocate a table of {} hosts", config.hosts),
+        )
+    })?;
+    hosts.extend((0..config.hosts).map(|id| FleetHost::with_priorities(config, id, &priorities)));
     let router = if config.policy == RoutingPolicy::PlacementAware {
         let lang_of: Vec<u8> = workloads::paper_suite()
             .iter()
@@ -483,7 +489,7 @@ fn build(config: &FleetConfig) -> (Vec<FleetHost>, Router) {
     } else {
         Router::new(config.policy, config.hosts)
     };
-    (hosts, router)
+    Ok((hosts, router))
 }
 
 /// Drive: routes the arrival stream and processes every routed copy on

@@ -4,7 +4,7 @@
 //! A [`Registry`] is plumbed by value through the simulator — no globals,
 //! no locks — and read out as a [`Snapshot`]: an immutable, diffable view
 //! that serializes deterministically (names are `BTreeMap`-ordered, so
-//! the same run produces byte-identical JSON/Prometheus/CSV output).
+//! the same run produces byte-identical JSON/CSV output).
 
 use std::collections::BTreeMap;
 
@@ -221,59 +221,6 @@ impl Snapshot {
         out
     }
 
-    /// Prometheus text exposition: dotted names become underscored (and
-    /// any other character outside the metric-name alphabet
-    /// `[a-zA-Z0-9_:]` is sanitized to `_`, with a leading digit
-    /// prefixed), histograms expand to `_count`/`_sum`/quantile series.
-    /// Label values (the quantile strings) go through
-    /// [`escape_prometheus_label`], so the exposition stays parseable
-    /// whatever names reach the registry.
-    pub fn to_prometheus(&self) -> String {
-        fn flat(name: &str) -> String {
-            let mut out = String::with_capacity(name.len());
-            for (i, c) in name.chars().enumerate() {
-                let valid = c.is_ascii_alphabetic()
-                    || c == '_'
-                    || c == ':'
-                    || (c.is_ascii_digit() && i > 0);
-                if c.is_ascii_digit() && i == 0 {
-                    // Metric names cannot start with a digit.
-                    out.push('_');
-                    out.push(c);
-                } else if valid {
-                    out.push(c);
-                } else {
-                    out.push('_');
-                }
-            }
-            out
-        }
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let n = flat(name);
-            out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            let n = flat(name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} "));
-            if v.is_finite() {
-                out.push_str(&format!("{v}\n"));
-            } else {
-                out.push_str("NaN\n");
-            }
-        }
-        for (name, h) in &self.hists {
-            let n = flat(name);
-            out.push_str(&format!("# TYPE {n} summary\n"));
-            for (q, val) in [(0.5, h.p50()), (0.9, h.p90()), (0.99, h.p99())] {
-                let q = escape_prometheus_label(&q.to_string());
-                out.push_str(&format!("{n}{{quantile=\"{q}\"}} {val}\n"));
-            }
-            out.push_str(&format!("{n}_sum {}\n{n}_count {}\n", h.sum(), h.count()));
-        }
-        out
-    }
-
     /// CSV rendering: `kind,name,field,value` rows in deterministic order.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("kind,name,field,value\n");
@@ -298,22 +245,6 @@ impl Snapshot {
         }
         out
     }
-}
-
-/// Escapes a string for use as a Prometheus label *value*: backslash,
-/// double-quote and newline are the three characters the text
-/// exposition format requires escaping inside `label="..."`.
-pub fn escape_prometheus_label(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -426,44 +357,6 @@ mod tests {
             .get("invocation.cycles")
             .unwrap();
         assert_eq!(h.get("count").unwrap().as_f64(), Some(2.0));
-    }
-
-    #[test]
-    fn prometheus_text_has_flat_names_and_quantiles() {
-        let text = sample().snapshot().to_prometheus();
-        assert!(text.contains("mem_l2_instr_misses 42"));
-        assert!(text.contains("# TYPE run_cpi gauge"));
-        assert!(text.contains("invocation_cycles{quantile=\"0.99\"}"));
-        assert!(text.contains("invocation_cycles_count 2"));
-    }
-
-    #[test]
-    fn prometheus_sanitizes_hostile_metric_names() {
-        let mut reg = Registry::new();
-        reg.counter_add("weird-name with spaces/and.slashes", 1);
-        reg.counter_add("9starts.with.digit", 2);
-        let text = reg.snapshot().to_prometheus();
-        assert!(text.contains("weird_name_with_spaces_and_slashes 1"));
-        assert!(text.contains("_9starts_with_digit 2"));
-        // Every exposition line is `# ...` or `name{labels} value`.
-        for line in text.lines() {
-            assert!(
-                line.starts_with('#')
-                    || line
-                        .split_whitespace()
-                        .next()
-                        .is_some_and(|n| !n.contains(' ') && !n.contains('/')),
-                "unparseable line: {line}"
-            );
-        }
-    }
-
-    #[test]
-    fn label_escaping_covers_the_three_special_characters() {
-        assert_eq!(escape_prometheus_label("plain"), "plain");
-        assert_eq!(escape_prometheus_label("a\"b"), "a\\\"b");
-        assert_eq!(escape_prometheus_label("a\\b"), "a\\\\b");
-        assert_eq!(escape_prometheus_label("a\nb"), "a\\nb");
     }
 
     #[test]

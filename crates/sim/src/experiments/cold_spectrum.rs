@@ -22,6 +22,7 @@
 //! recovery fraction is meaningful at every `--scale`.
 
 use crate::engine::{Engine, Spec};
+use crate::experiments::keep_alive::population;
 use crate::runner::ExperimentParams;
 use luke_common::rng::DetRng;
 use luke_common::table::TextTable;
@@ -103,21 +104,6 @@ pub const EXPERIMENT: Spec<Data> = Spec {
     run,
 };
 
-/// Builds a heavy-tailed population of invocation rates (log-uniform
-/// mean IAT, 30 seconds to 2 days) — rare enough that every keep-alive
-/// window sees real cold-start traffic.
-fn population(functions: usize, seed: u64) -> Vec<IatDistribution> {
-    let mut rng = DetRng::new(seed);
-    (0..functions)
-        .map(|_| {
-            let log_lo = (30_000.0f64).ln();
-            let log_hi = (2.0 * 24.0 * 3600.0 * 1000.0f64).ln();
-            let mean_ms = (log_lo + rng.unit() * (log_hi - log_lo)).exp();
-            IatDistribution::Exponential { mean_ms }
-        })
-        .collect()
-}
-
 /// Runs the sweep with each (window, corruption) cell as one
 /// [`Engine::map`] job. `params.scale` scales the population and event
 /// count; the working sets stay paper-scale regardless (restore cost is
@@ -132,7 +118,7 @@ pub fn run(engine: &Engine, params: &ExperimentParams) -> Result<Data, luke_comm
     let invocations = ((30_000.0 * params.scale) as usize).max(2_000);
     let suite = workloads::paper_suite();
     let model = ServiceModel::analytic(&suite)?;
-    let distributions = population(functions, 0xC01D);
+    let distributions = population(functions, 0xC01D, 2.0 * 24.0 * 3600.0 * 1000.0);
     let timings = SnapshotTimings::default();
 
     let cells: Vec<(f64, f64)> = KEEP_ALIVE_MINUTES

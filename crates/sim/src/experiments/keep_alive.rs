@@ -54,15 +54,21 @@ pub struct Data {
 pub const KEEP_ALIVE_MINUTES: [f64; 4] = [5.0, 10.0, 30.0, 60.0];
 
 /// Builds a heavy-tailed population of invocation rates: a few chatty
-/// functions (tens of seconds), a long tail of rare ones (hours to a
-/// week) — the shape of the Azure trace's per-function IAT distribution.
-fn population(functions: usize, seed: u64) -> Vec<IatDistribution> {
+/// functions (tens of seconds), a long tail of rare ones (hours up to
+/// `max_mean_iat_ms`) — the shape of the Azure trace's per-function IAT
+/// distribution. This sweep's tail reaches a week; `cold_spectrum` cuts
+/// it at 2 days so that every keep-alive window sees real cold starts.
+pub(crate) fn population(
+    functions: usize,
+    seed: u64,
+    max_mean_iat_ms: f64,
+) -> Vec<IatDistribution> {
     let mut rng = DetRng::new(seed);
     (0..functions)
         .map(|_| {
-            // Log-uniform mean IAT between 30 seconds and 7 days.
+            // Log-uniform mean IAT between 30 seconds and the bound.
             let log_lo = (30_000.0f64).ln();
-            let log_hi = (7.0 * 24.0 * 3600.0 * 1000.0f64).ln();
+            let log_hi = max_mean_iat_ms.ln();
             let mean_ms = (log_lo + rng.unit() * (log_hi - log_lo)).exp();
             IatDistribution::Exponential { mean_ms }
         })
@@ -87,7 +93,7 @@ pub const EXPERIMENT: Spec<Data> = Spec {
 pub fn run(_engine: &Engine, params: &ExperimentParams) -> Result<Data, luke_common::SimError> {
     let functions = ((400.0 * params.scale) as usize).max(20);
     let invocations = ((40_000.0 * params.scale) as usize).max(2_000);
-    let distributions = population(functions, 0xAC11);
+    let distributions = population(functions, 0xAC11, 7.0 * 24.0 * 3600.0 * 1000.0);
 
     let rows = KEEP_ALIVE_MINUTES
         .iter()

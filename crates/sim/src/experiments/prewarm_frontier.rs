@@ -28,11 +28,11 @@
 
 use crate::engine::{Cell, Engine, Spec};
 use crate::experiments::fleet_scale;
+use crate::experiments::surge::over_slo;
 use crate::runner::ExperimentParams;
 use luke_common::table::TextTable;
 use luke_common::SimError;
 use luke_fleet::{run_fleet, ColdStartModel, FleetConfig, FleetRun, PrewarmConfig};
-use luke_obs::hist::{bucket_index, BUCKETS};
 use std::fmt;
 
 /// End-to-end latency SLO, ms. Warm paper-suite service times sit well
@@ -120,17 +120,6 @@ pub const EXPERIMENT: Spec<Data> = Spec {
     plan,
     run,
 };
-
-/// Served requests slower than `slo_ms`, by histogram bucket walk (the
-/// bucket containing the threshold counts as violating — a conservative
-/// upper bound, consistent with the histogram's `P99 >= actual`
-/// convention).
-fn over_slo(run: &FleetRun, slo_ms: f64) -> u64 {
-    let first = bucket_index((slo_ms * 1_000.0) as u64);
-    (first..BUCKETS)
-        .map(|i| run.latency_us.bucket_count(i))
-        .sum()
-}
 
 /// One sweep point's fleet configuration.
 fn fleet_config(model: ColdStartModel, keep_alive_min: f64, prewarm: PrewarmConfig) -> FleetConfig {

@@ -170,8 +170,8 @@ fn fleet_config(policy: RoutingPolicy, level: ChaosLevel, admission: bool) -> Fl
 /// Served requests slower than `slo_ms`, by histogram bucket walk (the
 /// bucket containing the threshold counts as violating, so the rate is
 /// a conservative upper bound — consistent with the histogram's
-/// `P99 >= actual` convention).
-fn over_slo(run: &FleetRun, slo_ms: f64) -> u64 {
+/// `P99 >= actual` convention). `prewarm_frontier` reads it too.
+pub(crate) fn over_slo(run: &FleetRun, slo_ms: f64) -> u64 {
     let first = bucket_index((slo_ms * 1_000.0) as u64);
     (first..BUCKETS)
         .map(|i| run.latency_us.bucket_count(i))

@@ -38,7 +38,6 @@ fn identical_runs_export_byte_identical_snapshots() {
     let b = observed(0);
     assert_eq!(a.registry.to_json(), b.registry.to_json());
     assert_eq!(a.registry.to_csv(), b.registry.to_csv());
-    assert_eq!(a.registry.to_prometheus(), b.registry.to_prometheus());
     // A snapshot diffed against itself must be all-zero counters.
     let delta = a.registry.diff(&b.registry);
     for name in delta.counter_names() {
@@ -420,21 +419,7 @@ fn tenancy_counters_all_reach_the_export() {
         run.placement_routed
     );
 
-    // The dotted names survive the Prometheus name-escaping path as
-    // underscore forms, each on a parseable `name value` line.
-    let prom = run.snapshot.to_prometheus();
-    for name in [
-        "tenancy_shared_pages",
-        "tenancy_dedup_bytes_saved",
-        "fleet_placement_routed",
-    ] {
-        assert!(
-            prom.lines().any(|l| l.starts_with(&format!("{name} "))),
-            "{name} missing from Prometheus exposition:\n{prom}"
-        );
-    }
-
-    // And the exported datasets carry the dedicated tenancy series.
+    // The exported datasets carry the dedicated tenancy series.
     let datasets = luke_obs::Export::datasets(&run);
     assert!(
         datasets.iter().any(|d| d.name == "fleet.tenancy"),
@@ -483,42 +468,6 @@ fn invalid_sample_counter_flags_zero_cycle_runs() {
     assert!(obs.summary.try_speedup_over(&obs.summary).is_some());
     let empty = lukewarm::sim::runner::RunSummary::default();
     assert!(obs.summary.speedup_over(&empty).is_nan());
-}
-
-// --- Prometheus exposition hygiene ---
-
-#[test]
-fn prometheus_exposition_sanitizes_hostile_metric_and_label_text() {
-    use luke_obs::registry::escape_prometheus_label;
-    use luke_obs::Registry;
-
-    let mut registry = Registry::new();
-    // Metric names outside [a-zA-Z0-9_:] must be sanitized, leading
-    // digits prefixed, and quotes/newlines must never reach the
-    // exposition raw.
-    registry.counter_add("fleet.p99 ms\"x", 7);
-    registry.counter_add("9lives", 1);
-    registry.hist_record("weird.hist\nname", 42);
-    let out = registry.snapshot().to_prometheus();
-    for line in out.lines() {
-        assert!(
-            !line.contains(' ') || line.starts_with("# ") || line.split(' ').count() == 2,
-            "unparseable exposition line: {line:?}"
-        );
-    }
-    assert!(out.contains("fleet_p99_ms_x 7"), "{out}");
-    assert!(out.contains("_9lives 1"), "{out}");
-    assert!(out.contains("weird_hist_name_count 1"), "{out}");
-    assert!(!out.contains('\"') || out.contains("quantile=\""), "{out}");
-
-    // Label values escape backslash, quote and newline per the text
-    // exposition format.
-    assert_eq!(escape_prometheus_label("p\"q\\r\ns"), "p\\\"q\\\\r\\ns");
-    let quantile_lines: Vec<&str> = out.lines().filter(|l| l.contains("quantile")).collect();
-    assert_eq!(quantile_lines.len(), 3, "{out}");
-    for line in quantile_lines {
-        assert!(line.contains("quantile=\"0."), "{line}");
-    }
 }
 
 // --- Fleet span exports ---
