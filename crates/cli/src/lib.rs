@@ -13,7 +13,8 @@
 //! OPTIONS:
 //!   --scale S           workload scale (default 0.25; 1.0 = paper)
 //!   --invocations N     measured invocations (default 4)
-//!   --platform P        skylake | broadwell (default skylake)
+//!   --platform P        skylake | broadwell (run/compare/trace; default
+//!                       skylake)
 //!   --emit F            table | json | csv (default table)
 //!   --prefetcher K      none | jukebox | next-line | pif | pif-ideal |
 //!                       jukebox+pif-ideal | footprint-restore |
@@ -48,7 +49,8 @@ pub enum Command {
         platform: Platform,
     },
     /// `lukewarm run FUNCTION ...` (`run resilience` parses to the same
-    /// [`Command::Figure`] as `figure resilience`)
+    /// [`Command::Figure`] as `figure resilience`, and like it takes no
+    /// `--platform`, `--prefetcher` or `--state`)
     Run {
         /// Function abbreviation.
         function: String,
@@ -167,7 +169,9 @@ pub struct Options {
     pub scale: f64,
     /// Measured invocations.
     pub invocations: u64,
-    /// Platform.
+    /// Platform. Only the commands that simulate one function on one
+    /// core (`run`, `compare`, `trace`) read `--platform`; experiments
+    /// keep the default.
     pub platform: Platform,
     /// Output format.
     pub emit: Emit,
@@ -185,20 +189,23 @@ impl Default for Options {
 }
 
 impl Options {
-    const KEYS: [&'static str; 4] = ["--scale", "--invocations", "--platform", "--emit"];
+    /// Whether `key` is a common option; `--platform` is one only for
+    /// the commands that read it.
+    fn is_key(key: &str, platform: bool) -> bool {
+        matches!(key, "--scale" | "--invocations" | "--emit") || (platform && key == "--platform")
+    }
 
-    /// Reads `key` if it is one of the common options. Range checks
+    /// Reads `key`, a common option by [`Options::is_key`]. Range checks
     /// happen at execute time via [`Options::try_params`] (exit code 3);
     /// reading only rejects values that do not parse.
-    fn read(&mut self, key: &str, args: &mut Args<'_>) -> Result<bool, CliError> {
+    fn read(&mut self, key: &str, args: &mut Args<'_>) -> Result<(), CliError> {
         match key {
             "--scale" => self.scale = parsed(key, args)?,
             "--invocations" => self.invocations = parsed(key, args)?,
             "--platform" => self.platform = parse_platform(value(key, args)?)?,
-            "--emit" => self.emit = parse_emit(value(key, args)?)?,
-            _ => return Ok(false),
+            _ => self.emit = parse_emit(value(key, args)?)?,
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Validated experiment parameters. Nonsense values (`--scale -1`,
@@ -337,7 +344,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    let no_options = |_: &str, _: &mut Args<'_>| -> Result<bool, CliError> { Ok(false) };
     match command.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "list" => Ok(Command::List),
@@ -348,12 +354,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }),
         "run" => parse_run(rest, false),
         "compare" => {
-            let (function, options) = read_named(rest, no_options)?;
+            let (function, options) = read_named(rest, true, no_options)?;
             Ok(Command::Compare { function, options })
         }
         "figure" => parse_figure(rest),
         "workflow" => {
-            let (name, options) = read_named(rest, no_options)?;
+            let (name, options) = read_named(rest, false, no_options)?;
             Ok(Command::Workflow { name, options })
         }
         "trace" if rest.first().map(String::as_str) == Some("--fleet") => {
@@ -370,6 +376,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
 
 /// The words after an option's key, from which the option takes its value.
 type Args<'a> = std::slice::Iter<'a, String>;
+
+/// The own options of a command that has none.
+fn no_options(_: &str, _: &mut Args<'_>) -> Result<bool, CliError> {
+    Ok(false)
+}
 
 /// Reads options left to right: the CLI's one option loop. `accept` is
 /// handed each key and returns whether it knows it, taking the key's
@@ -406,30 +417,35 @@ fn parsed<T: std::str::FromStr>(key: &str, args: &mut Args<'_>) -> Result<T, Cli
 /// Reads `NAME [OPTIONS]`: the name, then [`read_common`].
 fn read_named<'a>(
     args: &'a [String],
+    platform: bool,
     own: impl FnMut(&'a str, &mut Args<'a>) -> Result<bool, CliError>,
 ) -> Result<(String, Options), CliError> {
     let (name, rest) = args
         .split_first()
         .ok_or_else(|| CliError::usage("missing argument"))?;
-    Ok((name.clone(), read_common(rest, own)?))
+    Ok((name.clone(), read_common(rest, platform, own)?))
 }
 
-/// Reads the common [`Options`] and then the command's `own`. The common
-/// options are read over the whole line first, so a bad common value is
-/// reported ahead of any problem with the command's own options.
+/// Reads the common [`Options`], with `--platform` among them if
+/// `platform`, and then the command's `own`. The common options are
+/// read over the whole line first, so a bad common value is reported
+/// ahead of any problem with the command's own options.
 fn read_common<'a>(
     args: &'a [String],
+    platform: bool,
     mut own: impl FnMut(&'a str, &mut Args<'a>) -> Result<bool, CliError>,
 ) -> Result<Options, CliError> {
     let mut options = Options::default();
     read_options(args, |key, args| {
-        if !options.read(key, args)? {
+        if Options::is_key(key, platform) {
+            options.read(key, args)?;
+        } else {
             value(key, args)?;
         }
         Ok(true)
     })?;
     read_options(args, |key, args| {
-        if Options::KEYS.contains(&key) {
+        if Options::is_key(key, platform) {
             return value(key, args).map(|_| true);
         }
         own(key, args)
@@ -438,10 +454,21 @@ fn read_common<'a>(
 }
 
 /// `run` and `trace`: a function on one core, with `--prefetcher`,
-/// `--state` and, for `trace`, `--out`.
+/// `--state` and, for `trace`, `--out`. `run resilience` is the
+/// fault-injection study over the paper workflows rather than a single
+/// function, and reads only what `figure resilience` reads.
 fn parse_run(args: &[String], trace: bool) -> Result<Command, CliError> {
+    if !trace && args.first().is_some_and(|name| name == "resilience") {
+        let (name, options) = read_named(args, false, no_options)?;
+        return Ok(Command::Figure {
+            name,
+            options,
+            threads: 1,
+            all: false,
+        });
+    }
     let (mut prefetcher, mut state, mut out) = ("jukebox", "lukewarm", None);
-    let (function, options) = read_named(args, |key, args| {
+    let (function, options) = read_named(args, true, |key, args| {
         match key {
             "--prefetcher" => prefetcher = value(key, args)?,
             "--state" => state = value(key, args)?,
@@ -459,16 +486,6 @@ fn parse_run(args: &[String], trace: bool) -> Result<Command, CliError> {
             prefetcher: kind,
             state: spec,
             out,
-        });
-    }
-    if function == "resilience" {
-        // The fault-injection study over the paper workflows rather than
-        // a single function.
-        return Ok(Command::Figure {
-            name: function,
-            options,
-            threads: 1,
-            all: false,
         });
     }
     Ok(Command::Run {
@@ -491,9 +508,11 @@ fn parse_figure(args: &[String]) -> Result<Command, CliError> {
         Ok(true)
     };
     let (name, options, all) = match args.split_first() {
-        Some((first, rest)) if first == "--all" => (String::new(), read_common(rest, own)?, true),
+        Some((first, rest)) if first == "--all" => {
+            (String::new(), read_common(rest, false, own)?, true)
+        }
         _ => {
-            let (name, options) = read_named(args, own)?;
+            let (name, options) = read_named(args, false, own)?;
             (name, options, false)
         }
     };
@@ -1074,10 +1093,6 @@ fn fleet_waterfall(run: &luke_fleet::FleetRun, chaos: &str) -> String {
         lanes.len(),
         run.spans.len()
     );
-    if lanes.is_empty() {
-        out.push_str("  no spans recorded (build has obs_disabled?)\n");
-        return out;
-    }
 
     // Slowest lanes first; ties break on lane id so output is stable.
     let mut by_total: Vec<(&u64, &Vec<&Span>)> = lanes.iter().collect();
@@ -1330,7 +1345,7 @@ mod tests {
     fn run_resilience_parses_to_figure_resilience() {
         let line = "--scale 0.02 --invocations 1 --emit json";
         assert_eq!(
-            parse(&argv(&format!("run resilience {line} --prefetcher pif"))).unwrap(),
+            parse(&argv(&format!("run resilience {line}"))).unwrap(),
             parse(&argv(&format!("figure resilience {line}"))).unwrap()
         );
     }
@@ -1566,16 +1581,11 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("fleet span waterfall"), "{out}");
-        if cfg!(feature = "obs_disabled") {
-            assert!(out.contains("no spans recorded"), "{out}");
-            return;
-        }
         assert!(out.contains("slowest lanes:"), "{out}");
         assert!(out.contains("critical path by span kind"), "{out}");
         assert!(out.contains("execute"), "{out}");
     }
 
-    #[cfg(not(feature = "obs_disabled"))]
     #[test]
     fn trace_fleet_out_writes_a_chrome_span_trace() {
         let dir = std::env::temp_dir().join("lukewarm-cli-tracefleet");
@@ -1595,7 +1605,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[cfg(not(feature = "obs_disabled"))]
     #[test]
     fn fleet_trace_sample_adds_span_and_timeline_free_of_default_output() {
         // Tracing off: the exact historic dataset count (asserted
@@ -1786,6 +1795,38 @@ mod tests {
             ("trace Fib-G --bogus 1", 2, "unknown option --bogus"),
             ("trace --fleet --bogus 1", 2, "unknown option --bogus"),
             ("trace --fleet --scale 0.02", 2, "unknown option --scale"),
+            // Only run, compare and trace read --platform, and `run
+            // resilience` reads neither --prefetcher nor --state.
+            (
+                "figure fig10 --platform broadwell",
+                2,
+                "unknown option --platform",
+            ),
+            (
+                "figure --all --platform broadwell",
+                2,
+                "unknown option --platform",
+            ),
+            (
+                "workflow hotel-reservation --platform broadwell",
+                2,
+                "unknown option --platform",
+            ),
+            (
+                "run resilience --platform broadwell",
+                2,
+                "unknown option --platform",
+            ),
+            (
+                "run resilience --prefetcher pif",
+                2,
+                "unknown option --prefetcher",
+            ),
+            (
+                "run resilience --state reference",
+                2,
+                "unknown option --state",
+            ),
             ("fleet --bogus 3", 2, "unknown option --bogus"),
             ("fleet --scale 0.02", 2, "unknown option --scale"),
             // bench-compare reads every other word as a path.
@@ -1893,7 +1934,7 @@ mod tests {
             (
                 "run resilience --prefetcher bogus",
                 2,
-                "unknown prefetcher \"bogus\"",
+                "unknown option --prefetcher",
             ),
             (
                 "run Auth-G --state tepid",
@@ -2086,15 +2127,10 @@ mod tests {
         let out = run_cli(&argv("trace Fib-G --scale 0.02 --invocations 1")).unwrap();
         let v = luke_obs::json::parse(&out).unwrap();
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
-        if cfg!(feature = "obs_disabled") {
-            // Recording is compiled out: only the process metadata record.
-            assert_eq!(events.len(), 1);
-        } else {
-            // Metadata event plus at least dispatch/retire of one invocation.
-            assert!(events.len() >= 3, "only {} events", events.len());
-            assert!(out.contains("\"dispatch\""));
-            assert!(out.contains("\"retire\""));
-        }
+        // Metadata event plus at least dispatch/retire of one invocation.
+        assert!(events.len() >= 3, "only {} events", events.len());
+        assert!(out.contains("\"dispatch\""));
+        assert!(out.contains("\"retire\""));
     }
 
     #[test]

@@ -730,10 +730,6 @@ mod tests {
             &mut NoPrefetcher,
         );
         let spans = core.take_spans();
-        if cfg!(feature = "obs_disabled") {
-            assert!(spans.is_empty());
-            return;
-        }
         assert!(r.start_cycle > 0);
         let dispatch = spans.first().unwrap();
         assert_eq!(dispatch.kind, SpanKind::Dispatch);

@@ -19,8 +19,7 @@
 //!   for sampled fleet invocations (route → admission → restore →
 //!   execute → backoff, with exact tick-boundary critical paths) and for
 //!   the cycle model's invocation lifecycle (dispatch → prefetch batch →
-//!   fetch stalls → retire), with an `obs_disabled` feature that
-//!   compiles recording out entirely;
+//!   fetch stalls → retire); a ring of capacity 0 records nothing;
 //! * [`series`] — fixed-window simulated-time series
 //!   ([`series::TimeWindows`]): per-window latency percentiles, shed
 //!   rate, SLO burn and cold/luke/warm mix with an associative merge;

@@ -10,8 +10,7 @@
 //! front-end fetch stalls as children and a closing
 //! [`SpanKind::Retire`] mark; those spans count core cycles since
 //! dispatch instead of microseconds. Spans are small `Copy` records in a
-//! bounded overwrite-oldest [`SpanRing`] (capacity 0 disables it), and
-//! recording compiles out entirely under the `obs_disabled` feature.
+//! bounded overwrite-oldest [`SpanRing`] (capacity 0 disables it).
 //!
 //! ## Determinism and exact critical paths
 //!
@@ -173,9 +172,7 @@ pub struct Span {
 }
 
 /// A bounded ring buffer of [`Span`]s that overwrites the oldest entry
-/// once full. Capacity 0 (the default) disables recording entirely, and
-/// the `obs_disabled` feature compiles [`SpanRing::record`] down to an
-/// empty inline function.
+/// once full. Capacity 0 (the default) disables recording entirely.
 #[derive(Clone, Debug, Default)]
 pub struct SpanRing {
     buf: Vec<Span>,
@@ -204,7 +201,7 @@ impl SpanRing {
 
     /// Whether this ring records anything at all.
     pub fn is_enabled(&self) -> bool {
-        self.cap > 0 && cfg!(not(feature = "obs_disabled"))
+        self.cap > 0
     }
 
     /// Configured capacity.
@@ -227,9 +224,7 @@ impl SpanRing {
         self.total
     }
 
-    /// Records a span (no-op when capacity is 0 or the crate is built
-    /// with the `obs_disabled` feature).
-    #[cfg(not(feature = "obs_disabled"))]
+    /// Records a span (no-op when capacity is 0).
     #[inline]
     pub fn record(&mut self, span: Span) {
         if self.cap == 0 {
@@ -243,11 +238,6 @@ impl SpanRing {
             self.head = (self.head + 1) % self.cap;
         }
     }
-
-    /// Compiled-out recording stub (`obs_disabled` build).
-    #[cfg(feature = "obs_disabled")]
-    #[inline(always)]
-    pub fn record(&mut self, _span: Span) {}
 
     /// Discards all held spans (capacity is retained).
     pub fn clear(&mut self) {
@@ -417,7 +407,6 @@ mod tests {
         assert!(ring.is_empty());
     }
 
-    #[cfg(not(feature = "obs_disabled"))]
     #[test]
     fn ring_overwrites_oldest_when_full() {
         let mut ring = SpanRing::with_capacity(3);
@@ -429,7 +418,6 @@ mod tests {
         assert_eq!(ring.total_recorded(), 5);
     }
 
-    #[cfg(not(feature = "obs_disabled"))]
     #[test]
     fn scope_assigns_increasing_ids_and_exact_root() {
         let mut ring = SpanRing::with_capacity(16);
@@ -453,7 +441,6 @@ mod tests {
         assert_eq!(sum, root.dur_us);
     }
 
-    #[cfg(not(feature = "obs_disabled"))]
     #[test]
     fn canonical_sort_is_merge_order_independent() {
         let mut a = SpanRing::with_capacity(8);
@@ -468,15 +455,6 @@ mod tests {
         assert_eq!(left, right);
         assert_eq!(left[0].trace, 0);
         assert_eq!(left[1].trace, 2);
-    }
-
-    #[cfg(feature = "obs_disabled")]
-    #[test]
-    fn obs_disabled_compiles_recording_out() {
-        let mut ring = SpanRing::with_capacity(8);
-        ring.record(span(0, 0));
-        assert!(ring.is_empty());
-        assert!(!ring.is_enabled());
     }
 
     #[test]

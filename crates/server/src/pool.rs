@@ -234,22 +234,6 @@ impl InstancePool {
         Some(gap)
     }
 
-    /// Finds an existing warm instance of `function`, preferring the most
-    /// recently invoked one (ties go to the highest id, matching the old
-    /// id-ordered map's `max_by`).
-    pub fn find_warm(&self, function: usize) -> Option<WarmInstance> {
-        let mut best: Option<usize> = None;
-        for slot in 0..self.ids.len() {
-            if self.functions[slot] != function {
-                continue;
-            }
-            if best.is_none_or(|b| self.last_invoked_ms[slot] >= self.last_invoked_ms[b]) {
-                best = Some(slot);
-            }
-        }
-        best.map(|slot| self.materialize(slot))
-    }
-
     /// Builds the row view of one column slot.
     fn materialize(&self, slot: usize) -> WarmInstance {
         WarmInstance {
@@ -498,17 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn find_warm_prefers_most_recent() {
-        let mut pool = InstancePool::new(60_000.0);
-        let a = pool.spawn(7, 0.0);
-        let b = pool.spawn(7, 0.0);
-        pool.invoke(a, 100.0);
-        pool.invoke(b, 200.0);
-        assert_eq!(pool.find_warm(7).unwrap().id, b);
-        assert!(pool.find_warm(8).is_none());
-    }
-
-    #[test]
     fn warm_count_and_cold_starts() {
         let mut pool = InstancePool::new(60_000.0);
         for f in 0..5 {
@@ -712,14 +685,6 @@ mod tests {
         assert_eq!(ids.len(), n);
         assert_eq!(a.expirations(), b.expirations());
         assert_eq!(a.warm_count(), b.warm_count());
-    }
-
-    #[test]
-    fn find_warm_tie_break_is_deterministic() {
-        // Equal last-invocation times: the highest id wins, every run.
-        let mut pool = InstancePool::new(60_000.0);
-        let ids: Vec<u64> = (0..8).map(|_| pool.spawn(3, 500.0)).collect();
-        assert_eq!(pool.find_warm(3).unwrap().id, *ids.last().unwrap());
     }
 
     #[test]

@@ -235,8 +235,7 @@ pub struct Data {
     /// One row per (policy, chaos level, admission) point.
     pub rows: Vec<Row>,
     /// Per-window timelines (`WINDOW_MS`-wide), one run per point, in
-    /// sweep order. The series is plain aggregation, not cfg-gated, so
-    /// it is populated even in `obs_disabled` builds.
+    /// sweep order.
     pub timelines: Vec<TimelineRow>,
 }
 

@@ -660,17 +660,13 @@ mod tests {
         );
         // Jukebox contributes its replay telemetry.
         assert!(reg.counter("replay.entries") > 0);
-        if cfg!(feature = "obs_disabled") {
-            assert!(observed.spans.is_empty());
-        } else {
-            use luke_obs::SpanKind;
-            let spans = &observed.spans;
-            assert_eq!(spans.first().map(|s| s.kind), Some(SpanKind::Dispatch));
-            assert_eq!(spans.last().map(|s| s.kind), Some(SpanKind::Retire));
-            assert!(spans.iter().any(|s| s.kind == SpanKind::FetchStall));
-            // Only the last measured invocation's lane is kept.
-            assert!(spans.iter().all(|s| s.trace == spans[0].trace));
-        }
+        use luke_obs::SpanKind;
+        let spans = &observed.spans;
+        assert_eq!(spans.first().map(|s| s.kind), Some(SpanKind::Dispatch));
+        assert_eq!(spans.last().map(|s| s.kind), Some(SpanKind::Retire));
+        assert!(spans.iter().any(|s| s.kind == SpanKind::FetchStall));
+        // Only the last measured invocation's lane is kept.
+        assert!(spans.iter().all(|s| s.trace == spans[0].trace));
     }
 
     #[test]

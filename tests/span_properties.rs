@@ -3,9 +3,6 @@
 //! root (so critical-path attribution sums to 100%), root durations
 //! reproduce the reported latency histogram, and the whole export is
 //! byte-identical whatever the worker-thread count.
-//!
-//! These run against the root package, which has no `obs_disabled`
-//! feature — they always exercise the enabled span path.
 
 use luke_obs::span::{dispatch_of, is_hedge_lane, SpanKind};
 use luke_obs::{Export, Histogram};
