@@ -31,7 +31,7 @@
 
 use luke_common::SimError;
 use luke_fleet::{ChaosConfig, FleetConfig, RoutingPolicy};
-use luke_obs::{Dataset, Export};
+use luke_obs::export::{fixed, plain, speedup, Column, Dataset, Export};
 use lukewarm_sim::experiments::workflow_slo;
 use lukewarm_sim::runner::{run, run_observed, RunSpec};
 use lukewarm_sim::{Engine, ExperimentParams, PrefetcherKind, SystemConfig};
@@ -889,43 +889,41 @@ fn execute_compare(function: &str, options: &Options) -> Result<String, CliError
         ("lukewarm + jukebox", &jukebox),
         ("perfect I-cache", &perfect),
     ];
-    if options.emit != Emit::Table {
-        let mut ds = Dataset::new(
-            "compare.configurations",
-            &["function", "configuration", "CPI", "vs reference"],
-        );
-        for (label, s) in configurations {
-            ds.push_row(vec![
-                profile.name.clone().into(),
-                label.into(),
-                s.cpi().into(),
-                (s.cpi() / reference.cpi()).into(),
-            ]);
-        }
-        let mut speedups = Dataset::new(
-            "compare.speedups",
-            &["function", "jukebox speedup", "perfect I-cache speedup"],
-        );
-        speedups.push_row(vec![
-            profile.name.clone().into(),
-            jukebox.speedup_over(&baseline).into(),
-            perfect.speedup_over(&baseline).into(),
-        ]);
-        return Ok(render_datasets(&[ds, speedups], options.emit, String::new));
-    }
-    let mut t = luke_common::table::TextTable::new(&["configuration", "CPI", "vs reference"]);
+    let mut ds = Dataset::with_columns(
+        "compare.configurations",
+        vec![
+            Column::hidden("function"),
+            Column::new("configuration", plain),
+            Column::new("CPI", fixed::<2>),
+            Column::new("vs reference", speedup::<1>),
+        ],
+    );
     for (label, s) in configurations {
-        t.row(&[
-            label.to_string(),
-            format!("{:.2}", s.cpi()),
-            format!("{:+.1}%", (s.cpi() / reference.cpi() - 1.0) * 100.0),
+        ds.push_row(vec![
+            profile.name.clone().into(),
+            label.into(),
+            s.cpi().into(),
+            (s.cpi() / reference.cpi()).into(),
         ]);
     }
-    Ok(format!(
-        "{t}\njukebox speedup over lukewarm: {:+.1}% (perfect-I$ opportunity {:+.1}%)",
-        (jukebox.speedup_over(&baseline) - 1.0) * 100.0,
-        (perfect.speedup_over(&baseline) - 1.0) * 100.0,
-    ))
+    let mut speedups = Dataset::new(
+        "compare.speedups",
+        &["function", "jukebox speedup", "perfect I-cache speedup"],
+    );
+    speedups.push_row(vec![
+        profile.name.clone().into(),
+        jukebox.speedup_over(&baseline).into(),
+        perfect.speedup_over(&baseline).into(),
+    ]);
+    let datasets = [ds, speedups];
+    Ok(render_datasets(&datasets, options.emit, || {
+        format!(
+            "{}\njukebox speedup over lukewarm: {:+.1}% (perfect-I$ opportunity {:+.1}%)",
+            datasets[0].to_text(),
+            (jukebox.speedup_over(&baseline) - 1.0) * 100.0,
+            (perfect.speedup_over(&baseline) - 1.0) * 100.0,
+        )
+    }))
 }
 
 fn execute_figure(

@@ -13,9 +13,7 @@
 //!   every experiment is exactly reproducible from a single seed;
 //! * [`stats`] — the statistics the paper reports (arithmetic/geometric
 //!   means, percentiles, the Jaccard index used in Figure 6b);
-//! * [`size`] — human-readable byte-size formatting for tables;
-//! * [`table`] — minimal fixed-width text-table rendering for the benchmark
-//!   harness output.
+//! * [`size`] — human-readable byte-size formatting for tables.
 //!
 //! # Examples
 //!
@@ -34,7 +32,6 @@ pub mod error;
 pub mod rng;
 pub mod size;
 pub mod stats;
-pub mod table;
 
 pub use addr::{LineAddr, PhysAddr, VirtAddr, LINE_BYTES, PAGE_BYTES};
 pub use error::SimError;

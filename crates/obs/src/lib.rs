@@ -10,16 +10,19 @@
 //!   (`mem.l2.instr.misses`, `replay.dropped_prefetches`), snapshotable
 //!   and diffable between invocations;
 //! * [`export`] — the [`export::Dataset`] table IR every experiment
-//!   renders into, plus JSON and CSV writers;
+//!   builds its result tables in once, and its three writers: the
+//!   fixed-width text table, JSON and CSV;
 //! * [`json`] — a dependency-free JSON writer *and* minimal parser (the
 //!   build container has no `serde`), which doubles as the jq-free
 //!   well-formedness checker used by CI and the golden tests;
-//! * [`span`] — the single recording mechanism: a bounded,
-//!   zero-allocation [`span::SpanRing`] of causal [`span::Span`] trees,
+//! * [`span`] — the single recording mechanism: a bounded
+//!   [`span::SpanRing`] of causal [`span::Span`] trees, whose buffer
+//!   grows lazily as spans arrive and never past its capacity,
 //!   for sampled fleet invocations (route → admission → restore →
 //!   execute → backoff, with exact tick-boundary critical paths) and for
 //!   the cycle model's invocation lifecycle (dispatch → prefetch batch →
-//!   fetch stalls → retire); a ring of capacity 0 records nothing;
+//!   fetch stalls → retire); a ring of capacity 0 records nothing and
+//!   never allocates;
 //! * [`series`] — fixed-window simulated-time series
 //!   ([`series::TimeWindows`]): per-window latency percentiles, shed
 //!   rate, SLO burn and cold/luke/warm mix with an associative merge;
@@ -40,7 +43,7 @@ pub mod series;
 pub mod span;
 pub mod trace;
 
-pub use export::{Dataset, Export, Value};
+pub use export::{Column, Dataset, Export, Value};
 pub use hist::Histogram;
 pub use registry::{Registry, Snapshot};
 pub use series::{StartClass, TimeWindows, WindowRow, WindowStats};

@@ -146,8 +146,8 @@ pub fn tick_us(at_ms: f64) -> u64 {
     (at_ms * 1000.0).round() as u64
 }
 
-/// One hop or stage of a traced invocation. `Copy` and fixed-size so recording
-/// in the fleet's hot loop never allocates.
+/// One hop or stage of a traced invocation. `Copy` and fixed-size, so a
+/// span is stored inline in its ring's buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span {
     /// Trace lane ([`trace_id`]) this span belongs to.

@@ -13,12 +13,11 @@
 //! Instance state lives in parallel columns (`ids`, `functions`,
 //! `last_invoked_ms`, `spawned_ms`, `invocations`) kept sorted by id.
 //! Ids are handed out monotonically, so a spawn is an ordered push, a
-//! lookup is a binary search, and the expiry/decay sweep is a linear
-//! pass over two dense `f64` columns — the cache-friendly shape the
-//! fleet's hot loop wants. Sorted-by-id iteration also preserves the
-//! old `BTreeMap` semantics exactly: sweeps expire in ascending id
-//! order and equally idle instances tie-break to the highest id, so the
-//! pool stays bit-reproducible run to run.
+//! lookup is a binary search, and the keep-alive sweep is a linear
+//! pass over two dense `f64` columns. Sorted-by-id iteration also
+//! preserves the old `BTreeMap` semantics exactly: sweeps expire in
+//! ascending id order and equally idle instances tie-break to the
+//! highest id, so the pool stays bit-reproducible run to run.
 
 use luke_common::SimError;
 use luke_snapshot::SnapshotStore;
@@ -246,48 +245,19 @@ impl InstancePool {
     }
 
     /// Applies the keep-alive policy at time `now_ms`: tears down
-    /// instances idle longer than the window. Returns how many expired.
-    ///
-    /// Delegates to [`InstancePool::sweep_expired_ids`] — both
-    /// expiration paths share one compaction so they cannot drift.
+    /// instances idle longer than the window in one order-preserving
+    /// pass over the id-sorted columns, so two identical runs leave
+    /// identical survivors. Returns how many expired. A retired instance
+    /// credits its residency through its expiry *deadline*
+    /// (`last_invoked + keep_alive`), not the sweep time — sweeps run
+    /// lazily on arrivals, and crediting the deadline makes memory
+    /// accounting independent of when the next arrival happened to land.
     pub fn sweep(&mut self, now_ms: f64) -> usize {
-        self.sweep_expired_ids(now_ms).len()
-    }
-
-    /// Like [`InstancePool::sweep`], but returns the expired instance
-    /// ids in ascending order. Because the columns are id-sorted, two
-    /// identical runs expire identical id sequences.
-    pub fn sweep_expired_ids(&mut self, now_ms: f64) -> Vec<u64> {
-        self.sweep_by_hold(now_ms, None)
-    }
-
-    /// The adaptive-expiry hook: like
-    /// [`InstancePool::sweep_expired_ids`], but each instance is held
-    /// for its *function's* window — `holds[function]`, as maintained by
-    /// a `luke-predict` policy bank — instead of the pool's single
-    /// global `keep_alive_ms`. Functions beyond the slice (or a hold of
-    /// exactly the cap) behave as without prediction.
-    pub fn sweep_adaptive(&mut self, now_ms: f64, holds: &[f64]) -> Vec<u64> {
-        self.sweep_by_hold(now_ms, Some(holds))
-    }
-
-    /// The one shared compaction behind every sweep path (so fixed and
-    /// adaptive sweeps cannot drift): a single order-preserving pass
-    /// over the columns. A retired instance credits its residency
-    /// through its expiry *deadline* (`last_invoked + hold`), not the
-    /// sweep time — sweeps run lazily on arrivals, and crediting the
-    /// deadline makes memory accounting independent of when the next
-    /// arrival happened to land.
-    fn sweep_by_hold(&mut self, now_ms: f64, holds: Option<&[f64]>) -> Vec<u64> {
         let keep_alive = self.keep_alive_ms;
-        let mut expired = Vec::new();
         let mut retired_ms = 0.0;
         let mut write = 0;
         for read in 0..self.ids.len() {
-            let hold = holds
-                .and_then(|h| h.get(self.functions[read]).copied())
-                .unwrap_or(keep_alive);
-            if now_ms - self.last_invoked_ms[read] <= hold {
+            if now_ms - self.last_invoked_ms[read] <= keep_alive {
                 if write != read {
                     self.ids[write] = self.ids[read];
                     self.functions[write] = self.functions[read];
@@ -298,14 +268,14 @@ impl InstancePool {
                 }
                 write += 1;
             } else {
-                expired.push(self.ids[read]);
-                retired_ms += (self.last_invoked_ms[read] + hold - self.spawned_ms[read])
+                retired_ms += (self.last_invoked_ms[read] + keep_alive - self.spawned_ms[read])
                     * self.weights[read];
             }
         }
+        let expired = self.ids.len() - write;
         self.truncate(write);
         self.retired_memory_ms += retired_ms;
-        self.expirations += expired.len() as u64;
+        self.expirations += expired as u64;
         expired
     }
 
@@ -532,72 +502,38 @@ mod tests {
         assert_eq!(pool.expirations(), 0, "evictions are not expirations");
     }
 
-    /// Spawns a population, idles some of it out, and returns the exact
-    /// eviction order observed.
-    fn eviction_sequence() -> Vec<u64> {
+    /// Spawns a population, idles some of it out, and returns the
+    /// survivors after each sweep.
+    fn survivor_sequence() -> Vec<Vec<u64>> {
         let mut pool = InstancePool::new(10_000.0);
-        let mut evicted = Vec::new();
         // 64 instances, all idle past the window at t=20s.
         for f in 0..64 {
             pool.spawn(f % 8, (f % 3) as f64 * 100.0);
         }
-        evicted.extend(pool.sweep_expired_ids(20_000.0));
+        pool.sweep(20_000.0);
+        let mut survivors = vec![pool.live_ids().to_vec()];
         // A second wave with staggered last-invocation times.
         let ids: Vec<u64> = (0..32).map(|f| pool.spawn(f % 8, 20_000.0)).collect();
         for (i, &id) in ids.iter().enumerate() {
             pool.invoke(id, 20_000.0 + (i % 4) as f64 * 1_000.0);
         }
-        evicted.extend(pool.sweep_expired_ids(32_500.0));
-        evicted
+        pool.sweep(32_500.0);
+        survivors.push(pool.live_ids().to_vec());
+        survivors
     }
 
     #[test]
-    fn identical_sweeps_evict_identical_instance_ids() {
+    fn identical_sweeps_leave_identical_survivors() {
         // Regression: with a `HashMap<u64, _, RandomState>` the sweep
         // visited instances in a per-process random order, so the
-        // eviction sequence differed run to run. The id-sorted columns
+        // surviving state differed run to run. The id-sorted columns
         // make it a pure function of the invocation history.
-        let first = eviction_sequence();
-        let second = eviction_sequence();
-        assert_eq!(first, second);
-        assert!(!first.is_empty());
-        let mut sorted = first.clone();
-        sorted.sort_unstable();
-        assert_eq!(first, sorted, "expiries must come back in id order");
-    }
-
-    #[test]
-    fn sweep_delegates_so_the_two_expiration_paths_cannot_drift() {
-        // Regression for the formerly duplicated sweep bodies: run
-        // the same schedule through both entry points and pin that the
-        // eviction order (and therefore the surviving state) is
-        // identical round after round.
-        let mut by_ids = InstancePool::new(8_000.0);
-        let mut by_count = InstancePool::new(8_000.0);
-        for f in 0..48 {
-            let at = (f % 7) as f64 * 900.0;
-            by_ids.spawn(f, at);
-            by_count.spawn(f, at);
-        }
-        for round in 1..=6 {
-            let now = round as f64 * 4_000.0;
-            let ids = by_ids.sweep_expired_ids(now);
-            let n = by_count.sweep(now);
-            assert_eq!(ids.len(), n, "round {round}");
-            let mut sorted = ids.clone();
-            sorted.sort_unstable();
-            assert_eq!(ids, sorted, "round {round}: id-order eviction");
-            assert_eq!(by_ids.expirations(), by_count.expirations());
-            assert_eq!(
-                by_ids.live_ids(),
-                by_count.live_ids(),
-                "round {round}: survivors diverged"
-            );
-            // Refill a little so later rounds have work to do.
-            let f = 100 + round;
-            by_ids.spawn(f, now);
-            by_count.spawn(f, now);
-        }
+        let first = survivor_sequence();
+        assert_eq!(first, survivor_sequence());
+        assert!(first[0].is_empty(), "the first wave idles out entirely");
+        // Only the second wave's instances last invoked at 23s survive.
+        assert_eq!(first[1].len(), 8);
+        assert!(first[1].windows(2).all(|w| w[0] < w[1]), "id order");
     }
 
     #[test]
@@ -670,61 +606,6 @@ mod tests {
         let json = registry.snapshot().to_json();
         assert!(!json.contains("snapshot."), "pre-snapshot keys only");
         assert!(json.contains("pool.cold_starts"));
-    }
-
-    #[test]
-    fn sweep_expired_ids_matches_sweep_counts() {
-        let mut a = InstancePool::new(5_000.0);
-        let mut b = InstancePool::new(5_000.0);
-        for f in 0..10 {
-            a.spawn(f, f as f64 * 400.0);
-            b.spawn(f, f as f64 * 400.0);
-        }
-        let ids = a.sweep_expired_ids(6_000.0);
-        let n = b.sweep(6_000.0);
-        assert_eq!(ids.len(), n);
-        assert_eq!(a.expirations(), b.expirations());
-        assert_eq!(a.warm_count(), b.warm_count());
-    }
-
-    #[test]
-    fn adaptive_sweep_honors_per_function_holds() {
-        let mut pool = InstancePool::new(60_000.0);
-        let a = pool.spawn(0, 0.0); // hold 5s
-        let b = pool.spawn(1, 0.0); // hold 60s (global)
-        let expired = pool.sweep_adaptive(10_000.0, &[5_000.0, 60_000.0]);
-        assert_eq!(expired, vec![a]);
-        assert!(pool.instance(b).is_some());
-        assert_eq!(pool.expirations(), 1);
-    }
-
-    #[test]
-    fn adaptive_sweep_with_global_holds_matches_the_fixed_sweep() {
-        let mut fixed = InstancePool::new(8_000.0);
-        let mut adaptive = InstancePool::new(8_000.0);
-        for f in 0..24 {
-            let at = (f % 5) as f64 * 700.0;
-            fixed.spawn(f, at);
-            adaptive.spawn(f, at);
-        }
-        let holds = vec![8_000.0; 24];
-        for round in 1..=4 {
-            let now = round as f64 * 3_500.0;
-            assert_eq!(
-                fixed.sweep_expired_ids(now),
-                adaptive.sweep_adaptive(now, &holds),
-                "round {round}"
-            );
-            assert_eq!(fixed.retired_memory_ms(), adaptive.retired_memory_ms());
-        }
-    }
-
-    #[test]
-    fn functions_beyond_the_holds_slice_use_the_global_window() {
-        let mut pool = InstancePool::new(60_000.0);
-        let a = pool.spawn(9, 0.0); // function 9, holds slice covers 0..1
-        assert!(pool.sweep_adaptive(10_000.0, &[5_000.0]).is_empty());
-        assert!(pool.instance(a).is_some());
     }
 
     #[test]
@@ -811,10 +692,8 @@ mod tests {
         }
         for round in 1..=4 {
             let now = round as f64 * 3_500.0;
-            assert_eq!(
-                plain.sweep_expired_ids(now),
-                weighted.sweep_expired_ids(now)
-            );
+            assert_eq!(plain.sweep(now), weighted.sweep(now));
+            assert_eq!(plain.live_ids(), weighted.live_ids());
             assert_eq!(plain.retired_memory_ms(), weighted.retired_memory_ms());
             assert_eq!(
                 plain.residency_ms_through(now, None),

@@ -8,9 +8,10 @@ use crate::runner::ExperimentParams;
 use luke_common::SimError;
 use std::fmt::Display;
 
-/// What an experiment returns: a renderable (`Display`) and exportable
-/// (`luke_obs::Export`) dataset. Blanket-implemented, so every existing
-/// `Data` struct qualifies without changes.
+/// What an experiment returns: its result tables as datasets
+/// (`luke_obs::Export`), and a `Display` that prints them as text
+/// tables between a title and prose lines. Blanket-implemented, so
+/// every `Data` struct qualifies without changes.
 pub trait ExperimentData: Display + luke_obs::Export {}
 
 impl<T: Display + luke_obs::Export> ExperimentData for T {}

@@ -20,9 +20,8 @@ use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use crate::system::SystemSim;
 use jukebox::metadata::MetadataBuffer;
 use jukebox::{JukeboxConfig, JukeboxPrefetcher};
-use luke_common::table::TextTable;
 use luke_common::SimError;
-use luke_obs::{Dataset, Export};
+use luke_obs::export::{plain, speedup, Column, Dataset, Export};
 use sim_mem::prefetch::{FetchObservation, InstructionPrefetcher, PrefetchIssuer};
 use std::fmt;
 use workloads::FunctionProfile;
@@ -227,14 +226,7 @@ pub fn run_for(engine: &Engine, profile: &FunctionProfile, params: &ExperimentPa
 impl fmt::Display for Data {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Ablations on {}:", self.function)?;
-        let mut t = TextTable::new(&["configuration", "speedup over baseline"]);
-        let pct = |s: f64| format!("{:+.1}%", (s - 1.0) * 100.0);
-        t.row(&["jukebox (FIFO replay)".into(), pct(self.jukebox)]);
-        t.row(&["jukebox, reversed replay".into(), pct(self.reversed_replay)]);
-        for &(entries, s) in &self.crrb_sweep {
-            t.row(&[format!("jukebox, CRRB {entries} entries"), pct(s)]);
-        }
-        writeln!(f, "{t}")?;
+        writeln!(f, "{}", self.datasets()[0].to_text())?;
         writeln!(
             f,
             "Snapshot boot (§3.4.2): cold first invocation {} cycles, with \
@@ -248,26 +240,25 @@ impl fmt::Display for Data {
 
 impl Export for Data {
     fn datasets(&self) -> Vec<Dataset> {
-        let mut speedups = Dataset::new(
+        let mut speedups = Dataset::with_columns(
             "ablations.speedups",
-            &["function", "configuration", "speedup over baseline"],
+            vec![
+                Column::hidden("function"),
+                Column::new("configuration", plain),
+                Column::new("speedup over baseline", speedup::<1>),
+            ],
         );
-        speedups.push_row(vec![
-            self.function.clone().into(),
-            "jukebox (FIFO replay)".into(),
-            self.jukebox.into(),
-        ]);
-        speedups.push_row(vec![
-            self.function.clone().into(),
-            "jukebox, reversed replay".into(),
-            self.reversed_replay.into(),
-        ]);
-        for &(entries, s) in &self.crrb_sweep {
+        let mut push = |configuration: String, speedup: f64| {
             speedups.push_row(vec![
                 self.function.clone().into(),
-                format!("jukebox, CRRB {entries} entries").into(),
-                s.into(),
+                configuration.into(),
+                speedup.into(),
             ]);
+        };
+        push("jukebox (FIFO replay)".into(), self.jukebox);
+        push("jukebox, reversed replay".into(), self.reversed_replay);
+        for &(entries, s) in &self.crrb_sweep {
+            push(format!("jukebox, CRRB {entries} entries"), s);
         }
         let mut boot = Dataset::new(
             "ablations.snapshot_boot",

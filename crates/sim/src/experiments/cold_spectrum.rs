@@ -25,8 +25,8 @@ use crate::engine::{Engine, Spec};
 use crate::experiments::keep_alive::population;
 use crate::runner::ExperimentParams;
 use luke_common::rng::DetRng;
-use luke_common::table::TextTable;
 use luke_fleet::ServiceModel;
+use luke_obs::export::{pct, plain, Column, Dataset, Export, Fmt};
 use luke_snapshot::{ColdStartModel, SnapshotStore, SnapshotTimings};
 use server::{IatDistribution, InstancePool, TrafficGenerator};
 use std::fmt;
@@ -287,64 +287,53 @@ impl fmt::Display for Data {
             t.prefetch_batch_us,
             t.prefetch_page_us
         )?;
-        let mut t = TextTable::new(&[
-            "keep-alive",
-            "corrupt",
-            "cold rate",
-            "boot",
-            "lazy",
-            "reap",
-            "reap+jb",
-            "recovery",
-            "aborts",
-        ]);
-        for r in &self.rows {
-            t.row(&[
-                format!("{:.0} min", r.keep_alive_min),
-                format!("{:.0}%", r.corruption_rate * 100.0),
-                format!("{:.1}%", r.cold_rate * 100.0),
-                format!("{:.2} ms", r.cold_boot_latency_ms),
-                format!("{:.2} ms", r.lazy_latency_ms),
-                format!("{:.2} ms", r.reap_latency_ms),
-                format!("{:.2} ms", r.reap_jukebox_latency_ms),
-                format!("{:.0}%", r.reap_recovery * 100.0),
-                format!("{}", r.replay_aborts),
-            ]);
+        // One text table: the sweep with the restore columns it shows
+        // (recovery and aborts) beside it, row for row.
+        let [mut table, restore]: [Dataset; 2] = self
+            .datasets()
+            .try_into()
+            .expect("sweep and restore datasets");
+        table.columns.extend(restore.columns);
+        for (cells, more) in table.rows.iter_mut().zip(restore.rows) {
+            cells.extend(more);
         }
         writeln!(
             f,
-            "{t}REAP turns the per-page fault storm into one batched read; corruption \
+            "{}REAP turns the per-page fault storm into one batched read; corruption \
              degrades single restores to lazy paging (never a panic), and Jukebox \
-             stacks on the warm side."
+             stacks on the warm side.",
+            table.to_text()
         )
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut sweep = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let ms: Fmt = |v| format!("{:.2} ms", v.as_f64());
+        let mut sweep = Dataset::with_columns(
             "cold_spectrum.sweep",
-            &[
-                "keep-alive min",
-                "corruption rate",
-                "cold rate",
-                "cold-boot ms",
-                "lazy ms",
-                "reap ms",
-                "reap+jukebox ms",
+            vec![
+                Column::new("keep-alive min", |v| format!("{:.0} min", v.as_f64()))
+                    .titled("keep-alive"),
+                Column::new("corruption rate", pct::<0>).titled("corrupt"),
+                Column::new("cold rate", pct::<1>),
+                Column::new("cold-boot ms", ms).titled("boot"),
+                Column::new("lazy ms", ms).titled("lazy"),
+                Column::new("reap ms", ms).titled("reap"),
+                Column::new("reap+jukebox ms", ms).titled("reap+jb"),
             ],
         );
-        let mut restore = luke_obs::Dataset::new(
+        let mut restore = Dataset::with_columns(
             "cold_spectrum.restore",
-            &[
-                "keep-alive min",
-                "corruption rate",
-                "lazy restore ms",
-                "reap restore ms",
-                "reap recovery",
-                "replay aborts",
-                "pages prefetched",
-                "pages faulted",
+            vec![
+                Column::hidden("keep-alive min"),
+                Column::hidden("corruption rate"),
+                Column::hidden("lazy restore ms"),
+                Column::hidden("reap restore ms"),
+                Column::new("reap recovery", pct::<0>).titled("recovery"),
+                Column::new("replay aborts", plain).titled("aborts"),
+                Column::hidden("pages prefetched"),
+                Column::hidden("pages faulted"),
             ],
         );
         for r in &self.rows {

@@ -11,9 +11,8 @@
 use crate::config::SystemConfig;
 use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{CacheState, ExperimentParams, PrefetcherKind, RunSpec};
-use luke_common::table::TextTable;
 use luke_common::SimError;
-use luke_obs::{Dataset, Export, Value};
+use luke_obs::export::{fixed, pct, Column, Dataset, Export, Value};
 use server::InterleaveModel;
 use std::fmt;
 use workloads::FunctionProfile;
@@ -143,30 +142,19 @@ impl fmt::Display for Data {
             f,
             "Figure 1: normalized CPI vs invocation inter-arrival time"
         )?;
-        let mut header = vec!["IAT [ms]".to_string()];
-        header.extend(self.curves.iter().map(|c| c.function.clone()));
-        let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-        let mut table = TextTable::new(&header_refs);
-        for (i, &(iat, _)) in self.curves[0].points.iter().enumerate() {
-            let mut row = vec![format!("{iat:.0}")];
-            for c in &self.curves {
-                row.push(format!("{:.0}%", c.points[i].1 * 100.0));
-            }
-            table.row(&row);
-        }
-        write!(f, "{table}")
+        write!(f, "{}", self.datasets()[0].to_text())
     }
 }
 
 impl Export for Data {
     fn datasets(&self) -> Vec<Dataset> {
-        let mut columns = vec!["IAT [ms]".to_string()];
-        columns.extend(self.curves.iter().map(|c| c.function.clone()));
-        let mut ds = Dataset {
-            name: "fig01.normalized_cpi".to_string(),
-            columns,
-            rows: Vec::new(),
-        };
+        let mut columns = vec![Column::new("IAT [ms]", fixed::<0>)];
+        columns.extend(
+            self.curves
+                .iter()
+                .map(|c| Column::new(c.function.clone(), pct::<0>)),
+        );
+        let mut ds = Dataset::with_columns("fig01.normalized_cpi", columns);
         if let Some(first) = self.curves.first() {
             for (i, &(iat, _)) in first.points.iter().enumerate() {
                 let mut row: Vec<Value> = vec![iat.into()];

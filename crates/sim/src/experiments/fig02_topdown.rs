@@ -14,9 +14,8 @@ use crate::config::SystemConfig;
 use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::stats::mean;
-use luke_common::table::TextTable;
 use luke_common::SimError;
-use luke_obs::{Dataset, Export};
+use luke_obs::export::{fixed, pct, plain, Column, Dataset, Export};
 use sim_cpu::TopDown;
 use std::fmt;
 use workloads::paper_suite;
@@ -131,51 +130,20 @@ impl Data {
 
     /// Renders Figure 2 (full Top-Down stacks).
     pub fn render_fig2(&self) -> String {
-        let mut t = TextTable::new(&[
-            "function", "config", "CPI", "retiring", "frontend", "bad_spec", "backend",
-        ]);
-        for row in &self.rows {
-            for (label, td) in [("ref", &row.reference), ("interleaved", &row.interleaved)] {
-                t.row(&[
-                    row.function.clone(),
-                    label.to_string(),
-                    format!("{:.2}", td.total()),
-                    format!("{:.2}", td.retiring),
-                    format!("{:.2}", td.frontend()),
-                    format!("{:.2}", td.bad_speculation),
-                    format!("{:.2}", td.backend),
-                ]);
-            }
-        }
         format!(
-            "Figure 2: Top-Down CPI stacks (mean CPI increase {:.0}%)\n{t}",
-            self.mean_cpi_increase() * 100.0
+            "Figure 2: Top-Down CPI stacks (mean CPI increase {:.0}%)\n{}",
+            self.mean_cpi_increase() * 100.0,
+            self.datasets()[0].to_text()
         )
     }
 
     /// Renders Figure 3 (front-end stalls: latency vs bandwidth,
     /// normalized to the reference front-end CPI).
     pub fn render_fig3(&self) -> String {
-        let mut t = TextTable::new(&[
-            "function",
-            "ref_fetch_lat",
-            "ref_fetch_bw",
-            "int_fetch_lat",
-            "int_fetch_bw",
-            "norm_total",
-        ]);
-        for row in &self.rows {
-            let base = row.reference.frontend().max(f64::MIN_POSITIVE);
-            t.row(&[
-                row.function.clone(),
-                format!("{:.3}", row.reference.fetch_latency),
-                format!("{:.3}", row.reference.fetch_bandwidth),
-                format!("{:.3}", row.interleaved.fetch_latency),
-                format!("{:.3}", row.interleaved.fetch_bandwidth),
-                format!("{:.0}%", row.interleaved.frontend() / base * 100.0),
-            ]);
-        }
-        format!("Figure 3: front-end stall breakdown\n{t}")
+        format!(
+            "Figure 3: front-end stall breakdown\n{}",
+            self.datasets()[1].to_text()
+        )
     }
 
     /// Renders Figure 4 (mean interleaved CPI normalized to reference,
@@ -236,21 +204,27 @@ impl fmt::Display for Data {
 
 impl Export for Data {
     fn datasets(&self) -> Vec<Dataset> {
-        let mut fig2 = Dataset::new(
+        let mut fig2 = Dataset::with_columns(
             "fig02.topdown",
-            &[
-                "function", "config", "CPI", "retiring", "frontend", "bad_spec", "backend",
+            vec![
+                Column::new("function", plain),
+                Column::new("config", plain),
+                Column::new("CPI", fixed::<2>),
+                Column::new("retiring", fixed::<2>),
+                Column::new("frontend", fixed::<2>),
+                Column::new("bad_spec", fixed::<2>),
+                Column::new("backend", fixed::<2>),
             ],
         );
-        let mut fig3 = Dataset::new(
+        let mut fig3 = Dataset::with_columns(
             "fig03.frontend",
-            &[
-                "function",
-                "ref_fetch_lat",
-                "ref_fetch_bw",
-                "int_fetch_lat",
-                "int_fetch_bw",
-                "norm_total",
+            vec![
+                Column::new("function", plain),
+                Column::new("ref_fetch_lat", fixed::<3>),
+                Column::new("ref_fetch_bw", fixed::<3>),
+                Column::new("int_fetch_lat", fixed::<3>),
+                Column::new("int_fetch_bw", fixed::<3>),
+                Column::new("norm_total", pct::<0>),
             ],
         );
         for row in &self.rows {

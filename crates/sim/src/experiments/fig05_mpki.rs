@@ -11,8 +11,8 @@ use crate::config::SystemConfig;
 use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::stats::mean;
-use luke_common::table::TextTable;
 use luke_common::SimError;
+use luke_obs::export::{fixed, plain, Column, Dataset, Export};
 use std::fmt;
 use workloads::paper_suite;
 
@@ -145,37 +145,28 @@ impl Data {
 impl fmt::Display for Data {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Figure 5: L2 / LLC MPKI breakdowns (Broadwell-like)")?;
-        let mut t = TextTable::new(&[
-            "function", "config", "L2 instr", "L2 data", "L3 instr", "L3 data",
-        ]);
-        for row in &self.rows {
-            for (label, m) in [("ref", &row.reference), ("interleaved", &row.interleaved)] {
-                t.row(&[
-                    row.function.clone(),
-                    label.to_string(),
-                    format!("{:.1}", m.l2_instr),
-                    format!("{:.1}", m.l2_data),
-                    format!("{:.1}", m.llc_instr),
-                    format!("{:.1}", m.llc_data),
-                ]);
-            }
-        }
         let (l2_ref, l2_int) = self.mean_l2_total();
         let (l3_ref, l3_int) = self.mean_llc_instr();
         writeln!(
             f,
-            "{t}Mean L2 MPKI: ref {l2_ref:.0}, interleaved {l2_int:.0}; \
-             mean LLC instr MPKI: ref {l3_ref:.1}, interleaved {l3_int:.1}"
+            "{}Mean L2 MPKI: ref {l2_ref:.0}, interleaved {l2_int:.0}; \
+             mean LLC instr MPKI: ref {l3_ref:.1}, interleaved {l3_int:.1}",
+            self.datasets()[0].to_text()
         )
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut mpki = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut mpki = Dataset::with_columns(
             "fig05.mpki",
-            &[
-                "function", "config", "L2 instr", "L2 data", "L3 instr", "L3 data",
+            vec![
+                Column::new("function", plain),
+                Column::new("config", plain),
+                Column::new("L2 instr", fixed::<1>),
+                Column::new("L2 data", fixed::<1>),
+                Column::new("L3 instr", fixed::<1>),
+                Column::new("L3 data", fixed::<1>),
             ],
         );
         for row in &self.rows {
@@ -192,7 +183,7 @@ impl luke_obs::Export for Data {
         }
         let (l2_ref, l2_int) = self.mean_l2_total();
         let (l3_ref, l3_int) = self.mean_llc_instr();
-        let mut means = luke_obs::Dataset::new(
+        let mut means = Dataset::new(
             "fig05.means",
             &[
                 "mean L2 ref",

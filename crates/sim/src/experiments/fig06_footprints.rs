@@ -7,9 +7,8 @@
 
 use crate::engine::{Engine, Spec};
 use crate::runner::ExperimentParams;
-use luke_common::size::ByteSize;
-use luke_common::table::TextTable;
 use luke_common::SimError;
+use luke_obs::export::{bytes, fixed, plain, Column, Dataset, Export};
 use std::fmt;
 use workloads::footprint::{study, FootprintStudy};
 use workloads::{paper_suite, SyntheticFunction};
@@ -79,45 +78,27 @@ impl fmt::Display for Data {
             "Figure 6: instruction footprints and Jaccard commonality over {} invocations",
             self.invocations
         )?;
-        let mut t = TextTable::new(&[
-            "function",
-            "mean footprint",
-            "min",
-            "max",
-            "jaccard mean",
-            "jaccard min",
-        ]);
-        for row in &self.rows {
-            let (lo, hi) = row.study.range_bytes();
-            t.row(&[
-                row.function.clone(),
-                ByteSize::new(row.study.mean_bytes() as u64).to_string(),
-                ByteSize::new(lo).to_string(),
-                ByteSize::new(hi).to_string(),
-                format!("{:.3}", row.study.jaccard_mean),
-                format!("{:.3}", row.study.jaccard_min),
-            ]);
-        }
         writeln!(
             f,
-            "{t}{} of {} functions have mean commonality >= 0.9",
+            "{}{} of {} functions have mean commonality >= 0.9",
+            self.datasets()[0].to_text(),
             self.functions_above_09(),
             self.rows.len()
         )
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut footprints = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut footprints = Dataset::with_columns(
             "fig06.footprints",
-            &[
-                "function",
-                "mean footprint",
-                "min",
-                "max",
-                "jaccard mean",
-                "jaccard min",
+            vec![
+                Column::new("function", plain),
+                Column::new("mean footprint", bytes),
+                Column::new("min", bytes),
+                Column::new("max", bytes),
+                Column::new("jaccard mean", fixed::<3>),
+                Column::new("jaccard min", fixed::<3>),
             ],
         );
         for row in &self.rows {
@@ -131,7 +112,7 @@ impl luke_obs::Export for Data {
                 row.study.jaccard_min.into(),
             ]);
         }
-        let mut summary = luke_obs::Dataset::new(
+        let mut summary = Dataset::new(
             "fig06.summary",
             &[
                 "invocations",

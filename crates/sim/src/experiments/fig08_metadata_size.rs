@@ -13,8 +13,8 @@ use crate::runner::ExperimentParams;
 use crate::system::SystemSim;
 use jukebox::{JukeboxConfig, JukeboxPrefetcher};
 use luke_common::size::ByteSize;
-use luke_common::table::TextTable;
 use luke_common::SimError;
+use luke_obs::export::{bytes, plain, Column, Dataset, Export, Value};
 use std::fmt;
 use workloads::{paper_suite, FunctionProfile};
 
@@ -124,34 +124,21 @@ impl fmt::Display for Data {
             f,
             "Figure 8: Jukebox metadata size vs code-region size (16-entry CRRB)"
         )?;
-        let mut header = vec!["function".to_string()];
-        header.extend(REGION_SIZES.iter().map(|r| format!("{r}B")));
-        let refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-        let mut t = TextTable::new(&refs);
-        for row in &self.rows {
-            let mut cells = vec![row.function.clone()];
-            cells.extend(
-                row.sizes
-                    .iter()
-                    .map(|&(_, bytes)| ByteSize::new(bytes).to_string()),
-            );
-            t.row(&cells);
-        }
-        write!(f, "{t}")
+        write!(f, "{}", self.datasets()[0].to_text())
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut columns = vec!["function".to_string()];
-        columns.extend(REGION_SIZES.iter().map(|r| format!("{r}B")));
-        let mut ds = luke_obs::Dataset {
-            name: "fig08.metadata_bytes".to_string(),
-            columns,
-            rows: Vec::new(),
-        };
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut columns = vec![Column::new("function", plain)];
+        columns.extend(
+            REGION_SIZES
+                .iter()
+                .map(|r| Column::new(format!("{r}B"), bytes)),
+        );
+        let mut ds = Dataset::with_columns("fig08.metadata_bytes", columns);
         for row in &self.rows {
-            let mut cells: Vec<luke_obs::Value> = vec![row.function.clone().into()];
+            let mut cells: Vec<Value> = vec![row.function.clone().into()];
             cells.extend(row.sizes.iter().map(|&(_, bytes)| bytes.into()));
             ds.push_row(cells);
         }

@@ -11,8 +11,8 @@ use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::size::ByteSize;
 use luke_common::stats::geomean;
-use luke_common::table::TextTable;
 use luke_common::SimError;
+use luke_obs::export::{plain, speedup, Column, Dataset, Export, Value};
 use std::fmt;
 use workloads::paper_suite;
 
@@ -147,34 +147,21 @@ pub fn run(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError>
 impl fmt::Display for Data {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Figure 9: Jukebox speedup vs metadata storage capacity")?;
-        let mut header = vec!["function".to_string()];
-        header.extend(CAPACITIES_KB.iter().map(|kb| format!("{kb}KB")));
-        let refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-        let mut t = TextTable::new(&refs);
-        for row in &self.rows {
-            let mut cells = vec![row.function.clone()];
-            cells.extend(
-                row.speedups
-                    .iter()
-                    .map(|&(_, s)| format!("{:+.1}%", (s - 1.0) * 100.0)),
-            );
-            t.row(&cells);
-        }
-        write!(f, "{t}")
+        write!(f, "{}", self.datasets()[0].to_text())
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut columns = vec!["function".to_string()];
-        columns.extend(CAPACITIES_KB.iter().map(|kb| format!("{kb}KB")));
-        let mut ds = luke_obs::Dataset {
-            name: "fig09.speedup_vs_capacity".to_string(),
-            columns,
-            rows: Vec::new(),
-        };
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut columns = vec![Column::new("function", plain)];
+        columns.extend(
+            CAPACITIES_KB
+                .iter()
+                .map(|kb| Column::new(format!("{kb}KB"), speedup::<1>)),
+        );
+        let mut ds = Dataset::with_columns("fig09.speedup_vs_capacity", columns);
         for row in &self.rows {
-            let mut cells: Vec<luke_obs::Value> = vec![row.function.clone().into()];
+            let mut cells: Vec<Value> = vec![row.function.clone().into()];
             cells.extend(row.speedups.iter().map(|&(_, s)| s.into()));
             ds.push_row(cells);
         }

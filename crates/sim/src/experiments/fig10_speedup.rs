@@ -10,8 +10,8 @@ use crate::config::SystemConfig;
 use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::stats::geomean;
-use luke_common::table::TextTable;
 use luke_common::SimError;
+use luke_obs::export::{plain, speedup, Column, Dataset, Export};
 use std::fmt;
 use workloads::paper_suite;
 
@@ -112,27 +112,20 @@ impl fmt::Display for Data {
             f,
             "Figure 10: speedup over the interleaved baseline (Skylake-like)"
         )?;
-        let mut t = TextTable::new(&["function", "jukebox", "perfect I-cache"]);
-        for row in &self.rows {
-            t.row(&[
-                row.function.clone(),
-                format!("{:+.1}%", (row.jukebox - 1.0) * 100.0),
-                format!("{:+.1}%", (row.perfect - 1.0) * 100.0),
-            ]);
-        }
-        t.row(&[
-            "GEOMEAN".to_string(),
-            format!("{:+.1}%", (self.jukebox_geomean() - 1.0) * 100.0),
-            format!("{:+.1}%", (self.perfect_geomean() - 1.0) * 100.0),
-        ]);
-        write!(f, "{t}")
+        write!(f, "{}", self.datasets()[0].to_text())
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut ds =
-            luke_obs::Dataset::new("fig10.speedup", &["function", "jukebox", "perfect I-cache"]);
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut ds = Dataset::with_columns(
+            "fig10.speedup",
+            vec![
+                Column::new("function", plain),
+                Column::new("jukebox", speedup::<1>),
+                Column::new("perfect I-cache", speedup::<1>),
+            ],
+        );
         for row in &self.rows {
             ds.push_row(vec![
                 row.function.clone().into(),

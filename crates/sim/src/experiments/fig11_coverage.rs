@@ -10,8 +10,8 @@ use crate::config::SystemConfig;
 use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::stats::mean;
-use luke_common::table::TextTable;
 use luke_common::SimError;
+use luke_obs::export::{pct, plain, Column, Dataset, Export};
 use std::fmt;
 use workloads::paper_suite;
 
@@ -152,29 +152,26 @@ impl fmt::Display for Data {
             f,
             "Figure 11: L2 instruction-miss coverage (fractions of baseline misses)"
         )?;
-        let mut t = TextTable::new(&["function", "covered", "uncovered", "overpredicted"]);
-        for row in &self.rows {
-            t.row(&[
-                row.function.clone(),
-                format!("{:.0}%", row.covered * 100.0),
-                format!("{:.0}%", row.uncovered * 100.0),
-                format!("{:.0}%", row.overpredicted * 100.0),
-            ]);
-        }
         writeln!(
             f,
-            "{t}Mean coverage {:.0}%, mean overprediction {:.0}%",
+            "{}Mean coverage {:.0}%, mean overprediction {:.0}%",
+            self.datasets()[0].to_text(),
             self.mean_coverage() * 100.0,
             self.mean_overprediction() * 100.0
         )
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut coverage = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut coverage = Dataset::with_columns(
             "fig11.coverage",
-            &["function", "covered", "uncovered", "overpredicted"],
+            vec![
+                Column::new("function", plain),
+                Column::new("covered", pct::<0>),
+                Column::new("uncovered", pct::<0>),
+                Column::new("overpredicted", pct::<0>),
+            ],
         );
         for row in &self.rows {
             coverage.push_row(vec![
@@ -184,8 +181,7 @@ impl luke_obs::Export for Data {
                 row.overpredicted.into(),
             ]);
         }
-        let mut means =
-            luke_obs::Dataset::new("fig11.means", &["mean coverage", "mean overprediction"]);
+        let mut means = Dataset::new("fig11.means", &["mean coverage", "mean overprediction"]);
         means.push_row(vec![
             self.mean_coverage().into(),
             self.mean_overprediction().into(),

@@ -12,8 +12,8 @@ use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::addr::LINE_BYTES;
 use luke_common::stats::mean;
-use luke_common::table::TextTable;
 use luke_common::SimError;
+use luke_obs::export::{pct, plain, Column, Dataset, Export};
 use std::fmt;
 use workloads::paper_suite;
 
@@ -122,41 +122,26 @@ impl Data {
 impl fmt::Display for Data {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Figure 12: Jukebox memory-bandwidth overhead")?;
-        let mut t = TextTable::new(&[
-            "function",
-            "overpredicted",
-            "metadata record",
-            "metadata replay",
-            "total",
-        ]);
-        for row in &self.rows {
-            t.row(&[
-                row.function.clone(),
-                format!("{:.1}%", row.overpredicted * 100.0),
-                format!("{:.1}%", row.metadata_record * 100.0),
-                format!("{:.1}%", row.metadata_replay * 100.0),
-                format!("{:.1}%", row.total() * 100.0),
-            ]);
-        }
         writeln!(
             f,
-            "{t}Mean overhead {:.1}%, max {:.1}%",
+            "{}Mean overhead {:.1}%, max {:.1}%",
+            self.datasets()[0].to_text(),
             self.mean_overhead() * 100.0,
             self.max_overhead() * 100.0
         )
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut overhead = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut overhead = Dataset::with_columns(
             "fig12.bandwidth_overhead",
-            &[
-                "function",
-                "overpredicted",
-                "metadata record",
-                "metadata replay",
-                "total",
+            vec![
+                Column::new("function", plain),
+                Column::new("overpredicted", pct::<1>),
+                Column::new("metadata record", pct::<1>),
+                Column::new("metadata replay", pct::<1>),
+                Column::new("total", pct::<1>),
             ],
         );
         for row in &self.rows {
@@ -168,7 +153,7 @@ impl luke_obs::Export for Data {
                 row.total().into(),
             ]);
         }
-        let mut means = luke_obs::Dataset::new("fig12.means", &["mean overhead", "max overhead"]);
+        let mut means = Dataset::new("fig12.means", &["mean overhead", "max overhead"]);
         means.push_row(vec![
             self.mean_overhead().into(),
             self.max_overhead().into(),

@@ -12,8 +12,8 @@ use crate::config::SystemConfig;
 use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::stats::geomean;
-use luke_common::table::TextTable;
 use luke_common::SimError;
+use luke_obs::export::{plain, speedup, Column, Dataset, Export};
 use std::fmt;
 use workloads::paper_suite;
 
@@ -140,26 +140,21 @@ impl Data {
 impl fmt::Display for Data {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Figure 13: PIF vs Jukebox (speedup over baseline)")?;
-        let mut t = TextTable::new(&["function", "PIF", "PIF-ideal", "JB", "JB+PIF-ideal"]);
-        for row in &self.rows {
-            let pct = |s: f64| format!("{:+.1}%", (s - 1.0) * 100.0);
-            t.row(&[
-                row.function.clone(),
-                pct(row.pif),
-                pct(row.pif_ideal),
-                pct(row.jukebox),
-                pct(row.jukebox_pif_ideal),
-            ]);
-        }
-        write!(f, "{t}")
+        write!(f, "{}", self.datasets()[0].to_text())
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut ds = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut ds = Dataset::with_columns(
             "fig13.pif_vs_jukebox",
-            &["function", "PIF", "PIF-ideal", "JB", "JB+PIF-ideal"],
+            vec![
+                Column::new("function", plain),
+                Column::new("PIF", speedup::<1>),
+                Column::new("PIF-ideal", speedup::<1>),
+                Column::new("JB", speedup::<1>),
+                Column::new("JB+PIF-ideal", speedup::<1>),
+            ],
         );
         for row in &self.rows {
             ds.push_row(vec![

@@ -29,11 +29,11 @@
 use crate::config::SystemConfig;
 use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
-use luke_common::table::TextTable;
 use luke_common::SimError;
 use luke_fleet::{
     run_fleet, FleetComparison, FleetConfig, FunctionTiming, RoutingPolicy, ServiceModel, FREQ_GHZ,
 };
+use luke_obs::export::{fixed, plain, speedup, x100, Column, Dataset, Export};
 use std::fmt;
 use workloads::paper_suite;
 
@@ -267,33 +267,7 @@ impl fmt::Display for Data {
              {} simulator-calibrated functions",
             self.timings.len()
         )?;
-        let mut t = TextTable::new(&[
-            "policy",
-            "hosts",
-            "keep-alive",
-            "cold %",
-            "lukewarm %",
-            "lw/hits %",
-            "mean ms",
-            "p50 ms",
-            "p99 ms",
-            "JB speedup",
-        ]);
-        for r in &self.rows {
-            t.row(&[
-                r.policy.to_string(),
-                r.hosts.to_string(),
-                format!("{:.2}min", r.keep_alive_min),
-                format!("{:.1}", r.cold_start_rate * 100.0),
-                format!("{:.1}", r.lukewarm_fraction * 100.0),
-                format!("{:.1}", r.lukewarm_of_hits * 100.0),
-                format!("{:.3}", r.mean_ms),
-                format!("{:.3}", r.p50_ms),
-                format!("{:.3}", r.p99_ms),
-                format!("{:+.1}%", (r.speedup - 1.0) * 100.0),
-            ]);
-        }
-        write!(f, "{t}")?;
+        write!(f, "{}", self.datasets()[0].to_text())?;
         writeln!(
             f,
             "Mean lukewarm share of warm hits: round-robin {:.1}% vs keep-alive-aware {:.1}%",
@@ -303,21 +277,22 @@ impl fmt::Display for Data {
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut sweep = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut sweep = Dataset::with_columns(
             "fleet_scale.sweep",
-            &[
-                "policy",
-                "hosts",
-                "keep_alive_min",
-                "cold_start_rate",
-                "lukewarm_fraction",
-                "lukewarm_of_hits",
-                "mean_ms",
-                "p50_ms",
-                "p99_ms",
-                "speedup",
+            vec![
+                Column::new("policy", plain),
+                Column::new("hosts", plain),
+                Column::new("keep_alive_min", |v| format!("{:.2}min", v.as_f64()))
+                    .titled("keep-alive"),
+                Column::new("cold_start_rate", x100::<1>).titled("cold %"),
+                Column::new("lukewarm_fraction", x100::<1>).titled("lukewarm %"),
+                Column::new("lukewarm_of_hits", x100::<1>).titled("lw/hits %"),
+                Column::new("mean_ms", fixed::<3>).titled("mean ms"),
+                Column::new("p50_ms", fixed::<3>).titled("p50 ms"),
+                Column::new("p99_ms", fixed::<3>).titled("p99 ms"),
+                Column::new("speedup", speedup::<1>).titled("JB speedup"),
             ],
         );
         for r in &self.rows {
@@ -334,7 +309,7 @@ impl luke_obs::Export for Data {
                 r.speedup.into(),
             ]);
         }
-        let mut calibration = luke_obs::Dataset::new(
+        let mut calibration = Dataset::new(
             "fleet_scale.calibration",
             &["function", "warm_ms", "lukewarm_factor", "jukebox_factor"],
         );

@@ -16,8 +16,8 @@ use crate::engine::{Cell, Engine, Spec};
 use crate::host::HostSim;
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::stats::{geomean, mean};
-use luke_common::table::TextTable;
 use luke_common::SimError;
+use luke_obs::export::{fixed, plain, speedup, Column, Dataset, Export};
 use std::fmt;
 use workloads::paper_suite;
 
@@ -190,45 +190,28 @@ impl fmt::Display for Data {
             "Host interleaving: {} co-resident instances, round-robin dispatch",
             self.rows.len()
         )?;
-        let mut t = TextTable::new(&[
-            "function",
-            "solo CPI",
-            "flush-model CPI",
-            "co-run CPI",
-            "co-run+JB CPI",
-            "JB speedup",
-        ]);
-        for r in &self.rows {
-            t.row(&[
-                r.function.clone(),
-                format!("{:.2}", r.solo_cpi),
-                format!("{:.2}", r.flush_cpi),
-                format!("{:.2}", r.corun_cpi),
-                format!("{:.2}", r.corun_jukebox_cpi),
-                format!("{:+.1}%", (r.jukebox_speedup() - 1.0) * 100.0),
-            ]);
-        }
         writeln!(
             f,
-            "{t}Flush-model fidelity (co-run/flush CPI): {:.2}; \
+            "{}Flush-model fidelity (co-run/flush CPI): {:.2}; \
              Jukebox geomean under true interleaving: {:+.1}%",
+            self.datasets()[0].to_text(),
             self.flush_model_fidelity(),
             (self.jukebox_geomean() - 1.0) * 100.0
         )
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut cpi = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut cpi = Dataset::with_columns(
             "host_interleaving.cpi",
-            &[
-                "function",
-                "solo CPI",
-                "flush-model CPI",
-                "co-run CPI",
-                "co-run+JB CPI",
-                "JB speedup",
+            vec![
+                Column::new("function", plain),
+                Column::new("solo CPI", fixed::<2>),
+                Column::new("flush-model CPI", fixed::<2>),
+                Column::new("co-run CPI", fixed::<2>),
+                Column::new("co-run+JB CPI", fixed::<2>),
+                Column::new("JB speedup", speedup::<1>),
             ],
         );
         for r in &self.rows {
@@ -241,7 +224,7 @@ impl luke_obs::Export for Data {
                 r.jukebox_speedup().into(),
             ]);
         }
-        let mut summary = luke_obs::Dataset::new(
+        let mut summary = Dataset::new(
             "host_interleaving.summary",
             &["flush-model fidelity", "jukebox geomean"],
         );

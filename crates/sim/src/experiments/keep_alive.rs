@@ -16,7 +16,7 @@
 use crate::engine::{Engine, Spec};
 use crate::runner::ExperimentParams;
 use luke_common::rng::DetRng;
-use luke_common::table::TextTable;
+use luke_obs::export::{fixed, pct, Column, Dataset, Export};
 use server::{IatDistribution, InstancePool, TrafficGenerator};
 use std::fmt;
 
@@ -159,40 +159,25 @@ impl fmt::Display for Data {
             "Keep-alive economics (§2.1): {} functions, {} invocations per window",
             self.functions, self.invocations
         )?;
-        let mut t = TextTable::new(&[
-            "keep-alive",
-            "warm-hit rate",
-            "warm functions",
-            "mean warm instances",
-            "sub-second gaps",
-        ]);
-        for r in &self.rows {
-            t.row(&[
-                format!("{:.0} min", r.keep_alive_min),
-                format!("{:.0}%", r.warm_hit_rate * 100.0),
-                format!("{:.0}%", r.warm_function_fraction * 100.0),
-                format!("{:.0}", r.mean_warm_instances),
-                format!("{:.1}%", r.subsecond_gap_rate * 100.0),
-            ]);
-        }
         writeln!(
             f,
-            "{t}Longer windows turn cold starts into warm — and therefore lukewarm — \
-             invocations, at the cost of memory-resident instances."
+            "{}Longer windows turn cold starts into warm — and therefore lukewarm — \
+             invocations, at the cost of memory-resident instances.",
+            self.datasets()[0].to_text()
         )
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut sweep = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut sweep = Dataset::with_columns(
             "keep_alive.sweep",
-            &[
-                "keep-alive",
-                "warm-hit rate",
-                "warm functions",
-                "mean warm instances",
-                "sub-second gaps",
+            vec![
+                Column::new("keep-alive", |v| format!("{:.0} min", v.as_f64())),
+                Column::new("warm-hit rate", pct::<0>),
+                Column::new("warm functions", pct::<0>),
+                Column::new("mean warm instances", fixed::<0>),
+                Column::new("sub-second gaps", pct::<1>),
             ],
         );
         for r in &self.rows {
@@ -204,8 +189,7 @@ impl luke_obs::Export for Data {
                 r.subsecond_gap_rate.into(),
             ]);
         }
-        let mut population =
-            luke_obs::Dataset::new("keep_alive.population", &["functions", "invocations"]);
+        let mut population = Dataset::new("keep_alive.population", &["functions", "invocations"]);
         population.push_row(vec![
             (self.functions as u64).into(),
             (self.invocations as u64).into(),

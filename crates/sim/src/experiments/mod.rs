@@ -3,9 +3,12 @@
 //!
 //! Each module has one public entry point,
 //! `run(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError>`,
-//! returning typed rows whose `Display` renders the same series the paper
-//! reports, and registers it as data: a `pub const EXPERIMENT: Spec<Data>`
-//! listed in [`crate::engine::registry`]. `lukewarm figure NAME` runs one
+//! returning typed rows that report the same series the paper does. Its
+//! `Export::datasets` builds each result table once, as a
+//! `luke_obs::Dataset`; its `Display` prints those tables as text between
+//! a title and prose lines, and the CLI renders the same datasets as JSON
+//! or CSV. Each module registers itself as data: a
+//! `pub const EXPERIMENT: Spec<Data>` listed in [`crate::engine::registry`]. `lukewarm figure NAME` runs one
 //! through [`Engine::execute`](crate::Engine::execute) (at paper scale with
 //! `--scale 1 --invocations 8`); tests call `run(&Engine::single(), …)` at
 //! `ExperimentParams::quick()` scale and assert the qualitative shape.

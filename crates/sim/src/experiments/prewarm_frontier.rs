@@ -30,9 +30,9 @@ use crate::engine::{Cell, Engine, Spec};
 use crate::experiments::fleet_scale;
 use crate::experiments::surge::over_slo;
 use crate::runner::ExperimentParams;
-use luke_common::table::TextTable;
 use luke_common::SimError;
 use luke_fleet::{run_fleet, ColdStartModel, FleetConfig, FleetRun, PrewarmConfig};
+use luke_obs::export::{fixed, plain, x100, Column, Dataset, Export, Value};
 use std::fmt;
 
 /// End-to-end latency SLO, ms. Warm paper-suite service times sit well
@@ -260,39 +260,15 @@ impl fmt::Display for Data {
             f,
             "Pre-warm frontier: memory-seconds vs P99 per cold-start model, SLO {SLO_MS}ms"
         )?;
-        let mut t = TextTable::new(&[
-            "model",
-            "policy",
-            "window",
-            "memory inst-s",
-            "cold %",
-            "SLO viol %",
-            "mean ms",
-            "p99 ms",
-            "pre-spawns",
-            "pre-hits",
-            "decays",
-        ]);
-        for r in &self.rows {
-            t.row(&[
-                r.model.to_string(),
-                r.policy.to_string(),
-                if r.policy == "oracle" {
-                    "-".to_string()
-                } else {
-                    format!("{:.2}min", r.keep_alive_min)
-                },
-                format!("{:.1}", r.memory_instance_s),
-                format!("{:.1}", r.cold_start_rate * 100.0),
-                format!("{:.2}", r.slo_violation_rate * 100.0),
-                format!("{:.3}", r.mean_ms),
-                format!("{:.3}", r.p99_ms),
-                r.prewarm_spawns.to_string(),
-                r.prewarm_hits.to_string(),
-                r.early_decays.to_string(),
-            ]);
+        // The oracle holds no window, so its window cell reads "-": the
+        // one text cell that depends on another column (the policy).
+        let mut frontier = self.datasets().swap_remove(0);
+        for (cells, r) in frontier.rows.iter_mut().zip(&self.rows) {
+            if r.policy == "oracle" {
+                cells[2] = Value::str("-");
+            }
         }
-        write!(f, "{t}")?;
+        write!(f, "{}", frontier.to_text())?;
         for model in MODELS {
             let dominated = self.dominated_fixed_windows(model);
             if dominated.is_empty() {
@@ -314,22 +290,22 @@ impl fmt::Display for Data {
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut frontier = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut frontier = Dataset::with_columns(
             "prewarm_frontier.sweep",
-            &[
-                "model",
-                "policy",
-                "keep_alive_min",
-                "memory_instance_s",
-                "cold_start_rate",
-                "slo_violation_rate",
-                "mean_ms",
-                "p99_ms",
-                "prewarm_spawns",
-                "prewarm_hits",
-                "early_decays",
+            vec![
+                Column::new("model", plain),
+                Column::new("policy", plain),
+                Column::new("keep_alive_min", |v| format!("{:.2}min", v.as_f64())).titled("window"),
+                Column::new("memory_instance_s", fixed::<1>).titled("memory inst-s"),
+                Column::new("cold_start_rate", x100::<1>).titled("cold %"),
+                Column::new("slo_violation_rate", x100::<2>).titled("SLO viol %"),
+                Column::new("mean_ms", fixed::<3>).titled("mean ms"),
+                Column::new("p99_ms", fixed::<3>).titled("p99 ms"),
+                Column::new("prewarm_spawns", plain).titled("pre-spawns"),
+                Column::new("prewarm_hits", plain).titled("pre-hits"),
+                Column::new("early_decays", plain).titled("decays"),
             ],
         );
         for r in &self.rows {
@@ -347,7 +323,7 @@ impl luke_obs::Export for Data {
                 r.early_decays.into(),
             ]);
         }
-        let mut dominance = luke_obs::Dataset::new(
+        let mut dominance = Dataset::new(
             "prewarm_frontier.dominance",
             &["model", "dominated_fixed_windows"],
         );

@@ -14,9 +14,8 @@
 use crate::config::SystemConfig;
 use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
-use luke_common::size::ByteSize;
-use luke_common::table::TextTable;
 use luke_common::SimError;
+use luke_obs::export::{bytes, plain, speedup, Column, Dataset, Export};
 use std::fmt;
 use workloads::FunctionProfile;
 
@@ -131,34 +130,20 @@ impl fmt::Display for Data {
             "Related work (§6) on {}: speedup, metadata traffic, bandwidth",
             self.function
         )?;
-        let mut t = TextTable::new(&[
-            "prefetcher",
-            "speedup",
-            "metadata/invocation",
-            "DRAM bytes vs baseline",
-        ]);
-        for r in &self.rows {
-            t.row(&[
-                r.prefetcher.to_string(),
-                format!("{:+.1}%", (r.speedup - 1.0) * 100.0),
-                ByteSize::new(r.metadata_bytes_per_invocation).to_string(),
-                format!("{:.2}x", r.bandwidth_ratio),
-            ]);
-        }
-        write!(f, "{t}")
+        write!(f, "{}", self.datasets()[0].to_text())
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut ds = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut ds = Dataset::with_columns(
             "related_work.comparison",
-            &[
-                "function",
-                "prefetcher",
-                "speedup",
-                "metadata/invocation",
-                "DRAM bytes vs baseline",
+            vec![
+                Column::hidden("function"),
+                Column::new("prefetcher", plain),
+                Column::new("speedup", speedup::<1>),
+                Column::new("metadata/invocation", bytes),
+                Column::new("DRAM bytes vs baseline", |v| format!("{:.2}x", v.as_f64())),
             ],
         );
         for r in &self.rows {

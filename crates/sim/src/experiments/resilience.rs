@@ -27,8 +27,8 @@ use crate::engine::{Engine, Spec};
 use crate::experiments::workflow_slo::{self, WorkflowResult};
 use crate::runner::ExperimentParams;
 use luke_common::stats::percentile;
-use luke_common::table::TextTable;
 use luke_common::SimError;
+use luke_obs::export::{fixed, plain, Column, Dataset, Export, Value};
 use luke_obs::span::{SpanRing, SpanScope};
 use server::{AttemptCosts, FaultPlan, FaultRates, FaultStats, RetryPolicy};
 use std::fmt;
@@ -240,6 +240,8 @@ fn simulate_mode(
 
 impl fmt::Display for Data {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let datasets = self.datasets();
+        let sweep = &datasets[0];
         for w in &self.workflows {
             writeln!(
                 f,
@@ -249,58 +251,36 @@ impl fmt::Display for Data {
                 w.requests,
                 RetryPolicy::default().max_attempts,
             )?;
-            let mut t = TextTable::new(&[
-                "rate",
-                "config",
-                "P50 ms",
-                "P99 ms",
-                "SLO %",
-                "faults",
-                "retries",
-                "abandoned",
-            ]);
-            for p in &w.points {
-                for m in &p.modes {
-                    t.row(&[
-                        format!("{:.2}", p.rate),
-                        m.mode.to_string(),
-                        format!("{:.2}", m.p50_ms),
-                        format!("{:.2}", m.p99_ms),
-                        format!("{:.1}", m.slo_attainment * 100.0),
-                        format!("{}", m.faults.total_faults()),
-                        format!("{}", m.faults.retries),
-                        format!("{}", m.faults.abandoned),
-                    ]);
-                }
-            }
-            writeln!(f, "{t}")?;
+            let workflow = Value::str(&w.workflow);
+            let rows = sweep.rows.iter().filter(|row| row[0] == workflow);
+            writeln!(f, "{}", sweep.text_of(rows))?;
         }
         Ok(())
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut sweep = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut sweep = Dataset::with_columns(
             "resilience.sweep",
-            &[
-                "workflow",
-                "rate",
-                "config",
-                "P50 ms",
-                "P99 ms",
-                "SLO %",
-                "faults",
-                "retries",
-                "abandoned",
-                "crashes",
-                "timeouts",
-                "cold start failures",
-                "evictions",
-                "completed",
+            vec![
+                Column::hidden("workflow"),
+                Column::new("rate", fixed::<2>),
+                Column::new("config", plain),
+                Column::new("P50 ms", fixed::<2>),
+                Column::new("P99 ms", fixed::<2>),
+                Column::new("SLO %", fixed::<1>),
+                Column::new("faults", plain),
+                Column::new("retries", plain),
+                Column::new("abandoned", plain),
+                Column::hidden("crashes"),
+                Column::hidden("timeouts"),
+                Column::hidden("cold start failures"),
+                Column::hidden("evictions"),
+                Column::hidden("completed"),
             ],
         );
-        let mut replay = luke_obs::Dataset::new(
+        let mut replay = Dataset::new(
             "resilience.replay_telemetry",
             &[
                 "workflow",

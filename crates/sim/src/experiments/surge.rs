@@ -28,12 +28,12 @@
 use crate::engine::{Cell, Engine, Spec};
 use crate::experiments::fleet_scale;
 use crate::runner::ExperimentParams;
-use luke_common::table::TextTable;
 use luke_common::SimError;
 use luke_fleet::{
     run_fleet, AdmissionConfig, ChaosConfig, FleetConfig, FleetRun, HedgeConfig, RetryBudget,
     RoutingPolicy, ServiceModel, SurgeConfig,
 };
+use luke_obs::export::{fixed, plain, x100, Column, Dataset, Export, Fmt, Value};
 use luke_obs::hist::{bucket_index, BUCKETS};
 use luke_obs::WindowRow;
 use server::RetryPolicy;
@@ -347,43 +347,8 @@ impl fmt::Display for Data {
             f,
             "Surge: policy x chaos x admission under a flash crowd, SLO {SLO_MS}ms"
         )?;
-        let mut t = TextTable::new(&[
-            "policy",
-            "chaos",
-            "admission",
-            "SLO viol %",
-            "shed",
-            "degraded",
-            "failovers",
-            "hedges",
-            "crashes",
-            "retry amp",
-            "cold %",
-            "lukewarm %",
-            "warm %",
-            "mean ms",
-            "p99 ms",
-        ]);
-        for r in &self.rows {
-            t.row(&[
-                r.policy.to_string(),
-                r.chaos.to_string(),
-                if r.admission { "on" } else { "off" }.to_string(),
-                format!("{:.2}", r.slo_violation_rate * 100.0),
-                r.shed.to_string(),
-                r.degraded_restores.to_string(),
-                r.failovers.to_string(),
-                r.hedges.to_string(),
-                r.host_crashes.to_string(),
-                format!("{:.3}", r.retry_amplification),
-                format!("{:.1}", r.cold_start_rate * 100.0),
-                format!("{:.1}", r.lukewarm_fraction * 100.0),
-                format!("{:.1}", r.warm_fraction * 100.0),
-                format!("{:.3}", r.mean_ms),
-                format!("{:.3}", r.p99_ms),
-            ]);
-        }
-        write!(f, "{t}")?;
+        let datasets = self.datasets();
+        write!(f, "{}", datasets[0].to_text())?;
         writeln!(
             f,
             "Mean SLO violations: fault-free {:.2}% vs heavy chaos {:.2}%",
@@ -391,12 +356,14 @@ impl fmt::Display for Data {
             self.mean_violation_rate(ChaosLevel::Heavy) * 100.0,
         )?;
         // The headline point's timeline: heavy chaos with admission on,
-        // under the keep-alive-aware router. Empty windows print "-"
-        // (percentile of nothing is None, never a fake zero).
-        let headline: Vec<&TimelineRow> = self
+        // under the keep-alive-aware router.
+        let timeline = &datasets[1];
+        let headline: Vec<&Vec<Value>> = self
             .timelines
             .iter()
-            .filter(|t| t.chaos == "heavy" && t.admission && t.policy == "keep-alive-aware")
+            .zip(&timeline.rows)
+            .filter(|(t, _)| t.chaos == "heavy" && t.admission && t.policy == "keep-alive-aware")
+            .map(|(_, cells)| cells)
             .collect();
         if headline.is_empty() {
             return Ok(());
@@ -405,52 +372,31 @@ impl fmt::Display for Data {
             f,
             "\nTimeline (keep-alive-aware, heavy chaos, admission on):"
         )?;
-        let fmt_ms = |v: Option<f64>| match v {
-            Some(ms) => format!("{ms:.1}"),
-            None => "-".to_string(),
-        };
-        let mut t = TextTable::new(&[
-            "window s", "arrivals", "p50 ms", "p99 ms", "shed %", "burn %", "cold %", "luke %",
-            "warm %",
-        ]);
-        for row in headline {
-            let w = &row.window;
-            t.row(&[
-                format!("{:.0}", w.start_ms / 1000.0),
-                w.arrivals.to_string(),
-                fmt_ms(w.p50_ms),
-                fmt_ms(w.p99_ms),
-                format!("{:.1}", w.shed_rate * 100.0),
-                format!("{:.1}", w.slo_burn * 100.0),
-                format!("{:.1}", w.cold_frac * 100.0),
-                format!("{:.1}", w.luke_frac * 100.0),
-                format!("{:.1}", w.warm_frac * 100.0),
-            ]);
-        }
-        write!(f, "{t}")
+        write!(f, "{}", timeline.text_of(headline))
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut sweep = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let on_off: Fmt = |v| if v.as_f64() == 0.0 { "off" } else { "on" }.to_string();
+        let mut sweep = Dataset::with_columns(
             "surge.sweep",
-            &[
-                "policy",
-                "chaos",
-                "admission",
-                "slo_violation_rate",
-                "shed",
-                "degraded_restores",
-                "failovers",
-                "hedges",
-                "host_crashes",
-                "retry_amplification",
-                "cold_start_rate",
-                "lukewarm_fraction",
-                "warm_fraction",
-                "mean_ms",
-                "p99_ms",
+            vec![
+                Column::new("policy", plain),
+                Column::new("chaos", plain),
+                Column::new("admission", on_off),
+                Column::new("slo_violation_rate", x100::<2>).titled("SLO viol %"),
+                Column::new("shed", plain),
+                Column::new("degraded_restores", plain).titled("degraded"),
+                Column::new("failovers", plain),
+                Column::new("hedges", plain),
+                Column::new("host_crashes", plain).titled("crashes"),
+                Column::new("retry_amplification", fixed::<3>).titled("retry amp"),
+                Column::new("cold_start_rate", x100::<1>).titled("cold %"),
+                Column::new("lukewarm_fraction", x100::<1>).titled("lukewarm %"),
+                Column::new("warm_fraction", x100::<1>).titled("warm %"),
+                Column::new("mean_ms", fixed::<3>).titled("mean ms"),
+                Column::new("p99_ms", fixed::<3>).titled("p99 ms"),
             ],
         );
         for r in &self.rows {
@@ -472,21 +418,28 @@ impl luke_obs::Export for Data {
                 r.p99_ms.into(),
             ]);
         }
-        let mut timeline = luke_obs::Dataset::new(
+        // Empty windows export as NaN, which the JSON writer renders as
+        // null and the text table as "-" (never a fake 0).
+        let ms_or_dash: Fmt = |v| match v.as_f64() {
+            ms if ms.is_nan() => "-".to_string(),
+            ms => format!("{ms:.1}"),
+        };
+        let mut timeline = Dataset::with_columns(
             "surge.timeline",
-            &[
-                "policy",
-                "chaos",
-                "admission",
-                "window_start_ms",
-                "arrivals",
-                "p50_ms",
-                "p99_ms",
-                "shed_rate",
-                "slo_burn",
-                "cold_frac",
-                "luke_frac",
-                "warm_frac",
+            vec![
+                Column::hidden("policy"),
+                Column::hidden("chaos"),
+                Column::hidden("admission"),
+                Column::new("window_start_ms", |v| format!("{:.0}", v.as_f64() / 1000.0))
+                    .titled("window s"),
+                Column::new("arrivals", plain),
+                Column::new("p50_ms", ms_or_dash).titled("p50 ms"),
+                Column::new("p99_ms", ms_or_dash).titled("p99 ms"),
+                Column::new("shed_rate", x100::<1>).titled("shed %"),
+                Column::new("slo_burn", x100::<1>).titled("burn %"),
+                Column::new("cold_frac", x100::<1>).titled("cold %"),
+                Column::new("luke_frac", x100::<1>).titled("luke %"),
+                Column::new("warm_frac", x100::<1>).titled("warm %"),
             ],
         );
         for t in &self.timelines {
@@ -497,8 +450,6 @@ impl luke_obs::Export for Data {
                 u64::from(t.admission).into(),
                 w.start_ms.into(),
                 w.arrivals.into(),
-                // Empty windows export as NaN, which the JSON writer
-                // renders as null (never a fake 0).
                 w.p50_ms.unwrap_or(f64::NAN).into(),
                 w.p99_ms.unwrap_or(f64::NAN).into(),
                 w.shed_rate.into(),

@@ -11,8 +11,8 @@ use crate::config::SystemConfig;
 use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
 use luke_common::stats::geomean;
-use luke_common::table::TextTable;
 use luke_common::SimError;
+use luke_obs::export::{plain, speedup, Column, Dataset, Export, Fmt};
 use std::fmt;
 use workloads::paper_suite;
 
@@ -111,24 +111,21 @@ impl fmt::Display for Data {
             f,
             "Table 3: instruction-MPKI reduction and speedup with Jukebox"
         )?;
-        let mut t = TextTable::new(&["platform", "L2 instr misses", "LLC instr misses", "speedup"]);
-        for (name, r) in [("Skylake", &self.skylake), ("Broadwell", &self.broadwell)] {
-            t.row(&[
-                name.to_string(),
-                format!("{:+.0}%", r.l2_instr_delta * 100.0),
-                format!("{:+.0}%", r.llc_instr_delta * 100.0),
-                format!("{:+.1}%", (r.speedup_geomean - 1.0) * 100.0),
-            ]);
-        }
-        write!(f, "{t}")
+        write!(f, "{}", self.datasets()[0].to_text())
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut ds = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let delta: Fmt = |v| format!("{:+.0}%", v.as_f64() * 100.0);
+        let mut ds = Dataset::with_columns(
             "table3.platforms",
-            &["platform", "L2 instr misses", "LLC instr misses", "speedup"],
+            vec![
+                Column::new("platform", plain),
+                Column::new("L2 instr misses", delta),
+                Column::new("LLC instr misses", delta),
+                Column::new("speedup", speedup::<1>),
+            ],
         );
         for (name, r) in [("Skylake", &self.skylake), ("Broadwell", &self.broadwell)] {
             ds.push_row(vec![

@@ -29,12 +29,12 @@
 use crate::engine::{Cell, Engine, Spec};
 use crate::experiments::fleet_scale;
 use crate::runner::ExperimentParams;
-use luke_common::table::TextTable;
 use luke_common::SimError;
 use luke_fleet::{
     run_fleet, ColdStartModel, ContentionConfig, FleetConfig, FleetRun, RoutingPolicy,
     TenancyConfig,
 };
+use luke_obs::export::{fixed, plain, x100, Column, Dataset, Export};
 use std::fmt;
 
 /// Fleet size — small enough that the 9-point grid stays test-speed.
@@ -221,33 +221,7 @@ impl fmt::Display for Data {
             f,
             "Tenancy sweep: shared-page dedup and contention pressure per routing policy"
         )?;
-        let mut t = TextTable::new(&[
-            "policy",
-            "tenancy",
-            "memory inst-s",
-            "cold %",
-            "mean ms",
-            "p99 ms",
-            "hit %",
-            "MiB deduped",
-            "slowed",
-            "contention ms",
-        ]);
-        for r in &self.rows {
-            t.row(&[
-                r.policy.to_string(),
-                r.variant.to_string(),
-                format!("{:.1}", r.memory_instance_s),
-                format!("{:.1}", r.cold_start_rate * 100.0),
-                format!("{:.3}", r.mean_ms),
-                format!("{:.3}", r.p99_ms),
-                format!("{:.1}", r.hit_rate * 100.0),
-                format!("{:.2}", r.dedup_mib_saved),
-                r.slowed.to_string(),
-                format!("{:.1}", r.contention_extra_ms),
-            ]);
-        }
-        write!(f, "{t}")?;
+        write!(f, "{}", self.datasets()[0].to_text())?;
         for policy in POLICIES {
             writeln!(
                 f,
@@ -269,21 +243,21 @@ impl fmt::Display for Data {
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut sweep = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut sweep = Dataset::with_columns(
             "tenancy.sweep",
-            &[
-                "policy",
-                "variant",
-                "memory_instance_s",
-                "cold_start_rate",
-                "mean_ms",
-                "p99_ms",
-                "hit_rate",
-                "dedup_mib_saved",
-                "slowed",
-                "contention_extra_ms",
+            vec![
+                Column::new("policy", plain),
+                Column::new("variant", plain).titled("tenancy"),
+                Column::new("memory_instance_s", fixed::<1>).titled("memory inst-s"),
+                Column::new("cold_start_rate", x100::<1>).titled("cold %"),
+                Column::new("mean_ms", fixed::<3>).titled("mean ms"),
+                Column::new("p99_ms", fixed::<3>).titled("p99 ms"),
+                Column::new("hit_rate", x100::<1>).titled("hit %"),
+                Column::new("dedup_mib_saved", fixed::<2>).titled("MiB deduped"),
+                Column::new("slowed", plain),
+                Column::new("contention_extra_ms", fixed::<1>).titled("contention ms"),
             ],
         );
         for r in &self.rows {
@@ -300,7 +274,7 @@ impl luke_obs::Export for Data {
                 r.contention_extra_ms.into(),
             ]);
         }
-        let mut savings = luke_obs::Dataset::new(
+        let mut savings = Dataset::new(
             "tenancy.savings",
             &["policy", "memory_savings_instance_s", "restore_recovery_ms"],
         );

@@ -13,8 +13,8 @@
 use crate::config::SystemConfig;
 use crate::engine::{Cell, Engine, Spec};
 use crate::runner::{run_observed, ExperimentParams, PrefetcherKind, RunSpec};
-use luke_common::table::TextTable;
 use luke_common::SimError;
+use luke_obs::export::{fixed, plain, Column, Dataset, Export, Value};
 use std::fmt;
 use workloads::workflow::Workflow;
 
@@ -168,25 +168,13 @@ pub fn run_workflow(
 
 impl fmt::Display for Data {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let datasets = self.datasets();
+        let stages = &datasets[0];
         for w in &self.workflows {
             writeln!(f, "Workflow {}: per-stage latency (µs)", w.workflow)?;
-            let mut t = TextTable::new(&["stage", "warm", "lukewarm", "lukewarm+JB"]);
-            for s in &w.stages {
-                t.row(&[
-                    s.function.clone(),
-                    format!("{:.0}", s.warm_us),
-                    format!("{:.0}", s.lukewarm_us),
-                    format!("{:.0}", s.jukebox_us),
-                ]);
-            }
-            let (warm, lukewarm, jukebox) = w.end_to_end_us();
-            t.row(&[
-                "END-TO-END".to_string(),
-                format!("{warm:.0}"),
-                format!("{lukewarm:.0}"),
-                format!("{jukebox:.0}"),
-            ]);
-            writeln!(f, "{t}")?;
+            let workflow = Value::str(&w.workflow);
+            let rows = stages.rows.iter().filter(|row| row[0] == workflow);
+            writeln!(f, "{}", stages.text_of(rows))?;
             writeln!(
                 f,
                 "Jukebox recovers {:.0}% of the end-to-end lukewarm slowdown\n",
@@ -197,13 +185,19 @@ impl fmt::Display for Data {
     }
 }
 
-impl luke_obs::Export for Data {
-    fn datasets(&self) -> Vec<luke_obs::Dataset> {
-        let mut stages = luke_obs::Dataset::new(
+impl Export for Data {
+    fn datasets(&self) -> Vec<Dataset> {
+        let mut stages = Dataset::with_columns(
             "workflow_slo.stages",
-            &["workflow", "stage", "warm", "lukewarm", "lukewarm+JB"],
+            vec![
+                Column::hidden("workflow"),
+                Column::new("stage", plain),
+                Column::new("warm", fixed::<0>),
+                Column::new("lukewarm", fixed::<0>),
+                Column::new("lukewarm+JB", fixed::<0>),
+            ],
         );
-        let mut summary = luke_obs::Dataset::new(
+        let mut summary = Dataset::new(
             "workflow_slo.summary",
             &[
                 "workflow",

@@ -47,7 +47,6 @@ pub mod layout;
 pub mod profile;
 pub mod stressor;
 pub mod trace;
-pub mod trace_io;
 pub mod workflow;
 
 pub use function::SyntheticFunction;

@@ -9,7 +9,7 @@
 //! ```
 
 use luke_common::size::ByteSize;
-use luke_common::table::TextTable;
+use luke_obs::export::{bytes, pct, plain, speedup, Column, Dataset};
 use lukewarm::prelude::*;
 use lukewarm::sim::experiments::fig08::required_metadata_bytes;
 
@@ -30,27 +30,41 @@ fn main() {
 
     // --- Region-size sweep (Figure 8) ---
     println!("== metadata required vs code-region size (16-entry CRRB) ==");
-    let mut t = TextTable::new(&["region", "metadata", "entry bits"]);
+    let mut t = Dataset::with_columns(
+        "metadata_tuning.region_size",
+        vec![
+            Column::new("region", plain),
+            Column::new("metadata", bytes),
+            Column::new("entry bits", plain),
+        ],
+    );
     for region in [128usize, 256, 512, 1024, 2048, 4096, 8192] {
         let jb = config.jukebox.with_region_bytes(region);
-        let bytes = required_metadata_bytes(&config, &profile, jb);
-        t.row(&[
-            format!("{region}B"),
-            ByteSize::new(bytes).to_string(),
-            jb.entry_bits().to_string(),
+        t.push_row(vec![
+            format!("{region}B").into(),
+            required_metadata_bytes(&config, &profile, jb).into(),
+            u64::from(jb.entry_bits()).into(),
         ]);
     }
-    println!("{t}");
+    println!("{}", t.to_text());
 
     // --- CRRB-depth sweep (§5.1: modest sensitivity) ---
     println!("== metadata required vs CRRB depth (1KB regions) ==");
-    let mut t = TextTable::new(&["CRRB entries", "metadata"]);
+    let mut t = Dataset::with_columns(
+        "metadata_tuning.crrb_depth",
+        vec![
+            Column::new("CRRB entries", plain),
+            Column::new("metadata", bytes),
+        ],
+    );
     for entries in [8usize, 16, 32] {
         let jb = config.jukebox.with_crrb_entries(entries);
-        let bytes = required_metadata_bytes(&config, &profile, jb);
-        t.row(&[entries.to_string(), ByteSize::new(bytes).to_string()]);
+        t.push_row(vec![
+            (entries as u64).into(),
+            required_metadata_bytes(&config, &profile, jb).into(),
+        ]);
     }
-    println!("{t}");
+    println!("{}", t.to_text());
 
     // --- Metadata-budget sweep (Figure 9) ---
     println!("== speedup vs metadata storage budget ==");
@@ -61,7 +75,14 @@ fn main() {
         RunSpec::lukewarm(),
         &params,
     );
-    let mut t = TextTable::new(&["budget", "speedup", "coverage"]);
+    let mut t = Dataset::with_columns(
+        "metadata_tuning.budget",
+        vec![
+            Column::new("budget", plain),
+            Column::new("speedup", speedup::<1>),
+            Column::new("coverage", pct::<0>),
+        ],
+    );
     for kb in [8u64, 12, 16, 32] {
         let jb = config.jukebox.with_metadata_capacity(ByteSize::kib(kb));
         let s = run(
@@ -71,17 +92,14 @@ fn main() {
             RunSpec::lukewarm(),
             &params,
         );
-        t.row(&[
-            format!("{kb}KB"),
-            format!("{:+.1}%", (s.speedup_over(&baseline) - 1.0) * 100.0),
-            format!(
-                "{:.0}%",
-                s.mem.l2.prefetch_first_hits as f64 / baseline.mem.l2.instr.misses.max(1) as f64
-                    * 100.0
-            ),
+        t.push_row(vec![
+            format!("{kb}KB").into(),
+            s.speedup_over(&baseline).into(),
+            (s.mem.l2.prefetch_first_hits as f64 / baseline.mem.l2.instr.misses.max(1) as f64)
+                .into(),
         ]);
     }
-    println!("{t}");
+    println!("{}", t.to_text());
     println!(
         "The paper picks 1KB regions + a 16-entry CRRB + 16KB of storage: \
          the metadata minimum sits near 1KB regions, CRRB depth barely \

@@ -6,7 +6,7 @@
 //! cargo run --release --example prefetcher_comparison [scale]
 //! ```
 
-use luke_common::table::TextTable;
+use luke_obs::export::{plain, speedup, Column, Dataset};
 use lukewarm::prelude::*;
 
 fn main() {
@@ -30,9 +30,9 @@ fn main() {
         PrefetcherKind::PerfectICache,
     ];
 
-    let mut header = vec!["function"];
-    header.extend(kinds.iter().map(|k| k.label()));
-    let mut table = TextTable::new(&header);
+    let mut columns = vec![Column::new("function", plain)];
+    columns.extend(kinds.iter().map(|k| Column::new(k.label(), speedup::<1>)));
+    let mut table = Dataset::with_columns("prefetchers.speedup", columns);
 
     for name in ["Email-P", "Pay-N", "ProdL-G"] {
         let profile = FunctionProfile::named(name).expect("suite").scaled(scale);
@@ -43,19 +43,16 @@ fn main() {
             RunSpec::lukewarm(),
             &params,
         );
-        let mut row = vec![name.to_string()];
+        let mut row = vec![name.into()];
         for kind in kinds {
             let s = run(&config, &profile, kind, RunSpec::lukewarm(), &params);
-            row.push(format!(
-                "{:+.1}%",
-                (s.speedup_over(&baseline) - 1.0) * 100.0
-            ));
+            row.push(s.speedup_over(&baseline).into());
         }
-        table.row(&row);
+        table.push_row(row);
     }
 
     println!("Speedup over the lukewarm (interleaved) baseline:\n");
-    println!("{table}");
+    println!("{}", table.to_text());
     println!(
         "Jukebox's bulk replay beats stream-following (PIF) because it never \
          stops to re-index: it prefetches the whole recorded working set \

@@ -5,7 +5,7 @@
 //! cargo run --release --example topdown_characterization [scale]
 //! ```
 
-use luke_common::table::TextTable;
+use luke_obs::export::{fixed, plain, Column, Dataset};
 use lukewarm::prelude::*;
 
 fn main() {
@@ -20,16 +20,19 @@ fn main() {
     };
     let config = SystemConfig::skylake();
 
-    let mut table = TextTable::new(&[
-        "function",
-        "config",
-        "CPI",
-        "retiring",
-        "fetch-lat",
-        "fetch-bw",
-        "bad-spec",
-        "backend",
-    ]);
+    let mut table = Dataset::with_columns(
+        "topdown.cpi_stacks",
+        vec![
+            Column::new("function", plain),
+            Column::new("config", plain),
+            Column::new("CPI", fixed::<2>),
+            Column::new("retiring", fixed::<2>),
+            Column::new("fetch-lat", fixed::<2>),
+            Column::new("fetch-bw", fixed::<2>),
+            Column::new("bad-spec", fixed::<2>),
+            Column::new("backend", fixed::<2>),
+        ],
+    );
     let mut increases = Vec::new();
     let mut flat_shares = Vec::new();
 
@@ -51,15 +54,15 @@ fn main() {
         );
         for (label, s) in [("ref", &reference), ("lukewarm", &interleaved)] {
             let td = s.cpi_stack();
-            table.row(&[
-                name.to_string(),
-                label.to_string(),
-                format!("{:.2}", td.total()),
-                format!("{:.2}", td.retiring),
-                format!("{:.2}", td.fetch_latency),
-                format!("{:.2}", td.fetch_bandwidth),
-                format!("{:.2}", td.bad_speculation),
-                format!("{:.2}", td.backend),
+            table.push_row(vec![
+                name.into(),
+                label.into(),
+                td.total().into(),
+                td.retiring.into(),
+                td.fetch_latency.into(),
+                td.fetch_bandwidth.into(),
+                td.bad_speculation.into(),
+                td.backend.into(),
             ]);
         }
         let (r, i) = (reference.cpi_stack(), interleaved.cpi_stack());
@@ -71,7 +74,7 @@ fn main() {
     }
 
     println!("Top-Down CPI stacks (cycles per instruction):\n");
-    println!("{table}");
+    println!("{}", table.to_text());
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     println!(
         "Interleaving raises CPI by {:.0}% on average; {:.0}% of the extra \

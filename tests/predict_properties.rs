@@ -3,8 +3,10 @@
 //! and the fleet-level bit-transparency of a disabled `PrewarmConfig`.
 
 use luke_obs::export::{to_csv, to_json};
-use luke_obs::Export;
-use lukewarm::fleet::{run_fleet, FleetConfig, PrewarmConfig, ServiceModel};
+use luke_obs::{Export, Registry};
+use lukewarm::fleet::{
+    run_fleet, FleetConfig, FleetHost, PrewarmConfig, RoutedInvocation, ServiceModel,
+};
 use lukewarm::predict::{IatHistogram, Predictor, PredictorBank};
 use lukewarm::workloads::paper_suite;
 use proptest::prelude::*;
@@ -124,41 +126,45 @@ proptest! {
     }
 }
 
-/// A pool-level restatement of the floor property: an instance invoked
-/// at `t` survives any adaptive sweep before `t + floor`.
+/// The floor property through the path the fleet runs: a host under
+/// prediction retires an idle instance only once its function's hold
+/// has lapsed (`FleetHost::process` drains the expiry timers, which
+/// retire instances through `InstancePool::expire_with_deadline`). The
+/// hold never drops below the floor, so no instance expires while
+/// arrivals keep landing within the floor of the last one; past the
+/// cap (the longest hold) it does expire.
 #[test]
 fn adaptive_sweeps_respect_the_last_arrival_plus_minimum_hold() {
-    use lukewarm::server::InstancePool;
-
-    let cap_ms = 60_000.0;
-    let config = PrewarmConfig::default_enabled();
-    let floor = config.min_hold_ms.min(cap_ms);
-    let mut bank = PredictorBank::new(config, 1, cap_ms);
-    let mut pool = InstancePool::try_new(cap_ms).expect("valid window");
-    let id = pool.spawn(0, 0.0);
+    let config = FleetConfig {
+        hosts: 1,
+        population: 1,
+        keep_alive_ms: 60_000.0,
+        prewarm: PrewarmConfig::default_enabled(),
+        ..FleetConfig::default()
+    };
+    let floor = config.prewarm.min_hold_ms.min(config.keep_alive_ms);
+    let model = ServiceModel::analytic(&paper_suite()).expect("analytic model");
+    let mut host = FleetHost::new(&config, 0);
+    let expirations = |host: &FleetHost| {
+        let mut registry = Registry::new();
+        host.fill_registry(&mut registry);
+        registry.snapshot().counter("pool.expirations")
+    };
 
     // A burst of sub-second arrivals drives the adaptive hold toward the
-    // floor; sweeps strictly inside last-arrival + floor must never
-    // expire the instance.
-    let mut last = 0.0;
+    // floor; every other gap stretches to just inside the floor.
+    let mut at = 0.0;
+    host.process(&config, &model, false, RoutedInvocation::new(at, 0));
     for i in 0..256u64 {
-        let at = i as f64 * 100.0;
-        bank.observe(0, at, 5.0);
-        pool.invoke(id, at).expect("instance is live");
-        last = at;
-        let just_before = at + bank.holds()[0] - 1e-6;
-        let expired = pool.sweep_adaptive(just_before.max(at), bank.holds());
-        assert!(
-            expired.is_empty(),
-            "expired {expired:?} before the hold at {at}"
-        );
+        at += if i % 2 == 0 { 100.0 } else { floor - 1e-3 };
+        host.process(&config, &model, false, RoutedInvocation::new(at, 0));
+        assert_eq!(expirations(&host), 0, "expired before the hold at {at}");
     }
-    assert!(pool.instance(id).is_some());
-    // Past last-arrival + hold the instance does expire.
-    let hold = bank.holds()[0];
-    assert!(hold >= floor, "hold {hold} below floor {floor}");
-    let expired = pool.sweep_adaptive(last + hold + 1.0, bank.holds());
-    assert_eq!(expired, vec![id], "instance must expire after the hold");
+    assert_eq!(host.hits(), 256, "every arrival after the first is warm");
+    // Past last-arrival + the longest hold the instance does expire.
+    at += config.keep_alive_ms + 1.0;
+    host.process(&config, &model, false, RoutedInvocation::new(at, 0));
+    assert_eq!(expirations(&host), 1, "instance must expire after the hold");
 }
 
 // --- Fleet-level bit-transparency ---
