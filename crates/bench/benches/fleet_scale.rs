@@ -1,7 +1,7 @@
 //! **Fleet scaling** — the cluster-scale routing-policy sweep (calibrated
 //! against the cycle-accurate runner), followed by a wall-clock scaling
-//! section showing that the streaming producer + work-stealing shard
-//! pipeline actually buys parallel speedup: `run_fleet` is timed
+//! section showing whether routing in windows while the workers process
+//! the previous window buys parallel speedup: `run_fleet` is timed
 //! end-to-end at 1/2/4/8 worker threads with the merged telemetry
 //! checked bit-identical along the way, then a ≥2,048-host headline row
 //! demonstrates cluster scale.
@@ -38,9 +38,9 @@ fn env_scale(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Times `run_fleet` end-to-end across worker counts (the streaming
-/// pipeline overlaps routing with host processing, so phases are no
-/// longer separable wall-clock sections), then runs the cluster-scale
+/// Times `run_fleet` end-to-end across worker counts (with more than one
+/// worker, routing overlaps host processing, so phases are not
+/// separable wall-clock sections), then runs the cluster-scale
 /// headline row. Returns the report and fills the trajectory record.
 fn thread_scaling_report(record: &mut BenchRecord) -> String {
     let model = ServiceModel::analytic(&paper_suite()).expect("paper suite is valid");

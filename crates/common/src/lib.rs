@@ -9,6 +9,9 @@
 //! * [`error`] — the [`SimError`] type returned by validated constructors
 //!   throughout the workspace, so invalid configurations surface as clean
 //!   errors (and CLI exit codes) rather than panics;
+//! * [`par`] — the one parallel primitive: an ordered, claim-balanced map
+//!   on scoped workers, so a run on N threads folds the same results as a
+//!   run on one;
 //! * [`rng`] — deterministic, splittable random-number generation so that
 //!   every experiment is exactly reproducible from a single seed;
 //! * [`stats`] — the statistics the paper reports (arithmetic/geometric
@@ -29,6 +32,7 @@
 
 pub mod addr;
 pub mod error;
+pub mod par;
 pub mod rng;
 pub mod size;
 pub mod stats;

@@ -15,10 +15,9 @@
 //! The tie-break is the load-bearing part. `seq` is assigned by the
 //! queue at push time, so events at the same instant fire in *schedule*
 //! order — a pure function of the event history, never of which worker
-//! thread happened to get there first. That is what lets the
-//! work-stealing shard scheduler in [`run`](crate::run) reorder *work*
-//! freely while every observable stays byte-identical to the 1-thread
-//! run: each host owns a private `CalendarQueue`, its drains happen at
+//! thread happened to get there first. That is what lets
+//! [`run`](crate::run) process host shards on any worker in any order
+//! while every observable stays byte-identical to the 1-thread run: each host owns a private `CalendarQueue`, its drains happen at
 //! arrival boundaries that are themselves deterministic, and the queue's
 //! pop order is a pure function of its push history.
 
@@ -28,9 +27,9 @@ use std::collections::BinaryHeap;
 /// What a scheduled event does when it fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FleetEventKind {
-    /// A routed invocation arriving at a host (the streaming producer's
-    /// lane; hosts consume these in route order rather than scheduling
-    /// them individually).
+    /// A routed invocation arriving at a host (the router's lane; hosts
+    /// consume these in route order rather than scheduling them
+    /// individually).
     Arrival,
     /// A whole-host chaos boundary (crash or degrade edge).
     ChaosTransition,

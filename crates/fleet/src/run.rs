@@ -1,41 +1,43 @@
-//! Fleet orchestration: a streaming route producer, work-stealing
-//! deterministic shards, ordered merge.
+//! Fleet orchestration: route in windows, process each window's shards
+//! on the workspace's ordered parallel map, merge in host order.
 //!
-//! The run is one event-driven pipeline with a sharp determinism
-//! argument at each stage:
+//! The run is build → drive → merge, with a sharp determinism argument
+//! at each stage of the drive:
 //!
-//! 1. **Route** (one producer): the arrival stream is drawn lane-by-lane
+//! 1. **Route** (one thread): the arrival stream is drawn lane-by-lane
 //!    from the traffic generator and pushed through the router in
 //!    arrival order. Router state (round-robin cursor, load ledger,
-//!    health view) only ever sees this one canonical order. Routed
-//!    copies stream into *bounded* per-shard batch queues — peak routed
-//!    work in flight is O(shards × batches), independent of the
-//!    invocation count — and the producer blocks when a shard's queue is
-//!    full (backpressure), overlapping routing with processing.
-//! 2. **Process** (work-stealing workers): hosts are grouped into
-//!    contiguous shards, several per worker. A shard becomes *runnable*
-//!    when its queue holds work and exactly one worker owns it at a
-//!    time (the `scheduled` flag), so each host still consumes its
-//!    arrivals in canonical route order while idle workers steal
-//!    whichever shard has work instead of waiting on the hottest static
-//!    chunk. Hosts share nothing — each owns its pool, fault stream,
-//!    calendar queue of timers, counters, and span ring — so the
-//!    stealing schedule cannot influence any host's state.
+//!    health view) only ever sees this one canonical order, and hosts
+//!    never feed back into it. Routed copies fill a window of [`WINDOW`]
+//!    copies per worker, bucketed per shard of contiguous hosts, so peak
+//!    routed work in flight is two windows, independent of the invocation
+//!    count.
+//! 2. **Process** ([`luke_common::par::map`]): each full window's shard
+//!    batches are mapped over the workers, several shards per worker, so
+//!    the map's claim counter balances a skewed routing distribution.
+//!    Each host lives in exactly one shard and consumes its copies in
+//!    route order, and hosts share nothing — each owns its pool, fault
+//!    stream, calendar queue of timers, counters, and span ring — so
+//!    which worker ran which shard cannot influence any host's state.
+//!    With more than one worker the router runs on its own thread and
+//!    fills the next window while this one is processed: on every worker
+//!    when processing has fallen behind (the window was already waiting,
+//!    twice running), else on the calling thread alone, which leaves the
+//!    router a core. With one worker routing and processing alternate
+//!    on the calling thread and no thread is started.
 //! 3. **Merge** (sequential): per-host state is folded into fleet
 //!    totals, one registry, one histogram, and one span list *in host-id
 //!    order*, which is independent of which thread ran which shard.
 //!
-//! With `threads == 1` the pipeline degenerates to a fully sequential
-//! loop that routes each arrival and processes it on its host
-//! immediately — the reference semantics, with peak memory O(hosts).
-//! Either way `threads` never appears in any result, and
+//! `threads` never appears in any result, and
 //! `tests/fleet_determinism.rs` asserts a 1-thread and an N-thread run
 //! export byte-identical JSON.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::collections::BTreeMap;
+use std::sync::{mpsc, Mutex};
 
-use luke_common::SimError;
+use luke_common::{par, SimError};
+use luke_obs::export::{fixed, plain, Column};
 use luke_obs::span::{sort_canonical, trace_id, Span, SpanKind, SpanRing};
 use luke_obs::{Dataset, Export, Histogram, Registry, Snapshot, TimeWindows, Value, WindowRow};
 
@@ -221,141 +223,31 @@ fn ratio(part: f64, whole: u64) -> f64 {
     }
 }
 
-/// Items per routed batch handed from the producer to a shard queue.
-/// Large enough that queue lock/wake traffic amortizes to noise even
-/// when the workers time-slice a single core.
-const BATCH_ITEMS: usize = 1024;
-/// Bound on undrained batches per shard before the producer blocks —
-/// the streaming pipeline's backpressure window. Peak routed work in
-/// flight is O(shards × `MAX_QUEUED_BATCHES` × [`BATCH_ITEMS`]),
-/// independent of the invocation count.
-const MAX_QUEUED_BATCHES: usize = 8;
-/// Work-stealing shards per worker thread: several small shards per
-/// worker let an idle worker steal the tail of a skewed routing
-/// distribution instead of waiting on the hottest static chunk.
-const SHARDS_PER_WORKER: usize = 4;
+/// Routed copies per window, per worker. With more than one worker the
+/// router fills one window while the workers process the other, so peak
+/// routed work in flight is two windows: at two workers, 4,096 copies
+/// each, enough to amortize the hand-off between threads. One worker
+/// hands nothing between threads, and its one window stays small.
+pub const WINDOW: usize = 2048;
+/// Shards per worker. A window's map claims shards one at a time, so
+/// many small shards let an idle worker take the tail of a skewed
+/// routing distribution, and shorten the wait at the end of each window
+/// for the last shard to finish.
+const SHARDS_PER_WORKER: usize = 16;
 
 /// One routed copy addressed to a host *within* its shard.
 type ShardItem = (usize, RoutedInvocation);
 
-/// One shard's bounded batch queue — the producer side of the pipeline.
-#[derive(Default)]
-struct ShardQueue {
-    state: Mutex<ShardQueueState>,
-    /// Signals the backpressured producer when a full queue drains.
-    drained: Condvar,
-}
-
-#[derive(Default)]
-struct ShardQueueState {
-    batches: VecDeque<Vec<ShardItem>>,
-    /// Whether the shard is runnable-or-running. Set by the producer
-    /// when it enqueues into an idle shard, cleared by the owning
-    /// worker in the same critical section that observes the queue
-    /// empty — so exactly one worker ever owns a shard, and each host
-    /// consumes its arrivals in canonical route order regardless of
-    /// which worker stole the shard.
-    scheduled: bool,
-}
-
-/// The work-stealing scheduler: shards with undrained work, plus the
-/// producer-finished flag that lets workers exit.
-#[derive(Default)]
-struct Scheduler {
-    state: Mutex<SchedulerState>,
-    runnable: Condvar,
-}
-
-#[derive(Default)]
-struct SchedulerState {
-    queue: VecDeque<usize>,
-    finished: bool,
-}
-
-/// Enqueues one batch for `shard`, blocking while the shard's queue is
-/// at the backpressure bound, and marks the shard runnable if no worker
-/// currently owns it.
-fn push_batch(queues: &[ShardQueue], scheduler: &Scheduler, shard: usize, batch: Vec<ShardItem>) {
-    let make_runnable = {
-        let mut q = queues[shard].state.lock().expect("shard queue mutex");
-        while q.batches.len() >= MAX_QUEUED_BATCHES {
-            q = queues[shard].drained.wait(q).expect("shard queue mutex");
-        }
-        q.batches.push_back(batch);
-        let first = !q.scheduled;
-        q.scheduled = true;
-        first
-    };
-    if make_runnable {
-        let mut sched = scheduler.state.lock().expect("scheduler mutex");
-        sched.queue.push_back(shard);
-        scheduler.runnable.notify_one();
-    }
-}
-
-/// One worker: claim a runnable shard, drain its queue to empty, hand
-/// the shard back, repeat until the producer has finished and nothing is
-/// runnable. Every enqueue that makes a shard runnable happens-before
-/// the producer's `finished` store (both go through the scheduler
-/// mutex), so a worker that sees `finished` with an empty runnable list
-/// knows every batch is either drained or owned by a worker that will
-/// drain it.
-fn worker_loop(
-    queues: &[ShardQueue],
-    scheduler: &Scheduler,
-    shards: &[Mutex<&mut [FleetHost]>],
-    config: &FleetConfig,
-    model: &ServiceModel,
-    jukebox: bool,
-) {
-    loop {
-        let shard = {
-            let mut sched = scheduler.state.lock().expect("scheduler mutex");
-            loop {
-                if let Some(shard) = sched.queue.pop_front() {
-                    break shard;
-                }
-                if sched.finished {
-                    return;
-                }
-                sched = scheduler.runnable.wait(sched).expect("scheduler mutex");
-            }
-        };
-        // The `scheduled` flag guarantees exclusive ownership, so this
-        // lock is uncontended; it exists to carry `&mut` across threads.
-        let mut hosts = shards[shard].lock().expect("shard hosts mutex");
-        loop {
-            let batch = {
-                let mut q = queues[shard].state.lock().expect("shard queue mutex");
-                match q.batches.pop_front() {
-                    Some(batch) => {
-                        queues[shard].drained.notify_one();
-                        Some(batch)
-                    }
-                    None => {
-                        q.scheduled = false;
-                        None
-                    }
-                }
-            };
-            let Some(batch) = batch else { break };
-            for (local, routed) in batch {
-                hosts[local].process(config, model, jukebox, routed);
-            }
-        }
-    }
-}
+/// One window of routed copies: a batch per shard, each in route order.
+type Window = Vec<Vec<ShardItem>>;
 
 /// Drives the traffic generator through the router in the one canonical
 /// arrival order, handing every routed copy to `emit`, and returns the
-/// last arrival time — the memory-accounting horizon. Both execution
-/// modes share this exact code path (the sequential loop `emit`s
-/// straight into a host, the streaming producer into bounded shard
-/// queues), so routing state never sees anything but the canonical
-/// order. Under chaos the router consults a health view advanced to
-/// each arrival — probe rounds, breaker transitions, failover walks,
-/// and hedge decisions all happen here, which is what keeps them
-/// thread-count-independent. Without chaos the view stays all-healthy,
+/// last arrival time — the memory-accounting horizon. Routing state
+/// never sees anything but this canonical order. Under chaos the router
+/// consults a health view advanced to each arrival — probe rounds,
+/// breaker transitions, failover walks, and hedge decisions all happen
+/// here, which is what keeps them thread-count-independent. Without chaos the view stays all-healthy,
 /// so the router takes its preferred host and never hedges.
 fn route_stream(
     config: &FleetConfig,
@@ -492,10 +384,12 @@ fn build(config: &FleetConfig) -> Result<(Vec<FleetHost>, Router), SimError> {
     Ok((hosts, router))
 }
 
-/// Drive: routes the arrival stream and processes every routed copy on
-/// its host, returning the last arrival time. One thread takes the
-/// sequential reference path (see the module docs): each arrival is
-/// processed on its host as soon as it is routed.
+/// Drive: routes the arrival stream in windows and processes every
+/// window's shard batches on [`par::map`], returning the last arrival
+/// time (see the module docs). Shards are contiguous host chunks
+/// borrowed in place, so no host ever moves; their count follows the
+/// requested `threads`, not the cores, so a shard's hosts do not depend
+/// on the machine.
 fn drive(
     config: &FleetConfig,
     model: &ServiceModel,
@@ -504,61 +398,108 @@ fn drive(
     router: &mut Router,
     route_spans: &mut SpanRing,
 ) -> Result<f64, SimError> {
-    let threads = config.threads.min(config.hosts);
-    if threads > 1 {
-        return drive_streaming(config, model, jukebox, threads, hosts, router, route_spans);
+    let shard_count = config
+        .threads
+        .saturating_mul(SHARDS_PER_WORKER)
+        .min(hosts.len());
+    let shard_len = hosts.len().div_ceil(shard_count);
+    // The lock is never contended (each shard is one map item); it
+    // carries `&mut` into the map's workers.
+    let shards: Vec<Mutex<&mut [FleetHost]>> =
+        hosts.chunks_mut(shard_len).map(Mutex::new).collect();
+    let process = |window: &mut Window, threads: usize| {
+        let batches: Vec<_> = shards
+            .iter()
+            .zip(window.iter())
+            .filter(|(_, batch)| !batch.is_empty())
+            .collect();
+        par::map(threads, &batches, |(hosts, batch)| {
+            let mut hosts = hosts.lock().expect("shard hosts mutex");
+            for &(local, routed) in batch.iter() {
+                hosts[local].process(config, model, jukebox, routed);
+            }
+        });
+        // Each batch keeps its capacity for the next window.
+        window.iter_mut().for_each(Vec::clear);
+    };
+    let mut window: Window = vec![Vec::new(); shards.len()];
+    let workers = par::workers(config.threads, shards.len());
+    let len = WINDOW * workers;
+    if workers == 1 {
+        let sink = windowed(shard_len, len, &mut window, |full| process(full, 1));
+        let end_ms = route_stream(config, model, router, route_spans, sink)?;
+        process(&mut window, 1);
+        return Ok(end_ms);
     }
-    route_stream(config, model, router, route_spans, |host, routed| {
-        hosts[host].process(config, model, jukebox, routed);
+    // Two windows circulate: the router fills one while the workers
+    // process the other. Neither channel can fill, since only two exist.
+    std::thread::scope(|scope| {
+        let (full_tx, full_rx) = mpsc::sync_channel::<Window>(2);
+        let (free_tx, free_rx) = mpsc::sync_channel::<Window>(2);
+        free_tx
+            .send(vec![Vec::new(); shards.len()])
+            .expect("receiver is alive");
+        let routing = scope.spawn(move || {
+            let sink = windowed(shard_len, len, &mut window, |full| {
+                full_tx
+                    .send(std::mem::take(full))
+                    .expect("window consumer is alive");
+                *full = free_rx.recv().expect("window consumer is alive");
+            });
+            let end_ms = route_stream(config, model, router, route_spans, sink)?;
+            full_tx.send(window).expect("window consumer is alive");
+            Ok(end_ms)
+        });
+        // A window already waiting when this thread asks for it means the
+        // router is ahead. Twice running, processing is the bottleneck:
+        // spread the window over every worker. Otherwise routing is, or
+        // one late window was scheduling noise: this thread alone keeps
+        // up and leaves the router a core.
+        let mut was_waiting = false;
+        loop {
+            let (mut full, waiting) = match full_rx.try_recv() {
+                Ok(full) => (full, true),
+                Err(mpsc::TryRecvError::Empty) => match full_rx.recv() {
+                    Ok(full) => (full, false),
+                    Err(mpsc::RecvError) => break,
+                },
+                Err(mpsc::TryRecvError::Disconnected) => break,
+            };
+            let threads = if waiting && was_waiting {
+                config.threads
+            } else {
+                1
+            };
+            was_waiting = waiting;
+            process(&mut full, threads);
+            // Fails only once the router has sent its last window.
+            let _ = free_tx.send(full);
+        }
+        routing
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     })
 }
 
-/// The streaming pipeline of the module docs, with `threads` workers.
-/// Shards are contiguous host chunks borrowed in place, so no host ever
-/// moves.
-fn drive_streaming(
-    config: &FleetConfig,
-    model: &ServiceModel,
-    jukebox: bool,
-    threads: usize,
-    hosts: &mut [FleetHost],
-    router: &mut Router,
-    route_spans: &mut SpanRing,
-) -> Result<f64, SimError> {
-    let shard_count = (threads * SHARDS_PER_WORKER).min(hosts.len());
-    let shard_len = hosts.len().div_ceil(shard_count);
-    let shards: Vec<Mutex<&mut [FleetHost]>> =
-        hosts.chunks_mut(shard_len).map(Mutex::new).collect();
-    let queues: Vec<ShardQueue> = shards.iter().map(|_| ShardQueue::default()).collect();
-    let scheduler = Scheduler::default();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| worker_loop(&queues, &scheduler, &shards, config, model, jukebox));
+/// The [`route_stream`] sink that fills `window`: each routed copy is
+/// addressed to its shard, and each time the window holds `len` copies it
+/// is handed to `flush`, which leaves an empty window in its place. The
+/// final, partly filled window stays in `window`.
+fn windowed<'w>(
+    shard_len: usize,
+    len: usize,
+    window: &'w mut Window,
+    mut flush: impl FnMut(&mut Window) + 'w,
+) -> impl FnMut(usize, RoutedInvocation) + 'w {
+    let mut filled = 0;
+    move |host, routed| {
+        window[host / shard_len].push((host % shard_len, routed));
+        filled += 1;
+        if filled == len {
+            flush(window);
+            filled = 0;
         }
-        // The producer runs on this thread; its open batches flush
-        // either at BATCH_ITEMS or when the stream ends.
-        let mut open: Vec<Vec<ShardItem>> = vec![Vec::new(); queues.len()];
-        let result = route_stream(config, model, router, route_spans, |host, routed| {
-            let shard = host / shard_len;
-            let batch = &mut open[shard];
-            batch.push((host % shard_len, routed));
-            if batch.len() >= BATCH_ITEMS {
-                push_batch(&queues, &scheduler, shard, std::mem::take(batch));
-            }
-        });
-        if result.is_ok() {
-            for (shard, batch) in open.iter_mut().enumerate() {
-                if !batch.is_empty() {
-                    push_batch(&queues, &scheduler, shard, std::mem::take(batch));
-                }
-            }
-        }
-        let mut sched = scheduler.state.lock().expect("scheduler mutex");
-        sched.finished = true;
-        scheduler.runnable.notify_all();
-        drop(sched);
-        result
-    })
+    }
 }
 
 /// Merge: folds per-host state into fleet totals, one registry, one
@@ -787,24 +728,12 @@ impl std::fmt::Display for FleetRun {
                 self.degraded_restores,
             )?;
         }
-        writeln!(
+        let hosts = self.hosts_dataset();
+        write!(
             f,
-            "  {:>4}  {:>8}  {:>6}  {:>6}  {:>8}  {:>7}  {:>9}",
-            "host", "invocs", "cold", "warm", "lukewarm", "degree", "mean ms"
+            "{}",
+            hosts.text_of(hosts.rows.iter().take(DISPLAY_HOST_ROWS))
         )?;
-        for summary in self.per_host.iter().take(DISPLAY_HOST_ROWS) {
-            writeln!(
-                f,
-                "  {:>4}  {:>8}  {:>6}  {:>6}  {:>8}  {:>7.3}  {:>9.3}",
-                summary.host,
-                summary.invocations,
-                summary.cold_starts,
-                summary.warm_hits,
-                summary.lukewarm_hits,
-                summary.mean_degree,
-                summary.mean_latency_ms,
-            )?;
-        }
         if self.per_host.len() > DISPLAY_HOST_ROWS {
             writeln!(
                 f,
@@ -906,19 +835,20 @@ impl Export for FleetRun {
 }
 
 impl FleetRun {
-    /// The `fleet.hosts` dataset: one row per host, in host order.
+    /// The `fleet.hosts` dataset: one row per host, in host order. The
+    /// text table leaves out the warm-instance count.
     fn hosts_dataset(&self) -> Dataset {
-        let mut hosts = Dataset::new(
+        let mut hosts = Dataset::with_columns(
             "fleet.hosts",
-            &[
-                "host",
-                "invocations",
-                "cold_starts",
-                "warm_hits",
-                "lukewarm_hits",
-                "mean_degree",
-                "mean_latency_ms",
-                "warm_instances",
+            vec![
+                Column::new("host", plain),
+                Column::new("invocations", plain).titled("invocs"),
+                Column::new("cold_starts", plain).titled("cold"),
+                Column::new("warm_hits", plain).titled("warm"),
+                Column::new("lukewarm_hits", plain).titled("lukewarm"),
+                Column::new("mean_degree", fixed::<3>).titled("degree"),
+                Column::new("mean_latency_ms", fixed::<3>).titled("mean ms"),
+                Column::hidden("warm_instances"),
             ],
         );
         for s in &self.per_host {

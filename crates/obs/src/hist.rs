@@ -192,24 +192,6 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Bucket-wise difference `self - earlier` (saturating). `min`/`max`
-    /// are kept from `self`: extremes are not invertible from deltas.
-    pub fn delta(&self, earlier: &Histogram) -> Histogram {
-        let counts = self
-            .counts
-            .iter()
-            .zip(&earlier.counts)
-            .map(|(a, b)| a.saturating_sub(*b))
-            .collect();
-        Histogram {
-            counts,
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            min: self.min,
-            max: self.max,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -329,18 +311,5 @@ mod tests {
         let mut e = Histogram::new();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn delta_subtracts_counts() {
-        let mut h = Histogram::new();
-        h.record(5);
-        let snap = h.clone();
-        h.record(5);
-        h.record(700);
-        let d = h.delta(&snap);
-        assert_eq!(d.count(), 2);
-        assert_eq!(d.bucket_count(bucket_index(5)), 1);
-        assert_eq!(d.bucket_count(bucket_index(700)), 1);
     }
 }

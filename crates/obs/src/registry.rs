@@ -2,7 +2,7 @@
 //! hierarchical dotted names.
 //!
 //! A [`Registry`] is plumbed by value through the simulator — no globals,
-//! no locks — and read out as a [`Snapshot`]: an immutable, diffable view
+//! no locks — and read out as a [`Snapshot`]: an immutable view
 //! that serializes deterministically (names are `BTreeMap`-ordered, so
 //! the same run produces byte-identical JSON/CSV output).
 
@@ -111,7 +111,7 @@ impl Registry {
     }
 }
 
-/// Point-in-time view of a [`Registry`], diffable and exportable.
+/// Point-in-time view of a [`Registry`], exportable as JSON or CSV.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     counters: BTreeMap<String, u64>,
@@ -148,30 +148,6 @@ impl Snapshot {
     /// All histogram names in sorted order.
     pub fn hist_names(&self) -> impl Iterator<Item = &str> {
         self.hists.keys().map(String::as_str)
-    }
-
-    /// Difference `self - earlier`: counters subtract (saturating),
-    /// gauges keep `self`'s values (they are levels, not rates), and
-    /// histograms subtract bucket-wise.
-    pub fn diff(&self, earlier: &Snapshot) -> Snapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), v.saturating_sub(earlier.counter(k))))
-            .collect();
-        let hists = self
-            .hists
-            .iter()
-            .map(|(k, h)| match earlier.hists.get(k) {
-                Some(e) => (k.clone(), h.delta(e)),
-                None => (k.clone(), h.clone()),
-            })
-            .collect();
-        Snapshot {
-            counters,
-            gauges: self.gauges.clone(),
-            hists,
-        }
     }
 
     /// Deterministic JSON rendering:
@@ -270,18 +246,6 @@ mod tests {
         assert_eq!(reg.counter("never.touched"), 0);
         assert_eq!(reg.gauge("run.cpi"), Some(1.5));
         assert_eq!(reg.hist("invocation.cycles").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn snapshot_diff_subtracts_counters_and_hists() {
-        let mut reg = sample();
-        let before = reg.snapshot();
-        reg.counter_add("mem.l2.instr.misses", 8);
-        reg.hist_record("invocation.cycles", 3000);
-        let d = reg.snapshot().diff(&before);
-        assert_eq!(d.counter("mem.l2.instr.misses"), 8);
-        assert_eq!(d.counter("run.invocations"), 0);
-        assert_eq!(d.hist("invocation.cycles").unwrap().count(), 1);
     }
 
     #[test]

@@ -57,7 +57,6 @@ pub struct TrafficGenerator {
     /// internal node `n` (1 ≤ n < lanes) holds the loser of the match
     /// played there, and lane `i` enters as implicit leaf `lanes + i`.
     losers: Vec<LaneEntry>,
-    generated: u64,
 }
 
 impl TrafficGenerator {
@@ -102,7 +101,6 @@ impl TrafficGenerator {
         let mut generator = TrafficGenerator {
             losers: vec![LaneEntry::EMPTY; lanes.len().max(1)],
             lanes,
-            generated: 0,
         };
         generator.build_tree(&first_at);
         Ok(generator)
@@ -161,17 +159,6 @@ impl TrafficGenerator {
         self.lanes.len()
     }
 
-    /// Total invocation events produced so far.
-    pub fn events_generated(&self) -> u64 {
-        self.generated
-    }
-
-    /// Contributes generator telemetry to `registry` under `traffic.*`.
-    pub fn fill_registry(&self, registry: &mut luke_obs::Registry) {
-        registry.counter_add("traffic.events_generated", self.generated);
-        registry.gauge_set("traffic.lanes", self.lanes.len() as f64);
-    }
-
     /// Produces the next `count` events in global time order.
     pub fn take_events(&mut self, count: usize) -> Vec<InvocationEvent> {
         let mut events = Vec::with_capacity(count);
@@ -198,7 +185,6 @@ impl TrafficGenerator {
             key: (at_ms + gap).to_bits(),
             lane: winner.lane,
         });
-        self.generated += 1;
         Some(InvocationEvent {
             at_ms,
             instance: lane,
@@ -382,7 +368,6 @@ mod tests {
         for pair in events.windows(2) {
             assert!(pair[0].at_ms <= pair[1].at_ms);
         }
-        assert_eq!(g.events_generated(), 20_000);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! * **Memoization** — a cell simulated once is served from the cache
 //!   forever after; since a cache hit returns the exact value a fresh
 //!   simulation would, memoization cannot change any experiment's output.
-//! * **Parallelism** — [`Engine::map`] is the one parallel primitive: it
-//!   runs independent jobs on scoped workers that claim items in order
-//!   from an atomic counter and returns the results in item order.
+//! * **Parallelism** — [`Engine::map`] runs independent jobs through the
+//!   workspace's one parallel primitive, [`luke_common::par::map`]:
+//!   scoped workers claim items in order from an atomic counter and the
+//!   results come back in item order.
 //!   [`Engine::prefetch`] plans sequentially (dedup in plan order), maps
 //!   the missing cells, then merges into the cache in plan order. A fold
 //!   maps its independent sweep points (record-only runs, footprint
@@ -44,22 +45,9 @@ use crate::config::SystemConfig;
 use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec, RunSummary};
 use luke_common::SimError;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use workloads::FunctionProfile;
-
-thread_local! {
-    /// Workers of the [`Engine::map`] this thread is running a job for;
-    /// 1 on any thread that is not a map worker.
-    static MAP_WORKERS: std::cell::Cell<usize> = const { std::cell::Cell::new(1) };
-}
-
-/// How many map workers, this thread included, are busy alongside the
-/// current job: 1 outside [`Engine::map`]. The trace pipeline reads it to
-/// leave helper threads out when the workers already fill every core.
-pub(crate) fn map_workers() -> usize {
-    MAP_WORKERS.with(std::cell::Cell::get)
-}
 
 /// Execution context shared by every experiment in one invocation: the
 /// memoized cell cache, the worker-thread budget, and the cache counters.
@@ -106,13 +94,10 @@ impl Engine {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Applies `job` to every item on up to [`Engine::threads`] scoped
-    /// workers and returns the results in item order.
-    ///
-    /// Each worker claims the next unclaimed item index from an atomic
-    /// counter, so uneven job costs balance across workers; each result is
-    /// placed by its index, so the output is independent of which worker
-    /// ran what. With one worker (a 1-thread engine, or at most one item)
+    /// Applies `job` to every item on up to [`Engine::threads`] workers
+    /// and returns the results in item order: [`luke_common::par::map`]
+    /// with this engine's thread budget. Workers claim items in order from
+    /// an atomic counter, so uneven job costs balance; with one worker
     /// every job runs inline on the calling thread.
     ///
     /// `job` must be a pure function of its item: the engine's
@@ -125,37 +110,7 @@ impl Engine {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let workers = self.threads.min(items.len());
-        if workers <= 1 {
-            return items.iter().map(job).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        MAP_WORKERS.with(|w| w.set(workers));
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(item) = items.get(i) else { break };
-                            out.push((i, job(item)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .collect()
-        });
-        let mut results: Vec<(usize, R)> = claimed.into_iter().flatten().collect();
-        results.sort_unstable_by_key(|&(i, _)| i);
-        results.into_iter().map(|(_, result)| result).collect()
+        luke_common::par::map(self.threads, items, job)
     }
 
     /// Simulates every not-yet-cached cell of a plan: sequential plan →
@@ -244,15 +199,6 @@ impl Engine {
         params.validate()?;
         self.prefetch(&experiment.plan(params));
         experiment.run(self, params)
-    }
-
-    /// Writes the engine counters into a metrics registry under the
-    /// `engine.*` namespace (see `docs/OBSERVABILITY.md`).
-    pub fn fill_registry(&self, registry: &mut luke_obs::Registry) {
-        registry.counter_add("engine.cache.hits", self.cache_hits());
-        registry.counter_add("engine.cache.misses", self.cells_simulated());
-        registry.counter_add("engine.cells.simulated", self.cells_simulated());
-        registry.gauge_set("engine.threads", self.threads as f64);
     }
 
     /// The engine counters as an exportable dataset (appended to
@@ -368,67 +314,6 @@ mod tests {
         assert_eq!(engine.cells_simulated(), 1, "second call must be a hit");
     }
 
-    /// A job whose cost varies with the item: later items often finish
-    /// before earlier ones.
-    fn uneven(i: &u64) -> u64 {
-        std::thread::sleep(std::time::Duration::from_micros((i * 7 % 5) * 200));
-        i * i
-    }
-
-    #[test]
-    fn map_returns_results_in_item_order() {
-        let items: Vec<u64> = (0..23).collect();
-        let expected: Vec<u64> = items.iter().map(|i| i * i).collect();
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(
-                Engine::new(threads).map(&items, uneven),
-                expected,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn map_with_more_workers_than_items_or_none() {
-        let engine = Engine::new(8);
-        assert_eq!(engine.map(&[3u64, 1, 2], uneven), vec![9, 1, 4]);
-        assert_eq!(engine.map(&[] as &[u64], uneven), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn single_thread_map_runs_inline() {
-        let caller = std::thread::current().id();
-        let ran_on = Engine::single().map(&[0u8; 5], |_| std::thread::current().id());
-        assert_eq!(ran_on, vec![caller; 5]);
-    }
-
-    #[test]
-    fn map_errors_resolve_to_the_first_in_item_order() {
-        let items: Vec<u64> = (0..8).collect();
-        for threads in [1, 2, 3, 8] {
-            // With workers to spare, item 2 fails only after item 5 has.
-            let five_failed = std::sync::atomic::AtomicBool::new(false);
-            let job = |&i: &u64| -> Result<u64, String> {
-                match i {
-                    2 => {
-                        while threads > 1 && !five_failed.load(Ordering::SeqCst) {
-                            std::thread::yield_now();
-                        }
-                        Err("item 2".to_string())
-                    }
-                    5 => {
-                        five_failed.store(true, Ordering::SeqCst);
-                        Err("item 5".to_string())
-                    }
-                    _ => Ok(i),
-                }
-            };
-            let collected: Result<Vec<u64>, String> =
-                Engine::new(threads).map(&items, job).into_iter().collect();
-            assert_eq!(collected, Err("item 2".to_string()), "threads={threads}");
-        }
-    }
-
     #[test]
     fn prefetch_of_mixed_cost_cells_is_thread_invariant() {
         let params = ExperimentParams::quick();
@@ -526,15 +411,9 @@ mod tests {
     }
 
     #[test]
-    fn metrics_surface_through_obs_registry() {
+    fn counters_surface_in_the_dataset_and_summary_line() {
         let engine = Engine::new(2);
         engine.prefetch(&suite_cells(&["Auth-G", "Auth-G"]));
-        let mut reg = luke_obs::Registry::new();
-        engine.fill_registry(&mut reg);
-        assert_eq!(reg.counter("engine.cells.simulated"), 1);
-        assert_eq!(reg.counter("engine.cache.hits"), 1);
-        assert_eq!(reg.counter("engine.cache.misses"), 1);
-        assert_eq!(reg.gauge("engine.threads"), Some(2.0));
         let ds = engine.dataset();
         assert_eq!(ds.name, "engine.cells");
         assert_eq!(ds.rows.len(), 1);

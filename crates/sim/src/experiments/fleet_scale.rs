@@ -20,11 +20,11 @@
 //! and Jukebox's benefit is largest exactly where routing is worst.
 //!
 //! Every sweep point runs through the fleet's calendar-queue event core
-//! (see `docs/FLEET.md`): a streaming producer routes arrivals into
-//! bounded per-shard queues while work-stealing workers drain
-//! deterministic host shards, so each cell's result is byte-identical
-//! at any worker-thread count and peak routed memory stays
-//! O(hosts + in-flight) even at the largest fleet sizes swept here.
+//! (see `docs/FLEET.md`): arrivals are routed in fixed-size windows
+//! whose per-shard batches the workers process on the workspace's
+//! ordered parallel map, so each cell's result is byte-identical at any
+//! worker-thread count and peak routed memory stays two windows even at
+//! the largest fleet sizes swept here.
 
 use crate::config::SystemConfig;
 use crate::engine::{Cell, Engine, Spec};

@@ -41,9 +41,7 @@ impl InstanceStats {
     /// or `None` if no instructions retired — a 0/0 here used to come
     /// back as `0.0`, which silently skewed downstream geomeans.
     /// Callers that need a sentinel use `.unwrap_or(f64::NAN)`, matching
-    /// the `RunSummary::try_speedup_over` convention; such degenerate
-    /// samples are surfaced via the `run.invalid_samples` counter in
-    /// [`HostSim::fill_registry`].
+    /// the `RunSummary::try_speedup_over` convention.
     pub fn cpi(&self) -> Option<f64> {
         if self.instructions == 0 {
             None
@@ -207,25 +205,6 @@ impl HostSim {
             .as_ref()
             .map_or(0, |rt| rt.metadata_bytes_total())
     }
-
-    /// Contributes host telemetry to `registry`: instance and
-    /// invocation counts under `host.*`, plus one `run.invalid_samples`
-    /// tick per instance whose statistics cannot yield a CPI (zero
-    /// retired instructions) — the same counter `runner::run_observed`
-    /// uses for degenerate run summaries.
-    pub fn fill_registry(&self, registry: &mut luke_obs::Registry) {
-        registry.gauge_set("host.instances", self.instances.len() as f64);
-        let mut invocations = 0u64;
-        let mut invalid = 0u64;
-        for i in &self.instances {
-            invocations += i.stats.invocations;
-            if i.stats.cpi().is_none() {
-                invalid += 1;
-            }
-        }
-        registry.counter_add("host.invocations", invocations);
-        registry.counter_add("run.invalid_samples", invalid);
-    }
 }
 
 #[cfg(test)]
@@ -349,16 +328,5 @@ mod tests {
             instructions: 200,
         };
         assert_eq!(real.cpi(), Some(1.5));
-    }
-
-    #[test]
-    fn fill_registry_counts_idle_instances_as_invalid_samples() {
-        let mut host = HostSim::new(SystemConfig::skylake(), &profiles(3, 0.02), false);
-        host.run_schedule(&[0, 1]); // instance 2 never runs
-        let mut reg = luke_obs::Registry::new();
-        host.fill_registry(&mut reg);
-        assert_eq!(reg.counter("run.invalid_samples"), 1);
-        assert_eq!(reg.counter("host.invocations"), 2);
-        assert_eq!(reg.gauge("host.instances"), Some(3.0));
     }
 }

@@ -1,6 +1,7 @@
 //! One simulated system: core + memory + page table + function instance.
 
 use crate::config::SystemConfig;
+use luke_common::par;
 use luke_obs::{Registry, Span};
 use sim_cpu::instr::Instr;
 use sim_cpu::{Core, InvocationResult};
@@ -8,7 +9,6 @@ use sim_mem::hierarchy::HierarchySnapshot;
 use sim_mem::prefetch::{InstructionPrefetcher, NoPrefetcher};
 use sim_mem::{MemoryHierarchy, PageTable};
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::OnceLock;
 use workloads::stressor::stressor_trace;
 use workloads::{FunctionProfile, SyntheticFunction};
 
@@ -23,13 +23,6 @@ const CHUNK: usize = 16 * 1024;
 /// gain on a VM with bursty steal time).
 const BUFFERS: usize = 16;
 
-/// Cores the process may run threads on. Read once: it is the affinity
-/// mask (and cgroup quota) at first use.
-fn cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
 /// Whether [`run_traced`] should stream `function`'s traces from a helper
 /// thread. Only while a core is left over after the threads simulating
 /// beside it (the enclosing `Engine::map`'s workers, or this thread alone
@@ -37,8 +30,7 @@ fn cores() -> usize {
 /// only for traces of several chunks, else spawning and buffer hand-offs
 /// cost more than generation (docs/MODEL.md, "Trace pipeline").
 pub(crate) fn pipelines(function: &SyntheticFunction) -> bool {
-    crate::engine::map_workers() < cores()
-        && function.layout().walk_instr_estimate() >= 4 * CHUNK as u64
+    par::map_workers() < par::cores() && function.layout().walk_instr_estimate() >= 4 * CHUNK as u64
 }
 
 /// Runs invocation `invocation` of `function` on `core`: the one path
@@ -509,7 +501,7 @@ mod tests {
 
     #[test]
     fn map_workers_that_fill_the_cores_do_not_stream() {
-        let cores = cores();
+        let cores = par::cores();
         if cores < 2 {
             return;
         }

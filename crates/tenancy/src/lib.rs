@@ -28,7 +28,8 @@
 //! is bit-transparent (a disabled fleet run is byte-identical to one
 //! built before this crate existed), and every store operation is a
 //! pure function of host-local state, so enabled fleet runs stay
-//! thread-count invariant through the work-stealing shards.
+//! thread-count invariant however the host shards are spread over
+//! workers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

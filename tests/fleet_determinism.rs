@@ -7,6 +7,7 @@
 
 use luke_obs::export::{to_csv, to_json};
 use luke_obs::Export;
+use lukewarm::fleet::run::WINDOW;
 use lukewarm::fleet::{
     run_fleet, run_fleet_pair, AdmissionConfig, CalendarQueue, ChaosConfig, ColdStartModel,
     FleetConfig, FleetEventKind, HedgeConfig, PrewarmConfig, RetryBudget, RoutingPolicy,
@@ -137,6 +138,35 @@ fn uneven_and_oversubscribed_shards_are_results_neutral() {
         )
         .expect("sharded run");
         assert_bit_identical(&one, &run);
+    }
+    // Streams that end on and one past the window boundaries of one
+    // worker (`WINDOW` copies) and of two (`2 * WINDOW`), on a 1-host
+    // fleet and a ragged 7-host one: the final partial window must be
+    // processed exactly once at any thread count.
+    for invocations in [WINDOW, WINDOW + 1, 2 * WINDOW + 1] {
+        for hosts in [1, 7] {
+            let base = FleetConfig {
+                hosts,
+                invocations,
+                ..sweep_config()
+            };
+            let one = run_fleet(&base, &m, false).expect("1-thread run");
+            assert_eq!(one.invocations, invocations as u64, "{hosts} hosts");
+            let served: u64 = one.per_host.iter().map(|h| h.invocations).sum();
+            assert_eq!(served, one.invocations, "{hosts} hosts");
+            for threads in [2, 3] {
+                let run = run_fleet(
+                    &FleetConfig {
+                        threads,
+                        ..base.clone()
+                    },
+                    &m,
+                    false,
+                )
+                .expect("windowed run");
+                assert_bit_identical(&one, &run);
+            }
+        }
     }
 }
 
@@ -297,9 +327,9 @@ fn disabled_resilience_reproduces_the_plain_fleet_bit_for_bit() {
 /// A quick 2,048-host fleet with every event source live: seeded chaos
 /// crashes and degradation, hedged failover, predictive pre-warming with
 /// adaptive keep-alive, and span tracing — the worst case for the
-/// streaming producer + work-stealing pipeline, since keep-alive expiry,
-/// pre-restore, and chaos timers all flow through each host's calendar
-/// queue while workers steal shards out of order.
+/// windowed drive, since keep-alive expiry, pre-restore, and chaos
+/// timers all flow through each host's calendar queue while the workers
+/// claim shards in whatever order they get to them.
 fn quick_scale_config() -> FleetConfig {
     FleetConfig {
         hosts: 2_048,
@@ -324,7 +354,7 @@ fn quick_scale_config() -> FleetConfig {
 }
 
 #[test]
-fn work_stealing_at_2048_hosts_is_bit_identical_to_one_thread() {
+fn windowed_drive_at_2048_hosts_is_bit_identical_to_one_thread() {
     let m = model();
     let one = run_fleet(&quick_scale_config(), &m, false).expect("1-thread run");
     assert!(one.host_crashes > 0, "chaos must engage at this scale");
@@ -333,7 +363,7 @@ fn work_stealing_at_2048_hosts_is_bit_identical_to_one_thread() {
         "prediction must engage"
     );
     for threads in [4, 8] {
-        let stolen = run_fleet(
+        let sharded = run_fleet(
             &FleetConfig {
                 threads,
                 ..quick_scale_config()
@@ -341,8 +371,8 @@ fn work_stealing_at_2048_hosts_is_bit_identical_to_one_thread() {
             &m,
             false,
         )
-        .expect("work-stealing run");
-        assert_bit_identical(&one, &stolen);
+        .expect("sharded run");
+        assert_bit_identical(&one, &sharded);
     }
 }
 
