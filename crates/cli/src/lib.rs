@@ -222,7 +222,8 @@ impl Options {
 pub struct FleetOptions {
     /// Fleet size.
     pub hosts: usize,
-    /// Worker threads the host shards run on. Results-neutral: the
+    /// Worker threads the host shards run on; a routing helper thread
+    /// may run beside them when a core is spare. Results-neutral: the
     /// output is bit-identical for any value (CI diffs 1 vs 4).
     pub threads: usize,
     /// Routing policy.
@@ -1247,6 +1248,8 @@ fn help_text() -> String {
      \x20                [--invocations N] [--chaos off|light|heavy] [--trace-sample N]\n\
      \x20                [--prewarm] [--dedup] [--contention]\n\
      \x20 lukewarm bench-compare OLD.json NEW.json [--threshold 0.25]\n\n\
+     \x20 fleet --threads T spreads the host shards over T workers (default 1);\n\
+     \x20 the router may run on one more thread beside them when a core is spare.\n\
      \x20 --chaos light|heavy crashes and degrades hosts on a seeded timeline and\n\
      \x20 enables failover, hedging, retry budgets, admission control and a flash\n\
      \x20 crowd; output stays bit-identical across --threads (see docs/RESILIENCE.md).\n\

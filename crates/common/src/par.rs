@@ -17,10 +17,18 @@ thread_local! {
 }
 
 /// How many map workers, this thread included, are busy alongside the
-/// current job: 1 outside [`map`]. The cycle model's trace pipeline reads
-/// it to leave helper threads out when the workers already fill every core.
+/// current job: 1 outside [`map`].
 pub fn map_workers() -> usize {
     MAP_WORKERS.with(Cell::get)
+}
+
+/// Whether a core is left over after the [`map_workers`] busy beside this
+/// thread: the workspace's one rule for starting a helper thread. The
+/// cycle model's trace generator and a 1-worker fleet run's router get a
+/// thread of their own only then, else the helper competes with the
+/// cores it feeds.
+pub fn spare_core() -> bool {
+    map_workers() < cores()
 }
 
 /// Cores the process may run threads on. Read once: it is the affinity
@@ -181,5 +189,13 @@ mod tests {
         let seen = map(threads, &[(); 16], |_| map_workers());
         assert_eq!(seen, vec![workers(threads, 16); 16]);
         assert_eq!(map_workers(), 1, "the calling thread's count is restored");
+    }
+
+    #[test]
+    fn spare_core_is_false_inside_a_map_that_fills_the_cores() {
+        // Outside a map this thread alone is busy.
+        assert_eq!(spare_core(), cores() > 1);
+        let inside = map(cores(), &vec![(); cores()], |_| spare_core());
+        assert_eq!(inside, vec![false; cores()]);
     }
 }

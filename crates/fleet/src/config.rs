@@ -21,6 +21,9 @@ pub struct FleetConfig {
     /// Number of hosts behind the load balancer.
     pub hosts: usize,
     /// Worker threads the hosts are sharded across (results-neutral).
+    /// The router may run on one more thread beside them: always with
+    /// two or more workers, and with one when a core is spare
+    /// (`luke_common::par::spare_core`).
     pub threads: usize,
     /// Total invocations synthesized fleet-wide.
     pub invocations: usize,

@@ -19,12 +19,15 @@
 //!    route order, and hosts share nothing — each owns its pool, fault
 //!    stream, calendar queue of timers, counters, and span ring — so
 //!    which worker ran which shard cannot influence any host's state.
-//!    With more than one worker the router runs on its own thread and
-//!    fills the next window while this one is processed: on every worker
-//!    when processing has fallen behind (the window was already waiting,
-//!    twice running), else on the calling thread alone, which leaves the
-//!    router a core. With one worker routing and processing alternate
-//!    on the calling thread and no thread is started.
+//!    Whenever a second thread has a core — a second worker, or a core
+//!    left over beside a single one ([`par::spare_core`]) — the router
+//!    runs on its own scoped thread and fills the next window while this
+//!    one is processed: on every worker when processing has fallen behind
+//!    (the window was already waiting, twice running), else on the
+//!    calling thread alone, which leaves the router a core. Only a single
+//!    worker with no core to spare (a 1-core machine, or a run inside a
+//!    map whose workers fill the cores) routes and processes in turn on
+//!    the calling thread, starting no thread.
 //! 3. **Merge** (sequential): per-host state is folded into fleet
 //!    totals, one registry, one histogram, and one span list *in host-id
 //!    order*, which is independent of which thread ran which shard.
@@ -223,11 +226,11 @@ fn ratio(part: f64, whole: u64) -> f64 {
     }
 }
 
-/// Routed copies per window, per worker. With more than one worker the
-/// router fills one window while the workers process the other, so peak
-/// routed work in flight is two windows: at two workers, 4,096 copies
-/// each, enough to amortize the hand-off between threads. One worker
-/// hands nothing between threads, and its one window stays small.
+/// Routed copies per window, per worker. A router on its own thread
+/// fills one window while the workers process the other, so peak routed
+/// work in flight is two windows: 2,048 copies each at one worker, 4,096
+/// at two, enough to amortize the hand-off between threads. Routing on
+/// the calling thread keeps one window.
 pub const WINDOW: usize = 2048;
 /// Shards per worker. A window's map claims shards one at a time, so
 /// many small shards let an idle worker take the tail of a skewed
@@ -425,14 +428,15 @@ fn drive(
     let mut window: Window = vec![Vec::new(); shards.len()];
     let workers = par::workers(config.threads, shards.len());
     let len = WINDOW * workers;
-    if workers == 1 {
+    if workers == 1 && !par::spare_core() {
         let sink = windowed(shard_len, len, &mut window, |full| process(full, 1));
         let end_ms = route_stream(config, model, router, route_spans, sink)?;
         process(&mut window, 1);
         return Ok(end_ms);
     }
-    // Two windows circulate: the router fills one while the workers
-    // process the other. Neither channel can fill, since only two exist.
+    // A second worker or a spare core: two windows circulate, the router
+    // filling one on its own thread while the workers process the other.
+    // Neither channel can fill, since only two exist.
     std::thread::scope(|scope| {
         let (full_tx, full_rx) = mpsc::sync_channel::<Window>(2);
         let (free_tx, free_rx) = mpsc::sync_channel::<Window>(2);

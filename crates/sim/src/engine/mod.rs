@@ -219,13 +219,14 @@ impl Engine {
     }
 
     /// One-line human-readable cache report for `--emit table` output and
-    /// the bench harness.
+    /// the bench harness. It names the workers a map can run, which the
+    /// cores cap, not the threads asked for.
     pub fn summary_line(&self) -> String {
         format!(
-            "engine: {} cells simulated, {} cache hits, {} thread(s)",
+            "engine: {} cells simulated, {} cache hits, {} worker(s)",
             self.cells_simulated(),
             self.cache_hits(),
-            self.threads
+            luke_common::par::workers(self.threads, usize::MAX)
         )
     }
 }
@@ -418,5 +419,14 @@ mod tests {
         assert_eq!(ds.name, "engine.cells");
         assert_eq!(ds.rows.len(), 1);
         assert!(engine.summary_line().contains("1 cells simulated"));
+        // The line names the workers a map runs, capped at the cores.
+        let cores = luke_common::par::cores();
+        let line = engine.summary_line();
+        assert!(
+            line.ends_with(&format!(" {} worker(s)", cores.min(2))),
+            "{line}"
+        );
+        let line = Engine::new(cores + 6).summary_line();
+        assert!(line.ends_with(&format!(" {cores} worker(s)")), "{line}");
     }
 }

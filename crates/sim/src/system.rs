@@ -30,7 +30,7 @@ const BUFFERS: usize = 16;
 /// only for traces of several chunks, else spawning and buffer hand-offs
 /// cost more than generation (docs/MODEL.md, "Trace pipeline").
 pub(crate) fn pipelines(function: &SyntheticFunction) -> bool {
-    par::map_workers() < par::cores() && function.layout().walk_instr_estimate() >= 4 * CHUNK as u64
+    par::spare_core() && function.layout().walk_instr_estimate() >= 4 * CHUNK as u64
 }
 
 /// Runs invocation `invocation` of `function` on `core`: the one path

@@ -6,11 +6,13 @@
 //! injection, and for every routing policy.
 
 use luke_obs::export::{to_csv, to_json};
+use luke_obs::span::{dispatch_of, SpanKind};
 use luke_obs::Export;
+use lukewarm::common::par;
 use lukewarm::fleet::run::WINDOW;
 use lukewarm::fleet::{
     run_fleet, run_fleet_pair, AdmissionConfig, CalendarQueue, ChaosConfig, ColdStartModel,
-    FleetConfig, FleetEventKind, HedgeConfig, PrewarmConfig, RetryBudget, RoutingPolicy,
+    FleetConfig, FleetEventKind, FleetRun, HedgeConfig, PrewarmConfig, RetryBudget, RoutingPolicy,
     ServiceModel, SurgeConfig,
 };
 use lukewarm::server::FaultRates;
@@ -35,7 +37,7 @@ fn model() -> ServiceModel {
 }
 
 /// Asserts every observable surface of two runs is identical.
-fn assert_bit_identical(a: &lukewarm::fleet::FleetRun, b: &lukewarm::fleet::FleetRun) {
+fn assert_bit_identical(a: &FleetRun, b: &FleetRun) {
     assert_eq!(a.snapshot.to_json(), b.snapshot.to_json(), "snapshot");
     assert_eq!(a.latency_us, b.latency_us, "latency histogram");
     assert_eq!(a.per_host, b.per_host, "per-host summaries");
@@ -295,6 +297,89 @@ fn ragged_and_oversubscribed_shards_stay_neutral_under_chaos() {
         .expect("sharded run");
         assert_bit_identical(&one, &run);
     }
+}
+
+/// `run_fleet` inside a map whose workers fill the cores: no core is
+/// spare, so a single worker routes and processes in turn on its own
+/// thread. Only one item runs the fleet; the map's other workers still
+/// count as busy beside it.
+fn run_without_spare_core(config: &FleetConfig, m: &ServiceModel) -> FleetRun {
+    let cores = par::cores();
+    let items: Vec<usize> = (0..cores).collect();
+    let mut runs = par::map(cores, &items, |&item| {
+        assert!(!par::spare_core(), "the map fills the cores");
+        (item == 0).then(|| run_fleet(config, m, false).expect("inline run"))
+    });
+    runs.swap_remove(0).expect("item 0 ran the fleet")
+}
+
+/// Served copies plus shed arrivals account for every arrival and every
+/// hedge copy, on the hosts as in the totals.
+fn assert_conserved(run: &FleetRun, arrivals: usize) {
+    let served: u64 = run.per_host.iter().map(|h| h.invocations).sum();
+    assert_eq!(served, run.invocations, "per-host sum");
+    assert_eq!(run.invocations + run.shed, arrivals as u64 + run.hedges);
+}
+
+/// Whether some hedged dispatch has its two copies in different routed
+/// windows of one worker, i.e. its primary is the last copy of a window.
+/// Reads the hedged dispatches off the route spans, so `run` must have
+/// traced every dispatch.
+fn hedge_straddles_a_window(run: &FleetRun) -> bool {
+    let mut hedged: Vec<usize> = run
+        .spans
+        .iter()
+        .filter(|span| span.kind == SpanKind::Hedge)
+        .map(|span| dispatch_of(span.trace) as usize)
+        .collect();
+    hedged.sort_unstable();
+    // Each earlier dispatch routed one copy and each earlier hedge one
+    // more, so the duplicate's copy index is `dispatch + earlier + 1`.
+    hedged
+        .iter()
+        .enumerate()
+        .any(|(earlier, &dispatch)| (dispatch + earlier + 1) % WINDOW == 0)
+}
+
+#[test]
+fn one_worker_routes_the_same_with_and_without_a_spare_core() {
+    // At one worker the router runs one window ahead on a helper thread
+    // when a core is spare, and inline on the calling thread when none
+    // is. Streams ending on and one past the window boundaries, on one
+    // host and on seven, must export the same bytes either way.
+    let m = model();
+    for invocations in [WINDOW, WINDOW + 1, 2 * WINDOW + 1] {
+        for hosts in [1, 7] {
+            let config = FleetConfig {
+                hosts,
+                invocations,
+                ..sweep_config()
+            };
+            let spare = run_fleet(&config, &m, false).expect("1-worker run");
+            let inline = run_without_spare_core(&config, &m);
+            assert_conserved(&spare, invocations);
+            assert_conserved(&inline, invocations);
+            assert_bit_identical(&spare, &inline);
+        }
+    }
+    // Chaos with hedging, on the first seed whose stream splits a hedged
+    // pair's two copies across a window boundary.
+    let (chaos, spare) = (0..64)
+        .map(|seed| {
+            let config = FleetConfig {
+                seed,
+                trace_sample: 1,
+                ..resilient_config()
+            };
+            let run = run_fleet(&config, &m, false).expect("1-worker chaos run");
+            (config, run)
+        })
+        .find(|(_, run)| hedge_straddles_a_window(run))
+        .expect("some seed splits a hedged pair across two windows");
+    let inline = run_without_spare_core(&chaos, &m);
+    assert_conserved(&spare, chaos.invocations);
+    assert_conserved(&inline, chaos.invocations);
+    assert_bit_identical(&spare, &inline);
 }
 
 #[test]
