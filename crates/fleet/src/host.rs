@@ -1350,7 +1350,7 @@ mod tests {
         for function in 0..host.live.len() {
             if let Some(id) = host.live_id(function) {
                 assert!(
-                    host.pool.instance(id).is_some(),
+                    host.pool.last_invoked_ms(id).is_some(),
                     "function {function} maps to dead instance {id}"
                 );
             }
@@ -1384,6 +1384,61 @@ mod tests {
         assert!(
             reap_sum < lazy_sum,
             "reap {reap_sum} should beat lazy {lazy_sum}"
+        );
+    }
+
+    #[test]
+    fn restore_model_and_jukebox_never_move_the_cold_warm_split() {
+        // Expiry keys on arrival time, never on service or restore time,
+        // so hosts that price starts differently still agree on which
+        // arrivals start cold — what lets one stream drive several
+        // hosts in lockstep.
+        use server::{IatDistribution, TrafficGenerator};
+        let (config, model) = setup();
+        let config = FleetConfig {
+            keep_alive_ms: 5_000.0,
+            ..config
+        };
+        let distributions: Vec<IatDistribution> = (0..config.population)
+            .map(|f| IatDistribution::Exponential {
+                mean_ms: 500.0 * 1.5f64.powi(f as i32),
+            })
+            .collect();
+        let mut hosts: Vec<(FleetConfig, bool, FleetHost)> = [
+            ColdStartModel::Instant,
+            ColdStartModel::LazyPaging,
+            ColdStartModel::ReapPrefetch,
+        ]
+        .into_iter()
+        .flat_map(|cold_start_model| {
+            let config = FleetConfig {
+                cold_start_model,
+                ..config.clone()
+            };
+            [false, true].map(|jukebox| (config.clone(), jukebox, FleetHost::new(&config, 0)))
+        })
+        .collect();
+        let events = TrafficGenerator::new(&distributions, 7).take_events(2_000);
+        let mut cold = 0;
+        for event in &events {
+            let routed = RoutedInvocation::new(event.at_ms, event.instance);
+            let flags: Vec<bool> = hosts
+                .iter_mut()
+                .map(|(config, jukebox, host)| {
+                    let before = host.cold_starts;
+                    host.process(config, &model, *jukebox, routed);
+                    host.cold_starts > before
+                })
+                .collect();
+            assert!(
+                flags.iter().all(|&flag| flag == flags[0]),
+                "cold/warm split diverged at {routed:?}: {flags:?}"
+            );
+            cold += usize::from(flags[0]);
+        }
+        assert!(
+            cold > 50 && cold < events.len() - 50,
+            "the stream must mix cold and warm starts: {cold} cold"
         );
     }
 

@@ -38,5 +38,5 @@ pub use fault::{
 };
 pub use iat::IatDistribution;
 pub use interleave::InterleaveModel;
-pub use pool::{InstancePool, WarmInstance};
+pub use pool::InstancePool;
 pub use traffic::{InvocationEvent, TrafficGenerator};

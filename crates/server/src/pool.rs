@@ -3,42 +3,21 @@
 //! Providers keep idle function instances alive for 5–60 minutes (§2.1)
 //! in anticipation of further invocations; with hundreds of gigabytes of
 //! host memory, a thousand or more warm instances may be resident (§2.2).
-//! The pool tracks per-instance idle times and applies the keep-alive
-//! policy either on a sweep ([`InstancePool::sweep`]) or one instance at
-//! a time when an event-driven caller already knows which deadline fired
-//! ([`InstancePool::expire_with_deadline`]).
+//! The pool tracks per-instance idle times; the keep-alive policy is
+//! applied one instance at a time by an event-driven caller that already
+//! knows which deadline fired ([`InstancePool::expire_with_deadline`]).
 //!
 //! # Layout: struct of arrays
 //!
 //! Instance state lives in parallel columns (`ids`, `functions`,
-//! `last_invoked_ms`, `spawned_ms`, `invocations`) kept sorted by id.
-//! Ids are handed out monotonically, so a spawn is an ordered push, a
-//! lookup is a binary search, and the keep-alive sweep is a linear
-//! pass over two dense `f64` columns. Sorted-by-id iteration also
-//! preserves the old `BTreeMap` semantics exactly: sweeps expire in
-//! ascending id order and equally idle instances tie-break to the
-//! highest id, so the pool stays bit-reproducible run to run.
+//! `last_invoked_ms`, `spawned_ms`, `weights`) kept sorted by id. Ids
+//! are handed out monotonically, so a spawn is an ordered push and a
+//! lookup is a binary search; residency accounting is a linear pass
+//! over dense `f64` columns in ascending id order, so the pool stays
+//! bit-reproducible run to run.
 
 use luke_common::SimError;
 use luke_snapshot::SnapshotStore;
-
-/// One warm (memory-resident) function instance, materialized from the
-/// pool's columns on lookup.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WarmInstance {
-    /// Unique instance id (process id on the host).
-    pub id: u64,
-    /// Index of the function this instance runs (into the host's function
-    /// table).
-    pub function: usize,
-    /// Wall-clock time of the most recent invocation, in milliseconds.
-    pub last_invoked_ms: f64,
-    /// Wall-clock time this instance was spawned, in milliseconds — the
-    /// start of its memory residency.
-    pub spawned_ms: f64,
-    /// Number of invocations served.
-    pub invocations: u64,
-}
 
 /// The pool of warm instances (see module docs).
 #[derive(Clone, Debug)]
@@ -52,8 +31,6 @@ pub struct InstancePool {
     last_invoked_ms: Vec<f64>,
     /// Spawn (residency-start) time per instance, parallel to `ids`.
     spawned_ms: Vec<f64>,
-    /// Invocations served per instance, parallel to `ids`.
-    invocations: Vec<u64>,
     /// Memory-accounting weight per instance, parallel to `ids`: the
     /// fraction of the instance's footprint the host actually
     /// materialized. 1.0 unless a tenancy layer dedupes shared pages
@@ -103,7 +80,6 @@ impl InstancePool {
             functions: Vec::new(),
             last_invoked_ms: Vec::new(),
             spawned_ms: Vec::new(),
-            invocations: Vec::new(),
             weights: Vec::new(),
             next_id: 1,
             cold_starts: 0,
@@ -116,7 +92,7 @@ impl InstancePool {
 
     /// Attaches a snapshot store so cold starts are priced by its
     /// [`luke_snapshot::ColdStartModel`] via
-    /// [`InstancePool::spawn_restored`]. Without one (or with
+    /// [`InstancePool::spawn_restored_shared`]. Without one (or with
     /// `ColdStartModel::Instant`), restores are free and the pool
     /// behaves bit-for-bit as before.
     pub fn with_snapshots(mut self, snapshots: SnapshotStore) -> Self {
@@ -146,7 +122,6 @@ impl InstancePool {
         self.functions.remove(slot);
         self.last_invoked_ms.remove(slot);
         self.spawned_ms.remove(slot);
-        self.invocations.remove(slot);
         self.weights.remove(slot);
     }
 
@@ -161,26 +136,14 @@ impl InstancePool {
         self.functions.push(function);
         self.last_invoked_ms.push(now_ms);
         self.spawned_ms.push(now_ms);
-        self.invocations.push(0);
         self.weights.push(1.0);
         id
     }
 
-    /// Like [`InstancePool::spawn`], but also prices the cold start's
-    /// memory bring-up through the attached snapshot store: returns the
-    /// new instance id and the restore latency in milliseconds (0 with
-    /// no store, or under `ColdStartModel::Instant`).
-    pub fn spawn_restored(&mut self, function: usize, now_ms: f64) -> (u64, f64) {
-        let restore_ms = self
-            .snapshots
-            .as_mut()
-            .map_or(0.0, |s| s.restore_ms(function));
-        (self.spawn(function, now_ms), restore_ms)
-    }
-
-    /// Like [`InstancePool::spawn_restored`], but forces the restore onto
-    /// the lazy-paging path — the admission ladder's memory-pressure rung
-    /// skips the prefetch burst on an already-pressured host.
+    /// Like [`InstancePool::spawn_restored_shared`] with nothing
+    /// resident, but forces the restore onto the lazy-paging path — the
+    /// admission ladder's memory-pressure rung skips the prefetch burst
+    /// on an already-pressured host.
     pub fn spawn_restored_degraded(&mut self, function: usize, now_ms: f64) -> (u64, f64) {
         let restore_ms = self
             .snapshots
@@ -189,12 +152,15 @@ impl InstancePool {
         (self.spawn(function, now_ms), restore_ms)
     }
 
-    /// Like [`InstancePool::spawn_restored`], but `resident_pages` of
-    /// the function's working set are already resident on the host —
+    /// Like [`InstancePool::spawn`], but also prices the cold start's
+    /// memory bring-up through the attached snapshot store: returns the
+    /// new instance id and the restore latency in milliseconds (0 with
+    /// no store, or under `ColdStartModel::Instant`). `resident_pages`
+    /// of the function's working set are already resident on the host —
     /// shared pages a co-resident same-language instance brought in
-    /// (the `luke-tenancy` dedup path). The restore skips them:
-    /// smaller REAP prefetch batch, fewer demand faults. With
-    /// `resident_pages = 0` this is exactly `spawn_restored`.
+    /// (the `luke-tenancy` dedup path). The restore skips them: smaller
+    /// REAP prefetch batch, fewer demand faults. `resident_pages = 0` is
+    /// a full restore.
     pub fn spawn_restored_shared(
         &mut self,
         function: usize,
@@ -209,7 +175,7 @@ impl InstancePool {
 
     /// Sets the memory-accounting weight of instance `id`: the fraction
     /// of its footprint the host materialized after shared-page dedup.
-    /// Every residency credit (retirement, sweep, live accounting)
+    /// Every residency credit (expiry, eviction, live accounting)
     /// multiplies by it. Instances spawn at weight 1.0. Returns `false`
     /// if the instance is unknown.
     pub fn set_weight(&mut self, id: u64, weight: f64) -> bool {
@@ -229,72 +195,16 @@ impl InstancePool {
         let slot = self.slot(id)?;
         let gap = (now_ms - self.last_invoked_ms[slot]).max(0.0);
         self.last_invoked_ms[slot] = now_ms;
-        self.invocations[slot] += 1;
         Some(gap)
     }
 
-    /// Builds the row view of one column slot.
-    fn materialize(&self, slot: usize) -> WarmInstance {
-        WarmInstance {
-            id: self.ids[slot],
-            function: self.functions[slot],
-            last_invoked_ms: self.last_invoked_ms[slot],
-            spawned_ms: self.spawned_ms[slot],
-            invocations: self.invocations[slot],
-        }
-    }
-
-    /// Applies the keep-alive policy at time `now_ms`: tears down
-    /// instances idle longer than the window in one order-preserving
-    /// pass over the id-sorted columns, so two identical runs leave
-    /// identical survivors. Returns how many expired. A retired instance
-    /// credits its residency through its expiry *deadline*
-    /// (`last_invoked + keep_alive`), not the sweep time — sweeps run
-    /// lazily on arrivals, and crediting the deadline makes memory
-    /// accounting independent of when the next arrival happened to land.
-    pub fn sweep(&mut self, now_ms: f64) -> usize {
-        let keep_alive = self.keep_alive_ms;
-        let mut retired_ms = 0.0;
-        let mut write = 0;
-        for read in 0..self.ids.len() {
-            if now_ms - self.last_invoked_ms[read] <= keep_alive {
-                if write != read {
-                    self.ids[write] = self.ids[read];
-                    self.functions[write] = self.functions[read];
-                    self.last_invoked_ms[write] = self.last_invoked_ms[read];
-                    self.spawned_ms[write] = self.spawned_ms[read];
-                    self.invocations[write] = self.invocations[read];
-                    self.weights[write] = self.weights[read];
-                }
-                write += 1;
-            } else {
-                retired_ms += (self.last_invoked_ms[read] + keep_alive - self.spawned_ms[read])
-                    * self.weights[read];
-            }
-        }
-        let expired = self.ids.len() - write;
-        self.truncate(write);
-        self.retired_memory_ms += retired_ms;
-        self.expirations += expired as u64;
-        expired
-    }
-
-    /// Shrinks every column to `len` survivors.
-    fn truncate(&mut self, len: usize) {
-        self.ids.truncate(len);
-        self.functions.truncate(len);
-        self.last_invoked_ms.truncate(len);
-        self.spawned_ms.truncate(len);
-        self.invocations.truncate(len);
-        self.weights.truncate(len);
-    }
-
-    /// Retires one instance through its keep-alive *deadline* — the
-    /// event-driven twin of [`InstancePool::sweep`]: an expiry event
-    /// fired for `id`, whose deadline (`last_invoked + hold`) the caller
-    /// already knows. Counts as an expiration and credits residency
-    /// through `deadline_ms`, exactly as the sweep would have. Returns
-    /// `false` if the instance is unknown.
+    /// Retires one instance through its keep-alive *deadline*: an expiry
+    /// event fired for `id`, whose deadline (`last_invoked + hold`) the
+    /// caller already knows. Counts as an expiration and credits
+    /// residency through `deadline_ms`, not through the (later) time the
+    /// caller noticed — so memory accounting is independent of when the
+    /// next arrival happened to land. Returns `false` if the instance is
+    /// unknown.
     pub fn expire_with_deadline(&mut self, id: u64, deadline_ms: f64) -> bool {
         match self.slot(id) {
             Some(slot) => {
@@ -313,19 +223,9 @@ impl InstancePool {
         self.ids.len()
     }
 
-    /// The resident instance ids, ascending.
-    pub fn live_ids(&self) -> &[u64] {
-        &self.ids
-    }
-
-    /// Instance lookup.
-    pub fn instance(&self, id: u64) -> Option<WarmInstance> {
-        self.slot(id).map(|slot| self.materialize(slot))
-    }
-
-    /// The most recent invocation time of instance `id` — the hot-path
-    /// read the event-driven expiry check needs, without materializing
-    /// the whole row.
+    /// The most recent invocation time of instance `id` (`None` once it
+    /// has expired or been evicted) — the read the event-driven expiry
+    /// check needs.
     pub fn last_invoked_ms(&self, id: u64) -> Option<f64> {
         self.slot(id).map(|slot| self.last_invoked_ms[slot])
     }
@@ -357,7 +257,11 @@ impl InstancePool {
             self.retired_memory_ms +=
                 (self.last_invoked_ms[slot] - self.spawned_ms[slot]) * self.weights[slot];
         }
-        self.truncate(0);
+        self.ids.clear();
+        self.functions.clear();
+        self.last_invoked_ms.clear();
+        self.spawned_ms.clear();
+        self.weights.clear();
         self.evictions += died as u64;
     }
 
@@ -385,8 +289,8 @@ impl InstancePool {
     /// simulated time `end_ms`: everything retired instances credited,
     /// plus each still-resident instance's stay from spawn through the
     /// earlier of `end_ms` and its expiry deadline under `holds`
-    /// (`None` = the global keep-alive). Read-only — the pool is not
-    /// swept — so exporters can price memory without disturbing the
+    /// (`None` = the global keep-alive). Read-only — nothing expires —
+    /// so exporters can price memory without disturbing the
     /// end-of-run warm population.
     ///
     /// This is the x-axis of the memory-seconds-vs-P99 frontier: what a
@@ -429,7 +333,7 @@ mod tests {
         let id = pool.spawn(0, 1000.0);
         assert_eq!(pool.invoke(id, 3500.0), Some(2500.0));
         assert_eq!(pool.invoke(id, 3600.0), Some(100.0));
-        assert_eq!(pool.instance(id).unwrap().invocations, 2);
+        assert_eq!(pool.last_invoked_ms(id), Some(3600.0));
     }
 
     #[test]
@@ -444,11 +348,13 @@ mod tests {
         let a = pool.spawn(0, 0.0);
         let b = pool.spawn(1, 0.0);
         pool.invoke(b, 9_000.0);
-        let expired = pool.sweep(15_000.0);
-        assert_eq!(expired, 1);
-        assert!(pool.instance(a).is_none());
-        assert!(pool.instance(b).is_some());
+        // a's deadline (0s + 10s) fired; b's (9s + 10s) has not.
+        assert!(pool.expire_with_deadline(a, 10_000.0));
+        assert_eq!(pool.last_invoked_ms(a), None);
+        assert_eq!(pool.last_invoked_ms(b), Some(9_000.0));
+        assert_eq!(pool.warm_count(), 1);
         assert_eq!(pool.expirations(), 1);
+        assert_eq!(pool.retired_memory_ms(), 10_000.0);
     }
 
     #[test]
@@ -469,7 +375,7 @@ mod tests {
             pool.spawn(f % 20, 0.0);
         }
         assert_eq!(pool.warm_count(), 1000);
-        assert_eq!(pool.sweep(1.0), 0);
+        assert_eq!(pool.residency_ms_through(1.0, None), 1000.0);
     }
 
     #[test]
@@ -496,80 +402,35 @@ mod tests {
         let b = pool.spawn(1, 0.0);
         assert!(pool.evict(a));
         assert!(!pool.evict(a), "double-evict must be a no-op");
-        assert!(pool.instance(a).is_none());
-        assert!(pool.instance(b).is_some());
+        assert_eq!(pool.last_invoked_ms(a), None);
+        assert_eq!(pool.last_invoked_ms(b), Some(0.0));
         assert_eq!(pool.evictions(), 1);
         assert_eq!(pool.expirations(), 0, "evictions are not expirations");
     }
 
-    /// Spawns a population, idles some of it out, and returns the
-    /// survivors after each sweep.
-    fn survivor_sequence() -> Vec<Vec<u64>> {
+    #[test]
+    fn expire_with_deadline_counts_and_credits_each_instance() {
         let mut pool = InstancePool::new(10_000.0);
-        // 64 instances, all idle past the window at t=20s.
-        for f in 0..64 {
-            pool.spawn(f % 8, (f % 3) as f64 * 100.0);
-        }
-        pool.sweep(20_000.0);
-        let mut survivors = vec![pool.live_ids().to_vec()];
-        // A second wave with staggered last-invocation times.
-        let ids: Vec<u64> = (0..32).map(|f| pool.spawn(f % 8, 20_000.0)).collect();
-        for (i, &id) in ids.iter().enumerate() {
-            pool.invoke(id, 20_000.0 + (i % 4) as f64 * 1_000.0);
-        }
-        pool.sweep(32_500.0);
-        survivors.push(pool.live_ids().to_vec());
-        survivors
-    }
-
-    #[test]
-    fn identical_sweeps_leave_identical_survivors() {
-        // Regression: with a `HashMap<u64, _, RandomState>` the sweep
-        // visited instances in a per-process random order, so the
-        // surviving state differed run to run. The id-sorted columns
-        // make it a pure function of the invocation history.
-        let first = survivor_sequence();
-        assert_eq!(first, survivor_sequence());
-        assert!(first[0].is_empty(), "the first wave idles out entirely");
-        // Only the second wave's instances last invoked at 23s survive.
-        assert_eq!(first[1].len(), 8);
-        assert!(first[1].windows(2).all(|w| w[0] < w[1]), "id order");
-    }
-
-    #[test]
-    fn expire_with_deadline_matches_the_sweep_exactly() {
-        // The event-driven path must leave the same counters, credit,
-        // and survivors as a lazy sweep that fires the same deadline.
-        let mut swept = InstancePool::new(10_000.0);
-        let mut evented = InstancePool::new(10_000.0);
-        let a1 = swept.spawn(0, 1_000.0);
-        let a2 = evented.spawn(0, 1_000.0);
-        swept.spawn(1, 2_000.0);
-        evented.spawn(1, 2_000.0);
-        swept.invoke(a1, 4_000.0);
-        evented.invoke(a2, 4_000.0);
-        // Sweep at t=50s expires only function 0's instance (deadline
-        // 14s); function 1's last touch was its spawn at 2s... also past
-        // due, so expire that one by event too.
-        let expired = swept.sweep(50_000.0);
-        assert_eq!(expired, 2);
-        assert!(evented.expire_with_deadline(a2, 4_000.0 + 10_000.0));
-        assert!(evented.expire_with_deadline(2, 2_000.0 + 10_000.0));
-        assert!(
-            !evented.expire_with_deadline(99, 0.0),
-            "unknown id is a no-op"
-        );
-        assert_eq!(evented.expirations(), swept.expirations());
-        assert_eq!(evented.retired_memory_ms(), swept.retired_memory_ms());
-        assert_eq!(evented.warm_count(), swept.warm_count());
+        let a = pool.spawn(0, 1_000.0);
+        let b = pool.spawn(1, 2_000.0);
+        pool.invoke(a, 4_000.0);
+        // Both deadlines fired: a's at 4s + 10s, b's at its 2s spawn + 10s.
+        assert!(pool.expire_with_deadline(a, 14_000.0));
+        assert!(pool.expire_with_deadline(b, 12_000.0));
+        assert!(!pool.expire_with_deadline(a, 14_000.0), "already expired");
+        assert!(!pool.expire_with_deadline(99, 0.0), "unknown id is a no-op");
+        assert_eq!(pool.expirations(), 2);
+        assert_eq!(pool.evictions(), 0, "expirations are not evictions");
+        assert_eq!(pool.retired_memory_ms(), 13_000.0 + 10_000.0);
+        assert_eq!(pool.warm_count(), 0);
     }
 
     #[test]
     fn spawn_restored_without_a_store_is_free() {
         let mut pool = InstancePool::new(60_000.0);
-        let (id, restore_ms) = pool.spawn_restored(3, 10.0);
+        let (id, restore_ms) = pool.spawn_restored_shared(3, 10.0, 0);
         assert_eq!(restore_ms, 0.0);
-        assert_eq!(pool.instance(id).unwrap().function, 3);
+        assert_eq!(pool.last_invoked_ms(id), Some(10.0));
         assert_eq!(pool.cold_starts(), 1);
         assert!(pool.snapshots().is_none());
     }
@@ -584,8 +445,8 @@ mod tests {
         )
         .unwrap();
         let mut pool = InstancePool::new(60_000.0).with_snapshots(store);
-        let (_, record_ms) = pool.spawn_restored(0, 0.0);
-        let (_, prefetch_ms) = pool.spawn_restored(0, 1.0);
+        let (_, record_ms) = pool.spawn_restored_shared(0, 0.0, 0);
+        let (_, prefetch_ms) = pool.spawn_restored_shared(0, 1.0, 0);
         assert!(
             prefetch_ms < record_ms,
             "REAP replay {prefetch_ms}ms vs record {record_ms}ms"
@@ -609,12 +470,13 @@ mod tests {
     }
 
     #[test]
-    fn retired_memory_credits_the_expiry_deadline_not_the_sweep_time() {
+    fn retired_memory_credits_the_expiry_deadline() {
         let mut pool = InstancePool::new(10_000.0);
         let id = pool.spawn(0, 1_000.0);
         pool.invoke(id, 4_000.0);
-        // Swept late, at t=50s: residency ran 1s → 14s (deadline), not 50s.
-        assert_eq!(pool.sweep(50_000.0), 1);
+        // Expired by an arrival at t=50s: residency ran 1s → 14s (the
+        // deadline), not through 50s.
+        assert!(pool.expire_with_deadline(id, 4_000.0 + 10_000.0));
         assert_eq!(pool.retired_memory_ms(), 13_000.0);
     }
 
@@ -638,7 +500,7 @@ mod tests {
         // through t=60s counts only to the deadline.
         assert_eq!(pool.residency_ms_through(5_000.0, None), 4_000.0);
         assert_eq!(pool.residency_ms_through(60_000.0, None), 10_000.0);
-        assert!(pool.instance(id).is_some(), "no sweep happened");
+        assert!(pool.last_invoked_ms(id).is_some(), "nothing expired");
         assert_eq!(pool.retired_memory_ms(), 0.0);
         // A tighter per-function hold shrinks the live credit.
         assert_eq!(
@@ -650,11 +512,14 @@ mod tests {
     #[test]
     fn memory_ms_is_exported_as_a_pool_counter() {
         let mut pool = InstancePool::new(10_000.0);
-        pool.spawn(0, 0.0);
-        pool.sweep(20_000.0);
+        let id = pool.spawn(0, 0.0);
+        assert!(pool.expire_with_deadline(id, 10_000.0));
         let mut registry = luke_obs::Registry::new();
         pool.fill_registry(&mut registry);
-        assert_eq!(registry.snapshot().counter("pool.memory_ms"), 10_000);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("pool.memory_ms"), 10_000);
+        assert_eq!(snapshot.counter("pool.expirations"), 1);
+        assert_eq!(snapshot.counter("pool.evictions"), 0);
     }
 
     #[test]
@@ -666,7 +531,7 @@ mod tests {
         // Live accounting scales by the weight...
         assert_eq!(pool.residency_ms_through(4_000.0, None), 1_000.0);
         // ...and so does the retirement credit (deadline 10s).
-        assert_eq!(pool.sweep(30_000.0), 1);
+        assert!(pool.expire_with_deadline(a, 10_000.0));
         assert_eq!(pool.retired_memory_ms(), 2_500.0);
         // Eviction of a weighted instance credits through the last
         // invocation, scaled.
@@ -684,22 +549,33 @@ mod tests {
         // produce bitwise-equal memory credits.
         let mut plain = InstancePool::new(8_000.0);
         let mut weighted = InstancePool::new(8_000.0);
+        let mut deadlines = Vec::new();
         for f in 0..16 {
             let at = (f % 5) as f64 * 700.0;
-            plain.spawn(f, at);
-            let id = weighted.spawn(f, at);
+            let id = plain.spawn(f, at);
+            assert_eq!(weighted.spawn(f, at), id);
             weighted.set_weight(id, 1.0);
+            deadlines.push((id, at + 8_000.0));
         }
         for round in 1..=4 {
             let now = round as f64 * 3_500.0;
-            assert_eq!(plain.sweep(now), weighted.sweep(now));
-            assert_eq!(plain.live_ids(), weighted.live_ids());
-            assert_eq!(plain.retired_memory_ms(), weighted.retired_memory_ms());
+            for &(id, deadline) in deadlines.iter().filter(|&&(_, d)| d < now) {
+                assert_eq!(
+                    plain.expire_with_deadline(id, deadline),
+                    weighted.expire_with_deadline(id, deadline)
+                );
+            }
+            assert_eq!(plain.warm_count(), weighted.warm_count());
             assert_eq!(
-                plain.residency_ms_through(now, None),
-                weighted.residency_ms_through(now, None)
+                plain.retired_memory_ms().to_bits(),
+                weighted.retired_memory_ms().to_bits()
+            );
+            assert_eq!(
+                plain.residency_ms_through(now, None).to_bits(),
+                weighted.residency_ms_through(now, None).to_bits()
             );
         }
+        assert_eq!(plain.warm_count(), 0, "every deadline passed by 14s");
     }
 
     #[test]
@@ -712,7 +588,7 @@ mod tests {
         )
         .unwrap();
         let mut pool = InstancePool::new(60_000.0).with_snapshots(store);
-        pool.spawn_restored(0, 0.0); // record pass
+        pool.spawn_restored_shared(0, 0.0, 0); // record pass
         let (_, full) = pool.spawn_restored_shared(0, 1.0, 0);
         let (_, discounted) = pool.spawn_restored_shared(0, 2.0, 50);
         assert!(discounted < full, "{discounted} vs {full}");

@@ -17,18 +17,24 @@
 //! restore to lazy paging, bump `snapshot.replay_aborts`, and re-record
 //! — never panic, never prefetch a bogus page.
 //!
-//! This is a pool-level simulation (no cycle-accurate timing); working
-//! sets are always paper-scale (`workloads::paper_suite`), so the REAP
-//! recovery fraction is meaningful at every `--scale`.
+//! Each cell drives two [`FleetHost`]s (Jukebox off and on) in lockstep
+//! over one arrival stream: the hosts decide which arrivals start cold
+//! and price the warm ones. Expiry keys on arrival time alone, so both
+//! hosts see the same cold/warm split. Cold arrivals are priced here,
+//! once per variant, against the experiment's own snapshot stores. No
+//! cycle-accurate timing runs; working sets are always paper-scale
+//! (`workloads::paper_suite`), so the REAP recovery fraction is
+//! meaningful at every `--scale`.
 
 use crate::engine::{Engine, Spec};
 use crate::experiments::keep_alive::population;
 use crate::runner::ExperimentParams;
 use luke_common::rng::DetRng;
-use luke_fleet::ServiceModel;
+use luke_common::SimError;
+use luke_fleet::{FleetConfig, FleetHost, RoutedInvocation, ServiceModel};
 use luke_obs::export::{pct, plain, Column, Dataset, Export, Fmt};
 use luke_snapshot::{ColdStartModel, SnapshotStore, SnapshotTimings};
-use server::{IatDistribution, InstancePool, TrafficGenerator};
+use server::{IatDistribution, TrafficGenerator};
 use std::fmt;
 
 /// Seed-space tag for the metadata-corruption draw stream.
@@ -91,10 +97,9 @@ pub struct Data {
     pub invocations: usize,
 }
 
-/// Registry entry: see [`crate::engine::registry`]. The pool-level
-/// simulation has no cycle-accurate runner cells, so the plan is empty,
-/// and the run maps one job per (window, corruption) cell over the
-/// engine's workers.
+/// Registry entry: see [`crate::engine::registry`]. The sweep has no
+/// cycle-accurate runner cells, so the plan is empty, and the run maps
+/// one job per (window, corruption) cell over the engine's workers.
 pub const EXPERIMENT: Spec<Data> = Spec {
     name: "cold-spectrum",
     aliases: &["cold_spectrum"],
@@ -113,7 +118,7 @@ pub const EXPERIMENT: Spec<Data> = Spec {
 ///
 /// Propagates `ServiceModel`/`SnapshotStore` construction errors (the
 /// paper suite and default timings always validate).
-pub fn run(engine: &Engine, params: &ExperimentParams) -> Result<Data, luke_common::SimError> {
+pub fn run(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError> {
     let functions = ((150.0 * params.scale) as usize).max(20);
     let invocations = ((30_000.0 * params.scale) as usize).max(2_000);
     let suite = workloads::paper_suite();
@@ -158,9 +163,17 @@ fn run_cell(
     distributions: &[IatDistribution],
     model: &ServiceModel,
     timings: SnapshotTimings,
-) -> Result<Row, luke_common::SimError> {
-    let mut pool = InstancePool::try_new(minutes * 60_000.0)?;
-    let mut traffic = TrafficGenerator::new(distributions, 7);
+) -> Result<Row, SimError> {
+    let config = FleetConfig {
+        hosts: 1,
+        population: functions,
+        invocations,
+        keep_alive_ms: minutes * 60_000.0,
+        ..FleetConfig::default()
+    };
+    config.validate()?;
+    let mut plain_host = FleetHost::new(&config, 0);
+    let mut jukebox_host = FleetHost::new(&config, 0);
     let mut lazy_store = SnapshotStore::for_profiles(
         ColdStartModel::LazyPaging,
         timings,
@@ -176,9 +189,6 @@ fn run_cell(
         .split((minutes * 1000.0) as u64)
         .split((corruption_rate * 1000.0) as u64);
 
-    let mut live: Vec<Option<u64>> = vec![None; functions];
-    let mut fn_invocations: Vec<u64> = vec![0; functions];
-    let mut cold_starts = 0usize;
     // Latency sums per variant: cold-boot, lazy, reap, reap+jukebox.
     let mut sums = [0.0f64; 4];
     let mut lazy_restore_sum = 0.0;
@@ -187,66 +197,43 @@ fn run_cell(
     let mut replay_sum = 0.0;
     let mut replays = 0usize;
 
-    for (processed, event) in traffic.take_events(invocations).into_iter().enumerate() {
-        let at = event.at_ms;
+    for event in TrafficGenerator::new(distributions, 7).take_events(invocations) {
         let function = event.instance;
-        let profile = function % model.functions();
-        pool.sweep(at);
-        if let Some(id) = live[function] {
-            if pool.instance(id).is_none() {
-                live[function] = None;
-            }
+        let routed = RoutedInvocation::new(event.at_ms, function);
+        let cold_starts = plain_host.cold_starts;
+        let plain = plain_host.process(&config, model, false, routed);
+        let jukebox = jukebox_host.process(&config, model, true, routed);
+        if plain_host.cold_starts == cold_starts {
+            sums[0] += plain;
+            sums[1] += plain;
+            sums[2] += plain;
+            sums[3] += jukebox;
+            continue;
         }
-        match live[function] {
-            Some(id) => {
-                let gap_ms = pool.invoke(id, at).expect("live instance");
-                let elapsed_sec = at / 1000.0;
-                let other_per_sec = if elapsed_sec > 0.0 {
-                    let host_rate = processed as f64 / elapsed_sec;
-                    let own_rate = fn_invocations[function] as f64 / elapsed_sec;
-                    (host_rate - own_rate).max(0.0)
-                } else {
-                    0.0
-                };
-                let degree = model.degree(other_per_sec, gap_ms);
-                let plain = model.service_ms(profile, degree, false);
-                let jukebox = model.service_ms(profile, degree, true);
-                sums[0] += plain;
-                sums[1] += plain;
-                sums[2] += plain;
-                sums[3] += jukebox;
-            }
-            None => {
-                let id = pool.spawn(function, at);
-                pool.invoke(id, at);
-                live[function] = Some(id);
-                cold_starts += 1;
-                let service = model.service_ms(profile, 1.0, false);
-                let lazy_ms = lazy_store.restore_ms(function);
-                // A crash mid-write or a bit-flip on the snapshot medium
-                // corrupts the record this restore would replay.
-                if corruption_rate > 0.0 && corrupt_rng.chance(corruption_rate) {
-                    reap_store.tamper(function);
-                }
-                let recorded_before = reap_store.stats().pages_recorded;
-                let reap_ms = reap_store.restore_ms(function);
-                if reap_store.stats().pages_recorded == recorded_before {
-                    // No fresh record means this restore replayed one.
-                    replay_sum += reap_ms;
-                    replays += 1;
-                }
-                lazy_restore_sum += lazy_ms;
-                reap_restore_sum += reap_ms;
-                sums[0] += service + COLD_BOOT_MS;
-                sums[1] += service + lazy_ms;
-                sums[2] += service + reap_ms;
-                sums[3] += service + reap_ms;
-            }
+        let service = model.service_ms(function % model.functions(), 1.0, false);
+        let lazy_ms = lazy_store.restore_ms(function);
+        // A crash mid-write or a bit-flip on the snapshot medium
+        // corrupts the record this restore would replay.
+        if corruption_rate > 0.0 && corrupt_rng.chance(corruption_rate) {
+            reap_store.tamper(function);
         }
-        fn_invocations[function] += 1;
+        let recorded_before = reap_store.stats().pages_recorded;
+        let reap_ms = reap_store.restore_ms(function);
+        if reap_store.stats().pages_recorded == recorded_before {
+            // No fresh record means this restore replayed one.
+            replay_sum += reap_ms;
+            replays += 1;
+        }
+        lazy_restore_sum += lazy_ms;
+        reap_restore_sum += reap_ms;
+        sums[0] += service + COLD_BOOT_MS;
+        sums[1] += service + lazy_ms;
+        sums[2] += service + reap_ms;
+        sums[3] += service + reap_ms;
     }
 
     let n = invocations as f64;
+    let cold_starts = plain_host.cold_starts;
     let cold = cold_starts.max(1) as f64;
     let lazy_restore_ms = lazy_restore_sum / cold;
     let reap_restore_ms = reap_restore_sum / cold;
@@ -394,11 +381,13 @@ mod tests {
 
     #[test]
     fn restore_strategies_order_as_designed() {
-        // Per cell: REAP ≤ lazy on both the restore cost and the
-        // end-to-end mean, and Jukebox only improves on REAP.
+        // Per cell: lazy paging beats a full boot, REAP ≤ lazy on both
+        // the restore cost and the end-to-end mean, and Jukebox only
+        // improves on REAP.
         let d = data();
         for r in &d.rows {
             assert!(r.cold_rate > 0.0, "cells must see cold traffic");
+            assert!(r.lazy_latency_ms < r.cold_boot_latency_ms, "{r:?}");
             assert!(r.reap_restore_ms <= r.lazy_restore_ms + 1e-9, "{r:?}");
             assert!(r.reap_latency_ms <= r.lazy_latency_ms + 1e-9, "{r:?}");
             assert!(

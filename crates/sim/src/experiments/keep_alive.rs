@@ -10,14 +10,18 @@
 //! reporting the warm-hit rate and the memory cost of the warm pool —
 //! the supply side of the lukewarm phenomenon.
 //!
-//! This is a pool-level simulation (no cycle-accurate timing), so it runs
-//! a large population cheaply.
+//! Each window drives one [`FleetHost`] (the fleet's host lifecycle:
+//! keep-alive expiry, cold spawn, warm invoke) over the same arrival
+//! stream. No cycle-accurate timing runs, so it covers a large
+//! population cheaply.
 
 use crate::engine::{Engine, Spec};
 use crate::runner::ExperimentParams;
 use luke_common::rng::DetRng;
+use luke_common::SimError;
+use luke_fleet::{FleetConfig, FleetHost, RoutedInvocation, ServiceModel};
 use luke_obs::export::{fixed, pct, Column, Dataset, Export};
-use server::{IatDistribution, InstancePool, TrafficGenerator};
+use server::{IatDistribution, TrafficGenerator};
 use std::fmt;
 
 /// Results for one keep-alive window.
@@ -75,9 +79,9 @@ pub(crate) fn population(
         .collect()
 }
 
-/// Registry entry: see [`crate::engine::registry`]. The pool-level
-/// simulation has no cycle-accurate runner cells, so the plan is empty
-/// and the run ignores the engine.
+/// Registry entry: see [`crate::engine::registry`]. The sweep has no
+/// cycle-accurate runner cells, so the plan is empty, and the run maps
+/// one job per keep-alive window over the engine's workers.
 pub const EXPERIMENT: Spec<Data> = Spec {
     name: "keep-alive",
     aliases: &[],
@@ -87,68 +91,67 @@ pub const EXPERIMENT: Spec<Data> = Spec {
     run,
 };
 
-/// Runs the sweep. `params.scale` scales the population size; the default
-/// population is 400 functions, 40_000 invocations per window. Invalid
-/// windows surface as `InvalidConfig` (exit 3), not a panic.
-pub fn run(_engine: &Engine, params: &ExperimentParams) -> Result<Data, luke_common::SimError> {
+/// Runs the sweep with each window as one [`Engine::map`] job.
+/// `params.scale` scales the population size; the default population is
+/// 400 functions, 40_000 invocations per window. Invalid windows surface
+/// as `InvalidConfig` (exit 3), not a panic.
+pub fn run(engine: &Engine, params: &ExperimentParams) -> Result<Data, SimError> {
     let functions = ((400.0 * params.scale) as usize).max(20);
     let invocations = ((40_000.0 * params.scale) as usize).max(2_000);
     let distributions = population(functions, 0xAC11, 7.0 * 24.0 * 3600.0 * 1000.0);
-
-    let rows = KEEP_ALIVE_MINUTES
-        .iter()
-        .map(|&minutes| {
-            let keep_alive_ms = minutes * 60_000.0;
-            let mut pool = InstancePool::try_new(keep_alive_ms)?;
-            let mut traffic = TrafficGenerator::new(&distributions, 7);
-            // function index -> live instance id
-            let mut live: Vec<Option<u64>> = vec![None; functions];
-            let mut warm_hits = 0usize;
-            let mut subsecond = 0usize;
-            let mut warm_sum = 0u64;
-
-            for event in traffic.take_events(invocations) {
-                pool.sweep(event.at_ms);
-                let function = event.instance;
-                // An instance expired by the sweep no longer exists.
-                if let Some(id) = live[function] {
-                    if pool.instance(id).is_none() {
-                        live[function] = None;
-                    }
-                }
-                match live[function] {
-                    Some(id) => {
-                        let gap = pool.invoke(id, event.at_ms).expect("live instance");
-                        warm_hits += 1;
-                        if gap < 1_000.0 {
-                            subsecond += 1;
-                        }
-                    }
-                    None => {
-                        // Cold start: boot a fresh instance.
-                        let id = pool.spawn(function, event.at_ms);
-                        pool.invoke(id, event.at_ms);
-                        live[function] = Some(id);
-                    }
-                }
-                warm_sum += pool.warm_count() as u64;
-            }
-
-            let mean_warm = warm_sum as f64 / invocations as f64;
-            Ok(Row {
-                keep_alive_min: minutes,
-                warm_hit_rate: warm_hits as f64 / invocations as f64,
-                mean_warm_instances: mean_warm,
-                warm_function_fraction: mean_warm / functions as f64,
-                subsecond_gap_rate: subsecond as f64 / invocations as f64,
-            })
+    let model = ServiceModel::analytic(&workloads::paper_suite())?;
+    let rows = engine
+        .map(&KEEP_ALIVE_MINUTES, |&minutes| {
+            run_window(minutes, functions, invocations, &distributions, &model)
         })
-        .collect::<Result<Vec<Row>, luke_common::SimError>>()?;
-
+        .into_iter()
+        .collect::<Result<_, _>>()?;
     Ok(Data {
         rows,
         functions,
         invocations,
+    })
+}
+
+/// Simulates one keep-alive window: one host over the whole stream.
+fn run_window(
+    minutes: f64,
+    functions: usize,
+    invocations: usize,
+    distributions: &[IatDistribution],
+    model: &ServiceModel,
+) -> Result<Row, SimError> {
+    let config = FleetConfig {
+        hosts: 1,
+        population: functions,
+        invocations,
+        keep_alive_ms: minutes * 60_000.0,
+        ..FleetConfig::default()
+    };
+    config.validate()?;
+    let mut host = FleetHost::new(&config, 0);
+    // Each function's previous arrival: a warm arrival's idle gap.
+    let mut last_at = vec![0.0; functions];
+    let mut subsecond = 0usize;
+    let mut warm_sum = 0u64;
+    for event in TrafficGenerator::new(distributions, 7).take_events(invocations) {
+        let (at, function) = (event.at_ms, event.instance);
+        let cold_starts = host.cold_starts;
+        host.process(&config, model, false, RoutedInvocation::new(at, function));
+        if host.cold_starts == cold_starts && at - last_at[function] < 1_000.0 {
+            subsecond += 1;
+        }
+        last_at[function] = at;
+        warm_sum += host.warm_instances() as u64;
+    }
+
+    let mean_warm = warm_sum as f64 / invocations as f64;
+    Ok(Row {
+        keep_alive_min: minutes,
+        warm_hit_rate: host.hits() as f64 / invocations as f64,
+        mean_warm_instances: mean_warm,
+        warm_function_fraction: mean_warm / functions as f64,
+        subsecond_gap_rate: subsecond as f64 / invocations as f64,
     })
 }
 
