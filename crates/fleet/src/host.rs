@@ -27,7 +27,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::chaos::{HostSchedule, HostState};
 use crate::config::FleetConfig;
-use crate::event::{CalendarQueue, FleetEventKind};
+use crate::event::{CalendarQueue, FleetEvent, FleetEventKind};
 use crate::tenant::HostTenancy;
 use crate::timing::ServiceModel;
 use crate::traffic::Population;
@@ -166,14 +166,9 @@ struct Invocation<'s, 'r> {
 pub struct FleetHost {
     /// This host's index in the fleet (also its shard-merge position).
     pub host_id: usize,
+    /// The warm pool, keyed by function: at most one live instance each.
     pool: InstancePool,
     faults: FaultPlan,
-    /// Live instance id per logical function, stored as `id + 1` with
-    /// `0` meaning none. The all-zero empty encoding lets the table
-    /// come from a lazily-faulted zero mapping: a host only ever
-    /// touches the slots of functions routed to it, so a 2,048-host
-    /// fleet doesn't memset O(hosts × population) at construction.
-    live: Vec<u64>,
     /// Invocations of each logical function seen by this host — the
     /// "own rate" term of the interleaving estimate.
     fn_invocations: Vec<u64>,
@@ -238,8 +233,11 @@ pub struct FleetHost {
     /// deadlines are strictly positive). A popped entry whose time no
     /// longer matches was superseded by a re-key and is dropped; a
     /// matching entry re-checks the true idle predicate before acting,
-    /// so at most one expiry entry per function does work. Zero-encoded
-    /// for the same lazily-faulted construction as `live`.
+    /// so at most one expiry entry per function does work. The all-zero
+    /// empty encoding lets the table come from a lazily-faulted zero
+    /// mapping: a host only ever touches the slots of functions routed
+    /// to it, so a 2,048-host fleet doesn't memset O(hosts × population)
+    /// at construction.
     expiry_queued: Vec<f64>,
     /// Cross-function page sharing and contention state (present only
     /// when some tenancy knob is on; `None` takes the exact pre-tenancy
@@ -353,7 +351,6 @@ impl FleetHost {
             host_id,
             pool,
             faults,
-            live: vec![0; config.population],
             fn_invocations: vec![0; config.population],
             invocations: 0,
             cold_starts: 0,
@@ -395,7 +392,6 @@ impl FleetHost {
             && self.schedule.crash_start(self.next_crash) <= at
         {
             self.pool.evict_all();
-            self.live.fill(0);
             if let Some(prewarm) = self.prewarm.as_mut() {
                 prewarm.ready.fill(None);
             }
@@ -455,44 +451,30 @@ impl FleetHost {
             .map_or(0, |tenancy| tenancy.resident_pages(function))
     }
 
-    /// Registers a freshly-spawned instance's pages and weights its
-    /// pool memory accounting by the deduped fraction. No-op with
-    /// tenancy off (weight stays at the spawn default 1.0).
-    fn tenancy_register(&mut self, function: usize, id: u64) {
+    /// Registers `function`'s freshly-spawned instance's pages and
+    /// weights its pool memory accounting by the deduped fraction. No-op
+    /// with tenancy off (weight stays at the spawn default 1.0).
+    fn tenancy_register(&mut self, function: usize) {
         if let Some(tenancy) = self.tenancy.as_mut() {
             let weight = tenancy.register(function);
-            self.pool.set_weight(id, weight);
+            self.pool.set_weight(function, weight);
         }
     }
 
-    /// Tears down `function`'s live instance `id`: expired at
-    /// `expired_at` (residency credited through that deadline) or, with
-    /// `None`, forcibly evicted. The function is left with no live
-    /// instance, no pending pre-warm ready time and no page registration
-    /// (release is guarded against double-release inside).
-    fn drop_instance(&mut self, function: usize, id: u64, expired_at: Option<f64>) {
+    /// Tears down `function`'s live instance: expired at `expired_at`
+    /// (residency credited through that deadline) or, with `None`,
+    /// forcibly evicted. The function is left with no live instance, no
+    /// pending pre-warm ready time and no page registration (release is
+    /// guarded against double-release inside).
+    fn drop_instance(&mut self, function: usize, expired_at: Option<f64>) {
         match expired_at {
-            Some(deadline_ms) => self.pool.expire_with_deadline(id, deadline_ms),
-            None => self.pool.evict(id),
+            Some(deadline_ms) => self.pool.expire_with_deadline(function, deadline_ms),
+            None => self.pool.evict(function),
         };
-        self.set_live(function, None);
         self.take_prewarm_ready(function);
         if let Some(tenancy) = self.tenancy.as_mut() {
             tenancy.release(function);
         }
-    }
-
-    /// The live instance id of `function`, decoding the `id + 1` table
-    /// encoding.
-    #[inline]
-    fn live_id(&self, function: usize) -> Option<u64> {
-        self.live[function].checked_sub(1)
-    }
-
-    /// Sets (or clears, with `None`) `function`'s live instance id.
-    #[inline]
-    fn set_live(&mut self, function: usize, id: Option<u64>) {
-        self.live[function] = id.map_or(0, |id| id + 1);
     }
 
     /// The keep-alive hold in force for `function`: its adaptive hold
@@ -514,8 +496,7 @@ impl FleetHost {
         let queued = self.expiry_queued[function];
         if queued == 0.0 || queued > deadline_ms {
             self.expiry_queued[function] = deadline_ms;
-            self.timers
-                .push(deadline_ms, self.host_id as u32, kind, function as u32);
+            self.timers.push(deadline_ms, kind, function as u32);
         }
     }
 
@@ -525,10 +506,7 @@ impl FleetHost {
     /// a raised hold rides on the outstanding entry (which revalidates
     /// when it fires).
     fn resync_expiry(&mut self, function: usize) {
-        let Some(id) = self.live_id(function) else {
-            return;
-        };
-        let Some(last) = self.pool.last_invoked_ms(id) else {
+        let Some(last) = self.pool.last_invoked_ms(function) else {
             return;
         };
         let deadline = last + self.hold_for(function);
@@ -543,24 +521,16 @@ impl FleetHost {
     /// makes the pre-warm reachable at the heap head when both share an
     /// instant.)
     fn drain_timers(&mut self, at: f64) {
-        while let Some(next) = self.timers.peek() {
-            let due = next.time_ms < at
-                || (next.time_ms == at && next.kind == FleetEventKind::PrewarmTimer);
-            if !due {
-                break;
-            }
-            let event = self.timers.pop().expect("peeked event is still queued");
+        let due = |next: &FleetEvent| {
+            next.time_ms < at || (next.time_ms == at && next.kind == FleetEventKind::PrewarmTimer)
+        };
+        while let Some(event) = self.timers.pop_if(due) {
             let function = event.function as usize;
             match event.kind {
                 FleetEventKind::PrewarmTimer => self.fire_prewarm(function, event.time_ms, at),
                 FleetEventKind::KeepAliveExpiry | FleetEventKind::AdaptiveDecay => {
                     self.fire_expiry(function, event.time_ms, at);
                 }
-                // Arrivals, chaos boundaries and hedge joins never enter
-                // the per-host queue — they live in the run loop.
-                FleetEventKind::Arrival
-                | FleetEventKind::ChaosTransition
-                | FleetEventKind::HedgeJoin => {}
             }
         }
     }
@@ -589,14 +559,10 @@ impl FleetHost {
     /// deadline. Returns the deadline of an instance that survives, or
     /// `None` when the function is left with no live instance.
     fn expire_if_lapsed(&mut self, function: usize, at: f64) -> Option<f64> {
-        let id = self.live_id(function)?;
-        let Some(last) = self.pool.last_invoked_ms(id) else {
-            self.set_live(function, None);
-            return None;
-        };
+        let last = self.pool.last_invoked_ms(function)?;
         let hold = self.hold_for(function);
         if at - last > hold {
-            self.drop_instance(function, id, Some(last + hold));
+            self.drop_instance(function, Some(last + hold));
             return None;
         }
         Some(last + hold)
@@ -624,9 +590,8 @@ impl FleetHost {
             return;
         }
         let resident = self.tenancy_resident(function);
-        let (id, restore_ms) = self.pool.spawn_restored_shared(function, t_pre, resident);
-        self.tenancy_register(function, id);
-        self.set_live(function, Some(id));
+        let restore_ms = self.pool.spawn_restored_shared(function, t_pre, resident);
+        self.tenancy_register(function);
         let snapshots = self.pool.snapshots().is_some();
         if let Some(prewarm) = self.prewarm.as_mut() {
             // Without a snapshot store the pre-boot still takes the flat
@@ -797,9 +762,8 @@ impl FleetHost {
         // moving the key cancels any stale timer still in the queue.
         prewarm.pending[function] = scheduled;
         if let Some(t_pre) = scheduled {
-            let (host, function) = (self.host_id as u32, function as u32);
             self.timers
-                .push(t_pre, host, FleetEventKind::PrewarmTimer, function);
+                .push(t_pre, FleetEventKind::PrewarmTimer, function as u32);
         }
     }
 
@@ -843,29 +807,24 @@ impl FleetHost {
     /// on a pre-warmed instance, or a warm hit priced by its
     /// interleaving degree.
     fn start(&mut self, model: &ServiceModel, jukebox: bool, inv: &mut Invocation) {
-        let function = inv.routed.function;
+        let (at, function) = (inv.routed.at_ms, inv.routed.function);
         // A memory-pressure eviction during the idle gap takes the warm
         // instance away before the invocation lands. The fault plan only
         // draws (and counts) this on warm starts, so when we act on it
         // here — evicting from the pool and flipping to a cold start —
         // we take over the bookkeeping it would have done.
-        if let Some(id) = self.live_id(function) {
-            if self.faults.evicted_before(inv.seq) {
-                self.drop_instance(function, id, None);
-                self.fault_stats.evictions += 1;
-            }
+        if self.pool.is_warm(function) && self.faults.evicted_before(inv.seq) {
+            self.drop_instance(function, None);
+            self.fault_stats.evictions += 1;
         }
-        inv.starts_cold = self.live[function] == 0;
         // Taken on every path, so no ready time outlives this stage. (A
         // ready time only ever sits beside a live instance, so a cold
         // start finds none.)
         let prewarm_ready = self.take_prewarm_ready(function);
-        inv.service_ms = if inv.starts_cold {
-            self.start_cold(model, inv)
-        } else if let Some(ready_ms) = prewarm_ready {
-            self.start_prewarmed(model, jukebox, inv, ready_ms)
-        } else {
-            self.start_warm(model, jukebox, inv)
+        inv.service_ms = match (self.pool.invoke(function, at), prewarm_ready) {
+            (None, _) => self.start_cold(model, inv),
+            (Some(_), Some(ready_ms)) => self.start_prewarmed(model, jukebox, inv, ready_ms),
+            (Some(gap_ms), None) => self.start_warm(model, jukebox, inv, gap_ms),
         };
     }
 
@@ -877,7 +836,8 @@ impl FleetHost {
     /// full penalty, and Jukebox has no prior invocation to replay.
     fn start_cold(&mut self, model: &ServiceModel, inv: &mut Invocation) -> f64 {
         let (at, function) = (inv.routed.at_ms, inv.routed.function);
-        let (id, restore_ms) = if inv.degrade_restore && self.pool.snapshots().is_some() {
+        inv.starts_cold = true;
+        let restore_ms = if inv.degrade_restore && self.pool.snapshots().is_some() {
             // Memory-pressure rung: restore by lazy paging instead of a
             // prefetch burst the pressured host can't afford. Pays the
             // full page count — a pressured host can't count on
@@ -894,7 +854,7 @@ impl FleetHost {
             let resident = self.tenancy_resident(function);
             self.pool.spawn_restored_shared(function, at, resident)
         };
-        self.tenancy_register(function, id);
+        self.tenancy_register(function);
         if self.pool.snapshots().is_some() {
             inv.cold_start_ms = restore_ms;
         }
@@ -903,8 +863,6 @@ impl FleetHost {
             // model's actual pricing.
             prewarm.last_restore_ms[function] = inv.cold_start_ms;
         }
-        self.pool.invoke(id, at);
-        self.set_live(function, Some(id));
         self.cold_starts += 1;
         inv.class = StartClass::Cold;
         model.service_ms(inv.profile, 1.0, false)
@@ -923,27 +881,26 @@ impl FleetHost {
         inv: &mut Invocation,
         ready_ms: f64,
     ) -> f64 {
-        let (at, function) = (inv.routed.at_ms, inv.routed.function);
-        let id = self
-            .live_id(function)
-            .expect("prewarmed path has a live id");
-        self.pool.invoke(id, at).expect("live id is in the pool");
         self.lukewarm_hits += 1;
         if let Some(prewarm) = self.prewarm.as_mut() {
             prewarm.hits += 1;
         }
         inv.class = StartClass::Lukewarm;
         self.degree_sum += 1.0;
-        (ready_ms - at).max(0.0) + model.service_ms(inv.profile, 1.0, jukebox)
+        (ready_ms - inv.routed.at_ms).max(0.0) + model.service_ms(inv.profile, 1.0, jukebox)
     }
 
-    /// A warm hit: the gap since the instance's last invocation and the
-    /// host's cross-traffic rate give the interleaving degree, which
-    /// classifies the hit as warm or lukewarm and prices it.
-    fn start_warm(&mut self, model: &ServiceModel, jukebox: bool, inv: &mut Invocation) -> f64 {
+    /// A warm hit: the gap `gap_ms` since the instance's last invocation
+    /// and the host's cross-traffic rate give the interleaving degree,
+    /// which classifies the hit as warm or lukewarm and prices it.
+    fn start_warm(
+        &mut self,
+        model: &ServiceModel,
+        jukebox: bool,
+        inv: &mut Invocation,
+        gap_ms: f64,
+    ) -> f64 {
         let (at, function) = (inv.routed.at_ms, inv.routed.function);
-        let id = self.live_id(function).expect("warm path has a live id");
-        let gap_ms = self.pool.invoke(id, at).expect("live id is in the pool");
         let elapsed_sec = at / 1000.0;
         let other_per_sec = if elapsed_sec > 0.0 {
             let host_rate = self.invocations as f64 / elapsed_sec;
@@ -1055,22 +1012,20 @@ impl FleetHost {
         // Crashes tear the instance down. If the retry layer recovered,
         // its final attempt ran on a fresh spawn; reflect that in the
         // pool. If it gave up, the function has no live instance left.
-        if let Some(id) = self.live_id(function) {
+        if self.pool.is_warm(function) {
             if inv.crashed || !result.completed {
                 // `start` already took any pre-warm ready time, so the
                 // teardown's take is a no-op here.
-                self.drop_instance(function, id, None);
+                self.drop_instance(function, None);
             }
             if inv.crashed && result.completed {
-                let fresh = self.pool.spawn(function, at);
-                self.pool.invoke(fresh, at);
-                self.set_live(function, Some(fresh));
-                self.tenancy_register(function, fresh);
+                self.pool.spawn(function, at);
+                self.tenancy_register(function);
             }
         }
         // Whatever instance is live now was just invoked at `at`: re-key
         // its keep-alive deadline under the hold in force.
-        if self.live[function] != 0 {
+        if self.pool.is_warm(function) {
             let deadline_ms = at + self.hold_for(function);
             self.schedule_expiry(function, deadline_ms, FleetEventKind::KeepAliveExpiry);
         }
@@ -1346,14 +1301,20 @@ mod tests {
         }
         assert!(host.fault_stats.total_faults() > 0, "faults should strike");
         assert_eq!(host.fault_stats.completed + host.fault_stats.abandoned, 500);
-        // Every live entry must point at a real pool instance.
-        for function in 0..host.live.len() {
-            if let Some(id) = host.live_id(function) {
-                assert!(
-                    host.pool.last_invoked_ms(id).is_some(),
-                    "function {function} maps to dead instance {id}"
-                );
-            }
+        // The warm count covers exactly the warm functions, and each one
+        // keeps a queued expiry entry no later than its true deadline.
+        let warm: Vec<usize> = (0..config.population)
+            .filter(|&function| host.pool.is_warm(function))
+            .collect();
+        assert!(!warm.is_empty());
+        assert_eq!(warm.len(), host.warm_instances());
+        for function in warm {
+            let deadline = host.pool.last_invoked_ms(function).unwrap() + host.hold_for(function);
+            let queued = host.expiry_queued[function];
+            assert!(
+                queued > 0.0 && queued <= deadline,
+                "function {function}: expiry queued at {queued}, deadline {deadline}"
+            );
         }
     }
 

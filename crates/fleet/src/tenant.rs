@@ -37,8 +37,8 @@ pub struct HostTenancy {
     /// shared by every host.
     layouts: Arc<[FunctionLayout]>,
     /// Per logical function: whether its live instance's pages are
-    /// currently registered in the store. Mirrors the host's `live`
-    /// table so release exactly undoes register.
+    /// currently registered in the store. Mirrors which functions are
+    /// warm in the host's pool, so release exactly undoes register.
     registered: Vec<bool>,
     /// The host's content-addressed page store.
     store: SharedPageStore,

@@ -8,8 +8,9 @@ use crate::predictor::Predictor;
 static UNSEEN: Predictor = Predictor::new();
 
 /// A bank of per-function predictors plus the policy state derived from
-/// them: the current adaptive keep-alive per function and at most one
-/// pending pre-restore per function.
+/// them: the current adaptive keep-alive per function, and each
+/// arrival's pre-restore decision, returned to the caller that
+/// schedules it.
 ///
 /// One bank lives inside each simulated host, fed only by that host's
 /// arrival stream — shard-local state, so the fleet's parallel phase
@@ -31,7 +32,6 @@ pub struct PredictorBank {
     /// Predictors in first-arrival order.
     predictors: Vec<Predictor>,
     holds: Vec<f64>,
-    pending: Vec<Option<f64>>,
     prewarms_scheduled: u64,
     early_decays: u64,
 }
@@ -46,7 +46,6 @@ impl PredictorBank {
             slots: vec![0; functions],
             predictors: Vec::new(),
             holds: vec![cap_ms; functions],
-            pending: vec![None; functions],
             prewarms_scheduled: 0,
             early_decays: 0,
         }
@@ -66,11 +65,11 @@ impl PredictorBank {
     /// *after* the adaptive keep-alive expires — while the instance
     /// would still be resident, a pre-warm buys nothing.
     ///
-    /// Returns the newly scheduled pre-restore time, if any, so an
-    /// event-driven caller can push a timer instead of polling
-    /// [`PredictorBank::due_prewarms`]. Each observe *replaces* the
-    /// function's pending pre-restore (at most one outstanding), so a
-    /// `Some` return also invalidates any timer from a prior observe.
+    /// Returns the newly scheduled pre-restore time, if any. Each
+    /// observe *replaces* the function's pending pre-restore (at most
+    /// one outstanding), so the caller keeps the returned time as the
+    /// function's only pending pre-restore: a later observe invalidates
+    /// any timer scheduled from an earlier one.
     pub fn observe(&mut self, function: usize, now_ms: f64, restore_est_ms: f64) -> Option<f64> {
         let slot = match self.slots[function] {
             0 => {
@@ -88,19 +87,13 @@ impl PredictorBank {
             self.early_decays += 1;
         }
         self.holds[function] = hold;
-        self.pending[function] = match predictor.predicted_iat_ms(&self.config) {
-            Some(iat) => {
-                let t_pre = now_ms + iat - restore_est_ms.max(0.0);
-                if t_pre > now_ms + hold {
-                    self.prewarms_scheduled += 1;
-                    Some(t_pre)
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
-        self.pending[function]
+        let t_pre = now_ms + predictor.predicted_iat_ms(&self.config)? - restore_est_ms.max(0.0);
+        if t_pre > now_ms + hold {
+            self.prewarms_scheduled += 1;
+            Some(t_pre)
+        } else {
+            None
+        }
     }
 
     /// The current adaptive keep-alive per function id, for the pool's
@@ -108,24 +101,6 @@ impl PredictorBank {
     /// deviation for sit at the global cap.
     pub fn holds(&self) -> &[f64] {
         &self.holds
-    }
-
-    /// Drains every pre-restore whose scheduled time has arrived, in
-    /// function-id order (deterministic). Each entry is
-    /// `(function, scheduled_ms)`; the caller spawns the restored
-    /// instance as of `scheduled_ms`, which by construction lies
-    /// between the previous and the current arrival.
-    pub fn due_prewarms(&mut self, now_ms: f64) -> Vec<(usize, f64)> {
-        let mut due = Vec::new();
-        for (function, slot) in self.pending.iter_mut().enumerate() {
-            if let Some(t_pre) = *slot {
-                if t_pre <= now_ms {
-                    due.push((function, t_pre));
-                    *slot = None;
-                }
-            }
-        }
-        due
     }
 
     /// Read-only view of one function's predictor (an empty model
@@ -162,7 +137,6 @@ mod oracle {
         cap_ms: f64,
         predictors: Vec<Predictor>,
         pub holds: Vec<f64>,
-        pending: Vec<Option<f64>>,
         pub prewarms_scheduled: u64,
         pub early_decays: u64,
     }
@@ -174,7 +148,6 @@ mod oracle {
                 cap_ms,
                 predictors: vec![Predictor::new(); functions],
                 holds: vec![cap_ms; functions],
-                pending: vec![None; functions],
                 prewarms_scheduled: 0,
                 early_decays: 0,
             }
@@ -193,7 +166,7 @@ mod oracle {
                 self.early_decays += 1;
             }
             self.holds[function] = hold;
-            self.pending[function] = match predictor.predicted_iat_ms(&self.config) {
+            match predictor.predicted_iat_ms(&self.config) {
                 Some(iat) => {
                     let t_pre = now_ms + iat - restore_est_ms.max(0.0);
                     if t_pre > now_ms + hold {
@@ -204,21 +177,7 @@ mod oracle {
                     }
                 }
                 None => None,
-            };
-            self.pending[function]
-        }
-
-        pub fn due_prewarms(&mut self, now_ms: f64) -> Vec<(usize, f64)> {
-            let mut due = Vec::new();
-            for (function, slot) in self.pending.iter_mut().enumerate() {
-                if let Some(t_pre) = *slot {
-                    if t_pre <= now_ms {
-                        due.push((function, t_pre));
-                        *slot = None;
-                    }
-                }
             }
-            due
         }
 
         pub fn predictor(&self, function: usize) -> &Predictor {
@@ -241,23 +200,20 @@ mod tests {
     #[test]
     fn periodic_function_schedules_a_prewarm_after_its_hold() {
         let mut bank = PredictorBank::new(PrewarmConfig::default_enabled(), 1, 600_000.0);
-        for i in 0..8 {
-            bank.observe(0, i as f64 * 5_000.0, 100.0);
-        }
+        let scheduled: Vec<Option<f64>> = (0..8)
+            .map(|i| bank.observe(0, i as f64 * 5_000.0, 100.0))
+            .collect();
         // Period 5 s, hold floor 1 s: the predicted arrival lands after
-        // expiry, so a pre-restore is pending at 35_000 + 5_000 − 100.
+        // expiry, so the last arrival schedules a pre-restore at
+        // 35_000 + 5_000 − 100.
         assert!(bank.prewarms_scheduled() > 0);
-        assert!(bank.due_prewarms(39_000.0).is_empty());
-        let due = bank.due_prewarms(40_000.0);
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].0, 0);
-        assert!(
-            (due[0].1 - 39_900.0).abs() < 1.0,
-            "scheduled at {}",
-            due[0].1
+        assert_eq!(
+            bank.prewarms_scheduled(),
+            scheduled.iter().flatten().count() as u64,
+            "every scheduled pre-restore is returned"
         );
-        // Draining is idempotent.
-        assert!(bank.due_prewarms(40_000.0).is_empty());
+        let t_pre = scheduled[7].expect("the last arrival schedules a pre-restore");
+        assert!((t_pre - 39_900.0).abs() < 1.0, "scheduled at {t_pre}");
     }
 
     #[test]
@@ -321,14 +277,6 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// An arrival of `function` after `gap_ms`, or a due-prewarm
-        /// drain after `gap_ms`.
-        #[derive(Clone, Debug)]
-        enum Op {
-            Observe(usize, f64, f64),
-            Drain(f64),
-        }
-
         /// Gaps that mix a steady 5 s period (so the periodicity head
         /// fires and pre-warms get scheduled) with bursts and long idles.
         fn gap() -> impl Strategy<Value = f64> {
@@ -340,13 +288,10 @@ mod tests {
             })
         }
 
-        fn op(functions: usize) -> impl Strategy<Value = Op> {
-            (0u8..8, 0usize..functions, gap(), 0.0f64..400.0).prop_map(
-                move |(kind, function, gap, restore)| match kind {
-                    0 => Op::Drain(gap),
-                    _ => Op::Observe(function, gap, restore),
-                },
-            )
+        /// An arrival of `function` after `gap_ms`, with a restore
+        /// estimate.
+        fn arrival(functions: usize) -> impl Strategy<Value = (usize, f64, f64)> {
+            (0usize..functions, gap(), 0.0f64..400.0)
         }
 
         fn config(min_samples: u64) -> PrewarmConfig {
@@ -363,27 +308,19 @@ mod tests {
             fn lazy_bank_matches_the_dense_bank(
                 functions in 1usize..24,
                 min_samples in 1u64..20,
-                ops in prop::collection::vec(op(24), 1..300),
+                arrivals in prop::collection::vec(arrival(24), 1..300),
             ) {
                 let (config, cap_ms) = (config(min_samples), 600_000.0);
                 let mut lazy = PredictorBank::new(config, functions, cap_ms);
                 let mut dense = DenseBank::new(config, functions, cap_ms);
                 let mut now = 0.0;
-                for op in ops {
-                    match op {
-                        Op::Observe(function, gap, restore) => {
-                            now += gap;
-                            let function = function % functions;
-                            prop_assert_eq!(
-                                lazy.observe(function, now, restore),
-                                dense.observe(function, now, restore)
-                            );
-                        }
-                        Op::Drain(gap) => {
-                            now += gap;
-                            prop_assert_eq!(lazy.due_prewarms(now), dense.due_prewarms(now));
-                        }
-                    }
+                for (function, gap, restore) in arrivals {
+                    now += gap;
+                    let function = function % functions;
+                    prop_assert_eq!(
+                        lazy.observe(function, now, restore),
+                        dense.observe(function, now, restore)
+                    );
                     prop_assert_eq!(lazy.holds(), &dense.holds[..]);
                 }
                 prop_assert_eq!(lazy.prewarms_scheduled(), dense.prewarms_scheduled);
@@ -392,7 +329,6 @@ mod tests {
                 for function in 0..functions {
                     prop_assert_eq!(lazy.predictor(function), dense.predictor(function));
                 }
-                prop_assert_eq!(lazy.due_prewarms(f64::INFINITY), dense.due_prewarms(f64::INFINITY));
             }
         }
     }

@@ -7,38 +7,48 @@
 //! applied one instance at a time by an event-driven caller that already
 //! knows which deadline fired ([`InstancePool::expire_with_deadline`]).
 //!
-//! # Layout: struct of arrays
+//! # Layout: one record per function
 //!
-//! Instance state lives in parallel columns (`ids`, `functions`,
-//! `last_invoked_ms`, `spawned_ms`, `weights`) kept sorted by id. Ids
-//! are handed out monotonically, so a spawn is an ordered push and a
-//! lookup is a binary search; residency accounting is a linear pass
-//! over dense `f64` columns in ascending id order, so the pool stays
-//! bit-reproducible run to run.
+//! A host keeps at most one warm instance per function, so the pool is
+//! keyed by function: a dense table indexed by function id, grown to
+//! the highest function spawned, whose record is zeroed while the
+//! function has no warm instance. Every lookup is an index. Each
+//! instance carries its spawn sequence number, and the two passes that
+//! sum over every resident instance ([`InstancePool::evict_all`] and
+//! [`InstancePool::residency_ms_through`]) add their credits in spawn
+//! order, so the `f64` totals are bit-reproducible and independent of
+//! which functions the instances belong to.
 
 use luke_common::SimError;
 use luke_snapshot::SnapshotStore;
+
+/// One function's warm instance; all zeros while it has none.
+#[derive(Clone, Copy, Debug, Default)]
+struct Instance {
+    /// Spawn sequence number (the pool's `n`-th spawn is `n`, from 1);
+    /// 0 means no warm instance.
+    spawn_seq: u64,
+    /// Most recent invocation time.
+    last_invoked_ms: f64,
+    /// Spawn (residency-start) time.
+    spawned_ms: f64,
+    /// Memory-accounting weight: the fraction of the instance's
+    /// footprint the host actually materialized. 1.0 unless a tenancy
+    /// layer dedupes shared pages ([`InstancePool::set_weight`]);
+    /// residency credits multiply by it, and `× 1.0` is IEEE-exact so
+    /// weightless pools account bit-for-bit as before the weight existed.
+    weight: f64,
+}
 
 /// The pool of warm instances (see module docs).
 #[derive(Clone, Debug)]
 pub struct InstancePool {
     keep_alive_ms: f64,
-    /// Instance ids, ascending (ids are allocated monotonically).
-    ids: Vec<u64>,
-    /// Function run by each instance, parallel to `ids`.
-    functions: Vec<usize>,
-    /// Most recent invocation time per instance, parallel to `ids`.
-    last_invoked_ms: Vec<f64>,
-    /// Spawn (residency-start) time per instance, parallel to `ids`.
-    spawned_ms: Vec<f64>,
-    /// Memory-accounting weight per instance, parallel to `ids`: the
-    /// fraction of the instance's footprint the host actually
-    /// materialized. 1.0 unless a tenancy layer dedupes shared pages
-    /// ([`InstancePool::set_weight`]); residency credits multiply by it,
-    /// and `× 1.0` is IEEE-exact so weightless pools account bit-for-bit
-    /// as before the column existed.
-    weights: Vec<f64>,
-    next_id: u64,
+    /// Per function id: its warm instance, or a zeroed record.
+    instances: Vec<Instance>,
+    /// Warm instances resident now.
+    warm: usize,
+    /// Spawns so far; the latest spawn's sequence number.
     cold_starts: u64,
     expirations: u64,
     evictions: u64,
@@ -76,12 +86,8 @@ impl InstancePool {
         }
         Ok(InstancePool {
             keep_alive_ms,
-            ids: Vec::new(),
-            functions: Vec::new(),
-            last_invoked_ms: Vec::new(),
-            spawned_ms: Vec::new(),
-            weights: Vec::new(),
-            next_id: 1,
+            instances: Vec::new(),
+            warm: 0,
             cold_starts: 0,
             expirations: 0,
             evictions: 0,
@@ -110,159 +116,181 @@ impl InstancePool {
         self.keep_alive_ms
     }
 
-    /// The column index of instance `id`, by binary search over the
-    /// ascending id column.
-    fn slot(&self, id: u64) -> Option<usize> {
-        self.ids.binary_search(&id).ok()
+    /// `function`'s warm instance, if it has one.
+    fn get(&self, function: usize) -> Option<&Instance> {
+        self.instances
+            .get(function)
+            .filter(|instance| instance.spawn_seq != 0)
     }
 
-    /// Drops the instance in `slot` out of every column.
-    fn remove_slot(&mut self, slot: usize) {
-        self.ids.remove(slot);
-        self.functions.remove(slot);
-        self.last_invoked_ms.remove(slot);
-        self.spawned_ms.remove(slot);
-        self.weights.remove(slot);
+    /// [`InstancePool::get`], mutably.
+    fn get_mut(&mut self, function: usize) -> Option<&mut Instance> {
+        self.instances
+            .get_mut(function)
+            .filter(|instance| instance.spawn_seq != 0)
     }
 
-    /// Spawns a new warm instance for `function` at time `now_ms` (a cold
-    /// start). Returns its id.
-    pub fn spawn(&mut self, function: usize, now_ms: f64) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
+    /// Spawns a warm instance for `function` at time `now_ms` (a cold
+    /// start). The function must have no warm instance.
+    pub fn spawn(&mut self, function: usize, now_ms: f64) {
+        if function >= self.instances.len() {
+            // Exact growth: a fleet holds one table per host, and
+            // doubling would leave most of each one unused.
+            let grow = function + 1 - self.instances.len();
+            self.instances.reserve_exact(grow);
+            self.instances.resize(function + 1, Instance::default());
+        }
+        debug_assert!(!self.is_warm(function), "function {function} is warm");
         self.cold_starts += 1;
-        // Ids are monotonic, so pushing keeps every column id-sorted.
-        self.ids.push(id);
-        self.functions.push(function);
-        self.last_invoked_ms.push(now_ms);
-        self.spawned_ms.push(now_ms);
-        self.weights.push(1.0);
-        id
+        self.warm += 1;
+        self.instances[function] = Instance {
+            spawn_seq: self.cold_starts,
+            last_invoked_ms: now_ms,
+            spawned_ms: now_ms,
+            weight: 1.0,
+        };
     }
 
     /// Like [`InstancePool::spawn_restored_shared`] with nothing
     /// resident, but forces the restore onto the lazy-paging path — the
     /// admission ladder's memory-pressure rung skips the prefetch burst
     /// on an already-pressured host.
-    pub fn spawn_restored_degraded(&mut self, function: usize, now_ms: f64) -> (u64, f64) {
+    pub fn spawn_restored_degraded(&mut self, function: usize, now_ms: f64) -> f64 {
         let restore_ms = self
             .snapshots
             .as_mut()
             .map_or(0.0, |s| s.restore_ms_degraded(function));
-        (self.spawn(function, now_ms), restore_ms)
+        self.spawn(function, now_ms);
+        restore_ms
     }
 
     /// Like [`InstancePool::spawn`], but also prices the cold start's
     /// memory bring-up through the attached snapshot store: returns the
-    /// new instance id and the restore latency in milliseconds (0 with
-    /// no store, or under `ColdStartModel::Instant`). `resident_pages`
-    /// of the function's working set are already resident on the host —
-    /// shared pages a co-resident same-language instance brought in
-    /// (the `luke-tenancy` dedup path). The restore skips them: smaller
-    /// REAP prefetch batch, fewer demand faults. `resident_pages = 0` is
-    /// a full restore.
+    /// restore latency in milliseconds (0 with no store, or under
+    /// `ColdStartModel::Instant`). `resident_pages` of the function's
+    /// working set are already resident on the host — shared pages a
+    /// co-resident same-language instance brought in (the
+    /// `luke-tenancy` dedup path). The restore skips them: smaller REAP
+    /// prefetch batch, fewer demand faults. `resident_pages = 0` is a
+    /// full restore.
     pub fn spawn_restored_shared(
         &mut self,
         function: usize,
         now_ms: f64,
         resident_pages: usize,
-    ) -> (u64, f64) {
+    ) -> f64 {
         let restore_ms = self.snapshots.as_mut().map_or(0.0, |s| {
             s.restore_ms_with_resident(function, resident_pages)
         });
-        (self.spawn(function, now_ms), restore_ms)
+        self.spawn(function, now_ms);
+        restore_ms
     }
 
-    /// Sets the memory-accounting weight of instance `id`: the fraction
-    /// of its footprint the host materialized after shared-page dedup.
-    /// Every residency credit (expiry, eviction, live accounting)
-    /// multiplies by it. Instances spawn at weight 1.0. Returns `false`
-    /// if the instance is unknown.
-    pub fn set_weight(&mut self, id: u64, weight: f64) -> bool {
-        match self.slot(id) {
-            Some(slot) => {
-                self.weights[slot] = weight;
+    /// Sets the memory-accounting weight of `function`'s warm instance:
+    /// the fraction of its footprint the host materialized after
+    /// shared-page dedup. Every residency credit (expiry, eviction, live
+    /// accounting) multiplies by it. Instances spawn at weight 1.0.
+    /// Returns `false` if the function has no warm instance.
+    pub fn set_weight(&mut self, function: usize, weight: f64) -> bool {
+        match self.get_mut(function) {
+            Some(instance) => {
+                instance.weight = weight;
                 true
             }
             None => false,
         }
     }
 
-    /// Records an invocation dispatched to `id` at `now_ms`. Returns the
-    /// idle gap since the previous invocation, or `None` if the instance
-    /// is unknown (expired).
-    pub fn invoke(&mut self, id: u64, now_ms: f64) -> Option<f64> {
-        let slot = self.slot(id)?;
-        let gap = (now_ms - self.last_invoked_ms[slot]).max(0.0);
-        self.last_invoked_ms[slot] = now_ms;
+    /// Records an invocation dispatched to `function`'s warm instance at
+    /// `now_ms`. Returns the idle gap since the previous invocation, or
+    /// `None` if the function has no warm instance (a cold start).
+    pub fn invoke(&mut self, function: usize, now_ms: f64) -> Option<f64> {
+        let instance = self.get_mut(function)?;
+        let gap = (now_ms - instance.last_invoked_ms).max(0.0);
+        instance.last_invoked_ms = now_ms;
         Some(gap)
     }
 
-    /// Retires one instance through its keep-alive *deadline*: an expiry
-    /// event fired for `id`, whose deadline (`last_invoked + hold`) the
-    /// caller already knows. Counts as an expiration and credits
-    /// residency through `deadline_ms`, not through the (later) time the
-    /// caller noticed — so memory accounting is independent of when the
-    /// next arrival happened to land. Returns `false` if the instance is
-    /// unknown.
-    pub fn expire_with_deadline(&mut self, id: u64, deadline_ms: f64) -> bool {
-        match self.slot(id) {
-            Some(slot) => {
-                self.retired_memory_ms +=
-                    (deadline_ms - self.spawned_ms[slot]) * self.weights[slot];
-                self.remove_slot(slot);
-                self.expirations += 1;
-                true
-            }
-            None => false,
-        }
+    /// Whether `function` has a warm instance.
+    pub fn is_warm(&self, function: usize) -> bool {
+        self.get(function).is_some()
+    }
+
+    /// The most recent invocation time of `function`'s warm instance
+    /// (`None` while it has none) — the read the event-driven expiry
+    /// check needs.
+    pub fn last_invoked_ms(&self, function: usize) -> Option<f64> {
+        self.get(function).map(|instance| instance.last_invoked_ms)
     }
 
     /// Number of warm instances.
     pub fn warm_count(&self) -> usize {
-        self.ids.len()
+        self.warm
     }
 
-    /// The most recent invocation time of instance `id` (`None` once it
-    /// has expired or been evicted) — the read the event-driven expiry
-    /// check needs.
-    pub fn last_invoked_ms(&self, id: u64) -> Option<f64> {
-        self.slot(id).map(|slot| self.last_invoked_ms[slot])
+    /// Takes `function`'s warm instance out of the pool.
+    fn take(&mut self, function: usize) -> Option<Instance> {
+        let instance = std::mem::take(self.get_mut(function)?);
+        self.warm -= 1;
+        Some(instance)
     }
 
-    /// Forcibly tears down one instance (a crash or a memory-pressure
-    /// eviction, as opposed to a keep-alive expiry). Returns `true` if the
-    /// instance existed.
-    pub fn evict(&mut self, id: u64) -> bool {
-        match self.slot(id) {
-            Some(slot) => {
-                self.evictions += 1;
-                // Forced teardown carries no expiry deadline; credit
-                // residency through the last invocation (a slight
-                // undercount of the idle tail before the crash).
-                self.retired_memory_ms +=
-                    (self.last_invoked_ms[slot] - self.spawned_ms[slot]) * self.weights[slot];
-                self.remove_slot(slot);
-                true
-            }
-            None => false,
-        }
+    /// Retires `function`'s warm instance through its keep-alive
+    /// *deadline*: an expiry event fired for it, whose deadline
+    /// (`last_invoked + hold`) the caller already knows. Counts as an
+    /// expiration and credits residency through `deadline_ms`, not
+    /// through the (later) time the caller noticed — so memory
+    /// accounting is independent of when the next arrival happened to
+    /// land. Returns `false` if the function has no warm instance.
+    pub fn expire_with_deadline(&mut self, function: usize, deadline_ms: f64) -> bool {
+        let Some(instance) = self.take(function) else {
+            return false;
+        };
+        self.retired_memory_ms += (deadline_ms - instance.spawned_ms) * instance.weight;
+        self.expirations += 1;
+        true
+    }
+
+    /// Forcibly tears down `function`'s warm instance (a crash or a
+    /// memory-pressure eviction, as opposed to a keep-alive expiry).
+    /// Returns `true` if there was one.
+    pub fn evict(&mut self, function: usize) -> bool {
+        let Some(instance) = self.take(function) else {
+            return false;
+        };
+        self.evictions += 1;
+        // Forced teardown carries no expiry deadline; credit residency
+        // through the last invocation (a slight undercount of the idle
+        // tail before the crash).
+        self.retired_memory_ms +=
+            (instance.last_invoked_ms - instance.spawned_ms) * instance.weight;
+        true
+    }
+
+    /// The warm instances in spawn order — the order every sum over
+    /// the resident set adds its credits in.
+    fn by_spawn_order(&self) -> Vec<(usize, &Instance)> {
+        let mut warm: Vec<(usize, &Instance)> = self
+            .instances
+            .iter()
+            .enumerate()
+            .filter(|(_, instance)| instance.spawn_seq != 0)
+            .collect();
+        warm.sort_unstable_by_key(|(_, instance)| instance.spawn_seq);
+        warm
     }
 
     /// Evicts every warm instance at once — a host crash wipes the whole
     /// pool. Each loss counts as a forced eviction.
     pub fn evict_all(&mut self) {
-        let died = self.ids.len();
-        for slot in 0..died {
-            self.retired_memory_ms +=
-                (self.last_invoked_ms[slot] - self.spawned_ms[slot]) * self.weights[slot];
+        let mut total = self.retired_memory_ms;
+        for (_, instance) in self.by_spawn_order() {
+            total += (instance.last_invoked_ms - instance.spawned_ms) * instance.weight;
         }
-        self.ids.clear();
-        self.functions.clear();
-        self.last_invoked_ms.clear();
-        self.spawned_ms.clear();
-        self.weights.clear();
-        self.evictions += died as u64;
+        self.retired_memory_ms = total;
+        self.evictions += self.warm as u64;
+        self.warm = 0;
+        self.instances.clear();
     }
 
     /// Cold starts since pool creation.
@@ -297,12 +325,12 @@ impl InstancePool {
     /// provider actually pays to run a keep-alive policy.
     pub fn residency_ms_through(&self, end_ms: f64, holds: Option<&[f64]>) -> f64 {
         let mut total = self.retired_memory_ms;
-        for slot in 0..self.ids.len() {
+        for (function, instance) in self.by_spawn_order() {
             let hold = holds
-                .and_then(|h| h.get(self.functions[slot]).copied())
+                .and_then(|h| h.get(function).copied())
                 .unwrap_or(self.keep_alive_ms);
-            let until = end_ms.min(self.last_invoked_ms[slot] + hold);
-            total += (until - self.spawned_ms[slot]).max(0.0) * self.weights[slot];
+            let until = end_ms.min(instance.last_invoked_ms + hold);
+            total += (until - instance.spawned_ms).max(0.0) * instance.weight;
         }
         total
     }
@@ -316,7 +344,7 @@ impl InstancePool {
         registry.counter_add("pool.expirations", self.expirations);
         registry.counter_add("pool.evictions", self.evictions);
         registry.counter_add("pool.memory_ms", self.retired_memory_ms.round() as u64);
-        registry.gauge_set("pool.warm_instances", self.ids.len() as f64);
+        registry.gauge_set("pool.warm_instances", self.warm as f64);
         if let Some(snapshots) = &self.snapshots {
             snapshots.fill_registry(registry);
         }
@@ -330,28 +358,34 @@ mod tests {
     #[test]
     fn spawn_and_invoke_track_gaps() {
         let mut pool = InstancePool::new(60_000.0);
-        let id = pool.spawn(0, 1000.0);
-        assert_eq!(pool.invoke(id, 3500.0), Some(2500.0));
-        assert_eq!(pool.invoke(id, 3600.0), Some(100.0));
-        assert_eq!(pool.last_invoked_ms(id), Some(3600.0));
+        pool.spawn(0, 1000.0);
+        assert_eq!(pool.invoke(0, 3500.0), Some(2500.0));
+        assert_eq!(pool.invoke(0, 3600.0), Some(100.0));
+        assert_eq!(pool.last_invoked_ms(0), Some(3600.0));
     }
 
     #[test]
-    fn unknown_instance_returns_none() {
+    fn function_without_an_instance_returns_none() {
         let mut pool = InstancePool::new(60_000.0);
         assert_eq!(pool.invoke(99, 0.0), None);
+        pool.spawn(3, 0.0);
+        // Below the highest spawned function, but never spawned itself.
+        assert_eq!(pool.invoke(1, 0.0), None);
+        assert!(!pool.is_warm(1));
+        assert!(pool.is_warm(3));
     }
 
     #[test]
     fn keep_alive_expires_idle_instances() {
         let mut pool = InstancePool::new(10_000.0);
-        let a = pool.spawn(0, 0.0);
-        let b = pool.spawn(1, 0.0);
-        pool.invoke(b, 9_000.0);
-        // a's deadline (0s + 10s) fired; b's (9s + 10s) has not.
-        assert!(pool.expire_with_deadline(a, 10_000.0));
-        assert_eq!(pool.last_invoked_ms(a), None);
-        assert_eq!(pool.last_invoked_ms(b), Some(9_000.0));
+        pool.spawn(0, 0.0);
+        pool.spawn(1, 0.0);
+        pool.invoke(1, 9_000.0);
+        // Function 0's deadline (0s + 10s) fired; function 1's (9s +
+        // 10s) has not.
+        assert!(pool.expire_with_deadline(0, 10_000.0));
+        assert_eq!(pool.last_invoked_ms(0), None);
+        assert_eq!(pool.last_invoked_ms(1), Some(9_000.0));
         assert_eq!(pool.warm_count(), 1);
         assert_eq!(pool.expirations(), 1);
         assert_eq!(pool.retired_memory_ms(), 10_000.0);
@@ -365,14 +399,21 @@ mod tests {
         }
         assert_eq!(pool.warm_count(), 5);
         assert_eq!(pool.cold_starts(), 5);
+        // A function that expired spawns again: one more cold start, the
+        // same warm population.
+        assert!(pool.expire_with_deadline(2, 60_000.0));
+        pool.spawn(2, 61_000.0);
+        assert_eq!(pool.warm_count(), 5);
+        assert_eq!(pool.cold_starts(), 6);
     }
 
     #[test]
     fn thousand_warm_instances_supported() {
-        // §2.2: a thousand or more warm instances per server.
+        // §2.2: a thousand or more warm instances per server, one per
+        // deployed function.
         let mut pool = InstancePool::new(600_000.0);
         for f in 0..1000 {
-            pool.spawn(f % 20, 0.0);
+            pool.spawn(f, 0.0);
         }
         assert_eq!(pool.warm_count(), 1000);
         assert_eq!(pool.residency_ms_through(1.0, None), 1000.0);
@@ -398,12 +439,12 @@ mod tests {
     #[test]
     fn evict_removes_and_counts() {
         let mut pool = InstancePool::new(60_000.0);
-        let a = pool.spawn(0, 0.0);
-        let b = pool.spawn(1, 0.0);
-        assert!(pool.evict(a));
-        assert!(!pool.evict(a), "double-evict must be a no-op");
-        assert_eq!(pool.last_invoked_ms(a), None);
-        assert_eq!(pool.last_invoked_ms(b), Some(0.0));
+        pool.spawn(0, 0.0);
+        pool.spawn(1, 0.0);
+        assert!(pool.evict(0));
+        assert!(!pool.evict(0), "double-evict must be a no-op");
+        assert_eq!(pool.last_invoked_ms(0), None);
+        assert_eq!(pool.last_invoked_ms(1), Some(0.0));
         assert_eq!(pool.evictions(), 1);
         assert_eq!(pool.expirations(), 0, "evictions are not expirations");
     }
@@ -411,14 +452,18 @@ mod tests {
     #[test]
     fn expire_with_deadline_counts_and_credits_each_instance() {
         let mut pool = InstancePool::new(10_000.0);
-        let a = pool.spawn(0, 1_000.0);
-        let b = pool.spawn(1, 2_000.0);
-        pool.invoke(a, 4_000.0);
-        // Both deadlines fired: a's at 4s + 10s, b's at its 2s spawn + 10s.
-        assert!(pool.expire_with_deadline(a, 14_000.0));
-        assert!(pool.expire_with_deadline(b, 12_000.0));
-        assert!(!pool.expire_with_deadline(a, 14_000.0), "already expired");
-        assert!(!pool.expire_with_deadline(99, 0.0), "unknown id is a no-op");
+        pool.spawn(0, 1_000.0);
+        pool.spawn(1, 2_000.0);
+        pool.invoke(0, 4_000.0);
+        // Both deadlines fired: function 0's at 4s + 10s, function 1's at
+        // its 2s spawn + 10s.
+        assert!(pool.expire_with_deadline(0, 14_000.0));
+        assert!(pool.expire_with_deadline(1, 12_000.0));
+        assert!(!pool.expire_with_deadline(0, 14_000.0), "already expired");
+        assert!(
+            !pool.expire_with_deadline(99, 0.0),
+            "unknown function is a no-op"
+        );
         assert_eq!(pool.expirations(), 2);
         assert_eq!(pool.evictions(), 0, "expirations are not evictions");
         assert_eq!(pool.retired_memory_ms(), 13_000.0 + 10_000.0);
@@ -428,9 +473,9 @@ mod tests {
     #[test]
     fn spawn_restored_without_a_store_is_free() {
         let mut pool = InstancePool::new(60_000.0);
-        let (id, restore_ms) = pool.spawn_restored_shared(3, 10.0, 0);
+        let restore_ms = pool.spawn_restored_shared(3, 10.0, 0);
         assert_eq!(restore_ms, 0.0);
-        assert_eq!(pool.last_invoked_ms(id), Some(10.0));
+        assert_eq!(pool.last_invoked_ms(3), Some(10.0));
         assert_eq!(pool.cold_starts(), 1);
         assert!(pool.snapshots().is_none());
     }
@@ -445,8 +490,9 @@ mod tests {
         )
         .unwrap();
         let mut pool = InstancePool::new(60_000.0).with_snapshots(store);
-        let (_, record_ms) = pool.spawn_restored_shared(0, 0.0, 0);
-        let (_, prefetch_ms) = pool.spawn_restored_shared(0, 1.0, 0);
+        let record_ms = pool.spawn_restored_shared(0, 0.0, 0);
+        assert!(pool.expire_with_deadline(0, 60_000.0));
+        let prefetch_ms = pool.spawn_restored_shared(0, 61_000.0, 0);
         assert!(
             prefetch_ms < record_ms,
             "REAP replay {prefetch_ms}ms vs record {record_ms}ms"
@@ -472,35 +518,38 @@ mod tests {
     #[test]
     fn retired_memory_credits_the_expiry_deadline() {
         let mut pool = InstancePool::new(10_000.0);
-        let id = pool.spawn(0, 1_000.0);
-        pool.invoke(id, 4_000.0);
+        pool.spawn(0, 1_000.0);
+        pool.invoke(0, 4_000.0);
         // Expired by an arrival at t=50s: residency ran 1s → 14s (the
         // deadline), not through 50s.
-        assert!(pool.expire_with_deadline(id, 4_000.0 + 10_000.0));
+        assert!(pool.expire_with_deadline(0, 4_000.0 + 10_000.0));
         assert_eq!(pool.retired_memory_ms(), 13_000.0);
     }
 
     #[test]
     fn eviction_credits_residency_through_the_last_invocation() {
         let mut pool = InstancePool::new(60_000.0);
-        let a = pool.spawn(0, 0.0);
-        pool.invoke(a, 2_500.0);
-        pool.evict(a);
-        let b = pool.spawn(1, 3_000.0);
-        pool.invoke(b, 4_000.0);
+        pool.spawn(0, 0.0);
+        pool.invoke(0, 2_500.0);
+        pool.evict(0);
+        pool.spawn(1, 3_000.0);
+        pool.invoke(1, 4_000.0);
         pool.evict_all();
         assert_eq!(pool.retired_memory_ms(), 2_500.0 + 1_000.0);
+        assert_eq!(pool.warm_count(), 0);
+        assert_eq!(pool.evictions(), 2);
+        assert!(!pool.is_warm(1), "a crash leaves nothing warm");
     }
 
     #[test]
     fn residency_through_is_read_only_and_caps_at_end() {
         let mut pool = InstancePool::new(10_000.0);
-        let id = pool.spawn(0, 1_000.0);
+        pool.spawn(0, 1_000.0);
         // Live instance, deadline 11s: through t=5s counts 4s of stay;
         // through t=60s counts only to the deadline.
         assert_eq!(pool.residency_ms_through(5_000.0, None), 4_000.0);
         assert_eq!(pool.residency_ms_through(60_000.0, None), 10_000.0);
-        assert!(pool.last_invoked_ms(id).is_some(), "nothing expired");
+        assert!(pool.last_invoked_ms(0).is_some(), "nothing expired");
         assert_eq!(pool.retired_memory_ms(), 0.0);
         // A tighter per-function hold shrinks the live credit.
         assert_eq!(
@@ -510,10 +559,38 @@ mod tests {
     }
 
     #[test]
+    fn resident_credits_sum_in_spawn_order() {
+        // Functions spawn out of index order. Each stay credits its last
+        // invocation time, and the credits are chosen so that their f64
+        // sum depends on the order they are added in.
+        let spawns = [(2, 1e16), (0, 0.75), (1, 0.75)];
+        let sum = |credits: &[(usize, f64)]| credits.iter().fold(0.0, |total, &(_, c)| total + c);
+        let spawn_order = sum(&spawns);
+        let mut by_function = spawns;
+        by_function.sort_by_key(|&(function, _)| function);
+        assert_ne!(
+            spawn_order.to_bits(),
+            sum(&by_function).to_bits(),
+            "the credits must tell the two orders apart"
+        );
+        let mut pool = InstancePool::new(60_000.0);
+        for &(function, last) in &spawns {
+            pool.spawn(function, 0.0);
+            pool.invoke(function, last);
+        }
+        // Zero holds end every live stay at its last invocation.
+        let live = pool.residency_ms_through(f64::INFINITY, Some(&[0.0; 3]));
+        assert_eq!(live.to_bits(), spawn_order.to_bits());
+        // A crash credits every stay through its last invocation.
+        pool.evict_all();
+        assert_eq!(pool.retired_memory_ms().to_bits(), spawn_order.to_bits());
+    }
+
+    #[test]
     fn memory_ms_is_exported_as_a_pool_counter() {
         let mut pool = InstancePool::new(10_000.0);
-        let id = pool.spawn(0, 0.0);
-        assert!(pool.expire_with_deadline(id, 10_000.0));
+        pool.spawn(0, 0.0);
+        assert!(pool.expire_with_deadline(0, 10_000.0));
         let mut registry = luke_obs::Registry::new();
         pool.fill_registry(&mut registry);
         let snapshot = registry.snapshot();
@@ -525,44 +602,44 @@ mod tests {
     #[test]
     fn weighted_instances_charge_deduped_residency() {
         let mut pool = InstancePool::new(10_000.0);
-        let a = pool.spawn(0, 0.0);
-        assert!(pool.set_weight(a, 0.25));
-        assert!(!pool.set_weight(99, 0.5), "unknown id");
+        pool.spawn(0, 0.0);
+        assert!(pool.set_weight(0, 0.25));
+        assert!(!pool.set_weight(99, 0.5), "no instance");
         // Live accounting scales by the weight...
         assert_eq!(pool.residency_ms_through(4_000.0, None), 1_000.0);
         // ...and so does the retirement credit (deadline 10s).
-        assert!(pool.expire_with_deadline(a, 10_000.0));
+        assert!(pool.expire_with_deadline(0, 10_000.0));
         assert_eq!(pool.retired_memory_ms(), 2_500.0);
         // Eviction of a weighted instance credits through the last
         // invocation, scaled.
-        let b = pool.spawn(1, 0.0);
-        pool.set_weight(b, 0.5);
-        pool.invoke(b, 2_000.0);
-        pool.evict(b);
+        pool.spawn(1, 0.0);
+        pool.set_weight(1, 0.5);
+        pool.invoke(1, 2_000.0);
+        pool.evict(1);
         assert_eq!(pool.retired_memory_ms(), 2_500.0 + 1_000.0);
     }
 
     #[test]
     fn default_weight_accounts_bit_identically() {
-        // The weight column must be invisible until someone sets it:
-        // identical schedules with and without weight writes of 1.0
-        // produce bitwise-equal memory credits.
+        // The weight must be invisible until someone sets it: identical
+        // schedules with and without weight writes of 1.0 produce
+        // bitwise-equal memory credits.
         let mut plain = InstancePool::new(8_000.0);
         let mut weighted = InstancePool::new(8_000.0);
         let mut deadlines = Vec::new();
         for f in 0..16 {
             let at = (f % 5) as f64 * 700.0;
-            let id = plain.spawn(f, at);
-            assert_eq!(weighted.spawn(f, at), id);
-            weighted.set_weight(id, 1.0);
-            deadlines.push((id, at + 8_000.0));
+            plain.spawn(f, at);
+            weighted.spawn(f, at);
+            weighted.set_weight(f, 1.0);
+            deadlines.push((f, at + 8_000.0));
         }
         for round in 1..=4 {
             let now = round as f64 * 3_500.0;
-            for &(id, deadline) in deadlines.iter().filter(|&&(_, d)| d < now) {
+            for &(f, deadline) in deadlines.iter().filter(|&&(_, d)| d < now) {
                 assert_eq!(
-                    plain.expire_with_deadline(id, deadline),
-                    weighted.expire_with_deadline(id, deadline)
+                    plain.expire_with_deadline(f, deadline),
+                    weighted.expire_with_deadline(f, deadline)
                 );
             }
             assert_eq!(plain.warm_count(), weighted.warm_count());
@@ -589,19 +666,20 @@ mod tests {
         .unwrap();
         let mut pool = InstancePool::new(60_000.0).with_snapshots(store);
         pool.spawn_restored_shared(0, 0.0, 0); // record pass
-        let (_, full) = pool.spawn_restored_shared(0, 1.0, 0);
-        let (_, discounted) = pool.spawn_restored_shared(0, 2.0, 50);
+        pool.evict(0);
+        let full = pool.spawn_restored_shared(0, 1.0, 0);
+        pool.evict(0);
+        let discounted = pool.spawn_restored_shared(0, 2.0, 50);
         assert!(discounted < full, "{discounted} vs {full}");
         // Without a store the shared path stays free.
         let mut bare = InstancePool::new(60_000.0);
-        let (_, ms) = bare.spawn_restored_shared(0, 0.0, 10);
-        assert_eq!(ms, 0.0);
+        assert_eq!(bare.spawn_restored_shared(0, 0.0, 10), 0.0);
     }
 
     #[test]
     fn gap_clamped_for_out_of_order_clock() {
         let mut pool = InstancePool::new(60_000.0);
-        let id = pool.spawn(0, 100.0);
-        assert_eq!(pool.invoke(id, 50.0), Some(0.0));
+        pool.spawn(0, 100.0);
+        assert_eq!(pool.invoke(0, 50.0), Some(0.0));
     }
 }

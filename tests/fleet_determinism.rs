@@ -465,67 +465,54 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The calendar queue's total order: events pop sorted by time, with
-    /// ties broken by (host_id, kind rank, seq) — never by push order
-    /// across hosts, which is what makes per-host timer streams
-    /// independent of producer interleaving.
+    /// ties broken by (kind rank, seq) — so a host's timer stream is a
+    /// pure function of its push history.
     #[test]
-    fn calendar_queue_breaks_ties_by_host_then_seq(
+    fn calendar_queue_breaks_ties_by_rank_then_seq(
         events in prop::collection::vec(
-            (0.0f64..16.0, 0u32..8, 0u32..4),
+            (0.0f64..16.0, 0usize..3, 0u32..4),
             1..200,
         ),
     ) {
         let mut queue = CalendarQueue::new();
-        for &(time_ms, host_id, function) in &events {
+        for &(time_ms, kind, function) in &events {
             // Quantize times so ties actually occur.
-            queue.push(
-                time_ms.floor(),
-                host_id,
-                FleetEventKind::KeepAliveExpiry,
-                function,
-            );
+            queue.push(time_ms.floor(), KINDS[kind], function);
         }
         let mut popped = Vec::new();
         while let Some(event) = queue.pop() {
-            popped.push((event.time_ms, event.host_id, event.seq));
+            popped.push((event.time_ms, event.kind.rank(), event.seq));
         }
         prop_assert_eq!(popped.len(), events.len());
         for pair in popped.windows(2) {
-            let (t0, h0, s0) = pair[0];
-            let (t1, h1, s1) = pair[1];
             prop_assert!(
-                t0 < t1 || (t0 == t1 && (h0 < h1 || (h0 == h1 && s0 < s1))),
-                "order violated: ({}, {}, {}) before ({}, {}, {})",
-                t0, h0, s0, t1, h1, s1
+                pair[0] < pair[1],
+                "order violated: {:?} before {:?}",
+                pair[0], pair[1]
             );
         }
     }
 
 }
 
+/// The three kinds a host schedules.
+const KINDS: [FleetEventKind; 3] = [
+    FleetEventKind::PrewarmTimer,
+    FleetEventKind::KeepAliveExpiry,
+    FleetEventKind::AdaptiveDecay,
+];
+
 /// Same-instant events of different kinds fire in lifecycle order
-/// (chaos < pre-restore < keep-alive expiry), regardless of the order
-/// they were scheduled in.
+/// (pre-restore < keep-alive expiry < adaptive-decay re-check),
+/// regardless of the order they were scheduled in.
 #[test]
 fn calendar_queue_ranks_kinds_at_equal_time() {
-    let kinds = [
-        FleetEventKind::KeepAliveExpiry,
-        FleetEventKind::ChaosTransition,
-        FleetEventKind::PrewarmTimer,
-    ];
     let mut queue = CalendarQueue::new();
-    for kind in kinds {
-        queue.push(5.0, 0, kind, 0);
+    for kind in KINDS.iter().rev() {
+        queue.push(5.0, *kind, 0);
     }
     let order: Vec<FleetEventKind> = std::iter::from_fn(|| queue.pop().map(|e| e.kind)).collect();
-    assert_eq!(
-        order,
-        vec![
-            FleetEventKind::ChaosTransition,
-            FleetEventKind::PrewarmTimer,
-            FleetEventKind::KeepAliveExpiry,
-        ]
-    );
+    assert_eq!(order, KINDS);
 }
 
 #[test]
