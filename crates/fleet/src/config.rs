@@ -161,6 +161,17 @@ impl FleetConfig {
                 "at least one deployed function is required",
             ));
         }
+        if u32::try_from(self.population).is_err() {
+            // Hosts index functions with `u32` slots.
+            return Err(SimError::invalid_config(
+                "fleet.population",
+                format!(
+                    "at most {} deployed functions, got {}",
+                    u32::MAX,
+                    self.population
+                ),
+            ));
+        }
         if !(self.per_host_rate_per_sec > 0.0 && self.per_host_rate_per_sec.is_finite()) {
             return Err(SimError::invalid_config(
                 "fleet.per_host_rate_per_sec",
@@ -294,6 +305,13 @@ mod tests {
             (
                 FleetConfig {
                     population: 0,
+                    ..FleetConfig::default()
+                },
+                "fleet.population",
+            ),
+            (
+                FleetConfig {
+                    population: usize::MAX,
                     ..FleetConfig::default()
                 },
                 "fleet.population",

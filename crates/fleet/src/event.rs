@@ -60,7 +60,8 @@ pub struct FleetEvent {
     pub time_ms: f64,
     /// What firing does.
     pub kind: FleetEventKind,
-    /// The logical function the event concerns.
+    /// The function the event concerns, as its owner keys it (a fleet
+    /// host uses the function's slot). Not part of the order.
     pub function: u32,
     /// Queue-assigned schedule sequence number — the final tie-break.
     pub seq: u64,

@@ -89,23 +89,13 @@ pub struct HedgeOutcome {
 }
 
 /// One host's pre-warm state, present only when prediction is enabled
-/// (`None` takes the exact fixed-keep-alive code path).
+/// (`None` takes the exact fixed-keep-alive code path). The per-function
+/// pre-warm times live in each [`FunctionState`].
 #[derive(Clone, Debug)]
 struct HostPrewarm {
-    /// Predictive pre-warm / adaptive keep-alive policy bank.
+    /// Predictive pre-warm / adaptive keep-alive policy bank, keyed by
+    /// slot.
     bank: PredictorBank,
-    /// Per function: the simulated time a pending pre-restored instance
-    /// becomes ready, while one is waiting untouched for its predicted
-    /// arrival.
-    ready: Vec<Option<f64>>,
-    /// Most recent observed restore (or boot) cost per function, ms —
-    /// the lead time pre-warms are back-dated by.
-    last_restore_ms: Vec<f64>,
-    /// Per function: the scheduled time of the valid pre-warm timer, if
-    /// any. Each model observation *replaces* the function's pending
-    /// pre-restore, so updating this key is what cancels a stale timer
-    /// still sitting in the queue.
-    pending: Vec<Option<f64>>,
     /// Pre-restores actually spawned ahead of a predicted arrival.
     spawns: u64,
     /// Arrivals that landed on a pre-warmed instance.
@@ -116,15 +106,67 @@ impl HostPrewarm {
     /// The host's pre-warm state, or `None` with prediction off.
     fn new(config: &FleetConfig) -> Option<Self> {
         config.prewarm.enabled.then(|| HostPrewarm {
-            bank: PredictorBank::new(config.prewarm, config.population, config.keep_alive_ms),
-            ready: vec![None; config.population],
-            // Until a restore is observed, pre-warms are back-dated by
-            // the flat boot cost — the only estimate available cold.
-            last_restore_ms: vec![config.cold_start_ms; config.population],
-            pending: vec![None; config.population],
+            bank: PredictorBank::new(config.prewarm, config.keep_alive_ms),
             spawns: 0,
             hits: 0,
         })
+    }
+}
+
+/// One function's state on this host, pushed on its first arrival here.
+/// Its slot (its index in [`FleetHost::records`]) also keys its warm
+/// instance in the pool and its predictor and hold in the pre-warm bank;
+/// everything derived from the function itself (profile, page layout,
+/// snapshot record, admission priority) keeps using its id.
+#[derive(Clone, Debug, PartialEq)]
+struct FunctionState {
+    /// The function's id.
+    function: usize,
+    /// Invocations of the function seen by this host — the "own rate"
+    /// term of the interleaving estimate.
+    invocations: u64,
+    /// Retry-budget tokens (0, and never read, while the budget is
+    /// unlimited).
+    tokens: f64,
+    /// The time of the function's expiry entry currently in the timer
+    /// queue — the lazy-invalidation key, `0.0` meaning none (real
+    /// deadlines are strictly positive). A popped entry whose time no
+    /// longer matches was superseded by a re-key and is dropped; a
+    /// matching entry re-checks the true idle predicate before acting,
+    /// so at most one expiry entry per function does work.
+    expiry_queued: f64,
+    /// The simulated time a pending pre-restored instance becomes ready,
+    /// while one is waiting untouched for its predicted arrival.
+    prewarm_ready: Option<f64>,
+    /// The scheduled time of the valid pre-warm timer, if any. Each
+    /// model observation *replaces* the function's pending pre-restore,
+    /// so updating this key is what cancels a stale timer still sitting
+    /// in the queue.
+    prewarm_pending: Option<f64>,
+    /// Most recent observed restore (or boot) cost, ms — the lead time
+    /// pre-warms are back-dated by.
+    last_restore_ms: f64,
+}
+
+impl FunctionState {
+    /// `function`'s state before its first arrival.
+    fn new(config: &FleetConfig, function: usize) -> Self {
+        let budget = &config.retry_budget;
+        FunctionState {
+            function,
+            invocations: 0,
+            tokens: if budget.is_limited() {
+                budget.initial_tokens()
+            } else {
+                0.0
+            },
+            expiry_queued: 0.0,
+            prewarm_ready: None,
+            prewarm_pending: None,
+            // Until a restore is observed, pre-warms are back-dated by
+            // the flat boot cost — the only estimate available cold.
+            last_restore_ms: config.cold_start_ms,
+        }
     }
 }
 
@@ -133,6 +175,8 @@ impl HostPrewarm {
 /// ones decided and fills in its own part.
 struct Invocation<'s, 'r> {
     routed: RoutedInvocation,
+    /// The function's slot on this host.
+    slot: usize,
     /// Where this invocation's spans record (disabled when unsampled).
     scope: &'s mut SpanScope<'r>,
     /// Suite profile that prices the function.
@@ -166,12 +210,16 @@ struct Invocation<'s, 'r> {
 pub struct FleetHost {
     /// This host's index in the fleet (also its shard-merge position).
     pub host_id: usize,
-    /// The warm pool, keyed by function: at most one live instance each.
+    /// Per function id: 1 + its slot, or 0 while it has never arrived
+    /// here. The only table sized by the population; zero-filled, so
+    /// the pages of functions a host never sees stay unfaulted.
+    slots: Vec<u32>,
+    /// Per slot: the state of each function seen here, in first-arrival
+    /// order.
+    records: Vec<FunctionState>,
+    /// The warm pool, keyed by slot: at most one live instance each.
     pool: InstancePool,
     faults: FaultPlan,
-    /// Invocations of each logical function seen by this host — the
-    /// "own rate" term of the interleaving estimate.
-    fn_invocations: Vec<u64>,
     /// Total invocations processed.
     pub invocations: u64,
     /// Invocations that found no live instance (or lost it to a fault).
@@ -183,6 +231,8 @@ pub struct FleetHost {
     pub lukewarm_hits: u64,
     /// Sum of interleaving degrees over all warm hits.
     pub degree_sum: f64,
+    /// Interleaving degree of the most recent warm hit (0 before any).
+    last_warm_degree: f64,
     /// Sum of end-to-end latencies, ms.
     pub latency_sum_ms: f64,
     /// End-to-end latency distribution, µs.
@@ -213,9 +263,6 @@ pub struct FleetHost {
     series_slo_ms: f64,
     /// Admission controller (present only when enabled).
     admission: Option<AdmissionControl>,
-    /// Per-function retry-budget token buckets (present only when the
-    /// budget is limited).
-    retry_tokens: Option<Vec<f64>>,
     /// Seed for down-host reconnect backoff jitter.
     chaos_seed: u64,
     /// Whether any resilience knob is on — gates the resilience series
@@ -226,19 +273,9 @@ pub struct FleetHost {
     prewarm: Option<HostPrewarm>,
     /// The host's private calendar queue: keep-alive expiries,
     /// adaptive-decay re-checks, and pre-warm timers, drained at each
-    /// arrival boundary (see [`crate::event`]).
+    /// arrival boundary (see [`crate::event`]). Each event carries its
+    /// function's slot.
     timers: CalendarQueue,
-    /// Per function: the time of its expiry entry currently in the
-    /// queue — the lazy-invalidation key, `0.0` meaning none (real
-    /// deadlines are strictly positive). A popped entry whose time no
-    /// longer matches was superseded by a re-key and is dropped; a
-    /// matching entry re-checks the true idle predicate before acting,
-    /// so at most one expiry entry per function does work. The all-zero
-    /// empty encoding lets the table come from a lazily-faulted zero
-    /// mapping: a host only ever touches the slots of functions routed
-    /// to it, so a 2,048-host fleet doesn't memset O(hosts × population)
-    /// at construction.
-    expiry_queued: Vec<f64>,
     /// Cross-function page sharing and contention state (present only
     /// when some tenancy knob is on; `None` takes the exact pre-tenancy
     /// code path).
@@ -281,12 +318,13 @@ fn suite_working_sets() -> Arc<[PageWorkingSet]> {
 
 /// The admission-priority table every host of `config` enforces — a pure
 /// function of the config (the router derives the same classes), so a
-/// run builds it once for all its hosts. Empty with admission off.
-pub fn admission_priorities(config: &FleetConfig) -> Vec<u8> {
+/// run builds it once and shares it among all its hosts. Empty with
+/// admission off.
+pub fn admission_priorities(config: &FleetConfig) -> Arc<[u8]> {
     if config.admission.enabled {
-        Population::synthesize(config).priorities()
+        Population::synthesize(config).priorities().into()
     } else {
-        Vec::new()
+        Arc::from([])
     }
 }
 
@@ -303,17 +341,19 @@ impl FleetHost {
         Self::with_priorities(config, host_id, &admission_priorities(config))
     }
 
-    /// Builds host `host_id` with `priorities` as its admission table
+    /// Builds host `host_id` sharing `priorities` as its admission table
     /// (from [`admission_priorities`]; ignored with admission off). The
     /// fault stream is split from the fleet seed per host; all-zero
     /// rates get the bit-transparent [`FaultPlan::none`] so a
-    /// fault-free fleet never touches fault RNG state.
+    /// fault-free fleet never touches fault RNG state. Nothing but the
+    /// function→slot index is sized by the population: per-function
+    /// state is built as functions arrive.
     ///
     /// # Panics
     ///
     /// Panics if `config` is invalid — call `config.validate()` first
     /// (run-level entry points do).
-    pub fn with_priorities(config: &FleetConfig, host_id: usize, priorities: &[u8]) -> Self {
+    pub fn with_priorities(config: &FleetConfig, host_id: usize, priorities: &Arc<[u8]>) -> Self {
         let mut pool = InstancePool::try_new(config.keep_alive_ms)
             .expect("config validated upstream: keep_alive_ms");
         // Snapshot models price each routed cold start as a restore of
@@ -342,21 +382,19 @@ impl FleetHost {
         let admission = config
             .admission
             .enabled
-            .then(|| AdmissionControl::new(config.admission, priorities.to_vec()));
-        let budget = &config.retry_budget;
-        let retry_tokens = budget
-            .is_limited()
-            .then(|| vec![budget.initial_tokens(); config.population]);
+            .then(|| AdmissionControl::new(config.admission, Arc::clone(priorities)));
         FleetHost {
             host_id,
+            slots: vec![0; config.population],
+            records: Vec::new(),
             pool,
             faults,
-            fn_invocations: vec![0; config.population],
             invocations: 0,
             cold_starts: 0,
             warm_hits: 0,
             lukewarm_hits: 0,
             degree_sum: 0.0,
+            last_warm_degree: 0.0,
             latency_sum_ms: 0.0,
             latency_us: Histogram::new(),
             fault_stats: FaultStats::default(),
@@ -371,7 +409,6 @@ impl FleetHost {
             series: TimeWindows::new(config.series_window_ms),
             series_slo_ms: config.series_slo_ms,
             admission,
-            retry_tokens,
             chaos_seed: DetRng::new(config.seed)
                 .split(DOWN_STREAM)
                 .split(host_id as u64)
@@ -379,28 +416,51 @@ impl FleetHost {
             resilient: config.resilience_enabled(),
             prewarm: HostPrewarm::new(config),
             timers: CalendarQueue::new(),
-            expiry_queued: vec![0.0; config.population],
             tenancy: HostTenancy::new(config),
         }
     }
 
-    /// Applies every chaos crash boundary at or before `at`: the pool is
-    /// wiped (in-flight work fails, snapshots-in-memory and keep-alive
-    /// state are gone) and every function starts cold afterwards.
+    /// The slot of `function` on this host, pushing its record on its
+    /// first arrival here.
+    fn slot_of(&mut self, config: &FleetConfig, function: usize) -> usize {
+        match self.slots[function] {
+            0 => {
+                self.records.push(FunctionState::new(config, function));
+                // Fits: `FleetConfig::validate` bounds the population
+                // by `u32::MAX`.
+                self.slots[function] = self.records.len() as u32;
+                self.records.len() - 1
+            }
+            seen => seen as usize - 1,
+        }
+    }
+
+    /// Applies every chaos crash boundary at or before `at` (see
+    /// [`FleetHost::crash`]).
     fn apply_crash_boundaries(&mut self, at: f64) {
         while self.next_crash < self.schedule.crash_count()
             && self.schedule.crash_start(self.next_crash) <= at
         {
-            self.pool.evict_all();
-            if let Some(prewarm) = self.prewarm.as_mut() {
-                prewarm.ready.fill(None);
-            }
-            if let Some(tenancy) = self.tenancy.as_mut() {
-                tenancy.clear_resident();
-            }
-            self.host_crashes += 1;
+            self.crash();
             self.next_crash += 1;
         }
+    }
+
+    /// One whole-host crash: the pool is wiped (in-flight work fails,
+    /// snapshots-in-memory and keep-alive state are gone), with every
+    /// pre-warmed instance's ready time and every page registration, so
+    /// every function starts cold afterwards. What the host learned
+    /// about each function (counts, tokens, models, pending timers)
+    /// survives.
+    fn crash(&mut self) {
+        self.pool.evict_all();
+        for record in &mut self.records {
+            record.prewarm_ready = None;
+        }
+        if let Some(tenancy) = self.tenancy.as_mut() {
+            tenancy.clear_resident();
+        }
+        self.host_crashes += 1;
     }
 
     /// Records one invocation's terminal accounting: totals, and the
@@ -408,7 +468,7 @@ impl FleetHost {
     fn retire(&mut self, inv: &Invocation, latency_ms: f64, completed: bool) -> f64 {
         let (routed, class) = (inv.routed, inv.class);
         self.invocations += 1;
-        self.fn_invocations[routed.function] += 1;
+        self.records[inv.slot].invocations += 1;
         if routed.hedge {
             // Hedge copies report through the side list; the merge joins
             // the pair and records the winner (histogram and series).
@@ -434,12 +494,10 @@ impl FleetHost {
         self.series_slo_ms > 0.0 && latency_ms > self.series_slo_ms
     }
 
-    /// Takes (and clears) the pending-prewarm ready time for `function`.
+    /// Takes (and clears) the pending-prewarm ready time in `slot`.
     /// Always `None` when prediction is disabled.
-    fn take_prewarm_ready(&mut self, function: usize) -> Option<f64> {
-        self.prewarm
-            .as_mut()
-            .and_then(|prewarm| prewarm.ready[function].take())
+    fn take_prewarm_ready(&mut self, slot: usize) -> Option<f64> {
+        self.records[slot].prewarm_ready.take()
     }
 
     /// Shareable pages of `function` already resident on this host —
@@ -451,66 +509,67 @@ impl FleetHost {
             .map_or(0, |tenancy| tenancy.resident_pages(function))
     }
 
-    /// Registers `function`'s freshly-spawned instance's pages and
+    /// Registers the pages of the freshly-spawned instance in `slot` and
     /// weights its pool memory accounting by the deduped fraction. No-op
     /// with tenancy off (weight stays at the spawn default 1.0).
-    fn tenancy_register(&mut self, function: usize) {
+    fn tenancy_register(&mut self, slot: usize) {
         if let Some(tenancy) = self.tenancy.as_mut() {
-            let weight = tenancy.register(function);
-            self.pool.set_weight(function, weight);
+            let weight = tenancy.register(self.records[slot].function);
+            self.pool.set_weight(slot, weight);
         }
     }
 
-    /// Tears down `function`'s live instance: expired at `expired_at`
+    /// Tears down the live instance in `slot`: expired at `expired_at`
     /// (residency credited through that deadline) or, with `None`,
     /// forcibly evicted. The function is left with no live instance, no
-    /// pending pre-warm ready time and no page registration (release is
-    /// guarded against double-release inside).
-    fn drop_instance(&mut self, function: usize, expired_at: Option<f64>) {
-        match expired_at {
-            Some(deadline_ms) => self.pool.expire_with_deadline(function, deadline_ms),
-            None => self.pool.evict(function),
+    /// pending pre-warm ready time and no page registration (its pages
+    /// are registered exactly while it has a live instance, so they are
+    /// released only when the pool had one to retire).
+    fn drop_instance(&mut self, slot: usize, expired_at: Option<f64>) {
+        let retired = match expired_at {
+            Some(deadline_ms) => self.pool.expire_with_deadline(slot, deadline_ms),
+            None => self.pool.evict(slot),
         };
-        self.take_prewarm_ready(function);
-        if let Some(tenancy) = self.tenancy.as_mut() {
-            tenancy.release(function);
+        self.take_prewarm_ready(slot);
+        if let (true, Some(tenancy)) = (retired, self.tenancy.as_mut()) {
+            tenancy.release(self.records[slot].function);
         }
     }
 
-    /// The keep-alive hold in force for `function`: its adaptive hold
-    /// under prediction, the pool's global window otherwise.
-    fn hold_for(&self, function: usize) -> f64 {
+    /// The keep-alive hold in force for `slot`: its adaptive hold under
+    /// prediction, the pool's global window otherwise.
+    fn hold_for(&self, slot: usize) -> f64 {
         match &self.prewarm {
-            Some(prewarm) => prewarm.bank.holds()[function],
+            Some(prewarm) => prewarm.bank.hold(slot),
             None => self.pool.keep_alive_ms(),
         }
     }
 
-    /// Registers `deadline_ms` as `function`'s expiry deadline, queued as
-    /// a `kind` entry. If an entry that fires no later is already
-    /// queued, only the deadline moves — the queued entry re-checks the
-    /// idle predicate when it fires and re-arms itself at the true
-    /// deadline, so a hot function keeps a single long-lived entry
-    /// instead of one per invocation.
-    fn schedule_expiry(&mut self, function: usize, deadline_ms: f64, kind: FleetEventKind) {
-        let queued = self.expiry_queued[function];
-        if queued == 0.0 || queued > deadline_ms {
-            self.expiry_queued[function] = deadline_ms;
-            self.timers.push(deadline_ms, kind, function as u32);
+    /// Registers `deadline_ms` as the expiry deadline of the instance in
+    /// `slot`, queued as a `kind` entry. If an entry that fires no later
+    /// is already queued, only the deadline moves — the queued entry
+    /// re-checks the idle predicate when it fires and re-arms itself at
+    /// the true deadline, so a hot function keeps a single long-lived
+    /// entry instead of one per invocation.
+    fn schedule_expiry(&mut self, slot: usize, deadline_ms: f64, kind: FleetEventKind) {
+        let queued = &mut self.records[slot].expiry_queued;
+        if *queued == 0.0 || *queued > deadline_ms {
+            *queued = deadline_ms;
+            self.timers.push(deadline_ms, kind, slot as u32);
         }
     }
 
-    /// Re-keys `function`'s expiry after a model observation moved its
+    /// Re-keys the expiry in `slot` after a model observation moved its
     /// hold without an invocation (the shed path): a tightened hold
     /// needs an adaptive-decay re-check at the earlier deadline, while
     /// a raised hold rides on the outstanding entry (which revalidates
     /// when it fires).
-    fn resync_expiry(&mut self, function: usize) {
-        let Some(last) = self.pool.last_invoked_ms(function) else {
+    fn resync_expiry(&mut self, slot: usize) {
+        let Some(last) = self.pool.last_invoked_ms(slot) else {
             return;
         };
-        let deadline = last + self.hold_for(function);
-        self.schedule_expiry(function, deadline, FleetEventKind::AdaptiveDecay);
+        let deadline = last + self.hold_for(slot);
+        self.schedule_expiry(slot, deadline, FleetEventKind::AdaptiveDecay);
     }
 
     /// Pops and fires every timer due at the arrival boundary `at`: all
@@ -525,11 +584,11 @@ impl FleetHost {
             next.time_ms < at || (next.time_ms == at && next.kind == FleetEventKind::PrewarmTimer)
         };
         while let Some(event) = self.timers.pop_if(due) {
-            let function = event.function as usize;
+            let slot = event.function as usize;
             match event.kind {
-                FleetEventKind::PrewarmTimer => self.fire_prewarm(function, event.time_ms, at),
+                FleetEventKind::PrewarmTimer => self.fire_prewarm(slot, event.time_ms, at),
                 FleetEventKind::KeepAliveExpiry | FleetEventKind::AdaptiveDecay => {
-                    self.fire_expiry(function, event.time_ms, at);
+                    self.fire_expiry(slot, event.time_ms, at);
                 }
             }
         }
@@ -544,25 +603,26 @@ impl FleetHost {
     /// itself there instead of expiring. A genuine expiry credits
     /// residency through the deadline, exactly what the lazy sweep used
     /// to charge.
-    fn fire_expiry(&mut self, function: usize, fired_ms: f64, at: f64) {
-        if self.expiry_queued[function] != fired_ms {
+    fn fire_expiry(&mut self, slot: usize, fired_ms: f64, at: f64) {
+        let queued = &mut self.records[slot].expiry_queued;
+        if *queued != fired_ms {
             return;
         }
-        self.expiry_queued[function] = 0.0;
-        if let Some(deadline_ms) = self.expire_if_lapsed(function, at) {
-            self.schedule_expiry(function, deadline_ms, FleetEventKind::KeepAliveExpiry);
+        *queued = 0.0;
+        if let Some(deadline_ms) = self.expire_if_lapsed(slot, at) {
+            self.schedule_expiry(slot, deadline_ms, FleetEventKind::KeepAliveExpiry);
         }
     }
 
-    /// Expires `function`'s live instance if it will have lapsed by `at`
+    /// Expires the live instance in `slot` if it will have lapsed by `at`
     /// under the hold in force, crediting residency through its
     /// deadline. Returns the deadline of an instance that survives, or
     /// `None` when the function is left with no live instance.
-    fn expire_if_lapsed(&mut self, function: usize, at: f64) -> Option<f64> {
-        let last = self.pool.last_invoked_ms(function)?;
-        let hold = self.hold_for(function);
+    fn expire_if_lapsed(&mut self, slot: usize, at: f64) -> Option<f64> {
+        let last = self.pool.last_invoked_ms(slot)?;
+        let hold = self.hold_for(slot);
         if at - last > hold {
-            self.drop_instance(function, Some(last + hold));
+            self.drop_instance(slot, Some(last + hold));
             return None;
         }
         Some(last + hold)
@@ -576,37 +636,40 @@ impl FleetHost {
     /// dropped. Otherwise a restored instance spawns back-dated to
     /// `t_pre`, leaving its ready time behind so an arrival that beats
     /// the restore pays the residual wait.
-    fn fire_prewarm(&mut self, function: usize, t_pre: f64, at: f64) {
-        let Some(prewarm) = self.prewarm.as_mut() else {
-            return;
-        };
-        if prewarm.pending[function] != Some(t_pre) {
+    fn fire_prewarm(&mut self, slot: usize, t_pre: f64, at: f64) {
+        // Only a host under prediction ever sets a pending time.
+        let record = &mut self.records[slot];
+        if record.prewarm_pending != Some(t_pre) {
             return;
         }
-        prewarm.pending[function] = None;
-        if self.expire_if_lapsed(function, at).is_some() {
+        record.prewarm_pending = None;
+        if self.expire_if_lapsed(slot, at).is_some() {
             // The instance survived after all (e.g. the hold was raised
             // by a later observation): nothing to pre-warm.
             return;
         }
+        let function = self.records[slot].function;
         let resident = self.tenancy_resident(function);
-        let restore_ms = self.pool.spawn_restored_shared(function, t_pre, resident);
-        self.tenancy_register(function);
+        let restore_ms = self
+            .pool
+            .spawn_restored_shared(slot, function, t_pre, resident);
+        self.tenancy_register(slot);
         let snapshots = self.pool.snapshots().is_some();
+        let record = &mut self.records[slot];
+        // Without a snapshot store the pre-boot still takes the flat
+        // cold-start time before the instance is ready.
+        let cost_ms = if snapshots {
+            restore_ms
+        } else {
+            record.last_restore_ms
+        };
+        record.prewarm_ready = Some(t_pre + cost_ms);
+        record.last_restore_ms = cost_ms;
         if let Some(prewarm) = self.prewarm.as_mut() {
-            // Without a snapshot store the pre-boot still takes the flat
-            // cold-start time before the instance is ready.
-            let cost_ms = if snapshots {
-                restore_ms
-            } else {
-                prewarm.last_restore_ms[function]
-            };
-            prewarm.ready[function] = Some(t_pre + cost_ms);
-            prewarm.last_restore_ms[function] = cost_ms;
             prewarm.spawns += 1;
         }
-        let deadline_ms = t_pre + self.hold_for(function);
-        self.schedule_expiry(function, deadline_ms, FleetEventKind::KeepAliveExpiry);
+        let deadline_ms = t_pre + self.hold_for(slot);
+        self.schedule_expiry(slot, deadline_ms, FleetEventKind::KeepAliveExpiry);
     }
 
     /// Processes one routed invocation and returns its end-to-end
@@ -660,7 +723,8 @@ impl FleetHost {
         self.settle(config, &mut inv, result)
     }
 
-    /// Opens the invocation's context: counts the arrival in the series
+    /// Opens the invocation's context: finds the function's slot (a first
+    /// arrival here pushes its record), counts the arrival in the series
     /// (hedge copies are duplicate load, not arrivals — the merge
     /// records the joined pair once) and reads the retry allowance.
     fn arrive<'s, 'r>(
@@ -673,13 +737,12 @@ impl FleetHost {
         if !routed.hedge {
             self.series.record_arrival(routed.at_ms);
         }
+        let slot = self.slot_of(config, routed.function);
+        let tokens = self.records[slot].tokens;
         let budget = &config.retry_budget;
-        let tokens = self
-            .retry_tokens
-            .as_ref()
-            .map_or(0.0, |t| t[routed.function]);
         Invocation {
             routed,
+            slot,
             scope,
             profile: routed.function % model.functions(),
             seq: self.invocations,
@@ -750,20 +813,19 @@ impl FleetHost {
     /// per-arrival sweep's strict `at − last > hold` predicate exactly.
     /// Without prediction only the drain runs.
     fn observe(&mut self, inv: &Invocation) {
-        let (at, function) = (inv.routed.at_ms, inv.routed.function);
+        let (at, slot) = (inv.routed.at_ms, inv.slot);
         self.drain_timers(at);
         let Some(prewarm) = self.prewarm.as_mut() else {
             return;
         };
-        let scheduled = prewarm
-            .bank
-            .observe(function, at, prewarm.last_restore_ms[function]);
+        let record = &mut self.records[slot];
+        let scheduled = prewarm.bank.observe(slot, at, record.last_restore_ms);
         // Each observation replaces the function's pending pre-restore;
         // moving the key cancels any stale timer still in the queue.
-        prewarm.pending[function] = scheduled;
+        record.prewarm_pending = scheduled;
         if let Some(t_pre) = scheduled {
             self.timers
-                .push(t_pre, FleetEventKind::PrewarmTimer, function as u32);
+                .push(t_pre, FleetEventKind::PrewarmTimer, slot as u32);
         }
     }
 
@@ -794,7 +856,7 @@ impl FleetHost {
         }
         // The observation may have tightened this function's hold
         // without an invocation to re-key it.
-        self.resync_expiry(function);
+        self.resync_expiry(inv.slot);
         // A shed invocation's root covers only the reconnect wait it
         // burned getting here.
         inv.scope
@@ -807,21 +869,21 @@ impl FleetHost {
     /// on a pre-warmed instance, or a warm hit priced by its
     /// interleaving degree.
     fn start(&mut self, model: &ServiceModel, jukebox: bool, inv: &mut Invocation) {
-        let (at, function) = (inv.routed.at_ms, inv.routed.function);
+        let (at, slot) = (inv.routed.at_ms, inv.slot);
         // A memory-pressure eviction during the idle gap takes the warm
         // instance away before the invocation lands. The fault plan only
         // draws (and counts) this on warm starts, so when we act on it
         // here — evicting from the pool and flipping to a cold start —
         // we take over the bookkeeping it would have done.
-        if self.pool.is_warm(function) && self.faults.evicted_before(inv.seq) {
-            self.drop_instance(function, None);
+        if self.pool.is_warm(slot) && self.faults.evicted_before(inv.seq) {
+            self.drop_instance(slot, None);
             self.fault_stats.evictions += 1;
         }
         // Taken on every path, so no ready time outlives this stage. (A
         // ready time only ever sits beside a live instance, so a cold
         // start finds none.)
-        let prewarm_ready = self.take_prewarm_ready(function);
-        inv.service_ms = match (self.pool.invoke(function, at), prewarm_ready) {
+        let prewarm_ready = self.take_prewarm_ready(slot);
+        inv.service_ms = match (self.pool.invoke(slot, at), prewarm_ready) {
             (None, _) => self.start_cold(model, inv),
             (Some(_), Some(ready_ms)) => self.start_prewarmed(model, jukebox, inv, ready_ms),
             (Some(gap_ms), None) => self.start_warm(model, jukebox, inv, gap_ms),
@@ -835,14 +897,14 @@ impl FleetHost {
     /// of the recorded pages). A fresh container has nothing resident:
     /// full penalty, and Jukebox has no prior invocation to replay.
     fn start_cold(&mut self, model: &ServiceModel, inv: &mut Invocation) -> f64 {
-        let (at, function) = (inv.routed.at_ms, inv.routed.function);
+        let (at, function, slot) = (inv.routed.at_ms, inv.routed.function, inv.slot);
         inv.starts_cold = true;
         let restore_ms = if inv.degrade_restore && self.pool.snapshots().is_some() {
             // Memory-pressure rung: restore by lazy paging instead of a
             // prefetch burst the pressured host can't afford. Pays the
             // full page count — a pressured host can't count on
             // co-resident sharing either.
-            let spawned = self.pool.spawn_restored_degraded(function, at);
+            let spawned = self.pool.spawn_restored_degraded(slot, function, at);
             if let Some(ctl) = self.admission.as_mut() {
                 ctl.note_degraded_restore();
             }
@@ -852,17 +914,16 @@ impl FleetHost {
             // instances come off the restore bill (0 resident — the
             // disabled path — prices identically to pre-tenancy).
             let resident = self.tenancy_resident(function);
-            self.pool.spawn_restored_shared(function, at, resident)
+            self.pool
+                .spawn_restored_shared(slot, function, at, resident)
         };
-        self.tenancy_register(function);
+        self.tenancy_register(slot);
         if self.pool.snapshots().is_some() {
             inv.cold_start_ms = restore_ms;
         }
-        if let Some(prewarm) = self.prewarm.as_mut() {
-            // Keep the pre-warm lead-time estimate tracking the restore
-            // model's actual pricing.
-            prewarm.last_restore_ms[function] = inv.cold_start_ms;
-        }
+        // Keep the pre-warm lead-time estimate tracking the restore
+        // model's actual pricing (read only under prediction).
+        self.records[slot].last_restore_ms = inv.cold_start_ms;
         self.cold_starts += 1;
         inv.class = StartClass::Cold;
         model.service_ms(inv.profile, 1.0, false)
@@ -887,6 +948,7 @@ impl FleetHost {
         }
         inv.class = StartClass::Lukewarm;
         self.degree_sum += 1.0;
+        self.last_warm_degree = 1.0;
         (ready_ms - inv.routed.at_ms).max(0.0) + model.service_ms(inv.profile, 1.0, jukebox)
     }
 
@@ -900,11 +962,11 @@ impl FleetHost {
         inv: &mut Invocation,
         gap_ms: f64,
     ) -> f64 {
-        let (at, function) = (inv.routed.at_ms, inv.routed.function);
+        let at = inv.routed.at_ms;
         let elapsed_sec = at / 1000.0;
         let other_per_sec = if elapsed_sec > 0.0 {
             let host_rate = self.invocations as f64 / elapsed_sec;
-            let own_rate = self.fn_invocations[function] as f64 / elapsed_sec;
+            let own_rate = self.records[inv.slot].invocations as f64 / elapsed_sec;
             (host_rate - own_rate).max(0.0)
         } else {
             0.0
@@ -918,6 +980,7 @@ impl FleetHost {
             inv.class = StartClass::Warm;
         }
         self.degree_sum += degree;
+        self.last_warm_degree = degree;
         model.service_ms(inv.profile, degree, jukebox)
     }
 
@@ -1008,26 +1071,26 @@ impl FleetHost {
         inv: &mut Invocation,
         result: InvocationResult,
     ) -> f64 {
-        let (at, function) = (inv.routed.at_ms, inv.routed.function);
+        let (at, function, slot) = (inv.routed.at_ms, inv.routed.function, inv.slot);
         // Crashes tear the instance down. If the retry layer recovered,
         // its final attempt ran on a fresh spawn; reflect that in the
         // pool. If it gave up, the function has no live instance left.
-        if self.pool.is_warm(function) {
+        if self.pool.is_warm(slot) {
             if inv.crashed || !result.completed {
                 // `start` already took any pre-warm ready time, so the
                 // teardown's take is a no-op here.
-                self.drop_instance(function, None);
+                self.drop_instance(slot, None);
             }
             if inv.crashed && result.completed {
-                self.pool.spawn(function, at);
-                self.tenancy_register(function);
+                self.pool.spawn(slot, at);
+                self.tenancy_register(slot);
             }
         }
         // Whatever instance is live now was just invoked at `at`: re-key
         // its keep-alive deadline under the hold in force.
-        if self.pool.is_warm(function) {
-            let deadline_ms = at + self.hold_for(function);
-            self.schedule_expiry(function, deadline_ms, FleetEventKind::KeepAliveExpiry);
+        if self.pool.is_warm(slot) {
+            let deadline_ms = at + self.hold_for(slot);
+            self.schedule_expiry(slot, deadline_ms, FleetEventKind::KeepAliveExpiry);
         }
         let fault_retries = result.attempts.saturating_sub(1);
         self.retries += fault_retries;
@@ -1051,10 +1114,10 @@ impl FleetHost {
     /// Settles `retries` spent attempts against the invocation's retry
     /// budget (a no-op when the budget is unlimited).
     fn settle_budget(&mut self, config: &FleetConfig, inv: &Invocation, retries: u64, done: bool) {
-        if let Some(tokens) = self.retry_tokens.as_mut() {
+        if config.retry_budget.is_limited() {
             let mut level = inv.tokens;
             config.retry_budget.settle(&mut level, retries, done);
-            tokens[inv.routed.function] = level;
+            self.records[inv.slot].tokens = level;
         }
     }
 
@@ -1070,6 +1133,13 @@ impl FleetHost {
         } else {
             self.degree_sum / self.hits() as f64
         }
+    }
+
+    /// Interleaving degree of the most recent warm hit (1 for an arrival
+    /// on a pre-warmed instance; 0 before any hit). A caller pricing the
+    /// same hit another way reads it here rather than re-deriving it.
+    pub fn last_warm_degree(&self) -> f64 {
+        self.last_warm_degree
     }
 
     /// Currently warm instances.
@@ -1183,6 +1253,7 @@ impl FleetHost {
 mod tests {
     use super::*;
     use crate::timing::ServiceModel;
+    use luke_predict::Predictor;
     use workloads::paper_suite;
 
     fn setup() -> (FleetConfig, ServiceModel) {
@@ -1301,21 +1372,134 @@ mod tests {
         }
         assert!(host.fault_stats.total_faults() > 0, "faults should strike");
         assert_eq!(host.fault_stats.completed + host.fault_stats.abandoned, 500);
-        // The warm count covers exactly the warm functions, and each one
+        // The warm count covers exactly the warm slots, and each one
         // keeps a queued expiry entry no later than its true deadline.
-        let warm: Vec<usize> = (0..config.population)
-            .filter(|&function| host.pool.is_warm(function))
+        let warm: Vec<usize> = (0..host.records.len())
+            .filter(|&slot| host.pool.is_warm(slot))
             .collect();
         assert!(!warm.is_empty());
         assert_eq!(warm.len(), host.warm_instances());
-        for function in warm {
-            let deadline = host.pool.last_invoked_ms(function).unwrap() + host.hold_for(function);
-            let queued = host.expiry_queued[function];
+        for slot in warm {
+            let deadline = host.pool.last_invoked_ms(slot).unwrap() + host.hold_for(slot);
+            let queued = host.records[slot].expiry_queued;
             assert!(
                 queued > 0.0 && queued <= deadline,
-                "function {function}: expiry queued at {queued}, deadline {deadline}"
+                "slot {slot}: expiry queued at {queued}, deadline {deadline}"
             );
         }
+    }
+
+    #[test]
+    fn a_fresh_host_holds_no_records() {
+        let (config, _) = setup();
+        let host = FleetHost::new(&config, 0);
+        assert!(host.records.is_empty());
+        assert!(host.slots.iter().all(|&slot| slot == 0));
+        assert_eq!(host.warm_instances(), 0);
+    }
+
+    #[test]
+    fn records_follow_first_arrival_order() {
+        let (config, model) = setup();
+        let mut host = FleetHost::new(&config, 0);
+        let stream = [7, 2, 7, 9, 2, 0, 9, 7];
+        for (i, &function) in stream.iter().enumerate() {
+            let routed = RoutedInvocation::new(i as f64 * 10.0, function);
+            host.process(&config, &model, false, routed);
+        }
+        let seen: Vec<usize> = host.records.iter().map(|r| r.function).collect();
+        assert_eq!(
+            seen,
+            vec![7, 2, 9, 0],
+            "distinct functions, first-arrival order"
+        );
+        let counts: Vec<u64> = host.records.iter().map(|r| r.invocations).collect();
+        assert_eq!(counts, vec![3, 2, 2, 1]);
+        for (slot, record) in host.records.iter().enumerate() {
+            assert_eq!(host.slots[record.function] as usize, slot + 1);
+        }
+        let unseen = (0..config.population).filter(|&f| host.slots[f] == 0);
+        assert_eq!(unseen.count(), config.population - 4);
+    }
+
+    #[test]
+    fn a_crash_clears_instances_ready_times_and_registrations_only() {
+        use luke_predict::PrewarmConfig;
+        use luke_tenancy::TenancyConfig;
+        let (config, model) = setup();
+        let config = FleetConfig {
+            keep_alive_ms: 2_000.0,
+            cold_start_model: ColdStartModel::ReapPrefetch,
+            prewarm: PrewarmConfig {
+                min_samples: 4,
+                ..PrewarmConfig::default_enabled()
+            },
+            tenancy: TenancyConfig::default_enabled(),
+            retry_budget: server::RetryBudget::new(10.0, 0.1).unwrap(),
+            ..config
+        };
+        config.validate().unwrap();
+        let mut host = FleetHost::new(&config, 0);
+        // Functions 0 and 3 arrive on a strict 5 s period past the 2 s
+        // keep-alive, so pre-restores are scheduled and spawned; 1 and 2
+        // arrive every 500 ms and stay warm beside them.
+        let mut arrivals = Vec::new();
+        for i in 0..30 {
+            let base = i as f64 * 5_000.0;
+            arrivals.push((base, 0));
+            arrivals.push((base + 2_500.0, 3));
+            for k in 0..10 {
+                arrivals.push((base + k as f64 * 500.0 + 1.0, 1));
+                arrivals.push((base + k as f64 * 500.0 + 2.0, 2));
+            }
+        }
+        arrivals.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for &(at, function) in &arrivals {
+            host.process(&config, &model, false, RoutedInvocation::new(at, function));
+        }
+        // Fire function 0's last pre-restore without an arrival consuming
+        // it; function 3's is still pending.
+        host.drain_timers(29.0 * 5_000.0 + 4_999.0);
+        assert!(host.prewarm_spawns() > 0);
+        let before = host.records.clone();
+        let functions: Vec<usize> = before.iter().map(|r| r.function).collect();
+        assert_eq!(functions, vec![0, 1, 2, 3]);
+        assert!(
+            before[0].prewarm_ready.is_some(),
+            "a pre-restore is waiting"
+        );
+        assert!(
+            before[3].prewarm_pending.is_some(),
+            "a pre-restore is pending"
+        );
+        assert!(before.iter().all(|r| r.tokens > 0.0 && r.invocations > 0));
+        assert!(before[..3].iter().all(|r| r.expiry_queued > 0.0));
+        let bank = &host.prewarm.as_ref().unwrap().bank;
+        let models: Vec<Predictor> = (0..4).map(|slot| bank.predictor(slot).clone()).collect();
+        let holds = bank.holds().to_vec();
+        assert!(holds.iter().any(|&hold| hold < config.keep_alive_ms));
+        assert!(host.tenancy.as_ref().unwrap().resident_bytes() > 0);
+        assert_eq!(host.warm_instances(), 3);
+
+        host.crash();
+
+        assert_eq!(host.host_crashes, 1);
+        assert_eq!(host.warm_instances(), 0);
+        assert!((0..4).all(|slot| !host.pool.is_warm(slot)));
+        assert_eq!(host.tenancy.as_ref().unwrap().resident_bytes(), 0);
+        let expected: Vec<FunctionState> = before
+            .into_iter()
+            .map(|record| FunctionState {
+                prewarm_ready: None,
+                ..record
+            })
+            .collect();
+        assert_eq!(host.records, expected, "only the ready times cleared");
+        let bank = &host.prewarm.as_ref().unwrap().bank;
+        for (slot, model) in models.iter().enumerate() {
+            assert_eq!(bank.predictor(slot), model);
+        }
+        assert_eq!(bank.holds(), &holds[..]);
     }
 
     #[test]

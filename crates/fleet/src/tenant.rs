@@ -4,12 +4,15 @@
 //!
 //! A host owns exactly one [`HostTenancy`] when any tenancy knob is on
 //! (`None` otherwise — the disabled feature takes the exact pre-tenancy
-//! code path). The wrapper keeps the store and the host's instance
-//! lifecycle in lock-step: every spawn registers the function's page
-//! layout (dedup-aware when enabled), every expiry/eviction releases
-//! it, and a whole-host crash wipes the resident set the way it wipes
-//! the pool. All state is host-local, so fleet runs stay bit-identical
-//! across thread counts.
+//! code path). The host keeps the store and its instance lifecycle in
+//! lock-step: every spawn registers the function's page layout
+//! (dedup-aware when enabled), every expiry/eviction of a warm instance
+//! releases it, and a whole-host crash wipes the resident set the way
+//! it wipes the pool. The pool is the ledger of what is registered (a
+//! function's pages are registered exactly while it has a warm
+//! instance), so the wrapper keeps no per-function state of its own.
+//! All state is host-local, so fleet runs stay bit-identical across
+//! thread counts.
 
 use luke_tenancy::{ContentionModel, FunctionLayout, SharedPageStore, TenancyConfig};
 use std::sync::{Arc, OnceLock};
@@ -36,10 +39,6 @@ pub struct HostTenancy {
     /// Page layout per suite profile (`function % layouts.len()`),
     /// shared by every host.
     layouts: Arc<[FunctionLayout]>,
-    /// Per logical function: whether its live instance's pages are
-    /// currently registered in the store. Mirrors which functions are
-    /// warm in the host's pool, so release exactly undoes register.
-    registered: Vec<bool>,
     /// The host's content-addressed page store.
     store: SharedPageStore,
     /// Pressure-to-slowdown curve (present only when contention is on).
@@ -69,7 +68,6 @@ impl HostTenancy {
         } = config.tenancy;
         let layouts = suite_layouts();
         Some(HostTenancy {
-            registered: vec![false; config.population],
             store: SharedPageStore::for_layouts(&layouts),
             layouts,
             contention: contention
@@ -105,19 +103,14 @@ impl HostTenancy {
         let registration = self
             .store
             .register(&layout, self.dedup, self.cow_dirty_fraction);
-        self.registered[function] = true;
         registration.weight
     }
 
-    /// Releases `function`'s registration (instance expired, evicted,
-    /// or crashed). Idempotent via the ledger: a function with no
-    /// registered instance is a no-op, so defensive teardown paths
-    /// can't double-release.
+    /// Releases `function`'s registration (its instance expired or was
+    /// evicted). The caller releases only a function it registered and
+    /// has not released since — a fleet host releases exactly when its
+    /// pool retires a warm instance.
     pub fn release(&mut self, function: usize) {
-        if !self.registered[function] {
-            return;
-        }
-        self.registered[function] = false;
         let layout = *self.layout_of(function);
         self.store
             .release(&layout, self.dedup, self.cow_dirty_fraction);
@@ -127,7 +120,6 @@ impl HostTenancy {
     /// pool lost, the store loses too. Cumulative counters survive.
     pub fn clear_resident(&mut self) {
         self.store.clear_resident();
-        self.registered.fill(false);
     }
 
     /// The contention slowdown factor in force right now (1.0 with
@@ -227,9 +219,6 @@ mod tests {
         let w1 = tenancy.register(other);
         assert!(w1 < 1.0, "dedup must shrink the second weight: {w1}");
         tenancy.release(other);
-        tenancy.release(0);
-        assert_eq!(tenancy.resident_bytes(), 0);
-        // Double-release is a guarded no-op.
         tenancy.release(0);
         assert_eq!(tenancy.resident_bytes(), 0);
     }

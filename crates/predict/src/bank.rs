@@ -4,7 +4,7 @@
 use crate::config::PrewarmConfig;
 use crate::predictor::Predictor;
 
-/// The model of every function the bank has not seen arrive yet.
+/// The model of every slot the bank has not seen arrive yet.
 static UNSEEN: Predictor = Predictor::new();
 
 /// A bank of per-function predictors plus the policy state derived from
@@ -16,36 +16,35 @@ static UNSEEN: Predictor = Predictor::new();
 /// arrival stream — shard-local state, so the fleet's parallel phase
 /// needs no cross-thread coordination and merges stay deterministic.
 ///
-/// A predictor is built on its function's first arrival: a host sees a
-/// small share of a large population, so the bank keeps a dense slot
-/// table per function and pushes a [`Predictor`] only when one is
-/// needed. Until then [`PredictorBank::predictor`] answers a shared
-/// empty model, which is what a freshly built predictor would be.
+/// The bank is keyed by *slot*, a dense index its owner assigns to each
+/// function it has seen (a fleet host numbers functions in first-arrival
+/// order). A host sees a small share of a large population, so the bank
+/// holds one predictor and one hold per slot, grown as slots arrive,
+/// and nothing for the functions the host never sees. Until a slot's
+/// first arrival, [`PredictorBank::predictor`] answers a shared empty
+/// model and [`PredictorBank::hold`] the cap, which is what a freshly
+/// built predictor would give.
 #[derive(Clone, Debug)]
 pub struct PredictorBank {
     config: PrewarmConfig,
     cap_ms: f64,
-    /// Per function id: 1 + its index in `predictors`, or 0 while the
-    /// function has not arrived (zero-filled, so an untouched table
-    /// costs no resident pages).
-    slots: Vec<u32>,
-    /// Predictors in first-arrival order.
+    /// Per slot: its predictor.
     predictors: Vec<Predictor>,
+    /// Per slot: its adaptive hold, ms.
     holds: Vec<f64>,
     prewarms_scheduled: u64,
     early_decays: u64,
 }
 
 impl PredictorBank {
-    /// A bank covering `functions` function ids, with the pool's global
-    /// keep-alive `cap_ms` as every function's starting hold.
-    pub fn new(config: PrewarmConfig, functions: usize, cap_ms: f64) -> Self {
+    /// An empty bank, with the pool's global keep-alive `cap_ms` as
+    /// every slot's starting hold.
+    pub fn new(config: PrewarmConfig, cap_ms: f64) -> Self {
         PredictorBank {
             config,
             cap_ms,
-            slots: vec![0; functions],
             predictors: Vec::new(),
-            holds: vec![cap_ms; functions],
+            holds: Vec::new(),
             prewarms_scheduled: 0,
             early_decays: 0,
         }
@@ -56,10 +55,11 @@ impl PredictorBank {
         &self.config
     }
 
-    /// Feeds one arrival of `function` at simulated time `now_ms` and
-    /// refreshes both decision streams. `restore_est_ms` is the current
-    /// estimate of a REAP pre-restore's cost for this function, used to
-    /// back-date the pre-warm to `predicted_arrival − restore_cost`.
+    /// Feeds one arrival of the function in `slot` at simulated time
+    /// `now_ms` and refreshes both decision streams. `restore_est_ms` is
+    /// the current estimate of a REAP pre-restore's cost for this
+    /// function, used to back-date the pre-warm to
+    /// `predicted_arrival − restore_cost`.
     ///
     /// A pre-restore is scheduled only when the predicted arrival falls
     /// *after* the adaptive keep-alive expires — while the instance
@@ -70,23 +70,21 @@ impl PredictorBank {
     /// one outstanding), so the caller keeps the returned time as the
     /// function's only pending pre-restore: a later observe invalidates
     /// any timer scheduled from an earlier one.
-    pub fn observe(&mut self, function: usize, now_ms: f64, restore_est_ms: f64) -> Option<f64> {
-        let slot = match self.slots[function] {
-            0 => {
-                self.predictors.push(Predictor::new());
-                self.slots[function] =
-                    u32::try_from(self.predictors.len()).expect("one predictor per function id");
-                self.predictors.len() - 1
-            }
-            seen => seen as usize - 1,
-        };
+    pub fn observe(&mut self, slot: usize, now_ms: f64, restore_est_ms: f64) -> Option<f64> {
+        if slot >= self.predictors.len() {
+            // A slot can arrive here out of order (its owner may assign
+            // slots to arrivals that never reach the model), so the
+            // slots skipped over get the unseen model and the cap.
+            self.predictors.resize(slot + 1, Predictor::new());
+            self.holds.resize(slot + 1, self.cap_ms);
+        }
         let predictor = &mut self.predictors[slot];
         predictor.observe(now_ms);
         let hold = predictor.hold_ms(&self.config, self.cap_ms);
         if hold < self.cap_ms {
             self.early_decays += 1;
         }
-        self.holds[function] = hold;
+        self.holds[slot] = hold;
         let t_pre = now_ms + predictor.predicted_iat_ms(&self.config)? - restore_est_ms.max(0.0);
         if t_pre > now_ms + hold {
             self.prewarms_scheduled += 1;
@@ -96,20 +94,23 @@ impl PredictorBank {
         }
     }
 
-    /// The current adaptive keep-alive per function id, for the pool's
-    /// adaptive sweep. Functions the model has not yet justified a
-    /// deviation for sit at the global cap.
+    /// The current adaptive keep-alive per slot, for the pool's residency
+    /// pricing. Slots the model has not yet justified a deviation for sit
+    /// at the global cap; slots past the end have not arrived (the cap).
     pub fn holds(&self) -> &[f64] {
         &self.holds
     }
 
-    /// Read-only view of one function's predictor (an empty model
-    /// before its first arrival).
-    pub fn predictor(&self, function: usize) -> &Predictor {
-        match self.slots[function] {
-            0 => &UNSEEN,
-            seen => &self.predictors[seen as usize - 1],
-        }
+    /// The adaptive keep-alive in force for `slot` (the cap before its
+    /// first arrival).
+    pub fn hold(&self, slot: usize) -> f64 {
+        self.holds.get(slot).copied().unwrap_or(self.cap_ms)
+    }
+
+    /// Read-only view of one slot's predictor (an empty model before its
+    /// first arrival).
+    pub fn predictor(&self, slot: usize) -> &Predictor {
+        self.predictors.get(slot).unwrap_or(&UNSEEN)
     }
 
     /// Pre-restores scheduled so far.
@@ -124,9 +125,9 @@ impl PredictorBank {
     }
 }
 
-/// The dense bank the lazy slot table replaced — one predictor per
-/// function id, built up front — kept as the oracle the lazy bank is
-/// checked against.
+/// A dense bank keyed by function id — one predictor per function,
+/// built up front — kept as the oracle the slot-keyed bank is checked
+/// against.
 #[cfg(test)]
 mod oracle {
     use crate::config::PrewarmConfig;
@@ -191,15 +192,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fresh_bank_holds_every_function_at_the_cap() {
-        let bank = PredictorBank::new(PrewarmConfig::default_enabled(), 4, 600_000.0);
-        assert_eq!(bank.holds(), &[600_000.0; 4]);
+    fn fresh_bank_holds_every_slot_at_the_cap() {
+        let bank = PredictorBank::new(PrewarmConfig::default_enabled(), 600_000.0);
+        assert!(bank.holds().is_empty());
+        assert!((0..4).all(|slot| bank.hold(slot) == 600_000.0));
         assert_eq!(bank.prewarms_scheduled(), 0);
     }
 
     #[test]
     fn periodic_function_schedules_a_prewarm_after_its_hold() {
-        let mut bank = PredictorBank::new(PrewarmConfig::default_enabled(), 1, 600_000.0);
+        let mut bank = PredictorBank::new(PrewarmConfig::default_enabled(), 600_000.0);
         let scheduled: Vec<Option<f64>> = (0..8)
             .map(|i| bank.observe(0, i as f64 * 5_000.0, 100.0))
             .collect();
@@ -222,7 +224,7 @@ mod tests {
             min_hold_ms: 60_000.0,
             ..PrewarmConfig::default_enabled()
         };
-        let mut bank = PredictorBank::new(config, 1, 600_000.0);
+        let mut bank = PredictorBank::new(config, 600_000.0);
         for i in 0..8 {
             bank.observe(0, i as f64 * 5_000.0, 100.0);
         }
@@ -233,43 +235,51 @@ mod tests {
 
     #[test]
     fn early_decays_count_tightened_holds() {
-        let mut bank = PredictorBank::new(PrewarmConfig::default_enabled(), 1, 600_000.0);
+        let mut bank = PredictorBank::new(PrewarmConfig::default_enabled(), 600_000.0);
         for i in 0..8 {
             bank.observe(0, i as f64 * 5_000.0, 100.0);
         }
         assert!(bank.early_decays() > 0);
         assert!(bank.holds()[0] < 600_000.0);
+        assert_eq!(bank.hold(0), bank.holds()[0]);
     }
 
     #[test]
-    fn fresh_bank_allocates_no_buckets_until_observe() {
-        let mut bank = PredictorBank::new(PrewarmConfig::default_enabled(), 200, 600_000.0);
+    fn fresh_slots_allocate_no_buckets_until_a_gap() {
+        let mut bank = PredictorBank::new(PrewarmConfig::default_enabled(), 600_000.0);
         let allocated = |bank: &PredictorBank| {
-            (0..200)
-                .filter(|&f| bank.predictor(f).histogram().has_buckets())
+            (0..8)
+                .filter(|&slot| bank.predictor(slot).histogram().has_buckets())
                 .collect::<Vec<_>>()
         };
-        assert!(allocated(&bank).is_empty());
         // The first arrival only anchors the clock; the second records
-        // a gap, and only for that function.
-        bank.observe(7, 1_000.0, 10.0);
+        // a gap, and only for that slot.
+        bank.observe(0, 500.0, 10.0);
+        bank.observe(1, 1_000.0, 10.0);
         assert!(allocated(&bank).is_empty());
-        bank.observe(7, 2_000.0, 10.0);
-        assert_eq!(allocated(&bank), vec![7]);
+        bank.observe(1, 2_000.0, 10.0);
+        assert_eq!(allocated(&bank), vec![1]);
     }
 
     #[test]
-    fn predictors_are_built_on_first_arrival() {
-        let mut bank = PredictorBank::new(PrewarmConfig::default_enabled(), 200, 600_000.0);
+    fn slots_are_built_as_they_arrive() {
+        let mut bank = PredictorBank::new(PrewarmConfig::default_enabled(), 600_000.0);
         assert!(bank.predictors.is_empty());
-        assert_eq!(bank.predictor(150).samples(), 0, "unseen: the empty model");
-        bank.observe(150, 1_000.0, 10.0);
-        bank.observe(3, 1_500.0, 10.0);
-        bank.observe(150, 2_000.0, 10.0);
-        assert_eq!(bank.predictors.len(), 2, "one per function that arrived");
-        assert_eq!(bank.predictor(150).samples(), 1);
-        assert_eq!(bank.predictor(3).last_arrival_ms(), Some(1_500.0));
-        assert_eq!(bank.predictor(4).last_arrival_ms(), None);
+        assert_eq!(bank.predictor(0).samples(), 0, "unseen: the empty model");
+        bank.observe(0, 1_000.0, 10.0);
+        bank.observe(1, 1_500.0, 10.0);
+        bank.observe(0, 2_000.0, 10.0);
+        assert_eq!(bank.predictors.len(), 2, "one per slot that arrived");
+        assert_eq!(bank.predictor(0).samples(), 1);
+        assert_eq!(bank.predictor(1).last_arrival_ms(), Some(1_500.0));
+        assert_eq!(bank.predictor(2).last_arrival_ms(), None);
+        // A slot that arrives ahead of its predecessors leaves them at
+        // the unseen model and the cap.
+        bank.observe(4, 3_000.0, 10.0);
+        assert_eq!(bank.holds().len(), 5);
+        assert_eq!(bank.predictor(3), &Predictor::new());
+        assert_eq!(bank.hold(3), 600_000.0);
+        assert_eq!(bank.predictor(4).last_arrival_ms(), Some(3_000.0));
     }
 
     mod against_the_dense_oracle {
@@ -305,29 +315,41 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             #[test]
-            fn lazy_bank_matches_the_dense_bank(
+            fn slot_bank_matches_the_dense_bank(
                 functions in 1usize..24,
                 min_samples in 1u64..20,
                 arrivals in prop::collection::vec(arrival(24), 1..300),
             ) {
                 let (config, cap_ms) = (config(min_samples), 600_000.0);
-                let mut lazy = PredictorBank::new(config, functions, cap_ms);
+                let mut bank = PredictorBank::new(config, cap_ms);
                 let mut dense = DenseBank::new(config, functions, cap_ms);
+                // Slots in first-arrival order, as a fleet host assigns
+                // them.
+                let mut slot_of = vec![None; functions];
+                let mut slots = 0;
                 let mut now = 0.0;
                 for (function, gap, restore) in arrivals {
                     now += gap;
                     let function = function % functions;
+                    let slot = *slot_of[function].get_or_insert_with(|| {
+                        slots += 1;
+                        slots - 1
+                    });
                     prop_assert_eq!(
-                        lazy.observe(function, now, restore),
+                        bank.observe(slot, now, restore),
                         dense.observe(function, now, restore)
                     );
-                    prop_assert_eq!(lazy.holds(), &dense.holds[..]);
+                    prop_assert_eq!(bank.hold(slot), dense.holds[function]);
                 }
-                prop_assert_eq!(lazy.prewarms_scheduled(), dense.prewarms_scheduled);
-                prop_assert_eq!(lazy.early_decays(), dense.early_decays);
-                // Seen and unseen functions alike answer the same model.
-                for function in 0..functions {
-                    prop_assert_eq!(lazy.predictor(function), dense.predictor(function));
+                prop_assert_eq!(bank.prewarms_scheduled(), dense.prewarms_scheduled);
+                prop_assert_eq!(bank.early_decays(), dense.early_decays);
+                prop_assert_eq!(bank.holds().len(), slots);
+                // Seen and unseen functions alike answer the same model
+                // and hold.
+                for (function, slot) in slot_of.iter().enumerate() {
+                    let slot = slot.unwrap_or(slots);
+                    prop_assert_eq!(bank.predictor(slot), dense.predictor(function));
+                    prop_assert_eq!(bank.hold(slot), dense.holds[function]);
                 }
             }
         }

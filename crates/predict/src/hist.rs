@@ -1,6 +1,6 @@
 //! Log-bucketed inter-arrival-time histogram.
 
-use luke_obs::hist::{bucket_bounds, bucket_index, BUCKETS};
+use luke_obs::hist::{bucket_bounds, bucket_index};
 
 /// A log-bucketed histogram of one function's inter-arrival times, in
 /// milliseconds.
@@ -15,14 +15,16 @@ use luke_obs::hist::{bucket_bounds, bucket_index, BUCKETS};
 /// long (an instance is never released before the quantile the policy
 /// asked for has truly passed).
 ///
-/// The bucket vector is allocated on the first recorded gap (or the
-/// first merge of a non-empty histogram): a fleet host carries one
-/// histogram per deployed function, most of which never see a gap, so
-/// an unsampled model costs no bucket storage. Equality ignores the
-/// representation — an unallocated vector equals an all-zero one.
+/// The bucket vector only reaches the highest bucket recorded so far:
+/// empty until the first gap, then grown on demand. A fleet host keeps
+/// one histogram per function it has seen, and their gaps cluster in
+/// the low buckets, so the ~1 KB full range is rarely paid. Every bucket
+/// past the vector's end counts zero, and equality and quantiles treat
+/// it so: the representation never shows.
 #[derive(Clone, Debug)]
 pub struct IatHistogram {
-    /// Per-bucket gap counts; empty until the first gap lands.
+    /// Per-bucket gap counts up to the highest bucket recorded (missing
+    /// buckets count zero).
     counts: Vec<u32>,
     count: u64,
     sum_ms: u64,
@@ -54,18 +56,22 @@ impl IatHistogram {
             return;
         }
         let value = iat_ms.round() as u64;
-        self.buckets_mut()[bucket_index(value)] += 1;
+        let bucket = bucket_index(value);
+        self.cover(bucket + 1);
+        self.counts[bucket] += 1;
         self.count += 1;
         self.sum_ms = self.sum_ms.saturating_add(value);
         self.max_ms = self.max_ms.max(value);
     }
 
-    /// The bucket vector, allocated on first use.
-    fn buckets_mut(&mut self) -> &mut [u32] {
-        if self.counts.is_empty() {
-            self.counts = vec![0; BUCKETS];
+    /// Grows the bucket vector to at least `len` buckets. Exact growth:
+    /// the vector only ever grows to the next maximum bucket, so
+    /// doubling would mostly hold zeros.
+    fn cover(&mut self, len: usize) {
+        if len > self.counts.len() {
+            self.counts.reserve_exact(len - self.counts.len());
+            self.counts.resize(len, 0);
         }
-        &mut self.counts
     }
 
     /// Number of recorded gaps.
@@ -117,10 +123,9 @@ impl IatHistogram {
     /// gap into one histogram, in any order — the property the fleet's
     /// deterministic parallel merge relies on.
     pub fn merge(&mut self, other: &IatHistogram) {
-        if !other.counts.is_empty() {
-            for (a, b) in self.buckets_mut().iter_mut().zip(&other.counts) {
-                *a += *b;
-            }
+        self.cover(other.counts.len());
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += *b;
         }
         self.count += other.count;
         self.sum_ms = self.sum_ms.saturating_add(other.sum_ms);
@@ -130,13 +135,13 @@ impl IatHistogram {
 
 impl PartialEq for IatHistogram {
     fn eq(&self, other: &Self) -> bool {
-        let zero = |counts: &[u32]| counts.iter().all(|&c| c == 0);
-        let buckets_eq = match (self.counts.is_empty(), other.counts.is_empty()) {
-            (false, false) => self.counts == other.counts,
-            (true, true) => true,
-            (true, false) => zero(&other.counts),
-            (false, true) => zero(&self.counts),
+        let (short, long) = if self.counts.len() <= other.counts.len() {
+            (&self.counts, &other.counts)
+        } else {
+            (&other.counts, &self.counts)
         };
+        let buckets_eq =
+            long[..short.len()] == short[..] && long[short.len()..].iter().all(|&c| c == 0);
         buckets_eq
             && self.count == other.count
             && self.sum_ms == other.sum_ms
@@ -157,6 +162,7 @@ impl IatHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use luke_obs::hist::BUCKETS;
 
     #[test]
     fn empty_histogram_stays_silent() {
@@ -275,5 +281,59 @@ mod tests {
         assert_eq!(never, zeroed);
         assert_ne!(recorded(1), never);
         assert_ne!(zeroed, recorded(1));
+    }
+
+    /// `h` with its bucket vector padded to the full bucket range.
+    fn full_length(h: &IatHistogram) -> IatHistogram {
+        let mut counts = h.counts.clone();
+        counts.resize(BUCKETS, 0);
+        IatHistogram { counts, ..*h }
+    }
+
+    #[test]
+    fn short_buckets_answer_like_the_full_length_vector() {
+        // Low gaps only (the vector stops well short of the range), then
+        // a second stream reaching much higher buckets.
+        let mut low = IatHistogram::new();
+        for i in 0..300u64 {
+            low.record((i * 13 % 2_400) as f64);
+        }
+        let mut high = IatHistogram::new();
+        for i in 0..50u64 {
+            high.record((i * 977_777 % 50_000_000) as f64);
+        }
+        assert!(low.counts.len() < BUCKETS / 2, "{}", low.counts.len());
+        assert!(high.counts.len() > low.counts.len());
+        let quantiles = |h: &IatHistogram| {
+            (0..=40)
+                .map(|step| h.quantile(step as f64 / 40.0))
+                .collect::<Vec<_>>()
+        };
+        for h in [&low, &high] {
+            let full = full_length(h);
+            assert_eq!(quantiles(h), quantiles(&full));
+            assert_eq!(*h, full);
+            assert_eq!(full, *h);
+        }
+        assert_ne!(low, full_length(&high));
+        assert_ne!(full_length(&high), low);
+        // A merge extends the shorter side to cover the longer one, in
+        // either direction and against either layout.
+        let mut expected = full_length(&low);
+        expected.merge(&full_length(&high));
+        for (a, b) in [
+            (low.clone(), high.clone()),
+            (low.clone(), full_length(&high)),
+            (full_length(&low), high.clone()),
+        ] {
+            let mut merged = a;
+            merged.merge(&b);
+            assert_eq!(merged, expected);
+            assert_eq!(quantiles(&merged), quantiles(&expected));
+        }
+        let mut reversed = high.clone();
+        reversed.merge(&low);
+        assert_eq!(reversed, expected);
+        assert_eq!(reversed.counts.len(), high.counts.len());
     }
 }

@@ -22,6 +22,7 @@
 //! shared-nothing determinism contract: no clocks, no randomness.
 
 use luke_common::SimError;
+use std::sync::Arc;
 
 /// Admission-control knobs. [`AdmissionConfig::disabled`] (the default)
 /// is bit-transparent: no controller is constructed and no `admission.*`
@@ -88,19 +89,20 @@ pub enum AdmissionDecision {
     Shed,
 }
 
-/// Host-local admission state: per-function in-flight tracking plus the
+/// Host-local admission state: the in-flight invocations plus the
 /// shed/degrade tallies. Purely arrival-driven — see the module docs.
 #[derive(Clone, Debug)]
 pub struct AdmissionControl {
     config: AdmissionConfig,
-    /// Per-function priority class (0 = lowest; loses burst first).
-    priorities: Vec<u8>,
+    /// Per-function priority class (0 = lowest; loses burst first),
+    /// shared read-only by every host of a run.
+    priorities: Arc<[u8]>,
     /// Outstanding invocations as `(end_ms, function)` pairs; expired
     /// lazily on each arrival. In-flight counts are tiny (per-host rate ×
-    /// per-invocation latency), so a flat scan stays cheap.
+    /// per-invocation latency), so a flat scan stays cheap — and it
+    /// doubles as the per-function count, so the controller keeps no
+    /// table sized by the population.
     inflight: Vec<(f64, usize)>,
-    /// Per-function in-flight counts, kept in sync with `inflight`.
-    counts: Vec<u32>,
     admitted: u64,
     degraded_restores: u64,
     shed: u64,
@@ -108,30 +110,27 @@ pub struct AdmissionControl {
 
 impl AdmissionControl {
     /// Builds a controller for `priorities.len()` functions.
-    pub fn new(config: AdmissionConfig, priorities: Vec<u8>) -> Self {
-        let functions = priorities.len();
+    pub fn new(config: AdmissionConfig, priorities: Arc<[u8]>) -> Self {
         AdmissionControl {
             config,
             priorities,
             inflight: Vec::new(),
-            counts: vec![0; functions],
             admitted: 0,
             degraded_restores: 0,
             shed: 0,
         }
     }
 
-    /// Drops every in-flight entry that ended at or before `now_ms`.
-    fn expire(&mut self, now_ms: f64) {
-        let counts = &mut self.counts;
-        self.inflight.retain(|&(end_ms, function)| {
-            if end_ms <= now_ms {
-                counts[function] -= 1;
-                false
-            } else {
-                true
-            }
+    /// Drops every in-flight entry that ended at or before `now_ms` and
+    /// returns how many of the survivors belong to `function`.
+    fn expire(&mut self, now_ms: f64, function: usize) -> u32 {
+        let mut count = 0;
+        self.inflight.retain(|&(end_ms, owner)| {
+            let live = end_ms > now_ms;
+            count += u32::from(live && owner == function);
+            live
         });
+        count
     }
 
     /// Walks the shedding ladder for one arrival of `function` at
@@ -143,14 +142,14 @@ impl AdmissionControl {
         function: usize,
         warm_instances: usize,
     ) -> AdmissionDecision {
-        self.expire(now_ms);
+        let count = self.expire(now_ms, function);
         let saturated = self.inflight.len() as u32 >= self.config.host_concurrency;
         let mut limit = self.config.reserved_concurrency + self.config.burst_concurrency;
         if saturated && self.priorities[function] == 0 {
             // Rung 1: the low-priority tail loses its burst allowance.
             limit = self.config.reserved_concurrency;
         }
-        if self.counts[function] >= limit {
+        if count >= limit {
             // Rung 3: over the effective limit — shed.
             self.shed += 1;
             return AdmissionDecision::Shed;
@@ -169,7 +168,6 @@ impl AdmissionControl {
     /// concurrency slot from `now_ms` until `now_ms + latency_ms`.
     pub fn commit(&mut self, now_ms: f64, function: usize, latency_ms: f64) {
         self.inflight.push((now_ms + latency_ms, function));
-        self.counts[function] += 1;
     }
 
     /// Notes that an admitted-degraded cold start actually took the
@@ -225,7 +223,7 @@ mod tests {
 
     #[test]
     fn per_function_limit_sheds_above_reserved_plus_burst() {
-        let mut ctl = AdmissionControl::new(config(), vec![2, 0]);
+        let mut ctl = AdmissionControl::new(config(), Arc::from([2, 0]));
         // Three concurrent invocations of function 0 fit (1 reserved + 2
         // burst); the fourth is shed.
         for i in 0..3 {
@@ -245,7 +243,7 @@ mod tests {
             host_concurrency: 2,
             ..config()
         };
-        let mut ctl = AdmissionControl::new(cfg, vec![2, 0]);
+        let mut ctl = AdmissionControl::new(cfg, Arc::from([2, 0]));
         // Saturate the host with the high-priority function.
         ctl.commit(0.0, 0, 1_000.0);
         ctl.commit(0.0, 0, 1_000.0);
@@ -263,7 +261,7 @@ mod tests {
             memory_pressure_instances: 5,
             ..config()
         };
-        let mut ctl = AdmissionControl::new(cfg, vec![1]);
+        let mut ctl = AdmissionControl::new(cfg, Arc::from([1]));
         assert_eq!(ctl.decide(0.0, 0, 4), AdmissionDecision::Admit);
         assert_eq!(ctl.decide(0.0, 0, 5), AdmissionDecision::AdmitDegraded);
         assert_eq!(ctl.admitted(), 2);

@@ -7,22 +7,27 @@
 //! applied one instance at a time by an event-driven caller that already
 //! knows which deadline fired ([`InstancePool::expire_with_deadline`]).
 //!
-//! # Layout: one record per function
+//! # Layout: one record per slot
 //!
 //! A host keeps at most one warm instance per function, so the pool is
-//! keyed by function: a dense table indexed by function id, grown to
-//! the highest function spawned, whose record is zeroed while the
-//! function has no warm instance. Every lookup is an index. Each
-//! instance carries its spawn sequence number, and the two passes that
-//! sum over every resident instance ([`InstancePool::evict_all`] and
+//! keyed by *slot*: a dense index its owner assigns to each function it
+//! has seen (a fleet host numbers functions in first-arrival order).
+//! The table is indexed by slot, grown to the highest slot spawned, and
+//! a record is zeroed while its function has no warm instance. Every
+//! lookup is an index, and a host that sees a handful of a large
+//! population's functions holds a handful of records. The snapshot
+//! store prices a restore by the function's own id, so the spawns that
+//! restore take it alongside the slot. Each instance carries its spawn
+//! sequence number, and the two passes that sum over every resident
+//! instance ([`InstancePool::evict_all`] and
 //! [`InstancePool::residency_ms_through`]) add their credits in spawn
 //! order, so the `f64` totals are bit-reproducible and independent of
-//! which functions the instances belong to.
+//! which slots the instances sit in.
 
 use luke_common::SimError;
 use luke_snapshot::SnapshotStore;
 
-/// One function's warm instance; all zeros while it has none.
+/// One slot's warm instance; all zeros while it has none.
 #[derive(Clone, Copy, Debug, Default)]
 struct Instance {
     /// Spawn sequence number (the pool's `n`-th spawn is `n`, from 1);
@@ -44,7 +49,7 @@ struct Instance {
 #[derive(Clone, Debug)]
 pub struct InstancePool {
     keep_alive_ms: f64,
-    /// Per function id: its warm instance, or a zeroed record.
+    /// Per slot: its function's warm instance, or a zeroed record.
     instances: Vec<Instance>,
     /// Warm instances resident now.
     warm: usize,
@@ -116,34 +121,30 @@ impl InstancePool {
         self.keep_alive_ms
     }
 
-    /// `function`'s warm instance, if it has one.
-    fn get(&self, function: usize) -> Option<&Instance> {
+    /// The warm instance in `slot`, if it has one.
+    fn get(&self, slot: usize) -> Option<&Instance> {
         self.instances
-            .get(function)
+            .get(slot)
             .filter(|instance| instance.spawn_seq != 0)
     }
 
     /// [`InstancePool::get`], mutably.
-    fn get_mut(&mut self, function: usize) -> Option<&mut Instance> {
+    fn get_mut(&mut self, slot: usize) -> Option<&mut Instance> {
         self.instances
-            .get_mut(function)
+            .get_mut(slot)
             .filter(|instance| instance.spawn_seq != 0)
     }
 
-    /// Spawns a warm instance for `function` at time `now_ms` (a cold
-    /// start). The function must have no warm instance.
-    pub fn spawn(&mut self, function: usize, now_ms: f64) {
-        if function >= self.instances.len() {
-            // Exact growth: a fleet holds one table per host, and
-            // doubling would leave most of each one unused.
-            let grow = function + 1 - self.instances.len();
-            self.instances.reserve_exact(grow);
-            self.instances.resize(function + 1, Instance::default());
+    /// Spawns a warm instance in `slot` at time `now_ms` (a cold start).
+    /// The slot must have no warm instance.
+    pub fn spawn(&mut self, slot: usize, now_ms: f64) {
+        if slot >= self.instances.len() {
+            self.instances.resize(slot + 1, Instance::default());
         }
-        debug_assert!(!self.is_warm(function), "function {function} is warm");
+        debug_assert!(!self.is_warm(slot), "slot {slot} is warm");
         self.cold_starts += 1;
         self.warm += 1;
-        self.instances[function] = Instance {
+        self.instances[slot] = Instance {
             spawn_seq: self.cold_starts,
             last_invoked_ms: now_ms,
             spawned_ms: now_ms,
@@ -155,18 +156,19 @@ impl InstancePool {
     /// resident, but forces the restore onto the lazy-paging path — the
     /// admission ladder's memory-pressure rung skips the prefetch burst
     /// on an already-pressured host.
-    pub fn spawn_restored_degraded(&mut self, function: usize, now_ms: f64) -> f64 {
+    pub fn spawn_restored_degraded(&mut self, slot: usize, function: usize, now_ms: f64) -> f64 {
         let restore_ms = self
             .snapshots
             .as_mut()
             .map_or(0.0, |s| s.restore_ms_degraded(function));
-        self.spawn(function, now_ms);
+        self.spawn(slot, now_ms);
         restore_ms
     }
 
     /// Like [`InstancePool::spawn`], but also prices the cold start's
-    /// memory bring-up through the attached snapshot store: returns the
-    /// restore latency in milliseconds (0 with no store, or under
+    /// memory bring-up through the attached snapshot store, by the id of
+    /// the `function` in `slot`: returns the restore latency in
+    /// milliseconds (0 with no store, or under
     /// `ColdStartModel::Instant`). `resident_pages` of the function's
     /// working set are already resident on the host — shared pages a
     /// co-resident same-language instance brought in (the
@@ -175,6 +177,7 @@ impl InstancePool {
     /// full restore.
     pub fn spawn_restored_shared(
         &mut self,
+        slot: usize,
         function: usize,
         now_ms: f64,
         resident_pages: usize,
@@ -182,17 +185,17 @@ impl InstancePool {
         let restore_ms = self.snapshots.as_mut().map_or(0.0, |s| {
             s.restore_ms_with_resident(function, resident_pages)
         });
-        self.spawn(function, now_ms);
+        self.spawn(slot, now_ms);
         restore_ms
     }
 
-    /// Sets the memory-accounting weight of `function`'s warm instance:
+    /// Sets the memory-accounting weight of the warm instance in `slot`:
     /// the fraction of its footprint the host materialized after
     /// shared-page dedup. Every residency credit (expiry, eviction, live
     /// accounting) multiplies by it. Instances spawn at weight 1.0.
-    /// Returns `false` if the function has no warm instance.
-    pub fn set_weight(&mut self, function: usize, weight: f64) -> bool {
-        match self.get_mut(function) {
+    /// Returns `false` if the slot has no warm instance.
+    pub fn set_weight(&mut self, slot: usize, weight: f64) -> bool {
+        match self.get_mut(slot) {
             Some(instance) => {
                 instance.weight = weight;
                 true
@@ -201,26 +204,26 @@ impl InstancePool {
         }
     }
 
-    /// Records an invocation dispatched to `function`'s warm instance at
-    /// `now_ms`. Returns the idle gap since the previous invocation, or
-    /// `None` if the function has no warm instance (a cold start).
-    pub fn invoke(&mut self, function: usize, now_ms: f64) -> Option<f64> {
-        let instance = self.get_mut(function)?;
+    /// Records an invocation dispatched to the warm instance in `slot`
+    /// at `now_ms`. Returns the idle gap since the previous invocation,
+    /// or `None` if the slot has no warm instance (a cold start).
+    pub fn invoke(&mut self, slot: usize, now_ms: f64) -> Option<f64> {
+        let instance = self.get_mut(slot)?;
         let gap = (now_ms - instance.last_invoked_ms).max(0.0);
         instance.last_invoked_ms = now_ms;
         Some(gap)
     }
 
-    /// Whether `function` has a warm instance.
-    pub fn is_warm(&self, function: usize) -> bool {
-        self.get(function).is_some()
+    /// Whether `slot` has a warm instance.
+    pub fn is_warm(&self, slot: usize) -> bool {
+        self.get(slot).is_some()
     }
 
-    /// The most recent invocation time of `function`'s warm instance
+    /// The most recent invocation time of the warm instance in `slot`
     /// (`None` while it has none) — the read the event-driven expiry
     /// check needs.
-    pub fn last_invoked_ms(&self, function: usize) -> Option<f64> {
-        self.get(function).map(|instance| instance.last_invoked_ms)
+    pub fn last_invoked_ms(&self, slot: usize) -> Option<f64> {
+        self.get(slot).map(|instance| instance.last_invoked_ms)
     }
 
     /// Number of warm instances.
@@ -228,22 +231,22 @@ impl InstancePool {
         self.warm
     }
 
-    /// Takes `function`'s warm instance out of the pool.
-    fn take(&mut self, function: usize) -> Option<Instance> {
-        let instance = std::mem::take(self.get_mut(function)?);
+    /// Takes the warm instance in `slot` out of the pool.
+    fn take(&mut self, slot: usize) -> Option<Instance> {
+        let instance = std::mem::take(self.get_mut(slot)?);
         self.warm -= 1;
         Some(instance)
     }
 
-    /// Retires `function`'s warm instance through its keep-alive
+    /// Retires the warm instance in `slot` through its keep-alive
     /// *deadline*: an expiry event fired for it, whose deadline
     /// (`last_invoked + hold`) the caller already knows. Counts as an
     /// expiration and credits residency through `deadline_ms`, not
     /// through the (later) time the caller noticed — so memory
     /// accounting is independent of when the next arrival happened to
-    /// land. Returns `false` if the function has no warm instance.
-    pub fn expire_with_deadline(&mut self, function: usize, deadline_ms: f64) -> bool {
-        let Some(instance) = self.take(function) else {
+    /// land. Returns `false` if the slot has no warm instance.
+    pub fn expire_with_deadline(&mut self, slot: usize, deadline_ms: f64) -> bool {
+        let Some(instance) = self.take(slot) else {
             return false;
         };
         self.retired_memory_ms += (deadline_ms - instance.spawned_ms) * instance.weight;
@@ -251,11 +254,11 @@ impl InstancePool {
         true
     }
 
-    /// Forcibly tears down `function`'s warm instance (a crash or a
+    /// Forcibly tears down the warm instance in `slot` (a crash or a
     /// memory-pressure eviction, as opposed to a keep-alive expiry).
     /// Returns `true` if there was one.
-    pub fn evict(&mut self, function: usize) -> bool {
-        let Some(instance) = self.take(function) else {
+    pub fn evict(&mut self, slot: usize) -> bool {
+        let Some(instance) = self.take(slot) else {
             return false;
         };
         self.evictions += 1;
@@ -316,8 +319,8 @@ impl InstancePool {
     /// Total warm-pool occupancy in instance-milliseconds through
     /// simulated time `end_ms`: everything retired instances credited,
     /// plus each still-resident instance's stay from spawn through the
-    /// earlier of `end_ms` and its expiry deadline under `holds`
-    /// (`None` = the global keep-alive). Read-only — nothing expires —
+    /// earlier of `end_ms` and its expiry deadline under `holds`, indexed
+    /// by slot (`None`, or a slot past its end, = the global keep-alive). Read-only — nothing expires —
     /// so exporters can price memory without disturbing the
     /// end-of-run warm population.
     ///
@@ -325,9 +328,9 @@ impl InstancePool {
     /// provider actually pays to run a keep-alive policy.
     pub fn residency_ms_through(&self, end_ms: f64, holds: Option<&[f64]>) -> f64 {
         let mut total = self.retired_memory_ms;
-        for (function, instance) in self.by_spawn_order() {
+        for (slot, instance) in self.by_spawn_order() {
             let hold = holds
-                .and_then(|h| h.get(function).copied())
+                .and_then(|h| h.get(slot).copied())
                 .unwrap_or(self.keep_alive_ms);
             let until = end_ms.min(instance.last_invoked_ms + hold);
             total += (until - instance.spawned_ms).max(0.0) * instance.weight;
@@ -473,7 +476,7 @@ mod tests {
     #[test]
     fn spawn_restored_without_a_store_is_free() {
         let mut pool = InstancePool::new(60_000.0);
-        let restore_ms = pool.spawn_restored_shared(3, 10.0, 0);
+        let restore_ms = pool.spawn_restored_shared(3, 3, 10.0, 0);
         assert_eq!(restore_ms, 0.0);
         assert_eq!(pool.last_invoked_ms(3), Some(10.0));
         assert_eq!(pool.cold_starts(), 1);
@@ -490,9 +493,11 @@ mod tests {
         )
         .unwrap();
         let mut pool = InstancePool::new(60_000.0).with_snapshots(store);
-        let record_ms = pool.spawn_restored_shared(0, 0.0, 0);
+        // The store keys its records by function id, not by slot: the
+        // same function respawned in another slot replays its record.
+        let record_ms = pool.spawn_restored_shared(0, 7, 0.0, 0);
         assert!(pool.expire_with_deadline(0, 60_000.0));
-        let prefetch_ms = pool.spawn_restored_shared(0, 61_000.0, 0);
+        let prefetch_ms = pool.spawn_restored_shared(1, 7, 61_000.0, 0);
         assert!(
             prefetch_ms < record_ms,
             "REAP replay {prefetch_ms}ms vs record {record_ms}ms"
@@ -665,15 +670,15 @@ mod tests {
         )
         .unwrap();
         let mut pool = InstancePool::new(60_000.0).with_snapshots(store);
-        pool.spawn_restored_shared(0, 0.0, 0); // record pass
+        pool.spawn_restored_shared(0, 0, 0.0, 0); // record pass
         pool.evict(0);
-        let full = pool.spawn_restored_shared(0, 1.0, 0);
+        let full = pool.spawn_restored_shared(0, 0, 1.0, 0);
         pool.evict(0);
-        let discounted = pool.spawn_restored_shared(0, 2.0, 50);
+        let discounted = pool.spawn_restored_shared(0, 0, 2.0, 50);
         assert!(discounted < full, "{discounted} vs {full}");
         // Without a store the shared path stays free.
         let mut bare = InstancePool::new(60_000.0);
-        assert_eq!(bare.spawn_restored_shared(0, 0.0, 10), 0.0);
+        assert_eq!(bare.spawn_restored_shared(0, 0, 0.0, 10), 0.0);
     }
 
     #[test]

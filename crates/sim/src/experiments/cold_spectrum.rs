@@ -17,11 +17,13 @@
 //! restore to lazy paging, bump `snapshot.replay_aborts`, and re-record
 //! — never panic, never prefetch a bogus page.
 //!
-//! Each cell drives two [`FleetHost`]s (Jukebox off and on) in lockstep
-//! over one arrival stream: the hosts decide which arrivals start cold
-//! and price the warm ones. Expiry keys on arrival time alone, so both
-//! hosts see the same cold/warm split. Cold arrivals are priced here,
-//! once per variant, against the experiment's own snapshot stores. No
+//! Each cell drives one [`FleetHost`] over the arrival stream: the host
+//! decides which arrivals start cold and prices the warm ones. Expiry
+//! keys on arrival time alone, so the cold/warm split is the same with
+//! Jukebox on, and a warm hit's Jukebox price is the same service model
+//! read at the hit's interleaving degree
+//! ([`FleetHost::last_warm_degree`]). Cold arrivals are priced here, once
+//! per variant, against the experiment's own snapshot stores. No
 //! cycle-accurate timing runs; working sets are always paper-scale
 //! (`workloads::paper_suite`), so the REAP recovery fraction is
 //! meaningful at every `--scale`.
@@ -172,8 +174,7 @@ fn run_cell(
         ..FleetConfig::default()
     };
     config.validate()?;
-    let mut plain_host = FleetHost::new(&config, 0);
-    let mut jukebox_host = FleetHost::new(&config, 0);
+    let mut host = FleetHost::new(&config, 0);
     let mut lazy_store = SnapshotStore::for_profiles(
         ColdStartModel::LazyPaging,
         timings,
@@ -199,18 +200,21 @@ fn run_cell(
 
     for event in TrafficGenerator::new(distributions, 7).take_events(invocations) {
         let function = event.instance;
+        let profile = function % model.functions();
         let routed = RoutedInvocation::new(event.at_ms, function);
-        let cold_starts = plain_host.cold_starts;
-        let plain = plain_host.process(&config, model, false, routed);
-        let jukebox = jukebox_host.process(&config, model, true, routed);
-        if plain_host.cold_starts == cold_starts {
+        let cold_starts = host.cold_starts;
+        let plain = host.process(&config, model, false, routed);
+        if host.cold_starts == cold_starts {
             sums[0] += plain;
             sums[1] += plain;
             sums[2] += plain;
-            sums[3] += jukebox;
+            // The default host prices a warm hit as exactly its service
+            // time (no faults, stretch or boot): with Jukebox, the same
+            // model at the same degree.
+            sums[3] += model.service_ms(profile, host.last_warm_degree(), true);
             continue;
         }
-        let service = model.service_ms(function % model.functions(), 1.0, false);
+        let service = model.service_ms(profile, 1.0, false);
         let lazy_ms = lazy_store.restore_ms(function);
         // A crash mid-write or a bit-flip on the snapshot medium
         // corrupts the record this restore would replay.
@@ -233,7 +237,7 @@ fn run_cell(
     }
 
     let n = invocations as f64;
-    let cold_starts = plain_host.cold_starts;
+    let cold_starts = host.cold_starts;
     let cold = cold_starts.max(1) as f64;
     let lazy_restore_ms = lazy_restore_sum / cold;
     let reap_restore_ms = reap_restore_sum / cold;

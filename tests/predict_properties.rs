@@ -114,7 +114,7 @@ proptest! {
             ..PrewarmConfig::default_enabled()
         };
         let floor = config.min_hold_ms.min(cap_ms);
-        let mut bank = PredictorBank::new(config, 1, cap_ms);
+        let mut bank = PredictorBank::new(config, cap_ms);
         for at in arrivals(&gaps) {
             bank.observe(0, at, 5.0);
             let hold = bank.holds()[0];
