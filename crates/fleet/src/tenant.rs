@@ -68,7 +68,7 @@ impl HostTenancy {
         } = config.tenancy;
         let layouts = suite_layouts();
         Some(HostTenancy {
-            store: SharedPageStore::for_layouts(&layouts),
+            store: SharedPageStore::new(),
             layouts,
             contention: contention
                 .enabled()

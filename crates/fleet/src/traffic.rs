@@ -10,12 +10,17 @@
 //! deterministic log-uniform spread so same-profile deployments still
 //! differ by orders of magnitude — the heavy tail that makes routing
 //! policy matter.
+//!
+//! Both arrival streams merge their lanes through [`server::SliceMerge`]:
+//! the stationary one as a [`TrafficGenerator`], the surge one as
+//! [`SurgeTraffic`], whose lanes thin peak-rate candidates as they draw
+//! them. Every lane owns a split RNG, so the slices change no event.
 
 use luke_common::rng::DetRng;
 use luke_common::SimError;
-use server::{IatDistribution, InvocationEvent, TrafficGenerator};
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use server::{
+    ArrivalLanes, IatDistribution, InvocationEvent, SliceDraw, SliceMerge, TrafficGenerator,
+};
 use workloads::paper_traffic_weights;
 
 use crate::config::FleetConfig;
@@ -218,49 +223,22 @@ impl Default for SurgeConfig {
     }
 }
 
-/// The next pending candidate of one surge lane, ordered by time then
-/// lane index — the same tie-break as the stationary generator's merge.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct NextCandidate {
-    at_ms: f64,
-    lane: usize,
-}
-
-impl Eq for NextCandidate {}
-
-impl Ord for NextCandidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.at_ms
-            .total_cmp(&other.at_ms)
-            .then(self.lane.cmp(&other.lane))
-    }
-}
-
-impl PartialOrd for NextCandidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Non-stationary arrival stream by thinning: each lane draws candidate
 /// arrivals at its *peak* rate, then accepts each with probability
 /// `rate(t) / peak` — the standard construction for an inhomogeneous
 /// Poisson process, and deterministic because every lane owns a split
-/// RNG.
+/// RNG. The lanes merge through the same [`SliceMerge`] as the
+/// stationary stream: a lane thins its candidates as it draws them, in
+/// its own draw order, so the slice holds accepted arrivals only.
 #[derive(Clone, Debug)]
 pub struct SurgeTraffic {
-    /// Per-lane `(candidate mean gap at peak rate, rng)`.
-    lanes: Vec<(f64, DetRng)>,
-    queue: BinaryHeap<Reverse<NextCandidate>>,
-    config: SurgeConfig,
-    hot: usize,
+    merge: SliceMerge<SurgeLanes>,
 }
 
 impl SurgeTraffic {
     fn new(population: &Population, seed: u64, config: SurgeConfig) -> Self {
         let hot = population.hot_function();
         let root = DetRng::new(seed).split(SURGE_STREAM);
-        let mut queue = BinaryHeap::with_capacity(population.rates_per_sec.len());
         let lanes = population
             .rates_per_sec
             .iter()
@@ -269,36 +247,92 @@ impl SurgeTraffic {
                 let peak = peak_factor(&config, lane == hot);
                 let mean_ms = 1000.0 / (rate * peak);
                 let mut rng = root.split(lane as u64);
-                let first = rng.exponential(mean_ms);
-                queue.push(Reverse(NextCandidate { at_ms: first, lane }));
-                (mean_ms, rng)
+                // `+ 0.0` turns a −0.0 first draw into +0.0, so the
+                // lane's keys rise in bit order.
+                let first = rng.exponential(mean_ms) + 0.0;
+                SurgeLane {
+                    key: first.to_bits(),
+                    mean_ms,
+                    rng,
+                }
             })
             .collect();
         SurgeTraffic {
-            lanes,
-            queue,
-            config,
-            hot,
+            merge: SliceMerge::new(SurgeLanes { lanes, config, hot }),
         }
+    }
+}
+
+/// One surge lane: its next undrawn candidate, the candidates' mean gap
+/// at the lane's peak rate, and its RNG.
+#[derive(Clone, Debug)]
+struct SurgeLane {
+    key: u64,
+    mean_ms: f64,
+    rng: DetRng,
+}
+
+/// The lanes of a [`SurgeTraffic`] and the shape that thins them.
+#[derive(Clone, Debug)]
+struct SurgeLanes {
+    lanes: Vec<SurgeLane>,
+    config: SurgeConfig,
+    hot: usize,
+}
+
+impl ArrivalLanes for SurgeLanes {
+    fn lanes(&self) -> usize {
+        self.lanes.len()
     }
 
-    /// The rate multiplier lane `lane` experiences at `t_ms`, relative
-    /// to its stationary mean.
-    fn rate_factor(&self, lane: usize, t_ms: f64) -> f64 {
-        let mut factor = 1.0;
-        if self.config.diurnal_amplitude > 0.0 {
-            let phase = std::f64::consts::TAU * t_ms / self.config.diurnal_period_ms;
-            factor *= 1.0 + self.config.diurnal_amplitude * phase.sin();
-        }
-        if lane == self.hot
-            && self.config.flash_multiplier > 1.0
-            && t_ms >= self.config.flash_start_ms
-            && t_ms < self.config.flash_start_ms + self.config.flash_duration_ms
-        {
-            factor *= self.config.flash_multiplier;
-        }
-        factor
+    fn rate_per_ms(&self) -> f64 {
+        self.lanes.iter().map(|lane| 1.0 / lane.mean_ms).sum()
     }
+
+    /// Per candidate, in this order: the acceptance probability at its
+    /// time, the gap to the next candidate, then the acceptance draw.
+    fn draw(&mut self, lane: usize, t_end: u64, budget: usize, out: &mut SliceDraw) -> u64 {
+        let is_hot = lane == self.hot;
+        let peak = peak_factor(&self.config, is_hot);
+        let SurgeLane { key, mean_ms, rng } = &mut self.lanes[lane];
+        // Work on a copy of the RNG, so its state stays in registers
+        // rather than round-tripping through memory `out` might alias.
+        let (mean_ms, mut draws) = (*mean_ms, rng.clone());
+        let mut at = *key;
+        for _ in 0..budget {
+            if at >= t_end {
+                break;
+            }
+            let at_ms = f64::from_bits(at);
+            let accept_p = rate_factor(&self.config, is_hot, at_ms) / peak;
+            let gap = draws.exponential(mean_ms).max(f64::MIN_POSITIVE);
+            if draws.chance(accept_p) {
+                out.push(at, lane as u32);
+            }
+            at = (at_ms + gap).to_bits();
+        }
+        *rng = draws;
+        *key = at;
+        at
+    }
+}
+
+/// The rate multiplier a lane experiences at `t_ms`, relative to its
+/// stationary mean.
+fn rate_factor(config: &SurgeConfig, is_hot: bool, t_ms: f64) -> f64 {
+    let mut factor = 1.0;
+    if config.diurnal_amplitude > 0.0 {
+        let phase = std::f64::consts::TAU * t_ms / config.diurnal_period_ms;
+        factor *= 1.0 + config.diurnal_amplitude * phase.sin();
+    }
+    if is_hot
+        && config.flash_multiplier > 1.0
+        && t_ms >= config.flash_start_ms
+        && t_ms < config.flash_start_ms + config.flash_duration_ms
+    {
+        factor *= config.flash_multiplier;
+    }
+    factor
 }
 
 /// A lane's worst-case rate multiplier — the thinning envelope.
@@ -313,25 +347,9 @@ fn peak_factor(config: &SurgeConfig, is_hot: bool) -> f64 {
 impl Iterator for SurgeTraffic {
     type Item = InvocationEvent;
 
+    #[inline]
     fn next(&mut self) -> Option<InvocationEvent> {
-        loop {
-            let Reverse(next) = self.queue.pop()?;
-            let peak = peak_factor(&self.config, next.lane == self.hot);
-            let accept_p = self.rate_factor(next.lane, next.at_ms) / peak;
-            let (mean_ms, rng) = &mut self.lanes[next.lane];
-            let gap = rng.exponential(*mean_ms).max(f64::MIN_POSITIVE);
-            let accepted = rng.chance(accept_p);
-            self.queue.push(Reverse(NextCandidate {
-                at_ms: next.at_ms + gap,
-                lane: next.lane,
-            }));
-            if accepted {
-                return Some(InvocationEvent {
-                    at_ms: next.at_ms,
-                    instance: next.lane,
-                });
-            }
-        }
+        self.merge.next()
     }
 }
 
@@ -375,6 +393,257 @@ impl Iterator for ArrivalStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::{Ordering, Reverse};
+    use std::collections::BinaryHeap;
+
+    /// The stationary oracle: before every event, a linear scan picks
+    /// the lane whose pending arrival is lowest in `(at_ms, lane)`.
+    struct LinearScan {
+        lanes: Vec<(IatDistribution, f64, DetRng)>,
+    }
+
+    impl LinearScan {
+        /// The oracle for [`Population::generator`]`(seed)`.
+        fn new(population: &Population, seed: u64) -> Self {
+            let root = DetRng::new(DetRng::new(seed).split(LANE_STREAM).seed());
+            let lanes = population
+                .lanes
+                .iter()
+                .enumerate()
+                .map(|(i, &dist)| {
+                    let mut rng = root.split(i as u64);
+                    let first = dist.sample(&mut rng);
+                    (dist, first, rng)
+                })
+                .collect();
+            LinearScan { lanes }
+        }
+    }
+
+    impl Iterator for LinearScan {
+        type Item = InvocationEvent;
+
+        fn next(&mut self) -> Option<InvocationEvent> {
+            let (idx, _) = self
+                .lanes
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| a.1.total_cmp(&b.1))?;
+            let (dist, at, rng) = &mut self.lanes[idx];
+            let event = InvocationEvent {
+                at_ms: *at,
+                instance: idx,
+            };
+            *at += dist.sample(rng).max(f64::MIN_POSITIVE);
+            Some(event)
+        }
+    }
+
+    /// The next pending candidate of one surge lane, ordered by time then
+    /// lane index.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct NextCandidate {
+        at_ms: f64,
+        lane: usize,
+    }
+
+    impl Eq for NextCandidate {}
+
+    impl Ord for NextCandidate {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.at_ms
+                .total_cmp(&other.at_ms)
+                .then(self.lane.cmp(&other.lane))
+        }
+    }
+
+    impl PartialOrd for NextCandidate {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The surge oracle: a binary heap of every lane's next candidate,
+    /// popped and thinned one candidate at a time.
+    struct HeapSurge {
+        lanes: Vec<(f64, DetRng)>,
+        queue: BinaryHeap<Reverse<NextCandidate>>,
+        config: SurgeConfig,
+        hot: usize,
+    }
+
+    impl HeapSurge {
+        /// The oracle for [`Population::surge_generator`]`(seed, config)`.
+        fn new(population: &Population, seed: u64, config: SurgeConfig) -> Self {
+            let hot = population.hot_function();
+            let root = DetRng::new(seed).split(SURGE_STREAM);
+            let mut queue = BinaryHeap::new();
+            let lanes = population
+                .rates_per_sec
+                .iter()
+                .enumerate()
+                .map(|(lane, &rate)| {
+                    let mean_ms = 1000.0 / (rate * peak_factor(&config, lane == hot));
+                    let mut rng = root.split(lane as u64);
+                    let first = rng.exponential(mean_ms);
+                    queue.push(Reverse(NextCandidate { at_ms: first, lane }));
+                    (mean_ms, rng)
+                })
+                .collect();
+            HeapSurge {
+                lanes,
+                queue,
+                config,
+                hot,
+            }
+        }
+    }
+
+    impl Iterator for HeapSurge {
+        type Item = InvocationEvent;
+
+        fn next(&mut self) -> Option<InvocationEvent> {
+            loop {
+                let Reverse(next) = self.queue.pop()?;
+                let is_hot = next.lane == self.hot;
+                let accept_p = rate_factor(&self.config, is_hot, next.at_ms)
+                    / peak_factor(&self.config, is_hot);
+                let (mean_ms, rng) = &mut self.lanes[next.lane];
+                let gap = rng.exponential(*mean_ms).max(f64::MIN_POSITIVE);
+                let accepted = rng.chance(accept_p);
+                self.queue.push(Reverse(NextCandidate {
+                    at_ms: next.at_ms + gap,
+                    lane: next.lane,
+                }));
+                if accepted {
+                    return Some(InvocationEvent {
+                        at_ms: next.at_ms,
+                        instance: next.lane,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Compares `events` events of `stream` with `oracle`, bit for bit.
+    fn assert_same_stream(
+        stream: impl Iterator<Item = InvocationEvent>,
+        oracle: impl Iterator<Item = InvocationEvent>,
+        events: usize,
+    ) -> Result<(), TestCaseError> {
+        let mut stream = stream.fuse();
+        let mut oracle = oracle.fuse();
+        for i in 0..events {
+            let (got, want) = (stream.next(), oracle.next());
+            prop_assert_eq!(
+                got.map(|e| (e.at_ms.to_bits(), e.instance)),
+                want.map(|e| (e.at_ms.to_bits(), e.instance)),
+                "event {}",
+                i
+            );
+            if want.is_none() {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// The `--chaos light` preset's surge shape.
+    fn chaos_light_surge() -> SurgeConfig {
+        SurgeConfig {
+            diurnal_amplitude: 0.3,
+            diurnal_period_ms: 60_000.0,
+            flash_multiplier: 6.0,
+            flash_start_ms: 10_000.0,
+            flash_duration_ms: 15_000.0,
+        }
+    }
+
+    /// A random population: 0–23 functions over a 256× rate spread.
+    fn population() -> impl Strategy<Value = Population> {
+        prop::collection::vec(0u32..256, 0..24).prop_map(|steps| {
+            let rates_per_sec: Vec<f64> = steps
+                .iter()
+                .map(|&step| 2.0 * f64::from(step + 1))
+                .collect();
+            let lanes = rates_per_sec
+                .iter()
+                .map(|&rate| IatDistribution::Exponential {
+                    mean_ms: 1000.0 / rate,
+                })
+                .collect();
+            Population {
+                lanes,
+                rates_per_sec,
+            }
+        })
+    }
+
+    /// A random surge shape: diurnal ramp, flash crowd, both or neither.
+    fn surge() -> impl Strategy<Value = SurgeConfig> {
+        (0u32..4, 0u32..90, 1u32..40).prop_map(|(kind, depth, flash)| SurgeConfig {
+            diurnal_amplitude: if kind & 1 == 1 {
+                f64::from(depth) / 100.0
+            } else {
+                0.0
+            },
+            diurnal_period_ms: 7_000.0,
+            flash_multiplier: if kind & 2 == 2 { f64::from(flash) } else { 1.0 },
+            flash_start_ms: 2_000.0,
+            flash_duration_ms: 3_000.0,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn stationary_stream_matches_the_linear_scan(
+            population in population(),
+            seed in any::<u64>(),
+            events in 1usize..12_000,
+        ) {
+            let generator = population.generator(seed).unwrap();
+            assert_same_stream(generator, LinearScan::new(&population, seed), events)?;
+        }
+
+        #[test]
+        fn surge_stream_matches_the_heap(
+            population in population(),
+            shape in surge(),
+            seed in any::<u64>(),
+            events in 1usize..12_000,
+        ) {
+            let generator = population.surge_generator(seed, &shape);
+            let oracle = HeapSurge::new(&population, seed, shape);
+            assert_same_stream(generator, oracle, events)?;
+        }
+    }
+
+    /// Two million arrivals of the default 200-function population, both
+    /// stationary and under the `--chaos light` surge shape, against the
+    /// oracles. Run with `cargo test --release -p luke-fleet -- --ignored`.
+    #[test]
+    #[ignore = "2M events per stream: run in release with --ignored"]
+    fn two_million_events_match_the_oracles() {
+        let config = FleetConfig::default();
+        let population = Population::synthesize(&config);
+        assert_eq!(population.lanes.len(), 200);
+        let events = 2_000_000;
+        assert_same_stream(
+            population.generator(config.seed).unwrap(),
+            LinearScan::new(&population, config.seed),
+            events,
+        )
+        .unwrap();
+        assert_same_stream(
+            population.surge_generator(config.seed, &chaos_light_surge()),
+            HeapSurge::new(&population, config.seed, chaos_light_surge()),
+            events,
+        )
+        .unwrap();
+    }
 
     fn config() -> FleetConfig {
         FleetConfig {

@@ -53,8 +53,16 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
 }
 
 /// A log-bucketed histogram of `u64` samples (see module docs).
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// The bucket vector only reaches the highest bucket recorded so far:
+/// empty until the first sample, then grown on demand, so a histogram
+/// that never records (or records only small values) never pays for the
+/// full range. Every bucket past the vector's end counts zero, and
+/// equality, quantiles and exports treat it so.
+#[derive(Clone, Debug)]
 pub struct Histogram {
+    /// Per-bucket counts up to the highest bucket recorded (missing
+    /// buckets count zero).
     counts: Vec<u64>,
     count: u64,
     sum: u64,
@@ -70,9 +78,9 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Histogram {
-            counts: vec![0; BUCKETS],
+            counts: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -82,11 +90,23 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        self.counts[bucket_index(value)] += 1;
+        let bucket = bucket_index(value);
+        self.cover(bucket + 1);
+        self.counts[bucket] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
+    }
+
+    /// Grows the bucket vector to at least `len` buckets. Exact growth:
+    /// the vector only ever grows to the next maximum bucket, so
+    /// doubling would mostly hold zeros.
+    fn cover(&mut self, len: usize) {
+        if len > self.counts.len() {
+            self.counts.reserve_exact(len - self.counts.len());
+            self.counts.resize(len, 0);
+        }
     }
 
     /// Number of recorded samples.
@@ -123,8 +143,13 @@ impl Histogram {
     }
 
     /// Occupancy of bucket `index` (for tests and exporters).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= BUCKETS`.
     pub fn bucket_count(&self, index: usize) -> u64 {
-        self.counts[index]
+        assert!(index < BUCKETS, "bucket index {index} out of range");
+        self.counts.get(index).copied().unwrap_or(0)
     }
 
     /// Nearest-rank percentile (`p` in `[0, 100]`), reported as the
@@ -184,6 +209,7 @@ impl Histogram {
     /// into one histogram, in any order — the property the fleet
     /// simulator's deterministic parallel merge relies on.
     pub fn merge(&mut self, other: &Histogram) {
+        self.cover(other.counts.len());
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += *b;
         }
@@ -194,9 +220,96 @@ impl Histogram {
     }
 }
 
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.counts.len() <= other.counts.len() {
+            (&self.counts, &other.counts)
+        } else {
+            (&other.counts, &self.counts)
+        };
+        let buckets_eq =
+            long[..short.len()] == short[..] && long[short.len()..].iter().all(|&c| c == 0);
+        buckets_eq
+            && self.count == other.count
+            && self.sum == other.sum
+            && self.min == other.min
+            && self.max == other.max
+    }
+}
+
+impl Eq for Histogram {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `h` with its bucket vector padded to the full bucket range.
+    fn full_length(h: &Histogram) -> Histogram {
+        let mut counts = h.counts.clone();
+        counts.resize(BUCKETS, 0);
+        Histogram { counts, ..*h }
+    }
+
+    #[test]
+    fn a_fresh_histogram_allocates_no_buckets() {
+        let mut h = Histogram::new();
+        assert_eq!(h.counts.capacity(), 0);
+        h.merge(&Histogram::new());
+        assert_eq!(h.counts.capacity(), 0);
+        h.record(3);
+        assert_eq!(h.counts.len(), 4);
+        assert_eq!(h.bucket_count(BUCKETS - 1), 0);
+        // An allocated all-zero vector is the same empty histogram.
+        assert_eq!(full_length(&Histogram::new()), Histogram::new());
+        assert_eq!(Histogram::new(), full_length(&Histogram::new()));
+    }
+
+    #[test]
+    fn short_buckets_answer_like_the_full_length_vector() {
+        // Small values only (the vector stops well short of the range),
+        // then a second histogram reaching much higher buckets.
+        let mut low = Histogram::new();
+        for i in 0..300u64 {
+            low.record(i * 13 % 2_400);
+        }
+        let mut high = Histogram::new();
+        for i in 0..50u64 {
+            high.record(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 40));
+        }
+        assert!(low.counts.len() < BUCKETS / 2, "{}", low.counts.len());
+        assert!(high.counts.len() > low.counts.len());
+        let quantiles = |h: &Histogram| {
+            (0..=40)
+                .map(|step| h.try_percentile(step as f64 * 2.5))
+                .collect::<Vec<_>>()
+        };
+        let buckets = |h: &Histogram| (0..BUCKETS).map(|i| h.bucket_count(i)).collect::<Vec<_>>();
+        for h in [&low, &high] {
+            let full = full_length(h);
+            assert_eq!(quantiles(h), quantiles(&full));
+            assert_eq!(buckets(h), buckets(&full));
+            assert_eq!(*h, full);
+            assert_eq!(full, *h);
+        }
+        assert_ne!(low, full_length(&high));
+        assert_ne!(full_length(&high), low);
+        // A merge extends the shorter side to cover the longer one, in
+        // either direction and against either layout.
+        let mut expected = full_length(&low);
+        expected.merge(&full_length(&high));
+        for (a, b) in [
+            (low.clone(), high.clone()),
+            (low.clone(), full_length(&high)),
+            (full_length(&low), high.clone()),
+            (high.clone(), low.clone()),
+        ] {
+            let mut merged = a;
+            merged.merge(&b);
+            assert_eq!(merged, expected);
+            assert_eq!(quantiles(&merged), quantiles(&expected));
+            assert_eq!(buckets(&merged), buckets(&expected));
+        }
+    }
 
     #[test]
     fn linear_region_is_exact() {

@@ -70,6 +70,13 @@ impl IatDistribution {
         if let Err(e) = self.validate() {
             panic!("{e}");
         }
+        self.sample_unchecked(rng)
+    }
+
+    /// Samples the next gap of a distribution the caller has already
+    /// validated (the traffic generator checks every lane once, up front).
+    #[inline]
+    pub(crate) fn sample_unchecked(&self, rng: &mut DetRng) -> f64 {
         match *self {
             IatDistribution::Fixed(ms) => ms,
             IatDistribution::Exponential { mean_ms } => rng.exponential(mean_ms),

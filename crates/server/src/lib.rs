@@ -39,4 +39,4 @@ pub use fault::{
 pub use iat::IatDistribution;
 pub use interleave::InterleaveModel;
 pub use pool::InstancePool;
-pub use traffic::{InvocationEvent, TrafficGenerator};
+pub use traffic::{ArrivalLanes, InvocationEvent, SliceDraw, SliceMerge, TrafficGenerator};

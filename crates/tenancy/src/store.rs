@@ -14,10 +14,11 @@
 //! those coordinates directly — one `u32` column per (language slot,
 //! region), indexed by page — so every operation walks the two
 //! contiguous index ranges a layout covers (runtime `0..runtime_pages`,
-//! library `cow..library_pages`) without hashing. A store built with
-//! [`SharedPageStore::for_layouts`] allocates each column once at the
-//! full extent of its layouts; [`SharedPageStore::new`] grows a column
-//! the first time a registration reaches past its end.
+//! library `cow..library_pages`) without hashing. A new store holds no
+//! column at all: a registration that reaches past a column's end grows
+//! it to exactly that extent, so a host pays only for the languages and
+//! library depths it actually runs, and reads clip to what a column
+//! holds.
 //!
 //! Registration returns the instance's *charged weight*: the fraction
 //! of its footprint the host actually had to materialize. The fleet
@@ -83,26 +84,19 @@ impl SharedPageStore {
         Self::default()
     }
 
-    /// An empty store with every column allocated once at the largest
-    /// extent any of `layouts` reaches, so registering those layouts
-    /// never reallocates.
-    pub fn for_layouts(layouts: &[FunctionLayout]) -> Self {
-        let mut store = Self::new();
-        for layout in layouts {
-            store.reserve(layout);
-        }
-        store
-    }
-
     /// Grows `layout`'s two columns to cover its full index ranges.
+    /// Exact growth: a column only grows to the next deepest layout, so
+    /// doubling would mostly hold zeros.
     fn reserve(&mut self, layout: &FunctionLayout) {
         let [(runtime, _, runtime_end), (library, _, library_end)] = ranges(layout, 0);
         if self.columns.len() <= library {
             self.columns.resize(library + 1, Vec::new());
         }
         for (column, extent) in [(runtime, runtime_end), (library, library_end)] {
-            if self.columns[column].len() < extent {
-                self.columns[column].resize(extent, 0);
+            let column = &mut self.columns[column];
+            if column.len() < extent {
+                column.reserve_exact(extent - column.len());
+                column.resize(extent, 0);
             }
         }
     }
@@ -603,26 +597,49 @@ mod tests {
         assert!(reg.weight < 1.0);
     }
 
+    /// A store with every column allocated up front at the largest
+    /// extent any of `layouts` reaches — the layout growth must match.
+    fn pre_reserved(layouts: &[FunctionLayout]) -> SharedPageStore {
+        let mut store = SharedPageStore::new();
+        for layout in layouts {
+            store.reserve(layout);
+        }
+        store
+    }
+
     #[test]
-    fn columns_sized_from_the_suite_never_reallocate() {
+    fn columns_grow_only_as_far_as_registrations_reach() {
         let layouts: Vec<FunctionLayout> = paper_suite()
             .iter()
             .map(FunctionLayout::for_profile)
             .collect();
-        let mut store = SharedPageStore::for_layouts(&layouts);
-        let columns = |store: &SharedPageStore| {
+        let mut store = SharedPageStore::new();
+        assert!(store.columns.is_empty());
+        let extents = |store: &SharedPageStore| {
             store
                 .columns
                 .iter()
-                .map(|column| (column.as_ptr(), column.len()))
+                .map(|column| (column.len(), column.capacity()))
                 .collect::<Vec<_>>()
         };
-        let sized = columns(&store);
+        store.register(&layouts[0], true, 0.0);
+        let [(runtime, _, runtime_end), (library, _, library_end)] = ranges(&layouts[0], 0);
+        assert_eq!(extents(&store)[runtime], (runtime_end, runtime_end));
+        assert_eq!(extents(&store)[library], (library_end, library_end));
+        // Dedup off registers no shared page, so it grows nothing.
+        let before = extents(&store);
+        for layout in &layouts {
+            store.register(layout, false, 0.0);
+        }
+        assert_eq!(extents(&store), before);
+        // With every layout registered, the columns reach exactly as far
+        // as the pre-reserved store's, and a crash keeps them.
         for layout in &layouts {
             store.register(layout, true, 0.0);
         }
         store.clear_resident();
-        assert_eq!(columns(&store), sized);
+        let full = extents(&pre_reserved(&layouts));
+        assert_eq!(extents(&store), full);
         assert_eq!(store.resident_shared_pages(), 0);
     }
 
@@ -792,10 +809,54 @@ mod tests {
                 layouts in prop::collection::vec(layout(), LAYOUTS..LAYOUTS + 1),
                 ops in prop::collection::vec(op(), 1..160),
             ) {
-                // Columns sized up front (the fleet path) and columns
-                // grown by registration (`new`) both match the oracle.
-                check(SharedPageStore::for_layouts(&layouts), &layouts, &ops)?;
+                // Columns sized up front and columns grown by
+                // registration (`new`) both match the oracle.
+                check(pre_reserved(&layouts), &layouts, &ops)?;
                 check(SharedPageStore::new(), &layouts, &ops)?;
+            }
+
+            #[test]
+            fn grown_columns_match_the_pre_reserved_store(
+                layouts in prop::collection::vec(layout(), LAYOUTS..LAYOUTS + 1),
+                ops in prop::collection::vec(op(), 1..160),
+            ) {
+                // Any register/release order: the store that grows its
+                // columns holds the same ref counts and counters as the
+                // one sized up front, after every step.
+                let mut grown = SharedPageStore::new();
+                let mut sized = pre_reserved(&layouts);
+                for op in &ops {
+                    match *op {
+                        Op::Register(l, dedup, cow) | Op::Release(l, dedup, cow) => {
+                            let register = matches!(op, Op::Register(..));
+                            for store in [&mut grown, &mut sized] {
+                                if register {
+                                    store.register(&layouts[l], dedup, cow);
+                                } else {
+                                    store.release(&layouts[l], dedup, cow);
+                                }
+                            }
+                        }
+                        _ => continue,
+                    }
+                    prop_assert_eq!(grown.shared_pages(), sized.shared_pages());
+                    prop_assert_eq!(grown.dedup_hits(), sized.dedup_hits());
+                    prop_assert_eq!(grown.resident_bytes(), sized.resident_bytes());
+                    prop_assert_eq!(
+                        grown.resident_shared_pages(),
+                        sized.resident_shared_pages()
+                    );
+                    for language in 0..3u8 {
+                        for class in CLASSES {
+                            for index in 0..INDICES {
+                                prop_assert_eq!(
+                                    grown.ref_count(language, class, index),
+                                    sized.ref_count(language, class, index)
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }
