@@ -4,7 +4,9 @@
 //! * **Replay order** (§3.2): the FIFO metadata layout encodes first-touch
 //!   temporal order. Replaying the same entries in reversed order delivers
 //!   the same lines with the wrong schedule — the speedup difference
-//!   isolates the value of the temporal encoding. (Measured: at the 16KB
+//!   isolates the value of the temporal encoding. The reversed variant
+//!   runs through the runner's measurement protocol, so warm-up, flushes
+//!   and aggregation match every other cell's. (Measured: at the 16KB
 //!   budget the replay stream finishes within the first fraction of the
 //!   invocation, so order costs little — consistent with §3.2's remark
 //!   that region-level reordering of blocks is acceptable.)
@@ -16,7 +18,7 @@
 
 use crate::config::SystemConfig;
 use crate::engine::{Cell, Engine, Spec};
-use crate::runner::{ExperimentParams, PrefetcherKind, RunSpec};
+use crate::runner::{measure, ExperimentParams, PrefetcherKind, RunSpec};
 use crate::system::SystemSim;
 use jukebox::metadata::MetadataBuffer;
 use jukebox::{JukeboxConfig, JukeboxPrefetcher};
@@ -96,8 +98,9 @@ impl Data {
 const DEFAULT_FUNCTION: &str = "Auth-G";
 
 /// Cell grid: the memoizable runner cells (baseline, Jukebox, CRRB sweep).
-/// The reversed-replay and snapshot-boot parts drive [`SystemSim`]
-/// directly with custom prefetchers and stay outside the cache.
+/// The reversed-replay and snapshot-boot parts use custom prefetchers and
+/// stay outside the cache: reversed replay runs the measurement protocol
+/// on its own [`SystemSim`], snapshot boot drives fresh ones directly.
 pub fn plan(params: &ExperimentParams) -> Vec<Cell> {
     let config = SystemConfig::skylake();
     let profile = FunctionProfile::named(DEFAULT_FUNCTION)
@@ -162,19 +165,7 @@ pub fn run_for(engine: &Engine, profile: &FunctionProfile, params: &ExperimentPa
     let reversed_replay = {
         let mut sim = SystemSim::new(config, &profile);
         let mut pf = ReversedReplayJukebox::new(config.jukebox);
-        for _ in 0..params.warmup {
-            sim.flush_microarch();
-            sim.run_invocation(&mut pf);
-        }
-        let mut cycles = 0;
-        let mut instrs = 0;
-        for _ in 0..params.invocations {
-            sim.flush_microarch();
-            let m = sim.run_invocation(&mut pf);
-            cycles += m.result.cycles;
-            instrs += m.result.instructions;
-        }
-        baseline.cpi() / (cycles as f64 / instrs as f64)
+        measure(&mut sim, &mut pf, RunSpec::lukewarm(), params, |_, _| {}).speedup_over(&baseline)
     };
 
     // CRRB depth sweep.

@@ -12,6 +12,7 @@
 use crate::config::SystemConfig;
 use crate::system::{InvocationMetrics, SystemSim};
 use jukebox::{JukeboxConfig, JukeboxPrefetcher};
+use luke_obs::Registry;
 use prefetchers::{Combined, FetchDirected, FootprintRestore, NextLine, Pif};
 use sim_cpu::TopDown;
 use sim_mem::hierarchy::HierarchySnapshot;
@@ -411,6 +412,38 @@ fn prepare(
     (sim, pf)
 }
 
+/// The measurement protocol every cycle-model run follows: `warmup`
+/// invocations, then `invocations` measured ones, each after the same
+/// cache-state manipulation. Warm-up uses the same manipulation as
+/// measurement, so the recorded metadata reflects lukewarm miss
+/// behaviour (as it would after the paper's checkpoint warm-up). A span
+/// ring armed on `sim` records only the measured invocations;
+/// `on_measured` sees each one after it ran.
+pub(crate) fn measure<P: InstructionPrefetcher + ?Sized>(
+    sim: &mut SystemSim,
+    pf: &mut P,
+    spec: RunSpec,
+    params: &ExperimentParams,
+    mut on_measured: impl FnMut(&mut SystemSim, &InvocationMetrics),
+) -> RunSummary {
+    let trace_capacity = sim.core().spans().capacity();
+    sim.set_span_capacity(0);
+    for _ in 0..params.warmup {
+        spec.state.apply(sim);
+        sim.run_invocation(pf);
+    }
+    sim.set_span_capacity(trace_capacity);
+
+    let mut summary = RunSummary::default();
+    for _ in 0..params.invocations {
+        spec.state.apply(sim);
+        let m = sim.run_invocation(pf);
+        summary.add(&m);
+        on_measured(sim, &m);
+    }
+    summary
+}
+
 /// Runs the full measurement protocol for one (platform, function,
 /// prefetcher, state) combination.
 pub fn run(
@@ -421,22 +454,7 @@ pub fn run(
     params: &ExperimentParams,
 ) -> RunSummary {
     let (mut sim, mut pf) = prepare(config, profile, prefetcher);
-
-    // Warm-up: same state manipulation as measurement, so the recorded
-    // metadata reflects lukewarm miss behaviour (as it would after the
-    // paper's checkpoint warm-up).
-    for _ in 0..params.warmup {
-        spec.state.apply(&mut sim);
-        sim.run_invocation(pf.as_mut());
-    }
-
-    let mut summary = RunSummary::default();
-    for _ in 0..params.invocations {
-        spec.state.apply(&mut sim);
-        let m = sim.run_invocation(pf.as_mut());
-        summary.add(&m);
-    }
-    summary
+    measure(&mut sim, pf.as_mut(), spec, params, |_, _| {})
 }
 
 /// Result of an observed run: the usual summary plus the full metrics
@@ -453,11 +471,26 @@ pub struct ObsRun {
     pub spans: Vec<luke_obs::Span>,
 }
 
-/// The measurement protocol of [`run`] with observability enabled: the
-/// per-invocation counters flow into a metrics registry, run-level gauges
+/// Records one measured invocation's series: the `run.invocations`
+/// count, the `invocation.cycles` histogram, the `mem.*` and `core.*`
+/// counters and the `prefetch.*` issue counters.
+fn record_invocation(registry: &mut Registry, m: &InvocationMetrics) {
+    registry.counter_inc("run.invocations");
+    registry.hist_record("invocation.cycles", m.result.cycles);
+    m.mem.add_to_registry(registry);
+    m.result.stats.add_to_registry(registry);
+    let prefetch = &m.result.prefetch;
+    registry.counter_add("prefetch.issued", prefetch.issued);
+    registry.counter_add("prefetch.redundant", prefetch.redundant);
+    registry.counter_add("prefetch.metadata_written", prefetch.metadata_written);
+    registry.counter_add("prefetch.metadata_read", prefetch.metadata_read);
+}
+
+/// The measurement protocol of [`run`], observed: each measured
+/// invocation is recorded into a metrics registry, run-level gauges
 /// (CPI, MPKIs) and the prefetcher's internal telemetry are added at the
 /// end, and `trace_capacity > 0` additionally captures the last measured
-/// invocation's lifecycle span trace.
+/// invocation's lifecycle span trace. Warm-up invocations reach neither.
 pub fn run_observed(
     config: &SystemConfig,
     profile: &FunctionProfile,
@@ -467,44 +500,31 @@ pub fn run_observed(
     trace_capacity: usize,
 ) -> ObsRun {
     let (mut sim, mut pf) = prepare(config, profile, prefetcher);
-    sim.enable_obs();
     sim.set_span_capacity(trace_capacity);
-
-    // Warm-up runs are not measured: drop their counters and spans.
-    for _ in 0..params.warmup {
-        spec.state.apply(&mut sim);
-        sim.run_invocation(pf.as_mut());
-    }
-    sim.registry_mut().clear();
-    sim.take_spans();
-
-    let mut summary = RunSummary::default();
-    for _ in 0..params.invocations {
-        spec.state.apply(&mut sim);
+    let mut registry = Registry::new();
+    let mut spans = Vec::new();
+    let summary = measure(&mut sim, pf.as_mut(), spec, params, |sim, m| {
+        record_invocation(&mut registry, m);
         // Keep only the last measured invocation's trace: a single
         // invocation is what the timeline exporter visualizes.
-        sim.take_spans();
-        let m = sim.run_invocation(pf.as_mut());
-        summary.add(&m);
-    }
-    let spans = sim.take_spans();
+        spans = sim.take_spans();
+    });
 
-    pf.fill_registry(sim.registry_mut());
-    let reg = sim.registry_mut();
+    pf.fill_registry(&mut registry);
     if summary.cpi() == 0.0 {
-        reg.counter_inc("run.invalid_samples");
+        registry.counter_inc("run.invalid_samples");
     } else {
-        reg.counter_add("run.invalid_samples", 0);
+        registry.counter_add("run.invalid_samples", 0);
     }
-    reg.gauge_set("run.cpi", summary.cpi());
-    reg.gauge_set("run.l2_instr_mpki", summary.l2_instr_mpki());
-    reg.gauge_set("run.l2_data_mpki", summary.l2_data_mpki());
-    reg.gauge_set("run.llc_instr_mpki", summary.llc_instr_mpki());
-    reg.gauge_set("run.llc_data_mpki", summary.llc_data_mpki());
+    registry.gauge_set("run.cpi", summary.cpi());
+    registry.gauge_set("run.l2_instr_mpki", summary.l2_instr_mpki());
+    registry.gauge_set("run.l2_data_mpki", summary.l2_data_mpki());
+    registry.gauge_set("run.llc_instr_mpki", summary.llc_instr_mpki());
+    registry.gauge_set("run.llc_data_mpki", summary.llc_data_mpki());
 
     ObsRun {
         summary,
-        registry: sim.registry().snapshot(),
+        registry: registry.snapshot(),
         spans,
     }
 }

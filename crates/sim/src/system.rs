@@ -2,7 +2,7 @@
 
 use crate::config::SystemConfig;
 use luke_common::par;
-use luke_obs::{Registry, Span};
+use luke_obs::Span;
 use sim_cpu::instr::Instr;
 use sim_cpu::{Core, InvocationResult};
 use sim_mem::hierarchy::HierarchySnapshot;
@@ -166,8 +166,6 @@ pub struct SystemSim {
     function: SyntheticFunction,
     next_invocation: u64,
     stressor_runs: u64,
-    registry: Registry,
-    obs_enabled: bool,
 }
 
 impl SystemSim {
@@ -182,28 +180,7 @@ impl SystemSim {
             function: SyntheticFunction::build(profile),
             next_invocation: 0,
             stressor_runs: 0,
-            registry: Registry::new(),
-            obs_enabled: false,
         }
-    }
-
-    /// Enables per-invocation metrics collection into the registry.
-    /// Disabled by default so the plain measurement path carries no
-    /// observability cost.
-    pub fn enable_obs(&mut self) {
-        self.obs_enabled = true;
-    }
-
-    /// The metrics registry (empty unless [`SystemSim::enable_obs`] was
-    /// called).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Mutable registry access, for callers contributing their own
-    /// metrics (prefetcher telemetry, run-level gauges).
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
     }
 
     /// Enables core lifecycle span tracing with the given ring capacity
@@ -297,28 +274,10 @@ impl SystemSim {
             invocation,
             prefetcher,
         );
-        let metrics = InvocationMetrics {
+        InvocationMetrics {
             result,
             mem: self.mem.snapshot().delta(&before),
-        };
-        if self.obs_enabled {
-            self.registry.counter_inc("run.invocations");
-            self.registry
-                .hist_record("invocation.cycles", result.cycles);
-            metrics.mem.add_to_registry(&mut self.registry);
-            result.stats.add_to_registry(&mut self.registry);
-            self.registry
-                .counter_add("prefetch.issued", result.prefetch.issued);
-            self.registry
-                .counter_add("prefetch.redundant", result.prefetch.redundant);
-            self.registry.counter_add(
-                "prefetch.metadata_written",
-                result.prefetch.metadata_written,
-            );
-            self.registry
-                .counter_add("prefetch.metadata_read", result.prefetch.metadata_read);
         }
-        metrics
     }
 
     /// Number of invocations run so far.
@@ -419,7 +378,6 @@ mod tests {
     struct Outcome {
         metrics: Vec<InvocationMetrics>,
         spans: Vec<Span>,
-        registry: luke_obs::Snapshot,
         jukebox: Option<String>,
     }
 
@@ -430,7 +388,6 @@ mod tests {
         let p = FunctionProfile::named("Fib-G").unwrap().scaled(0.2);
         let mut sim = SystemSim::new(SystemConfig::skylake(), &p);
         assert!(sim.function().layout().walk_instr_estimate() >= 4 * CHUNK as u64);
-        sim.enable_obs();
         sim.set_span_capacity(1 << 16);
         let mut jb = jukebox::JukeboxPrefetcher::new(sim.config().jukebox);
         let (lo, hi) = sim.function().layout().address_span();
@@ -449,7 +406,6 @@ mod tests {
         Outcome {
             metrics,
             spans: sim.take_spans(),
-            registry: sim.registry().snapshot(),
             jukebox: jukebox.then(|| {
                 format!(
                     "{:?} {} {} {} {:?}",
