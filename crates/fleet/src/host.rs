@@ -250,8 +250,6 @@ pub struct FleetHost {
     /// Invocations abandoned because the host stayed down past the
     /// retry budget.
     pub down_failures: u64,
-    /// Fault-layer retries (attempts beyond the first), accumulated.
-    pub retries: u64,
     /// Outcomes of hedged copies, joined fleet-wide at merge time.
     pub hedge_outcomes: Vec<HedgeOutcome>,
     /// Span trees of this host's sampled invocations (empty ring when
@@ -403,7 +401,6 @@ impl FleetHost {
             host_crashes: 0,
             down_retries: 0,
             down_failures: 0,
-            retries: 0,
             hedge_outcomes: Vec::new(),
             spans: SpanRing::with_capacity(span_capacity(config)),
             series: TimeWindows::new(config.series_window_ms),
@@ -1093,7 +1090,6 @@ impl FleetHost {
             self.schedule_expiry(slot, deadline_ms, FleetEventKind::KeepAliveExpiry);
         }
         let fault_retries = result.attempts.saturating_sub(1);
-        self.retries += fault_retries;
         self.settle_budget(
             config,
             inv,
@@ -1213,7 +1209,10 @@ impl FleetHost {
         // on — a disabled run must export byte-identical telemetry.
         if self.resilient {
             registry.counter_add("fleet.host_crashes", self.host_crashes);
-            registry.counter_add("fleet.retries", self.retries + self.down_retries);
+            registry.counter_add(
+                "fleet.retries",
+                self.fault_stats.retries + self.down_retries,
+            );
             registry.counter_add("fleet.down_failures", self.down_failures);
         }
         if let Some(ctl) = &self.admission {

@@ -572,7 +572,7 @@ fn merge(
         host_crashes: total(|h| h.host_crashes),
         failovers: router.failovers(),
         hedges: router.hedges(),
-        retries: total(|h| h.retries + h.down_retries),
+        retries: total(|h| h.fault_stats.retries + h.down_retries),
         shed: total(|h| h.admission().map_or(0, AdmissionControl::shed)),
         degraded_restores: total(|h| h.admission().map_or(0, AdmissionControl::degraded_restores)),
         resilient: config.resilience_enabled(),
