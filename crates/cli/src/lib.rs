@@ -653,20 +653,8 @@ fn parse_state(s: &str) -> Result<RunSpec, CliError> {
 fn chaos_preset(name: &str) -> Result<Option<ChaosConfig>, CliError> {
     match name {
         "off" => Ok(None),
-        "light" => Ok(Some(ChaosConfig {
-            host_mtbf_ms: 30_000.0,
-            crash_downtime_ms: 2_000.0,
-            degrade_mtbf_ms: 25_000.0,
-            degrade_duration_ms: 3_000.0,
-            degrade_slowdown: 5.0,
-        })),
-        "heavy" => Ok(Some(ChaosConfig {
-            host_mtbf_ms: 10_000.0,
-            crash_downtime_ms: 2_500.0,
-            degrade_mtbf_ms: 10_000.0,
-            degrade_duration_ms: 4_000.0,
-            degrade_slowdown: 30.0,
-        })),
+        "light" => Ok(Some(ChaosConfig::light())),
+        "heavy" => Ok(Some(ChaosConfig::heavy())),
         other => Err(CliError::usage(format!(
             "unknown --chaos preset {other:?}; try off, light or heavy"
         ))),

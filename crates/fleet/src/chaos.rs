@@ -73,6 +73,32 @@ impl ChaosConfig {
         }
     }
 
+    /// The `light` timeline: a crash every 30 s per host (2 s down) and a
+    /// 5x degrade every 25 s (3 s long). The CLI's `--chaos light` and the
+    /// surge experiment's moderate level.
+    pub fn light() -> Self {
+        ChaosConfig {
+            host_mtbf_ms: 30_000.0,
+            crash_downtime_ms: 2_000.0,
+            degrade_mtbf_ms: 25_000.0,
+            degrade_duration_ms: 3_000.0,
+            degrade_slowdown: 5.0,
+        }
+    }
+
+    /// The `heavy` timeline: a crash every 10 s per host (2.5 s down) and
+    /// a 30x degrade every 10 s (4 s long). The CLI's `--chaos heavy` and
+    /// the surge experiment's heavy level.
+    pub fn heavy() -> Self {
+        ChaosConfig {
+            host_mtbf_ms: 10_000.0,
+            crash_downtime_ms: 2_500.0,
+            degrade_mtbf_ms: 10_000.0,
+            degrade_duration_ms: 4_000.0,
+            degrade_slowdown: 30.0,
+        }
+    }
+
     /// Whether this config schedules nothing at all.
     pub fn is_none(&self) -> bool {
         self.host_mtbf_ms == 0.0 && self.degrade_mtbf_ms == 0.0

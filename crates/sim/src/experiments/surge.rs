@@ -86,20 +86,8 @@ impl ChaosLevel {
     pub fn chaos(self) -> ChaosConfig {
         match self {
             ChaosLevel::None => ChaosConfig::none(),
-            ChaosLevel::Moderate => ChaosConfig {
-                host_mtbf_ms: 30_000.0,
-                crash_downtime_ms: 2_000.0,
-                degrade_mtbf_ms: 25_000.0,
-                degrade_duration_ms: 3_000.0,
-                degrade_slowdown: 5.0,
-            },
-            ChaosLevel::Heavy => ChaosConfig {
-                host_mtbf_ms: 10_000.0,
-                crash_downtime_ms: 2_500.0,
-                degrade_mtbf_ms: 10_000.0,
-                degrade_duration_ms: 4_000.0,
-                degrade_slowdown: 30.0,
-            },
+            ChaosLevel::Moderate => ChaosConfig::light(),
+            ChaosLevel::Heavy => ChaosConfig::heavy(),
         }
     }
 }
