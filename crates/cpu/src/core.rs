@@ -238,8 +238,9 @@ impl Core {
 
         for instr in trace {
             // --- Instruction delivery ---
-            let first_line = instr.pc.line();
-            let last_byte = instr.pc.offset(instr.size.saturating_sub(1) as u64);
+            let pc = instr.pc();
+            let first_line = pc.line();
+            let last_byte = pc.offset(instr.size().saturating_sub(1) as u64);
             let last_line = last_byte.line();
             if self.cur_line != Some(first_line) {
                 pf_state = self.fetch_line(
@@ -275,7 +276,7 @@ impl Core {
             self.advance_frac(retire_cycles, &mut td.retiring);
             self.advance_frac(self.cfg.core_bound_per_instr, &mut td.backend);
 
-            match instr.kind {
+            match instr.kind() {
                 InstrKind::Alu => {}
                 InstrKind::Load(addr) => {
                     stats.loads += 1;
@@ -298,13 +299,9 @@ impl Core {
                     target,
                 } => {
                     stats.branches += 1;
-                    let prediction = self.bp.predict_and_update(
-                        instr.pc,
-                        kind,
-                        taken,
-                        target,
-                        instr.fallthrough(),
-                    );
+                    let prediction =
+                        self.bp
+                            .predict_and_update(pc, kind, taken, target, instr.fallthrough());
                     if prediction.mispredicted() {
                         stats.mispredicts += 1;
                         self.advance(self.cfg.mispredict_penalty, &mut td.bad_speculation);

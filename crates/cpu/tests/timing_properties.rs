@@ -165,7 +165,7 @@ proptest! {
         prop_assert_eq!(r.stats.taken_branches, branches);
         let loads = trace
             .iter()
-            .filter(|i| matches!(i.kind, sim_cpu::instr::InstrKind::Load(_)))
+            .filter(|i| matches!(i.kind(), sim_cpu::instr::InstrKind::Load(_)))
             .count() as u64;
         prop_assert_eq!(r.stats.loads, loads);
     }

@@ -87,13 +87,21 @@ impl MinTree {
         self.nodes[1].1
     }
 
-    /// Sets `host`'s score and replays its path to the root.
+    /// Sets `host`'s score and replays its path toward the root. The
+    /// replay stops at the first match whose winner comes out unchanged
+    /// (same host, bit-equal score): every match above it then sees the
+    /// same players as before.
     fn set(&mut self, host: usize, score: f64) {
         let mut i = self.leaves + host;
         self.nodes[i] = (score, host);
         while i > 1 {
             i /= 2;
-            self.nodes[i] = Self::play(self.nodes[2 * i], self.nodes[2 * i + 1]);
+            let winner = Self::play(self.nodes[2 * i], self.nodes[2 * i + 1]);
+            let stored = self.nodes[i];
+            if winner.1 == stored.1 && winner.0.to_bits() == stored.0.to_bits() {
+                break;
+            }
+            self.nodes[i] = winner;
         }
     }
 }
@@ -560,6 +568,35 @@ mod tests {
             tree.set(hosts - 1, 0.0);
             tree.set(0, -0.0);
             assert_eq!(tree.min_host(), 0);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Charges on arbitrary hosts (not only the routed one) leave
+        /// every language tree's root on the host a full scan picks,
+        /// including when an early-exiting replay stops below the root.
+        #[test]
+        fn every_language_root_matches_the_scan_after_each_charge(
+            size in 0usize..4,
+            charges in proptest::collection::vec((0usize..2_048, 0usize..6, 0usize..5), 1..200),
+        ) {
+            const HOSTS: [usize; 4] = [3, 5, 13, 99];
+            const COSTS: [f64; 5] = [1.0, 0.0, -0.0, 0.5, 2.0];
+            let hosts = HOSTS[size];
+            let mut router =
+                Router::with_languages(RoutingPolicy::PlacementAware, hosts, vec![0, 1, 2]);
+            for (host, function, cost) in charges {
+                router.charge(host % hosts, function, COSTS[cost]);
+                for function in 0..3 {
+                    let lang = router.language_of(function);
+                    proptest::prop_assert_eq!(
+                        router.index[lang].min_host(),
+                        router.scan_preferred(function)
+                    );
+                }
+            }
         }
     }
 

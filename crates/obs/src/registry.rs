@@ -11,6 +11,16 @@ use std::collections::BTreeMap;
 use crate::hist::Histogram;
 use crate::json::{write_f64, write_str};
 
+/// Applies `f` to the metric `name`, created as `V::default()` on first
+/// touch. Looking the name up as `&str` first allocates its `String` only
+/// when the metric is new, not on every update.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_string()).or_default()),
+    }
+}
+
 /// A mutable collection of named counters (`u64`), gauges (`f64`) and
 /// log-bucketed [`Histogram`]s. Metrics are created on first touch.
 #[derive(Clone, Debug, Default)]
@@ -28,10 +38,7 @@ impl Registry {
 
     /// Adds `delta` to the counter `name` (creating it at 0).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        if delta == 0 && self.counters.contains_key(name) {
-            return;
-        }
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        update(&mut self.counters, name, |c| *c += delta);
     }
 
     /// Increments the counter `name` by 1.
@@ -46,7 +53,7 @@ impl Registry {
 
     /// Sets the gauge `name` to `value`.
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        update(&mut self.gauges, name, |g| *g = value);
     }
 
     /// Current value of gauge `name`, if set.
@@ -56,10 +63,7 @@ impl Registry {
 
     /// Records `value` into the histogram `name` (creating it empty).
     pub fn hist_record(&mut self, name: &str, value: u64) {
-        self.hists
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        update(&mut self.hists, name, |h| h.record(value));
     }
 
     /// The histogram `name`, if any samples were recorded.
@@ -71,7 +75,7 @@ impl Registry {
     /// (creating it empty). Lets a component that kept its own local
     /// histogram publish it without replaying every sample.
     pub fn hist_merge(&mut self, name: &str, hist: &Histogram) {
-        self.hists.entry(name.to_string()).or_default().merge(hist);
+        update(&mut self.hists, name, |h| h.merge(hist));
     }
 
     /// Folds every metric of `other` into `self`: counters and
@@ -87,7 +91,7 @@ impl Registry {
             self.counter_add(name, *v);
         }
         for (name, v) in &other.gauges {
-            *self.gauges.entry(name.clone()).or_insert(0.0) += v;
+            update(&mut self.gauges, name, |g| *g += v);
         }
         for (name, h) in &other.hists {
             self.hist_merge(name, h);

@@ -16,8 +16,12 @@ use std::collections::BTreeSet;
 pub fn instruction_lines(trace: &[Instr]) -> BTreeSet<u64> {
     let mut lines = BTreeSet::new();
     for i in trace {
-        let first = i.pc.line().index();
-        let last = i.pc.offset(i.size.saturating_sub(1) as u64).line().index();
+        let first = i.pc().line().index();
+        let last = i
+            .pc()
+            .offset(i.size().saturating_sub(1) as u64)
+            .line()
+            .index();
         lines.insert(first);
         if last != first {
             lines.insert(last);

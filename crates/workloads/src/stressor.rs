@@ -79,8 +79,8 @@ mod tests {
     #[test]
     fn stressor_stays_in_its_ranges() {
         for i in stressor_trace(100, 100, 3) {
-            assert!(i.pc.as_u64() >= STRESSOR_CODE_BASE);
-            assert!(i.pc.as_u64() < STRESSOR_DATA_BASE);
+            assert!(i.pc().as_u64() >= STRESSOR_CODE_BASE);
+            assert!(i.pc().as_u64() < STRESSOR_DATA_BASE);
         }
     }
 

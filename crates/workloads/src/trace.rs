@@ -291,7 +291,7 @@ mod tests {
                 let visit_ends: std::collections::BTreeSet<usize> = whole
                     .iter()
                     .enumerate()
-                    .filter(|(_, i)| i.pc == tail_pc)
+                    .filter(|(_, i)| i.pc() == tail_pc)
                     .map(|(k, _)| k + 1)
                     .collect();
                 for chunk in [1, 7, 4096, usize::MAX] {
@@ -363,7 +363,7 @@ mod tests {
             .iter()
             .filter(|i| {
                 matches!(
-                    i.kind,
+                    i.kind(),
                     InstrKind::Branch {
                         kind: BranchKind::Call,
                         ..
@@ -375,7 +375,7 @@ mod tests {
             .iter()
             .filter(|i| {
                 matches!(
-                    i.kind,
+                    i.kind(),
                     InstrKind::Branch {
                         kind: BranchKind::Return,
                         ..
@@ -396,7 +396,7 @@ mod tests {
                 kind: BranchKind::Return,
                 target,
                 ..
-            } = i.kind
+            } = i.kind()
             {
                 assert_eq!(target, layout.dispatcher_tail.start);
             }
@@ -410,11 +410,11 @@ mod tests {
         let n = trace.len() as f64;
         let loads = trace
             .iter()
-            .filter(|i| matches!(i.kind, InstrKind::Load(_)))
+            .filter(|i| matches!(i.kind(), InstrKind::Load(_)))
             .count() as f64;
         let branches = trace
             .iter()
-            .filter(|i| matches!(i.kind, InstrKind::Branch { .. }))
+            .filter(|i| matches!(i.kind(), InstrKind::Branch { .. }))
             .count() as f64;
         assert!(
             loads / n > 0.08 && loads / n < 0.35,
@@ -440,9 +440,9 @@ mod tests {
                 kind: BranchKind::Conditional,
                 taken: true,
                 target,
-            } = pair[0].kind
+            } = pair[0].kind()
             {
-                assert_eq!(pair[1].pc, target);
+                assert_eq!(pair[1].pc(), target);
                 checked += 1;
             }
         }
@@ -457,16 +457,16 @@ mod tests {
         let trace = emit_invocation(&p, &layout, 2);
         for pair in trace.windows(2) {
             let (cur, next) = (&pair[0], &pair[1]);
-            match cur.kind {
+            match cur.kind() {
                 InstrKind::Branch {
                     taken: true,
                     target,
                     ..
                 } => {
-                    assert_eq!(next.pc, target, "taken branch at {}", cur.pc);
+                    assert_eq!(next.pc(), target, "taken branch at {}", cur.pc());
                 }
                 _ => {
-                    assert_eq!(next.pc, cur.fallthrough(), "fall-through at {}", cur.pc);
+                    assert_eq!(next.pc(), cur.fallthrough(), "fall-through at {}", cur.pc());
                 }
             }
         }
