@@ -291,7 +291,7 @@ impl FleetOptions {
             config.tenancy.contention = luke_fleet::ContentionConfig::default_enabled();
         }
         if let Some(chaos) = self.chaos {
-            enable_resilience(&mut config, chaos);
+            config.enable_resilience(chaos);
         }
         Ok(config)
     }
@@ -659,38 +659,6 @@ fn chaos_preset(name: &str) -> Result<Option<ChaosConfig>, CliError> {
             "unknown --chaos preset {other:?}; try off, light or heavy"
         ))),
     }
-}
-
-/// Turns on a `--chaos` preset: its seeded fault timeline plus the rest
-/// of the resilience stack (hedging, retry budgets, admission control and
-/// a flash-crowd surge) at fixed, documented knobs.
-fn enable_resilience(config: &mut FleetConfig, chaos: ChaosConfig) {
-    config.chaos = chaos;
-    config.hedge = luke_fleet::HedgeConfig {
-        enabled: true,
-        max_fraction: 0.05,
-    };
-    config.retry_budget = luke_fleet::RetryBudget::new(10.0, 0.1).expect("preset knobs are valid");
-    config.admission = luke_fleet::AdmissionConfig {
-        enabled: true,
-        reserved_concurrency: 2,
-        burst_concurrency: 4,
-        host_concurrency: 32,
-        memory_pressure_instances: 60,
-    };
-    config.surge = luke_fleet::SurgeConfig {
-        diurnal_amplitude: 0.3,
-        diurnal_period_ms: 60_000.0,
-        flash_multiplier: 6.0,
-        flash_start_ms: 10_000.0,
-        flash_duration_ms: 15_000.0,
-    };
-    // Chaos runs get the windowed time-series along with the rest of the
-    // stack: a 5s window and the 50ms SLO the surge experiment uses, so
-    // the timeline dataset shows the flash crowd instead of end-of-run
-    // scalars.
-    config.series_window_ms = 5_000.0;
-    config.series_slo_ms = 50.0;
 }
 
 fn lookup_function(name: &str) -> Result<FunctionProfile, CliError> {

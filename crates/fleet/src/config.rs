@@ -266,6 +266,37 @@ impl FleetConfig {
             || self.admission.enabled
             || !self.surge.is_none()
     }
+
+    /// Turns on a `--chaos` preset: its seeded fault timeline plus the
+    /// rest of the resilience stack (hedging, retry budgets, admission
+    /// control and a flash-crowd surge) at fixed, documented knobs, and
+    /// the windowed series: a 5 s window and the 50 ms SLO the surge
+    /// experiment uses, so the timeline shows the flash crowd instead of
+    /// end-of-run scalars.
+    pub fn enable_resilience(&mut self, chaos: ChaosConfig) {
+        self.chaos = chaos;
+        self.hedge = HedgeConfig {
+            enabled: true,
+            max_fraction: 0.05,
+        };
+        self.retry_budget = RetryBudget::new(10.0, 0.1).expect("preset knobs are valid");
+        self.admission = AdmissionConfig {
+            enabled: true,
+            reserved_concurrency: 2,
+            burst_concurrency: 4,
+            host_concurrency: 32,
+            memory_pressure_instances: 60,
+        };
+        self.surge = SurgeConfig {
+            diurnal_amplitude: 0.3,
+            diurnal_period_ms: 60_000.0,
+            flash_multiplier: 6.0,
+            flash_start_ms: 10_000.0,
+            flash_duration_ms: 15_000.0,
+        };
+        self.series_window_ms = 5_000.0;
+        self.series_slo_ms = 50.0;
+    }
 }
 
 #[cfg(test)]

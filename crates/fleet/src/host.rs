@@ -40,6 +40,36 @@ const DOWN_STREAM: u64 = 0x646F_776E; // "down"
 /// route-phase spans own ids 1–3.
 const HOST_SPAN_FIRST_ID: u32 = 4;
 
+/// Registry names of the metrics the fleet fills, each spelled only
+/// here: [`FleetHost::fill_registry`], the run's merge and
+/// [`crate::FleetRun`]'s counter totals all name them through these.
+pub(crate) mod names {
+    pub const INVOCATIONS: &str = "fleet.invocations";
+    pub const COLD_STARTS: &str = "fleet.cold_starts";
+    pub const WARM_HITS: &str = "fleet.warm_hits";
+    pub const LUKEWARM_HITS: &str = "fleet.lukewarm_hits";
+    pub const LATENCY_US: &str = "fleet.latency_us";
+    pub const HOSTS: &str = "fleet.hosts";
+    pub const HOST_CRASHES: &str = "fleet.host_crashes";
+    pub const RETRIES: &str = "fleet.retries";
+    pub const DOWN_FAILURES: &str = "fleet.down_failures";
+    pub const FAILOVERS: &str = "fleet.failovers";
+    pub const HEDGES: &str = "fleet.hedges";
+    pub const PLACEMENT_ROUTED: &str = "fleet.placement_routed";
+    pub const ADMITTED: &str = "admission.admitted";
+    pub const DEGRADED_RESTORES: &str = "admission.degraded_restores";
+    pub const SHED: &str = "admission.shed";
+    pub const PREWARMS_SCHEDULED: &str = "predict.prewarms_scheduled";
+    pub const PREWARM_SPAWNS: &str = "predict.prewarm_spawns";
+    pub const PREWARM_HITS: &str = "predict.prewarm_hits";
+    pub const EARLY_DECAYS: &str = "predict.early_decays";
+    pub const SHARED_PAGES: &str = "tenancy.shared_pages";
+    pub const DEDUP_HITS: &str = "tenancy.dedup_hits";
+    pub const DEDUP_BYTES_SAVED: &str = "tenancy.dedup_bytes_saved";
+    pub const SLOWED_INVOCATIONS: &str = "tenancy.slowed_invocations";
+    pub const CONTENTION_SLOWDOWN: &str = "tenancy.contention_slowdown";
+}
+
 /// A routed invocation waiting on a host's queue.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RoutedInvocation {
@@ -1154,96 +1184,50 @@ impl FleetHost {
         )
     }
 
-    /// Pre-restores the policy bank scheduled (0 when prediction is
-    /// off; scheduled ≥ spawned, since a raised hold cancels a pending
-    /// pre-warm).
-    pub fn prewarms_scheduled(&self) -> u64 {
-        self.prewarm
-            .as_ref()
-            .map_or(0, |prewarm| prewarm.bank.prewarms_scheduled())
-    }
-
-    /// Pre-restores actually spawned ahead of a predicted arrival (0
-    /// when prediction is off).
-    pub fn prewarm_spawns(&self) -> u64 {
-        self.prewarm.as_ref().map_or(0, |prewarm| prewarm.spawns)
-    }
-
-    /// Arrivals that landed on a pre-warmed instance (0 when prediction
-    /// is off).
-    pub fn prewarm_hits(&self) -> u64 {
-        self.prewarm.as_ref().map_or(0, |prewarm| prewarm.hits)
-    }
-
-    /// Arrivals processed while a tightened (below-cap) adaptive hold
-    /// was in force (0 when prediction is off).
-    pub fn early_decays(&self) -> u64 {
-        self.prewarm
-            .as_ref()
-            .map_or(0, |prewarm| prewarm.bank.early_decays())
-    }
-
-    /// The admission controller, when admission control is enabled.
-    pub fn admission(&self) -> Option<&AdmissionControl> {
-        self.admission.as_ref()
-    }
-
     /// The host's tenancy state, when some tenancy knob is enabled.
     pub fn tenancy(&self) -> Option<&HostTenancy> {
         self.tenancy.as_ref()
     }
 
     /// Contributes this host's telemetry: pool and fault counters,
-    /// `fleet.*` lifecycle counters, and the latency histogram. Safe to
-    /// call on per-shard registries that are later merged — everything
-    /// is additive.
+    /// `fleet.*` lifecycle counters, and the latency histogram. Every
+    /// counter adds, so filling one registry from each host in turn
+    /// yields the fleet's totals. An optional layer's series exist only
+    /// when that layer is on: a disabled run must export byte-identical
+    /// telemetry.
     pub fn fill_registry(&self, registry: &mut Registry) {
         self.pool.fill_registry(registry);
         self.fault_stats.fill_registry(registry);
-        registry.counter_add("fleet.invocations", self.invocations);
-        registry.counter_add("fleet.cold_starts", self.cold_starts);
-        registry.counter_add("fleet.warm_hits", self.warm_hits);
-        registry.counter_add("fleet.lukewarm_hits", self.lukewarm_hits);
-        registry.hist_merge("fleet.latency_us", &self.latency_us);
-        // The resilience series only exist when some resilience knob is
-        // on — a disabled run must export byte-identical telemetry.
+        registry.counter_add(names::INVOCATIONS, self.invocations);
+        registry.counter_add(names::COLD_STARTS, self.cold_starts);
+        registry.counter_add(names::WARM_HITS, self.warm_hits);
+        registry.counter_add(names::LUKEWARM_HITS, self.lukewarm_hits);
+        registry.hist_merge(names::LATENCY_US, &self.latency_us);
         if self.resilient {
-            registry.counter_add("fleet.host_crashes", self.host_crashes);
-            registry.counter_add(
-                "fleet.retries",
-                self.fault_stats.retries + self.down_retries,
-            );
-            registry.counter_add("fleet.down_failures", self.down_failures);
+            registry.counter_add(names::HOST_CRASHES, self.host_crashes);
+            registry.counter_add(names::RETRIES, self.fault_stats.retries + self.down_retries);
+            registry.counter_add(names::DOWN_FAILURES, self.down_failures);
         }
         if let Some(ctl) = &self.admission {
-            registry.counter_add("admission.admitted", ctl.admitted());
-            registry.counter_add("admission.degraded_restores", ctl.degraded_restores());
-            registry.counter_add("admission.shed", ctl.shed());
+            registry.counter_add(names::ADMITTED, ctl.admitted());
+            registry.counter_add(names::DEGRADED_RESTORES, ctl.degraded_restores());
+            registry.counter_add(names::SHED, ctl.shed());
         }
-        // The prediction series only exist when the policy is on — a
-        // disabled run must export byte-identical telemetry.
         if let Some(prewarm) = &self.prewarm {
-            registry.counter_add(
-                "predict.prewarms_scheduled",
-                prewarm.bank.prewarms_scheduled(),
-            );
-            registry.counter_add("predict.prewarm_spawns", prewarm.spawns);
-            registry.counter_add("predict.prewarm_hits", prewarm.hits);
-            registry.counter_add("predict.early_decays", prewarm.bank.early_decays());
+            registry.counter_add(names::PREWARMS_SCHEDULED, prewarm.bank.prewarms_scheduled());
+            registry.counter_add(names::PREWARM_SPAWNS, prewarm.spawns);
+            registry.counter_add(names::PREWARM_HITS, prewarm.hits);
+            registry.counter_add(names::EARLY_DECAYS, prewarm.bank.early_decays());
         }
-        // The tenancy series only exist when some tenancy knob is on —
-        // a disabled run must export byte-identical telemetry.
         if let Some(tenancy) = &self.tenancy {
-            registry.counter_add("tenancy.shared_pages", tenancy.shared_pages());
-            registry.counter_add("tenancy.dedup_hits", tenancy.dedup_hits());
-            registry.counter_add("tenancy.dedup_bytes_saved", tenancy.dedup_bytes_saved());
-            registry.counter_add("tenancy.slowed_invocations", tenancy.slowed());
+            registry.counter_add(names::SHARED_PAGES, tenancy.shared_pages());
+            registry.counter_add(names::DEDUP_HITS, tenancy.dedup_hits());
+            registry.counter_add(names::DEDUP_BYTES_SAVED, tenancy.dedup_bytes_saved());
+            registry.counter_add(names::SLOWED_INVOCATIONS, tenancy.slowed());
             // Total contention-added latency, rounded to whole ms — the
             // registry speaks integers.
-            registry.counter_add(
-                "tenancy.contention_slowdown",
-                tenancy.extra_ms().round() as u64,
-            );
+            let extra_ms = tenancy.extra_ms().round() as u64;
+            registry.counter_add(names::CONTENTION_SLOWDOWN, extra_ms);
         }
     }
 }
@@ -1262,6 +1246,13 @@ mod tests {
         };
         let model = ServiceModel::analytic(&paper_suite()).unwrap();
         (config, model)
+    }
+
+    /// The counter `name` as `host` alone fills it into a registry.
+    fn counter(host: &FleetHost, name: &str) -> u64 {
+        let mut registry = Registry::new();
+        host.fill_registry(&mut registry);
+        registry.counter(name)
     }
 
     #[test]
@@ -1459,7 +1450,7 @@ mod tests {
         // Fire function 0's last pre-restore without an arrival consuming
         // it; function 3's is still pending.
         host.drain_timers(29.0 * 5_000.0 + 4_999.0);
-        assert!(host.prewarm_spawns() > 0);
+        assert!(counter(&host, "predict.prewarm_spawns") > 0);
         let before = host.records.clone();
         let functions: Vec<usize> = before.iter().map(|r| r.function).collect();
         assert_eq!(functions, vec![0, 1, 2, 3]);
@@ -1657,11 +1648,8 @@ mod tests {
             warm.process(&prewarm_config, &model, false, routed);
         }
         assert_eq!(plain.cold_starts, 40);
-        assert!(
-            warm.prewarm_hits() > 30,
-            "prewarm hits {} of 40 arrivals",
-            warm.prewarm_hits()
-        );
+        let hits = counter(&warm, "predict.prewarm_hits");
+        assert!(hits > 30, "prewarm hits {hits} of 40 arrivals");
         assert!(warm.cold_starts < 10, "cold starts {}", warm.cold_starts);
         assert!(
             warm.latency_sum_ms < plain.latency_sum_ms,
@@ -1683,10 +1671,7 @@ mod tests {
                 RoutedInvocation::new(i as f64 * 25.0, i % 10),
             );
         }
-        assert_eq!(host.prewarm_spawns(), 0);
-        assert_eq!(host.prewarm_hits(), 0);
-        assert_eq!(host.prewarms_scheduled(), 0);
-        assert_eq!(host.early_decays(), 0);
+        assert!(host.prewarm.is_none());
         let mut registry = Registry::new();
         host.fill_registry(&mut registry);
         assert!(
@@ -1719,14 +1704,9 @@ mod tests {
         let mut registry = Registry::new();
         host.fill_registry(&mut registry);
         let snapshot = registry.snapshot();
-        assert_eq!(
-            snapshot.counter("predict.prewarm_spawns"),
-            host.prewarm_spawns()
-        );
-        assert_eq!(
-            snapshot.counter("predict.prewarm_hits"),
-            host.prewarm_hits()
-        );
+        let prewarm = host.prewarm.as_ref().unwrap();
+        assert_eq!(snapshot.counter("predict.prewarm_spawns"), prewarm.spawns);
+        assert_eq!(snapshot.counter("predict.prewarm_hits"), prewarm.hits);
         assert!(snapshot.counter("predict.early_decays") > 0);
     }
 

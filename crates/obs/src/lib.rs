@@ -7,8 +7,8 @@
 //!
 //! * [`registry`] — a metrics [`registry::Registry`] of typed counters,
 //!   gauges and log-bucketed histograms under hierarchical dotted names
-//!   (`mem.l2.instr.misses`, `replay.dropped_prefetches`), mergeable
-//!   across shards and read out as deterministic snapshots;
+//!   (`mem.l2.instr.misses`, `replay.dropped_prefetches`), read out as
+//!   deterministic snapshots;
 //! * [`export`] — the [`export::Dataset`] table IR every experiment
 //!   builds its result tables in once, and its three writers: the
 //!   fixed-width text table, JSON and CSV;

@@ -78,26 +78,6 @@ impl Registry {
         update(&mut self.hists, name, |h| h.merge(hist));
     }
 
-    /// Folds every metric of `other` into `self`: counters and
-    /// histograms add, gauges add too. The additive gauge convention
-    /// means merged gauges must be partitions of a whole (e.g. each
-    /// shard's `pool.warm_instances` summing to the fleet total) —
-    /// which is how every gauge in this workspace is used when
-    /// registries are kept per shard. Merging per-shard registries in
-    /// a fixed order yields the same snapshot as recording everything
-    /// into one registry.
-    pub fn merge(&mut self, other: &Registry) {
-        for (name, v) in &other.counters {
-            self.counter_add(name, *v);
-        }
-        for (name, v) in &other.gauges {
-            update(&mut self.gauges, name, |g| *g += v);
-        }
-        for (name, h) in &other.hists {
-            self.hist_merge(name, h);
-        }
-    }
-
     /// Resets every metric (names are forgotten, not zeroed).
     pub fn clear(&mut self) {
         self.counters.clear();
@@ -250,47 +230,6 @@ mod tests {
         assert_eq!(reg.counter("never.touched"), 0);
         assert_eq!(reg.gauge("run.cpi"), Some(1.5));
         assert_eq!(reg.hist("invocation.cycles").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn merge_folds_counters_gauges_and_hists() {
-        let mut a = Registry::new();
-        a.counter_add("inv", 3);
-        a.gauge_set("warm", 2.0);
-        a.hist_record("lat", 10);
-        let mut b = Registry::new();
-        b.counter_add("inv", 4);
-        b.counter_inc("only.b");
-        b.gauge_set("warm", 5.0);
-        b.hist_record("lat", 20);
-        b.hist_record("other", 1);
-        a.merge(&b);
-        assert_eq!(a.counter("inv"), 7);
-        assert_eq!(a.counter("only.b"), 1);
-        assert_eq!(a.gauge("warm"), Some(7.0));
-        assert_eq!(a.hist("lat").unwrap().count(), 2);
-        assert_eq!(a.hist("lat").unwrap().sum(), 30);
-        assert_eq!(a.hist("other").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn sharded_merge_matches_single_registry() {
-        // Record the same stream into one registry, and split across
-        // two shards merged in order — snapshots must be identical.
-        let mut whole = Registry::new();
-        let mut s0 = Registry::new();
-        let mut s1 = Registry::new();
-        for i in 0..100u64 {
-            whole.counter_inc("n");
-            whole.hist_record("v", i);
-            let shard = if i % 2 == 0 { &mut s0 } else { &mut s1 };
-            shard.counter_inc("n");
-            shard.hist_record("v", i);
-        }
-        let mut merged = Registry::new();
-        merged.merge(&s0);
-        merged.merge(&s1);
-        assert_eq!(merged.snapshot().to_json(), whole.snapshot().to_json());
     }
 
     #[test]

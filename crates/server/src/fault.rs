@@ -379,15 +379,22 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
+    /// Registry name of [`FaultStats::retries`].
+    pub const RETRIES: &'static str = "fault.retries";
+    /// Registry name of [`FaultStats::completed`].
+    pub const COMPLETED: &'static str = "fault.completed";
+    /// Registry name of [`FaultStats::abandoned`].
+    pub const ABANDONED: &'static str = "fault.abandoned";
+
     /// Accumulates these counters into `registry` under `fault.*`.
     pub fn fill_registry(&self, registry: &mut Registry) {
         registry.counter_add("fault.crashes", self.crashes);
         registry.counter_add("fault.timeouts", self.timeouts);
         registry.counter_add("fault.cold_start_failures", self.cold_start_failures);
         registry.counter_add("fault.evictions", self.evictions);
-        registry.counter_add("fault.retries", self.retries);
-        registry.counter_add("fault.completed", self.completed);
-        registry.counter_add("fault.abandoned", self.abandoned);
+        registry.counter_add(Self::RETRIES, self.retries);
+        registry.counter_add(Self::COMPLETED, self.completed);
+        registry.counter_add(Self::ABANDONED, self.abandoned);
     }
 
     /// Total faults injected, of any kind.

@@ -342,6 +342,11 @@ impl InstancePool {
     /// `pool.*`, the current warm population as a gauge, and — only when
     /// a snapshot store is attached — the `snapshot.*` restore series
     /// (so snapshot-free pools export exactly the pre-snapshot keys).
+    ///
+    /// The gauge is overwritten, not added: a fleet fills one registry
+    /// from every host in turn, so its snapshot's `pool.warm_instances`
+    /// is the last host's count, not the fleet's. It stays that way
+    /// because lukebench hashes the fleet snapshot.
     pub fn fill_registry(&self, registry: &mut luke_obs::Registry) {
         registry.counter_add("pool.cold_starts", self.cold_starts);
         registry.counter_add("pool.expirations", self.expirations);

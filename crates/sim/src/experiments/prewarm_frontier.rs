@@ -194,7 +194,7 @@ fn point(run: &FleetRun, model: ColdStartModel, policy: &'static str, keep_alive
         p99_ms: run.p99_ms(),
         prewarm_spawns: run.prewarm_spawns,
         prewarm_hits: run.prewarm_hits,
-        early_decays: run.early_decays,
+        early_decays: run.early_decays(),
     }
 }
 

@@ -295,7 +295,7 @@ fn run_point(
         degraded_restores: run.degraded_restores,
         failovers: run.failovers,
         hedges: run.hedges,
-        host_crashes: run.host_crashes,
+        host_crashes: run.host_crashes(),
         retry_amplification: run.retry_amplification(),
         cold_start_rate: run.cold_start_rate(),
         lukewarm_fraction: run.lukewarm_fraction(),

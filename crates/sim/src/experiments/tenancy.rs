@@ -165,8 +165,8 @@ fn point(run: &FleetRun, policy: RoutingPolicy, variant: &'static str) -> Row {
         mean_ms: run.mean_latency_ms(),
         p99_ms: run.p99_ms(),
         hit_rate: run.shared_page_hit_rate(),
-        dedup_mib_saved: run.dedup_bytes_saved as f64 / (1024.0 * 1024.0),
-        slowed: run.slowed_invocations,
+        dedup_mib_saved: run.dedup_bytes_saved() as f64 / (1024.0 * 1024.0),
+        slowed: run.slowed_invocations(),
         contention_extra_ms: run.contention_extra_ms,
     }
 }

@@ -275,7 +275,7 @@ fn chaos_failover_and_admission_are_thread_count_neutral_for_every_policy() {
             false,
         )
         .expect("4-thread run");
-        assert!(one.host_crashes > 0, "{policy:?}: chaos must crash hosts");
+        assert!(one.host_crashes() > 0, "{policy:?}: chaos must crash hosts");
         assert!(one.failovers > 0, "{policy:?}: open breakers must divert");
         assert_bit_identical(&one, &four);
     }
@@ -442,9 +442,9 @@ fn quick_scale_config() -> FleetConfig {
 fn windowed_drive_at_2048_hosts_is_bit_identical_to_one_thread() {
     let m = model();
     let one = run_fleet(&quick_scale_config(), &m, false).expect("1-thread run");
-    assert!(one.host_crashes > 0, "chaos must engage at this scale");
+    assert!(one.host_crashes() > 0, "chaos must engage at this scale");
     assert!(
-        one.prewarm_spawns > 0 || one.early_decays > 0,
+        one.prewarm_spawns > 0 || one.early_decays() > 0,
         "prediction must engage"
     );
     for threads in [4, 8] {

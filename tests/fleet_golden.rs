@@ -16,8 +16,8 @@
 use luke_obs::export::{to_csv, to_json};
 use luke_obs::Export;
 use lukewarm::fleet::{
-    run_fleet, AdmissionConfig, ChaosConfig, ColdStartModel, ContentionConfig, FleetConfig,
-    FleetRun, HedgeConfig, PrewarmConfig, RetryBudget, RoutingPolicy, ServiceModel, SurgeConfig,
+    run_fleet, ChaosConfig, ColdStartModel, ContentionConfig, FleetConfig, FleetRun, PrewarmConfig,
+    RoutingPolicy, ServiceModel,
 };
 use lukewarm::server::FaultRates;
 use lukewarm::workloads::paper_suite;
@@ -33,40 +33,6 @@ fn base() -> FleetConfig {
         keep_alive_ms: 4_000.0,
         ..FleetConfig::default()
     }
-}
-
-/// The CLI's `--chaos light` stack: seeded host crashes and degrades,
-/// hedging, a retry budget, admission control, a flash-crowd surge and
-/// the windowed series.
-fn chaos_light(config: &mut FleetConfig) {
-    config.chaos = ChaosConfig {
-        host_mtbf_ms: 30_000.0,
-        crash_downtime_ms: 2_000.0,
-        degrade_mtbf_ms: 25_000.0,
-        degrade_duration_ms: 3_000.0,
-        degrade_slowdown: 5.0,
-    };
-    config.hedge = HedgeConfig {
-        enabled: true,
-        max_fraction: 0.05,
-    };
-    config.retry_budget = RetryBudget::new(10.0, 0.1).expect("preset knobs are valid");
-    config.admission = AdmissionConfig {
-        enabled: true,
-        reserved_concurrency: 2,
-        burst_concurrency: 4,
-        host_concurrency: 32,
-        memory_pressure_instances: 60,
-    };
-    config.surge = SurgeConfig {
-        diurnal_amplitude: 0.3,
-        diurnal_period_ms: 60_000.0,
-        flash_multiplier: 6.0,
-        flash_start_ms: 10_000.0,
-        flash_duration_ms: 15_000.0,
-    };
-    config.series_window_ms = 5_000.0;
-    config.series_slo_ms = 50.0;
 }
 
 /// Pre-warming with REAP-priced restores.
@@ -90,14 +56,17 @@ fn tenancy(config: &mut FleetConfig) {
 /// The five pinned fleets, by name. The last adds instance faults to
 /// every other layer, so single evictions and crash repair run too.
 fn configs() -> Vec<(&'static str, FleetConfig)> {
+    // The CLI's `--chaos light` stack: seeded host crashes and degrades,
+    // hedging, a retry budget, admission control, a flash-crowd surge
+    // and the windowed series.
     let mut chaos = base();
-    chaos_light(&mut chaos);
+    chaos.enable_resilience(ChaosConfig::light());
     let mut warm = base();
     prewarm(&mut warm);
     let mut shared = base();
     tenancy(&mut shared);
     let mut all = base();
-    chaos_light(&mut all);
+    all.enable_resilience(ChaosConfig::light());
     prewarm(&mut all);
     tenancy(&mut all);
     all.trace_sample = 64;
@@ -140,7 +109,7 @@ fn fleet_outputs_match_golden() {
         let run = run_fleet(&config, &model, false).expect("fleet run");
         // Each stack must exercise the state it is here to pin.
         match name {
-            "chaos" => assert!(run.host_crashes > 0, "chaos: no host crashed"),
+            "chaos" => assert!(run.host_crashes() > 0, "chaos: no host crashed"),
             "prewarm" => assert!(
                 run.snapshot.counter("predict.early_decays") > 0
                     && run.snapshot.counter("predict.prewarm_spawns") > 0,

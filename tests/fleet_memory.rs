@@ -15,9 +15,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use lukewarm::fleet::{
-    admission_priorities, AdmissionConfig, ChaosConfig, ColdStartModel, ContentionConfig,
-    FleetConfig, FleetHost, HedgeConfig, PrewarmConfig, RetryBudget, RoutedInvocation,
-    RoutingPolicy, ServiceModel, SurgeConfig, TenancyConfig,
+    admission_priorities, ChaosConfig, ColdStartModel, ContentionConfig, FleetConfig, FleetHost,
+    PrewarmConfig, RoutedInvocation, RoutingPolicy, ServiceModel, TenancyConfig,
 };
 use lukewarm::workloads::paper_suite;
 
@@ -73,7 +72,7 @@ const HOSTS: usize = 64;
 
 /// The `fleet-cluster` shape at `population` functions.
 fn cluster(population: usize) -> FleetConfig {
-    FleetConfig {
+    let mut config = FleetConfig {
         hosts: HOSTS,
         invocations: 5_000,
         population,
@@ -85,37 +84,10 @@ fn cluster(population: usize) -> FleetConfig {
             contention: ContentionConfig::default_enabled(),
             ..TenancyConfig::disabled()
         },
-        // `--chaos light`.
-        chaos: ChaosConfig {
-            host_mtbf_ms: 30_000.0,
-            crash_downtime_ms: 2_000.0,
-            degrade_mtbf_ms: 25_000.0,
-            degrade_duration_ms: 3_000.0,
-            degrade_slowdown: 5.0,
-        },
-        hedge: HedgeConfig {
-            enabled: true,
-            max_fraction: 0.05,
-        },
-        retry_budget: RetryBudget::new(10.0, 0.1).expect("valid budget"),
-        admission: AdmissionConfig {
-            enabled: true,
-            reserved_concurrency: 2,
-            burst_concurrency: 4,
-            host_concurrency: 32,
-            memory_pressure_instances: 60,
-        },
-        surge: SurgeConfig {
-            diurnal_amplitude: 0.3,
-            diurnal_period_ms: 60_000.0,
-            flash_multiplier: 6.0,
-            flash_start_ms: 10_000.0,
-            flash_duration_ms: 15_000.0,
-        },
-        series_window_ms: 5_000.0,
-        series_slo_ms: 50.0,
         ..FleetConfig::default()
-    }
+    };
+    config.enable_resilience(ChaosConfig::light());
+    config
 }
 
 /// Live heap bytes the built hosts hold after processing the same short

@@ -321,7 +321,10 @@ fn resilience_counters_all_reach_the_export() {
             .unwrap_or_else(|| panic!("{name} missing from export"));
         assert!(value > 0.0, "{name} never incremented");
     }
-    assert_eq!(run.snapshot.counter("fleet.host_crashes"), run.host_crashes);
+    assert_eq!(
+        run.snapshot.counter("fleet.host_crashes"),
+        run.host_crashes()
+    );
     assert_eq!(run.snapshot.counter("fleet.failovers"), run.failovers);
     assert_eq!(run.snapshot.counter("admission.shed"), run.shed);
 
@@ -405,20 +408,20 @@ fn tenancy_counters_all_reach_the_export() {
     }
     assert_eq!(
         run.snapshot.counter("tenancy.shared_pages"),
-        run.shared_pages
+        run.shared_pages()
     );
-    assert_eq!(run.snapshot.counter("tenancy.dedup_hits"), run.dedup_hits);
+    assert_eq!(run.snapshot.counter("tenancy.dedup_hits"), run.dedup_hits());
     assert_eq!(
         run.snapshot.counter("tenancy.dedup_bytes_saved"),
-        run.dedup_bytes_saved
+        run.dedup_bytes_saved()
     );
     assert_eq!(
         run.snapshot.counter("tenancy.slowed_invocations"),
-        run.slowed_invocations
+        run.slowed_invocations()
     );
     assert_eq!(
         run.snapshot.counter("fleet.placement_routed"),
-        run.placement_routed
+        run.placement_routed()
     );
 
     // The exported datasets carry the dedicated tenancy series.

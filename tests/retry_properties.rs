@@ -176,12 +176,12 @@ fn a_dry_budget_caps_total_retries_by_its_initial_tokens() {
         ..FleetConfig::default()
     };
     let run = run_fleet(&config, &model, false).expect("config is valid");
-    assert!(run.retries > 0, "down-host reconnects must draw retries");
+    assert!(run.retries() > 0, "down-host reconnects must draw retries");
     let cap = (config.hosts * config.population) as u64 * 2;
     assert!(
-        run.retries <= cap,
+        run.retries() <= cap,
         "{} retries escaped the {} token cap",
-        run.retries,
+        run.retries(),
         cap
     );
 }

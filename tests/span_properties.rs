@@ -7,8 +7,8 @@
 use luke_obs::span::{dispatch_of, is_hedge_lane, SpanKind};
 use luke_obs::{Export, Histogram};
 use lukewarm::fleet::{
-    run_fleet, AdmissionConfig, ChaosConfig, FleetConfig, FleetRun, HedgeConfig, RetryBudget,
-    ServiceModel, SurgeConfig,
+    run_fleet, AdmissionConfig, ChaosConfig, FleetConfig, FleetRun, HedgeConfig, ServiceModel,
+    SurgeConfig,
 };
 use lukewarm::workloads::paper_suite;
 use std::collections::BTreeMap;
@@ -21,40 +21,14 @@ fn model() -> ServiceModel {
 /// crashes and degradations plus failover, hedging, retry budgets,
 /// admission control and a flash-crowd surge — the full resilient path.
 fn heavy_chaos_config() -> FleetConfig {
-    FleetConfig {
+    let mut config = FleetConfig {
         hosts: 8,
         invocations: 6_000,
-        chaos: ChaosConfig {
-            host_mtbf_ms: 10_000.0,
-            crash_downtime_ms: 2_500.0,
-            degrade_mtbf_ms: 10_000.0,
-            degrade_duration_ms: 4_000.0,
-            degrade_slowdown: 30.0,
-        },
-        hedge: HedgeConfig {
-            enabled: true,
-            max_fraction: 0.05,
-        },
-        retry_budget: RetryBudget::new(10.0, 0.1).expect("preset knobs are valid"),
-        admission: AdmissionConfig {
-            enabled: true,
-            reserved_concurrency: 2,
-            burst_concurrency: 4,
-            host_concurrency: 32,
-            memory_pressure_instances: 60,
-        },
-        surge: SurgeConfig {
-            diurnal_amplitude: 0.3,
-            diurnal_period_ms: 60_000.0,
-            flash_multiplier: 6.0,
-            flash_start_ms: 10_000.0,
-            flash_duration_ms: 15_000.0,
-        },
         trace_sample: 1,
-        series_window_ms: 5_000.0,
-        series_slo_ms: 50.0,
         ..FleetConfig::default()
-    }
+    };
+    config.enable_resilience(ChaosConfig::heavy());
+    config
 }
 
 fn heavy_chaos_run() -> FleetRun {
